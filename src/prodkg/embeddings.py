@@ -117,9 +117,6 @@ class GradStore:
         for name, grad in other.dense.items():
             self.add_dense(name, grad)
 
-    def is_empty(self) -> bool:
-        return not self.rows and not self.dense
-
 
 class NegativeSampler:
     """Smoothed-unigram sampler over one entity namespace.
@@ -290,15 +287,19 @@ def sgd_update(tables: dict[str, EmbeddingTable], grads: GradStore, lr: float,
             raise ValueError(
                 f"table {table_name!r} has geometry {table.geometry!r}; use the Riemannian update"
             )
-        for row, grad in per_table.items():
-            if not np.all(np.isfinite(grad)):
-                raise NumericalError(f"non-finite gradient for table {table_name!r} row {row}")
-            table.values[row] -= lr * grad
+        # Dict keys are distinct rows, so one fancy-indexed step equals the per-row loop.
+        rows = list(per_table)
+        stacked = np.array(list(per_table.values()))
+        finite = np.isfinite(stacked).all(axis=1)
+        if not finite.all():
+            bad = rows[int(np.argmin(finite))]
+            raise NumericalError(f"non-finite gradient for table {table_name!r} row {bad}")
+        table.values[rows] -= lr * stacked
     if grads.dense:
         if dense_params is None:
             raise ValueError("dense gradients present but no dense parameter dict given")
         for name, grad in grads.dense.items():
-            if not np.all(np.isfinite(grad)):
+            if not np.isfinite(grad).all():
                 raise NumericalError(f"non-finite gradient for parameter {name!r}")
             dense_params[name] -= lr * grad
 

@@ -24,7 +24,6 @@ PKG_RELATIONS = ("substitute", "complement", "co_view", "search", "describe", "i
 class RankingResult:
     """Ordered candidates with the gold entity ranks (1-based)."""
 
-    query: str
     candidates: np.ndarray   # top of the ordering, possibly truncated
     scores: np.ndarray       # non-increasing, aligned with candidates
     gold: tuple
@@ -37,7 +36,7 @@ class RankingResult:
 
 
 def rank_candidates(candidates: np.ndarray, scores: np.ndarray, gold,
-                    query: str = "", keep: int | None = None) -> RankingResult:
+                    keep: int | None = None) -> RankingResult:
     """Sort by descending score with ascending-id tie-break; locate the gold ids."""
     candidates = np.asarray(candidates, dtype=np.int64)
     scores = np.asarray(scores, dtype=float)
@@ -53,7 +52,6 @@ def rank_candidates(candidates: np.ndarray, scores: np.ndarray, gold,
         raise ValueError("no gold id present among candidates")
     cut = len(ranked_ids) if keep is None else min(keep, len(ranked_ids))
     return RankingResult(
-        query=query,
         candidates=ranked_ids[:cut],
         scores=ranked_scores[:cut],
         gold=gold,
@@ -94,7 +92,7 @@ def pkg_candidate_scores(params: PkgParams, relation: str, head) -> tuple[np.nda
 
 
 def rank_tail(scorer, relation, head, gold=(), keep: int | None = None,
-              candidates: np.ndarray | None = None, query: str = "") -> RankingResult:
+              candidates: np.ndarray | None = None) -> RankingResult:
     """Rank tail candidates for one query under a trained scorer.
 
     ``scorer`` is either the proposed model's parameter bundle or a triple
@@ -111,8 +109,7 @@ def rank_tail(scorer, relation, head, gold=(), keep: int | None = None,
         scores = score_tails(scorer, int(head), int(relation), cand)
     else:
         raise TypeError(f"cannot rank with {type(scorer).__name__}")
-    label = query or f"{relation}:{head}"
-    return rank_candidates(cand, scores, gold, query=label, keep=keep)
+    return rank_candidates(cand, scores, gold, keep=keep)
 
 
 def ranking_metrics(results: list[RankingResult], k: int = 10) -> dict:

@@ -8,6 +8,7 @@ example assembly, and baseline triple preparation.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -148,6 +149,9 @@ def pretrain_categories(state: PipelineData, params: PkgParams,
                         negatives: int = 10, seed: int = 0) -> list[float]:
     """Ball-geometry pre-training of the category table (frozen afterwards)."""
     config = config or BallConfig()
+    if epochs <= config.burn_in_epochs:
+        print(f"warning: category pre-training runs {epochs} epochs, none past the "
+              f"{config.burn_in_epochs}-epoch burn-in at a tenth of the rate", file=sys.stderr)
     return hierarchy_pretrain(state.dataset.category_edges,
                               params.tables["category"], config,
                               epochs=epochs, negatives=negatives, seed=seed)

@@ -33,63 +33,59 @@ class BallConfig:
             raise ValueError("eps_ball must lie in (0, 1)")
 
 
-def _check_inside(vec: np.ndarray, label: str) -> float:
-    sq = float(vec @ vec)
-    if sq >= 1.0:
-        raise ValueError(f"{label} lies on or outside the unit ball (|x|^2 = {sq:.6f})")
-    return sq
+def _sq_norms(x: np.ndarray) -> np.ndarray:
+    """Squared norm of each row, kept as a trailing axis of length 1."""
+    return (x * x).sum(axis=-1, keepdims=True)
+
+
+def _check_inside(sq: np.ndarray, label: str) -> None:
+    if (sq >= 1.0).any():
+        raise ValueError(f"{label} lies on or outside the unit ball (|x|^2 = {np.max(sq):.6f})")
 
 
 def poincare_distance(x: np.ndarray, y: np.ndarray) -> float:
     """arcosh(1 + 2 |x-y|^2 / ((1-|x|^2)(1-|y|^2))) for points inside the ball."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    sq_x = _check_inside(x, "x")
-    sq_y = _check_inside(y, "y")
-    diff = x - y
-    gamma = 1.0 + 2.0 * float(diff @ diff) / ((1.0 - sq_x) * (1.0 - sq_y))
-    return float(np.arccosh(gamma))
+    return float(poincare_distance_grad(x, y)[0])
 
 
-def poincare_distance_grad(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+def poincare_distance_grad(x: np.ndarray, y: np.ndarray) -> tuple:
     """Distance plus its Euclidean partial derivatives w.r.t. both points.
 
-    The derivative of arcosh degenerates as the points coincide; the
-    1/sqrt(gamma^2 - 1) factor is floored to keep the step finite there.
+    ``x`` and ``y`` are points or stacks of rows that broadcast together: a
+    (n, d) stack against one (d,) point gives n distances and two (n, d)
+    gradients.  The derivative of arcosh degenerates as the points coincide;
+    the 1/sqrt(gamma^2 - 1) factor is floored to keep the step finite there.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    sq_x = _check_inside(x, "x")
-    sq_y = _check_inside(y, "y")
+    sq_x = _sq_norms(x)
+    sq_y = _sq_norms(y)
+    _check_inside(sq_x, "x")
+    _check_inside(sq_y, "y")
     alpha = 1.0 - sq_x
     beta = 1.0 - sq_y
-    diff = x - y
-    sq_diff = float(diff @ diff)
-    gamma = 1.0 + 2.0 * sq_diff / (alpha * beta)
-    dist = float(np.arccosh(gamma))
+    gamma = 1.0 + 2.0 * _sq_norms(x - y) / (alpha * beta)
 
-    root = np.sqrt(max(gamma * gamma - 1.0, _GAMMA_FLOOR))
-    dot = float(x @ y)
+    root = np.sqrt(np.maximum(gamma * gamma - 1.0, _GAMMA_FLOOR))
+    dot = (x * y).sum(axis=-1, keepdims=True)
     grad_x = (4.0 / (beta * root)) * (((sq_y - 2.0 * dot + 1.0) / alpha**2) * x - y / alpha)
     grad_y = (4.0 / (alpha * root)) * (((sq_x - 2.0 * dot + 1.0) / beta**2) * y - x / beta)
-    return dist, grad_x, grad_y
+    return np.arccosh(gamma)[..., 0], grad_x, grad_y
 
 
 def riemannian_update(row: np.ndarray, euclidean_grad: np.ndarray, lr: float,
                       config: BallConfig) -> np.ndarray:
-    """One metric-rescaled gradient step with hard projection into the ball."""
-    if not np.all(np.isfinite(euclidean_grad)):
+    """One metric-rescaled gradient step with hard projection into the ball, per row."""
+    euclidean_grad = np.asarray(euclidean_grad, dtype=float)
+    if not np.isfinite(euclidean_grad).all():
         raise NumericalError("non-finite gradient in ball update")
-    sq = float(row @ row)
-    if sq >= 1.0:
-        raise ValueError("row lies on or outside the unit ball")
+    sq = _sq_norms(row)
+    _check_inside(sq, "row")
     factor = (1.0 - sq) ** 2 / 4.0
-    updated = row - lr * factor * np.asarray(euclidean_grad, dtype=float)
-    norm = float(np.linalg.norm(updated))
+    updated = row - lr * factor * euclidean_grad
     limit = 1.0 - config.eps_ball
-    if norm >= limit:
-        updated = updated * (limit / norm)
-    return updated
+    # limit / max(norm, limit) is exactly 1.0 for rows already inside the margin
+    return updated * (limit / np.maximum(np.sqrt(_sq_norms(updated)), limit))
 
 
 def check_forest(edges: list[tuple[int, int]]) -> dict[int, int]:
@@ -117,22 +113,18 @@ def hierarchy_loss_grad(
     candidates: np.ndarray,
     true_index: int,
     table: EmbeddingTable,
-) -> tuple[float, dict[int, np.ndarray]]:
+) -> tuple[float, np.ndarray, np.ndarray]:
     """Sampled-softmax loss of picking the true child among candidates.
 
     Candidate logits are negative ball distances to the parent; the loss is
     the negative log-probability of ``candidates[true_index]``.  Returns
-    per-row Euclidean gradients (softmax weights chained through the
-    distance derivatives) for the parent and every candidate.
+    ``(loss, rows, grads)``: ``rows`` is the candidates then the parent, and
+    ``grads[j]`` the Euclidean gradient for ``rows[j]`` (softmax weights
+    chained through the distance derivatives); a repeated row sums its grads.
     """
     candidates = np.asarray(candidates, dtype=np.int64)
-    parent_vec = table.values[parent]
-    dists = np.empty(len(candidates))
-    grad_cand = np.empty((len(candidates), table.dim))
-    grad_par = np.empty((len(candidates), table.dim))
-    for j, cand in enumerate(candidates):
-        dists[j], grad_cand[j], grad_par[j] = poincare_distance_grad(
-            table.values[cand], parent_vec)
+    dists, grad_cand, grad_par = poincare_distance_grad(
+        table.values[candidates], table.values[parent])
     logits = -dists
     peak = logits.max()
     probs = np.exp(logits - peak)
@@ -143,12 +135,9 @@ def hierarchy_loss_grad(
     coeffs = -probs
     coeffs[true_index] += 1.0
 
-    grads: dict[int, np.ndarray] = {}
-    for j, cand in enumerate(candidates):
-        key = int(cand)
-        grads[key] = grads.get(key, 0.0) + coeffs[j] * grad_cand[j]
-    grads[parent] = grads.get(parent, 0.0) + coeffs @ grad_par
-    return loss, grads
+    rows = np.append(candidates, parent)
+    grads = np.vstack((coeffs[:, None] * grad_cand, coeffs @ grad_par))
+    return loss, rows, grads
 
 
 def hierarchy_pretrain(
@@ -164,35 +153,35 @@ def hierarchy_pretrain(
     Negatives are drawn uniformly over categories that are neither the edge
     endpoints nor siblings (other children of the same parent).  The first
     ``burn_in_epochs`` run at a tenth of the learning rate.  The table is
-    updated in place and is meant to be frozen afterwards.
+    updated in place and is meant to be frozen afterwards.  Each edge is one
+    batched step; its rows (distinct candidates, then the parent) are written once.
     """
     if table.geometry != "poincare":
         raise ValueError("hierarchy pre-training expects a ball-geometry table")
-    parent_map = check_forest(edges)
-    children_of: dict[int, set[int]] = {}
+    check_forest(edges)
+    # An edge bans its endpoints and siblings: its parent and the parent's children.
+    banned_of: dict[int, list[int]] = {}
     for child, par in edges:
-        children_of.setdefault(par, set()).add(child)
-
+        banned_of.setdefault(par, [par]).append(child)
     all_ids = np.arange(1, table.rows)
+    pool_of = {par: np.setdiff1d(all_ids, banned) for par, banned in banned_of.items()}
+    edge_list = [(child, par, pool_of[par]) for child, par in edges]
+
     rng = np.random.default_rng(seed)
-    edge_list = list(edges)
     losses: list[float] = []
     for epoch in range(epochs):
         lr = config.lr / 10.0 if epoch < config.burn_in_epochs else config.lr
         order = rng.permutation(len(edge_list))
         total = 0.0
         for idx in order:
-            child, par = edge_list[idx]
-            banned = {child, par} | children_of.get(par, set())
-            pool = np.array([i for i in all_ids if i not in banned], dtype=np.int64)
+            child, par, pool = edge_list[idx]
             if pool.size == 0:
                 continue
             negs = rng.choice(pool, size=min(negatives, pool.size), replace=False)
             candidates = np.concatenate(([child], negs))
-            loss, grads = hierarchy_loss_grad(par, candidates, 0, table)
+            loss, rows, grads = hierarchy_loss_grad(par, candidates, 0, table)
             total += loss
-            for row, grad in grads.items():
-                table.values[row] = riemannian_update(table.values[row], grad, lr, config)
+            table.values[rows] = riemannian_update(table.values[rows], grads, lr, config)
         losses.append(total / max(len(edge_list), 1))
     table.validate(config.eps_ball)
     return losses

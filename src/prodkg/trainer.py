@@ -165,20 +165,25 @@ def isa_example_loss(example, params: PkgParams,
     return loss, grads
 
 
+def task_probabilities(specs: list[TaskSpec], schedule: str = "weighted") -> np.ndarray:
+    """Per-step draw probabilities of the tasks: uniform, or else size-proportional."""
+    sizes = np.array([1.0 if schedule == "uniform" else s.n for s in specs], dtype=float)
+    return sizes / sizes.sum()
+
+
 def sample_task(specs: list[TaskSpec], rng: np.random.Generator,
-                schedule: str = "weighted", single_task: str | None = None) -> str:
-    """Draw the next task: size-proportional, uniform, or fixed."""
+                schedule: str = "weighted", single_task: str | None = None,
+                probs: np.ndarray | None = None) -> str:
+    """Draw the next task: size-proportional, uniform, or fixed (``probs`` from
+    :func:`task_probabilities` saves recomputing them on every draw)."""
     if not specs:
         raise ValueError("no active tasks")
     if schedule == "single_task":
         if single_task not in {s.name for s in specs}:
             raise ValueError(f"task {single_task!r} not among active tasks")
         return single_task
-    if schedule == "uniform":
-        probs = np.full(len(specs), 1.0 / len(specs))
-    else:
-        sizes = np.array([s.n for s in specs], dtype=float)
-        probs = sizes / sizes.sum()
+    if probs is None:
+        probs = task_probabilities(specs, schedule)
     return specs[int(rng.choice(len(specs), p=probs))].name
 
 
@@ -303,6 +308,7 @@ def train(
     total = sum(s.n for s in active)
     steps_per_epoch = max(1, math.ceil(total / config.batch_size))
     by_name = {s.name: s for s in active}
+    probs = task_probabilities(active, config.schedule)
 
     log: list[tuple] = []
     best_params = params.copy()
@@ -316,9 +322,9 @@ def train(
         if config.schedule == "single_task":
             epoch_task = config.single_task
         elif config.epoch_task_attribution:
-            epoch_task = sample_task(active, rng, config.schedule)
+            epoch_task = sample_task(active, rng, config.schedule, probs=probs)
         for _step in range(steps_per_epoch):
-            task = epoch_task or sample_task(active, rng, config.schedule, config.single_task)
+            task = epoch_task or sample_task(active, rng, config.schedule, config.single_task, probs)
             spec = by_name[task]
             batch_idx = rng.integers(0, spec.n, size=min(config.batch_size, spec.n))
             grads = GradStore()

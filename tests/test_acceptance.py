@@ -327,7 +327,7 @@ class TestCriterion8Metrics:
     def test_hand_values_and_monotone_invariance(self):
         def single(rank):
             from prodkg.evaluation import RankingResult
-            return RankingResult("q", np.arange(1, 11), np.linspace(1, 0.1, 10),
+            return RankingResult(np.arange(1, 11), np.linspace(1, 0.1, 10),
                                  (rank,), (rank,), 100)
 
         ndcg = ranking_metrics([single(3)], 10)["ndcg@10"]

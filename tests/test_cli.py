@@ -79,6 +79,19 @@ class TestManifest:
         assert manifest["config"]["items"] == 60
 
 
+class TestBurnInWarning:
+    def test_pretraining_inside_burn_in_warns_once(self, tmp_path, capsys):
+        _, run = run_dir(tmp_path)
+        capsys.readouterr()
+        assert main(["pretrain-categories", "--run", run, "--out", str(tmp_path / "short"),
+                     "--dim", "4", "--epochs", "2", "--burn-in", "2", "--seed", "7"]) == 0
+        err = capsys.readouterr().err
+        assert err.count("warning:") == 1 and "2-epoch burn-in" in err
+        assert main(["pretrain-categories", "--run", run, "--out", str(tmp_path / "long"),
+                     "--dim", "4", "--epochs", "3", "--burn-in", "2", "--seed", "7"]) == 0
+        assert "warning" not in capsys.readouterr().err
+
+
 @pytest.mark.slow
 class TestPipelineCommands:
     def test_full_command_chain(self, tmp_path, capsys):
@@ -92,7 +105,8 @@ class TestPipelineCommands:
                      "--dim", "8", "--epochs", "2", "--l-buy", "6", "--l-view", "6",
                      "--l-search", "4", "--l-describe", "8", "--cat-epochs", "3",
                      "--seed", "7", "--validation-cap", "30"]) == 0
-        capsys.readouterr()
+        err = capsys.readouterr().err
+        assert err.count("warning: category pre-training runs 3 epochs") == 2
 
         assert main(["rank", "--run", run, "--relation", "substitute",
                      "--head", "i00005", "--k", "10"]) == 0

@@ -203,6 +203,31 @@ class TestSgd:
         with pytest.raises(NumericalError, match=r"'t' row 2"):
             sgd_update({"t": table}, grads, lr=0.1)
 
+    def test_several_rows_match_per_row_steps_exactly(self):
+        rng = np.random.default_rng(3)
+        table = EmbeddingTable("t", rng.normal(size=(7, 4)))
+        other = EmbeddingTable("u", rng.normal(size=(5, 4)))
+        grads = GradStore()
+        for name, row in (("t", 5), ("u", 2), ("t", 1), ("t", 3), ("u", 4)):
+            grads.add_row(name, row, rng.normal(size=4))
+        grads.add_row("t", 5, rng.normal(size=4))
+        expected = {"t": table.values.copy(), "u": other.values.copy()}
+        for name, per_table in grads.rows.items():
+            for row, grad in per_table.items():
+                expected[name][row] -= 0.05 * grad
+        sgd_update({"t": table, "u": other}, grads, lr=0.05)
+        np.testing.assert_array_equal(table.values, expected["t"])
+        np.testing.assert_array_equal(other.values, expected["u"])
+
+    def test_first_non_finite_row_named_among_several(self):
+        table = EmbeddingTable("t", np.zeros((6, 2)))
+        grads = GradStore()
+        grads.add_row("t", 1, np.ones(2))
+        grads.add_row("t", 4, np.array([0.0, np.nan]))
+        grads.add_row("t", 2, np.array([np.inf, 0.0]))
+        with pytest.raises(NumericalError, match=r"'t' row 4"):
+            sgd_update({"t": table}, grads, lr=0.1)
+
     def test_pad_row_gradient_rejected(self):
         grads = GradStore()
         with pytest.raises(ValueError, match="PAD"):

@@ -20,7 +20,7 @@ from prodkg.model import ModelConfig, init_params
 
 def result_with_rank(rank, n=100):
     """Single-gold ranking result with the gold at the given 1-based rank."""
-    return RankingResult(query="q", candidates=np.arange(1, 11),
+    return RankingResult(candidates=np.arange(1, 11),
                          scores=np.linspace(1, 0.1, 10), gold=(rank,),
                          gold_ranks=(rank,), n_candidates=n)
 

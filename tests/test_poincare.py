@@ -1,10 +1,13 @@
 """Ball geometry: distance, Riemannian updates, hierarchy pre-training and
 the product-to-category loss."""
 
+import tempfile
+
 import numpy as np
 import pytest
 
-from prodkg.embeddings import EmbeddingTable, new_table
+from prodkg.data import CATEGORY, ingest_dataset
+from prodkg.embeddings import EmbeddingTable, NumericalError, new_table
 from prodkg.gradcheck import grad_check
 from prodkg.poincare import (
     BallConfig,
@@ -16,6 +19,111 @@ from prodkg.poincare import (
     poincare_distance_grad,
     riemannian_update,
 )
+from prodkg.synth import SynthConfig, generate
+
+# --- frozen per-edge reference ------------------------------------------------
+# The per-point distance gradient, the per-point update and the per-edge
+# pre-training loop that the row-batched versions replace, kept verbatim as
+# the oracle the batched path must match.
+
+
+def _ref_check_inside(vec, label):
+    sq = float(vec @ vec)
+    if sq >= 1.0:
+        raise ValueError(f"{label} lies on or outside the unit ball (|x|^2 = {sq:.6f})")
+    return sq
+
+
+def _ref_distance_grad(x, y):
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    sq_x = _ref_check_inside(x, "x")
+    sq_y = _ref_check_inside(y, "y")
+    alpha = 1.0 - sq_x
+    beta = 1.0 - sq_y
+    diff = x - y
+    sq_diff = float(diff @ diff)
+    gamma = 1.0 + 2.0 * sq_diff / (alpha * beta)
+    dist = float(np.arccosh(gamma))
+
+    root = np.sqrt(max(gamma * gamma - 1.0, 1e-12))
+    dot = float(x @ y)
+    grad_x = (4.0 / (beta * root)) * (((sq_y - 2.0 * dot + 1.0) / alpha**2) * x - y / alpha)
+    grad_y = (4.0 / (alpha * root)) * (((sq_x - 2.0 * dot + 1.0) / beta**2) * y - x / beta)
+    return dist, grad_x, grad_y
+
+
+def _ref_update(row, euclidean_grad, lr, config):
+    if not np.all(np.isfinite(euclidean_grad)):
+        raise NumericalError("non-finite gradient in ball update")
+    sq = float(row @ row)
+    if sq >= 1.0:
+        raise ValueError("row lies on or outside the unit ball")
+    factor = (1.0 - sq) ** 2 / 4.0
+    updated = row - lr * factor * np.asarray(euclidean_grad, dtype=float)
+    norm = float(np.linalg.norm(updated))
+    limit = 1.0 - config.eps_ball
+    if norm >= limit:
+        updated = updated * (limit / norm)
+    return updated
+
+
+def _ref_loss_grad(parent, candidates, true_index, table):
+    candidates = np.asarray(candidates, dtype=np.int64)
+    parent_vec = table.values[parent]
+    dists = np.empty(len(candidates))
+    grad_cand = np.empty((len(candidates), table.dim))
+    grad_par = np.empty((len(candidates), table.dim))
+    for j, cand in enumerate(candidates):
+        dists[j], grad_cand[j], grad_par[j] = _ref_distance_grad(table.values[cand], parent_vec)
+    logits = -dists
+    peak = logits.max()
+    probs = np.exp(logits - peak)
+    probs /= probs.sum()
+    loss = float(-np.log(probs[true_index]))
+    coeffs = -probs
+    coeffs[true_index] += 1.0
+    grads = {}
+    for j, cand in enumerate(candidates):
+        key = int(cand)
+        grads[key] = grads.get(key, 0.0) + coeffs[j] * grad_cand[j]
+    grads[parent] = grads.get(parent, 0.0) + coeffs @ grad_par
+    return loss, grads
+
+
+def _ref_pretrain(edges, table, config, epochs=50, negatives=10, seed=0):
+    check_forest(edges)
+    children_of = {}
+    for child, par in edges:
+        children_of.setdefault(par, set()).add(child)
+    all_ids = np.arange(1, table.rows)
+    rng = np.random.default_rng(seed)
+    edge_list = list(edges)
+    losses = []
+    for epoch in range(epochs):
+        lr = config.lr / 10.0 if epoch < config.burn_in_epochs else config.lr
+        order = rng.permutation(len(edge_list))
+        total = 0.0
+        for idx in order:
+            child, par = edge_list[idx]
+            banned = {child, par} | children_of.get(par, set())
+            pool = np.array([i for i in all_ids if i not in banned], dtype=np.int64)
+            if pool.size == 0:
+                continue
+            negs = rng.choice(pool, size=min(negatives, pool.size), replace=False)
+            candidates = np.concatenate(([child], negs))
+            loss, grads = _ref_loss_grad(par, candidates, 0, table)
+            total += loss
+            for row, grad in grads.items():
+                table.values[row] = _ref_update(table.values[row], grad, lr, config)
+        losses.append(total / max(len(edge_list), 1))
+    table.validate(config.eps_ball)
+    return losses
+
+
+# Batched and per-point arithmetic differ only in summation order: a few ulps
+# per operation, compounded over a pre-training run.
+PARITY_TOL = 1e-12
 
 
 class TestDistance:
@@ -121,8 +229,20 @@ class TestHierarchyLoss:
         values = np.zeros((n_categories + 1, 3))
         table = EmbeddingTable("category", values, "poincare")
         candidates = np.arange(1, n_categories + 1)
-        loss, _ = hierarchy_loss_grad(2, candidates, 0, table)
+        loss, _, _ = hierarchy_loss_grad(2, candidates, 0, table)
         assert loss == pytest.approx(np.log(n_categories), abs=1e-12)
+
+    def test_rows_are_candidates_then_parent_and_match_reference(self):
+        rng = np.random.default_rng(11)
+        table = EmbeddingTable("category", rng.uniform(-0.4, 0.4, size=(9, 4)), "poincare")
+        candidates = np.array([3, 7, 2, 5])
+        loss, rows, grads = hierarchy_loss_grad(1, candidates, 0, table)
+        ref_loss, ref_grads = _ref_loss_grad(1, candidates, 0, table)
+        np.testing.assert_array_equal(rows, [3, 7, 2, 5, 1])
+        assert grads.shape == (5, 4)
+        assert loss == pytest.approx(ref_loss, abs=PARITY_TOL)
+        for row, grad in zip(rows, grads):
+            np.testing.assert_allclose(grad, ref_grads[int(row)], rtol=0, atol=PARITY_TOL)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(5)
@@ -132,10 +252,9 @@ class TestHierarchyLoss:
 
         def loss_fn(p):
             table = EmbeddingTable("category", p["cat"], "poincare")
-            loss, grads = hierarchy_loss_grad(1, candidates, 0, table)
+            loss, rows, grads = hierarchy_loss_grad(1, candidates, 0, table)
             dense = np.zeros_like(p["cat"])
-            for row, grad in grads.items():
-                dense[row] += grad
+            np.add.at(dense, rows, grads)
             return loss, {"cat": dense}
 
         report = grad_check(loss_fn, {"cat": values}, eps=1e-6)
@@ -195,6 +314,105 @@ class TestHierarchyPretrain:
         table = new_table("category", 4, 3, np.random.default_rng(0))
         with pytest.raises(ValueError, match="ball-geometry"):
             hierarchy_pretrain([(1, 2)], table, BallConfig())
+
+
+class TestBatchedGeometry:
+    """Row stacks through the one implementation agree with the per-point reference."""
+
+    def test_distance_grad_rows_match_scalar(self):
+        rng = np.random.default_rng(12)
+        stack = rng.uniform(-0.45, 0.45, size=(7, 5))
+        point = rng.uniform(-0.45, 0.45, size=5)
+        others = rng.uniform(-0.45, 0.45, size=(7, 5))
+        for x, y in ((stack, point), (stack, others)):
+            dist, grad_x, grad_y = poincare_distance_grad(x, y)
+            assert dist.shape == (7,) and grad_x.shape == grad_y.shape == (7, 5)
+            for j in range(7):
+                y_j = y if y.ndim == 1 else y[j]
+                ref = _ref_distance_grad(x[j], y_j)
+                single = poincare_distance_grad(x[j], y_j)
+                for got, want in zip((dist[j], grad_x[j], grad_y[j]), ref):
+                    np.testing.assert_allclose(got, want, rtol=PARITY_TOL, atol=PARITY_TOL)
+                for got, want in zip(single, ref):
+                    np.testing.assert_allclose(got, want, rtol=PARITY_TOL, atol=PARITY_TOL)
+
+    def test_update_rows_match_scalar(self):
+        """Includes rows pushed past the margin, so projection runs on some rows only."""
+        config = BallConfig()
+        rng = np.random.default_rng(13)
+        rows = rng.uniform(-0.5, 0.5, size=(6, 4))
+        grads = rng.normal(size=(6, 4))
+        grads[[1, 4]] *= 1e6
+        updated = riemannian_update(rows, grads, 0.1, config)
+        for j in range(6):
+            np.testing.assert_allclose(updated[j], _ref_update(rows[j], grads[j], 0.1, config),
+                                       rtol=PARITY_TOL, atol=PARITY_TOL)
+            np.testing.assert_allclose(riemannian_update(rows[j], grads[j], 0.1, config),
+                                       updated[j], rtol=PARITY_TOL, atol=PARITY_TOL)
+        norms = np.linalg.norm(updated, axis=1)
+        assert norms[1] == pytest.approx(1.0 - config.eps_ball, abs=1e-12)
+        assert np.all(norms <= 1.0 - config.eps_ball + 1e-12)
+
+    def test_outside_ball_row_in_stack_rejected(self):
+        stack = np.array([[0.1, 0.2], [0.6, 0.8], [0.0, 0.3]])
+        with pytest.raises(ValueError, match="x lies on or outside"):
+            poincare_distance_grad(stack, np.zeros(2))
+        with pytest.raises(ValueError, match="outside"):
+            riemannian_update(stack, np.zeros((3, 2)), 0.1, BallConfig())
+
+    def test_nan_gradient_in_stack_rejected(self):
+        grads = np.zeros((3, 2))
+        grads[2, 0] = np.nan
+        with pytest.raises(NumericalError):
+            riemannian_update(np.zeros((3, 2)), grads, 0.1, BallConfig())
+
+
+def synth_forest():
+    """Category edges and table size of a small ``prodkg.synth`` catalog, as ingested."""
+    config = SynthConfig(n_items=120, n_clusters=20, n_words=100, n_sessions=60,
+                         n_searches=20, n_substitutions=20, tree_branching=(4, 3, 2, 2), seed=5)
+    with tempfile.TemporaryDirectory() as out:
+        paths, _ = generate(config, out)
+        dataset = ingest_dataset({"catalog": paths["catalog"],
+                                  "category_edges": paths["category_edges"]})
+    return dataset.category_edges, dataset.vocab[CATEGORY].size
+
+
+class TestPretrainParity:
+    """The row-batched pre-training reproduces the per-edge SGD it replaced."""
+
+    @staticmethod
+    def assert_matches_reference(edges, rows, dim, epochs, negatives, seed):
+        config = BallConfig(burn_in_epochs=epochs // 3)
+        start = new_table("category", rows, dim, np.random.default_rng(seed), geometry="poincare")
+        batched = EmbeddingTable("category", start.values.copy(), "poincare")
+        reference = EmbeddingTable("category", start.values.copy(), "poincare")
+        losses = hierarchy_pretrain(edges, batched, config, epochs=epochs,
+                                    negatives=negatives, seed=seed)
+        ref_losses = _ref_pretrain(edges, reference, config, epochs=epochs,
+                                   negatives=negatives, seed=seed)
+        assert len(losses) == len(ref_losses) == epochs
+        np.testing.assert_allclose(losses, ref_losses, rtol=0, atol=PARITY_TOL)
+        np.testing.assert_allclose(batched.values, reference.values, rtol=0, atol=PARITY_TOL)
+        assert not np.array_equal(batched.values, start.values)
+
+    def test_balanced_tree(self):
+        edges, level_of = balanced_tree_edges((3, 3))
+        self.assert_matches_reference(edges, len(level_of) + 1, 5, epochs=30, negatives=4,
+                                      seed=3)
+
+    def test_synth_category_forest(self):
+        edges, rows = synth_forest()
+        assert len(edges) == 4 * 3 + 4 * 3 * 2 + 4 * 3 * 2 * 2
+        self.assert_matches_reference(edges, rows, 8, epochs=12, negatives=10, seed=1)
+
+    def test_outside_ball_row_rejected(self):
+        edges, level_of = balanced_tree_edges((2,))
+        table = new_table("category", len(level_of) + 3, 2, np.random.default_rng(0),
+                          geometry="poincare")
+        table.values[1] = [0.6, 0.8]
+        with pytest.raises(ValueError, match="outside"):
+            hierarchy_pretrain(edges, table, BallConfig(), epochs=1, negatives=1)
 
 
 class TestIsaLoss:
