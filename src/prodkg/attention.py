@@ -337,12 +337,3 @@ def sequence_loss_from_batch(
     """Loss of one batch row; unpads the row and delegates to the sequence loss."""
     return sequence_loss_grad(batch.row_ids(row), int(batch.targets[row]),
                               negatives, tables, params, batch.task)
-
-
-def export_attention_weights(path, weights: np.ndarray, row: int = -1) -> None:
-    """Dump one query row of an attention-weight matrix as (position, weight) TSV."""
-    picked = np.asarray(weights)[row]
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("position\tweight\n")
-        for position, weight in enumerate(picked, start=1):
-            handle.write(f"{position}\t{weight:.9g}\n")

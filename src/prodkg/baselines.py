@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import NumericalError, log_sigmoid, sigmoid
+from .ranking import rank_candidates
 
 TRANSLATIONAL = ("transE", "transH", "transR", "transD")
 SEMANTIC = ("rescal", "distmult", "hole", "complex")
@@ -290,13 +291,22 @@ def apply_grads(model: KgModel, grads: dict, lr: float) -> tuple[np.ndarray, np.
     return np.array(ent_ids, dtype=np.int64), np.array(rel_ids, dtype=np.int64)
 
 
-def score_tails(model: KgModel, head: int, relation: int,
+def head_parts(model: KgModel, entities) -> dict:
+    """Head-side rows of one entity, or their means over several (a search
+    query's words): 'ent', plus 'ent_p' / 'ent_im' where the variant has them."""
+    entities = np.atleast_1d(np.asarray(entities, dtype=np.int64))
+    return {name: model.params[name][entities].mean(axis=0)
+            for name in ("ent", "ent_p", "ent_im") if name in model.params}
+
+
+def score_tails(model: KgModel, head: dict, relation: int,
                 candidates: np.ndarray | None = None) -> np.ndarray:
-    """Vectorised tail scores for one (head, relation) query."""
+    """Vectorised tail scores for one query whose head is given by its
+    :func:`head_parts` vectors."""
     p = model.params
     if candidates is None:
         candidates = np.arange(model.n_entities)
-    h = p["ent"][head]
+    h = head["ent"]
     r = p["rel"][relation]
     tails = p["ent"][candidates]
     norm = model.config.norm
@@ -319,7 +329,7 @@ def score_tails(model: KgModel, head: int, relation: int,
         return neg_norm((m @ h + r)[None, :] - tails @ m.T)
     if variant == "transD":
         r_v = p["rel_p"][relation]
-        h_p = h + (p["ent_p"][head] @ h) * r_v
+        h_p = h + (head["ent_p"] @ h) * r_v
         dots = np.sum(p["ent_p"][candidates] * tails, axis=1)
         t_p = tails + np.outer(dots, r_v)
         return neg_norm(h_p[None, :] + r[None, :] - t_p)
@@ -333,7 +343,7 @@ def score_tails(model: KgModel, head: int, relation: int,
         u = h[(np.arange(d)[:, None] - np.arange(d)[None, :]) % d] @ r
         return tails @ u
     if variant == "complex":
-        h_im = p["ent_im"][head]
+        h_im = head["ent_im"]
         r_im = p["rel_im"][relation]
         t_im = p["ent_im"][candidates]
         return tails @ (h * r - h_im * r_im) + t_im @ (h * r_im + h_im * r)
@@ -360,16 +370,15 @@ def corrupt(triple: Triple, n_entities: int, rng: np.random.Generator,
 
 def hit_at_k(model: KgModel, triples: list[Triple], k: int = 10,
              candidates: np.ndarray | None = None) -> float:
-    """Fraction of triples whose true tail ranks in the top k (ties by id)."""
+    """Fraction of triples whose true tail ranks in the top k (ties by id); a
+    tail missing from the candidates is a miss."""
     if not triples:
         return 0.0
     hits = 0
     cand = np.arange(model.n_entities) if candidates is None else candidates
     for triple in triples:
-        scores = score_tails(model, triple.head, triple.relation, cand)
-        order = np.lexsort((cand, -scores))
-        ranked = cand[order][:k]
-        hits += int(triple.tail in ranked)
+        scores = score_tails(model, head_parts(model, triple.head), triple.relation, cand)
+        hits += int(triple.tail in rank_candidates(cand, scores, (), keep=k).candidates)
     return hits / len(triples)
 
 
@@ -420,7 +429,7 @@ def train_kg(
     return best if validation is not None else model
 
 
-# --- triple enumeration over the multi-modal dataset ---
+# --- the shared entity space over the multi-modal dataset ---
 
 KG_RELATIONS = ("complement", "co_view", "substitute", "search", "describe", "isa")
 
@@ -464,81 +473,6 @@ class KgSpace:
         return entity + 1
 
 
-def enumerate_raw_triples(records: dict, space: KgSpace):
-    """Stream triples straight off the raw records (no relation graphs).
-
-    Sessions yield both directions of every distinct co-occurring pair;
-    substitutions yield both directions of the pair; every query/description
-    word points at its item; category labels point at their items.
-    """
-    for session in records.get("buy_sessions", []):
-        distinct = sorted(set(session.items))
-        for i, a in enumerate(distinct):
-            for b in distinct[i + 1:]:
-                yield Triple(space.item(a), space.relation_index("complement"), space.item(b))
-                yield Triple(space.item(b), space.relation_index("complement"), space.item(a))
-    for session in records.get("view_sessions", []):
-        distinct = sorted(set(session.items))
-        for i, a in enumerate(distinct):
-            for b in distinct[i + 1:]:
-                yield Triple(space.item(a), space.relation_index("co_view"), space.item(b))
-                yield Triple(space.item(b), space.relation_index("co_view"), space.item(a))
-    for pair in records.get("substitutions", []):
-        a, b = pair.accepted_for, pair.substitute
-        yield Triple(space.item(a), space.relation_index("substitute"), space.item(b))
-        yield Triple(space.item(b), space.relation_index("substitute"), space.item(a))
-    for record in records.get("searches", []):
-        for word in record.query_words:
-            yield Triple(space.word(word), space.relation_index("search"),
-                         space.item(record.clicked_item))
-    for entry in records.get("catalog", []):
-        for word in entry.description:
-            yield Triple(space.word(word), space.relation_index("describe"),
-                         space.item(entry.item))
-        for label in entry.category_path:
-            yield Triple(space.category(label), space.relation_index("isa"),
-                         space.item(entry.item))
-
-
-def reservoir_sample(stream, cap: int, seed: int = 0) -> list:
-    """Uniform fixed-size sample of an unbounded stream (single pass)."""
-    rng = np.random.default_rng(seed)
-    kept: list = []
-    for count, element in enumerate(stream):
-        if count < cap:
-            kept.append(element)
-        else:
-            slot = int(rng.integers(count + 1))
-            if slot < cap:
-                kept[slot] = element
-    return kept
-
-
-def capped_raw_triples(records: dict, space: KgSpace, cap_per_relation: int = 50000,
-                       seed: int = 0) -> list[Triple]:
-    """Raw triples with a per-relation reservoir budget."""
-    by_relation: dict[int, list] = {}
-    streams: dict[int, int] = {}
-    rngs: dict[int, np.random.Generator] = {}
-    for triple in enumerate_raw_triples(records, space):
-        rel = triple.relation
-        kept = by_relation.setdefault(rel, [])
-        seen = streams.get(rel, 0)
-        if rel not in rngs:
-            rngs[rel] = np.random.default_rng(seed + rel)
-        if seen < cap_per_relation:
-            kept.append(triple)
-        else:
-            slot = int(rngs[rel].integers(seen + 1))
-            if slot < cap_per_relation:
-                kept[slot] = triple
-        streams[rel] = seen + 1
-    out: list[Triple] = []
-    for rel in sorted(by_relation):
-        out.extend(by_relation[rel])
-    return out
-
-
 def graph_triples(edges_by_relation: dict, space: KgSpace) -> list[Triple]:
     """Convert relation-graph item edges to triples in the shared space."""
     out = []
@@ -547,67 +481,3 @@ def graph_triples(edges_by_relation: dict, space: KgSpace) -> list[Triple]:
         for head, tail in edges_by_relation[relation]:
             out.append(Triple(space.item(head), rel, space.item(tail)))
     return out
-
-
-def score_tails_vector(model: KgModel, head_parts: dict, relation: int,
-                       candidates: np.ndarray | None = None) -> np.ndarray:
-    """Tail scores for a synthetic head vector (e.g. an averaged query).
-
-    ``head_parts`` supplies 'ent' and, where the variant needs them,
-    'ent_p' / 'ent_im' vectors standing in for a head entity's rows.
-    """
-    p = model.params
-    if candidates is None:
-        candidates = np.arange(model.n_entities)
-    h = head_parts["ent"]
-    r = p["rel"][relation]
-    tails = p["ent"][candidates]
-    norm = model.config.norm
-    variant = model.variant
-
-    def neg_norm(diff):
-        if norm == "l1":
-            return -np.abs(diff).sum(axis=1)
-        return -np.linalg.norm(diff, axis=1)
-
-    if variant == "transE":
-        return neg_norm((h + r)[None, :] - tails)
-    if variant == "transH":
-        w = p["w"][relation]
-        h_p = h - (w @ h) * w
-        t_p = tails - np.outer(tails @ w, w)
-        return neg_norm(h_p[None, :] + r[None, :] - t_p)
-    if variant == "transR":
-        m = p["proj"][relation]
-        return neg_norm((m @ h + r)[None, :] - tails @ m.T)
-    if variant == "transD":
-        r_v = p["rel_p"][relation]
-        h_p = h + (head_parts["ent_p"] @ h) * r_v
-        dots = np.sum(p["ent_p"][candidates] * tails, axis=1)
-        t_p = tails + np.outer(dots, r_v)
-        return neg_norm(h_p[None, :] + r[None, :] - t_p)
-    if variant == "rescal":
-        return tails @ (p["m"][relation].T @ h)
-    if variant == "distmult":
-        return tails @ (h * r)
-    if variant == "hole":
-        d = h.shape[0]
-        u = h[(np.arange(d)[:, None] - np.arange(d)[None, :]) % d] @ r
-        return tails @ u
-    if variant == "complex":
-        h_im = head_parts["ent_im"]
-        r_im = p["rel_im"][relation]
-        t_im = p["ent_im"][candidates]
-        return tails @ (h * r - h_im * r_im) + t_im @ (h * r_im + h_im * r)
-    raise ValueError(f"unknown variant {variant!r}")
-
-
-def query_head_parts(model: KgModel, space, word_ids) -> dict:
-    """Average the head-side parameter rows of the query's word entities."""
-    entities = np.array([space.word(w) for w in word_ids], dtype=np.int64)
-    parts = {"ent": model.params["ent"][entities].mean(axis=0)}
-    if "ent_p" in model.params:
-        parts["ent_p"] = model.params["ent_p"][entities].mean(axis=0)
-    if "ent_im" in model.params:
-        parts["ent_im"] = model.params["ent_im"][entities].mean(axis=0)
-    return parts

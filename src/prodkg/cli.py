@@ -447,8 +447,7 @@ def cmd_rank(config: dict) -> int:
         head = vocab[dm.CATEGORY].id(head_keys[0])
     else:
         head = vocab[dm.ITEM].id(head_keys[0])
-    result = rank_tail(params, relation, np.asarray(head) if isinstance(head, list) else head,
-                       keep=config["k"])
+    result = rank_tail(params, relation, head, keep=config["k"])
     print("rank\titem\tscore")
     for position, (item, score) in enumerate(zip(result.candidates, result.scores), 1):
         print(f"{position}\t{vocab[dm.ITEM].key(int(item))}\t{score:.9g}")

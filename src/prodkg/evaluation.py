@@ -1,9 +1,11 @@
-"""Candidate ranking, ranking metrics, the category classification probe,
-and the full evaluation protocol.
+"""Tail scoring and ranking for the proposed model and the triple
+baselines, ranking metrics, the category classification probe, and the full
+evaluation protocol.
 
 Ranking contracts: candidates default to the full item vocabulary minus
 PAD, scores are whatever monotone quantity the relation defines (inner
-products; exponentiating them cannot change any metric), and ties break
+products; exponentiating them cannot change any metric), and every query is
+ordered by :func:`prodkg.ranking.rank_candidates`, which breaks ties
 deterministically towards the smaller entity id.
 """
 from __future__ import annotations
@@ -14,81 +16,45 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attention import context_for_ranking
-from .baselines import KgModel, score_tails
+from .baselines import KgModel, head_parts, score_tails
 from .model import PkgParams
+from .ranking import RankingResult, rank_candidates
 
-PKG_RELATIONS = ("substitute", "complement", "co_view", "search", "describe", "isa", "recommend")
-
-
-@dataclass
-class RankingResult:
-    """Ordered candidates with the gold entity ranks (1-based)."""
-
-    candidates: np.ndarray   # top of the ordering, possibly truncated
-    scores: np.ndarray       # non-increasing, aligned with candidates
-    gold: tuple
-    gold_ranks: tuple        # ranks of every gold id within the full ordering
-    n_candidates: int
-
-    @property
-    def gold_rank(self) -> int:
-        return min(self.gold_ranks)
-
-
-def rank_candidates(candidates: np.ndarray, scores: np.ndarray, gold,
-                    keep: int | None = None) -> RankingResult:
-    """Sort by descending score with ascending-id tie-break; locate the gold ids."""
-    candidates = np.asarray(candidates, dtype=np.int64)
-    scores = np.asarray(scores, dtype=float)
-    if candidates.shape != scores.shape or candidates.ndim != 1 or candidates.size == 0:
-        raise ValueError("candidates and scores must be matching nonempty 1-d arrays")
-    order = np.lexsort((candidates, -scores))
-    ranked_ids = candidates[order]
-    ranked_scores = scores[order]
-    gold = tuple(int(g) for g in (gold if hasattr(gold, "__iter__") else (gold,)))
-    position = {int(c): i + 1 for i, c in enumerate(ranked_ids)}
-    gold_ranks = tuple(position[g] for g in gold if g in position)
-    if gold and not gold_ranks:
-        raise ValueError("no gold id present among candidates")
-    cut = len(ranked_ids) if keep is None else min(keep, len(ranked_ids))
-    return RankingResult(
-        candidates=ranked_ids[:cut],
-        scores=ranked_scores[:cut],
-        gold=gold,
-        gold_ranks=gold_ranks,
-        n_candidates=int(candidates.size),
-    )
+# relation -> (head table, attention block, scoring tables).  An entity head
+# (an item, or a category for isa) is its own row of the head table; a
+# sequence head (a session context, a query's words, a recommendation
+# prefix) is the attention block's context vector.  Recommendation scores
+# against the sum of the two item output tables.
+PKG_SCORING = {
+    "substitute": ("item_in", None, ("item_in",)),
+    "complement": ("item_in", "complement", ("item_out_buy",)),
+    "co_view": ("item_in", "co_view", ("item_out_view",)),
+    "search": (None, "search", ("item_in",)),
+    "describe": (None, "describe", ("item_in",)),
+    "isa": ("category", None, ("item_in",)),
+    "recommend": (None, "complement", ("item_out_buy", "item_out_view")),
+}
 
 
 def pkg_candidate_scores(params: PkgParams, relation: str, head) -> tuple[np.ndarray, np.ndarray]:
     """Score every non-PAD item as tail for one query, per the trained model.
 
     ``head`` is an item id (substitute/complement/co_view), a category id
-    (isa), or an id sequence (search/describe over words, recommend over
-    items).  Returns (candidate ids, scores).
+    (isa), or an id sequence (a complement/co_view context, search/describe
+    words, a recommend prefix).  Returns (candidate ids, scores).
     """
-    tables = params.tables
-    items = tables["item_in"]
-    candidates = np.arange(1, items.rows, dtype=np.int64)
-    if relation == "substitute":
-        scores = items.values[candidates] @ items.values[int(head)]
-    elif relation == "complement":
-        scores = tables["item_out_buy"].values[candidates] @ items.values[int(head)]
-    elif relation == "co_view":
-        scores = tables["item_out_view"].values[candidates] @ items.values[int(head)]
-    elif relation in ("search", "describe"):
-        context = context_for_ranking(np.asarray(head), tables, params.attn[relation], relation)
-        scores = items.values[candidates] @ context
-    elif relation == "isa":
-        scores = items.values[candidates] @ tables["category"].values[int(head)]
-    elif relation == "recommend":
-        context = context_for_ranking(
-            np.asarray(head), tables, params.attn["complement"], "complement")
-        combined = tables["item_out_buy"].values + tables["item_out_view"].values
-        scores = combined[candidates] @ context
-    else:
+    if relation not in PKG_SCORING:
         raise ValueError(f"unknown relation {relation!r}")
-    return candidates, scores
+    head_table, block, score_tables = PKG_SCORING[relation]
+    tables = params.tables
+    if head_table is not None and np.ndim(head) == 0:
+        query = tables[head_table].values[int(head)]
+    else:
+        query = context_for_ranking(np.asarray(head), tables, params.attn[block], block)
+    rows = tables[score_tables[0]].values[1:]
+    for name in score_tables[1:]:
+        rows = rows + tables[name].values[1:]
+    return np.arange(1, rows.shape[0] + 1, dtype=np.int64), rows @ query
 
 
 def rank_tail(scorer, relation, head, gold=(), keep: int | None = None,
@@ -96,17 +62,18 @@ def rank_tail(scorer, relation, head, gold=(), keep: int | None = None,
     """Rank tail candidates for one query under a trained scorer.
 
     ``scorer`` is either the proposed model's parameter bundle or a triple
-    baseline; for the latter ``relation`` must already be a relation index
-    and ``candidates`` the candidate entity ids.
+    baseline.  For a baseline ``relation`` is a relation index, ``head`` an
+    entity id or a sequence of them (a query's words, averaged), and
+    ``candidates`` the candidate entity ids (all entities when omitted); the
+    proposed model always ranks every non-PAD item.
     """
     if isinstance(scorer, PkgParams):
-        cand, scores = pkg_candidate_scores(scorer, relation, head)
         if candidates is not None:
-            mask = np.isin(cand, candidates)
-            cand, scores = cand[mask], scores[mask]
+            raise ValueError("candidates apply to baseline scorers only")
+        cand, scores = pkg_candidate_scores(scorer, relation, head)
     elif isinstance(scorer, KgModel):
         cand = candidates if candidates is not None else np.arange(scorer.n_entities)
-        scores = score_tails(scorer, int(head), int(relation), cand)
+        scores = score_tails(scorer, head_parts(scorer, head), int(relation), cand)
     else:
         raise TypeError(f"cannot rank with {type(scorer).__name__}")
     return rank_candidates(cand, scores, gold, keep=keep)
@@ -374,29 +341,30 @@ def evaluate_all(
     test sessions from its prefix.  Absent inputs produce absent report
     cells rather than errors.
     """
-    from .baselines import query_head_parts, score_tails_vector
-
     report = MetricsReport()
     report.meta["k"] = k
     kg_models = kg_models or {}
+
+    def rank_rows(relation, task, queries, metrics):
+        """Rank (head, gold item) queries under the proposed model and every
+        baseline; heads are item ids, or word-id sequences for search."""
+        results = [rank_tail(params, relation, head, gold=(gold,), keep=k)
+                   for head, gold in queries]
+        _ranking_rows(report, "proposed", task, results, k, metrics)
+        for name in sorted(kg_models):
+            entity = kg_space.word if relation == "search" else kg_space.item
+            results = [rank_tail(kg_models[name], kg_space.relation_index(relation),
+                                 entity(np.asarray(head)), gold=(kg_space.item(gold),),
+                                 keep=k, candidates=kg_space.item_entities())
+                       for head, gold in queries]
+            _ranking_rows(report, name, task, results, k, metrics)
 
     # knowledge completion over held-out relation-graph edges
     if graph_splits:
         for relation in sorted(graph_splits):
             split = graph_splits[relation]
             edges = split.test if query_cap is None else split.test[:query_cap]
-            results = [rank_tail(params, relation, h, gold=(t,), keep=k) for h, t in edges]
-            _ranking_rows(report, "proposed", relation, results, k)
-            for name in sorted(kg_models):
-                model = kg_models[name]
-                rel_idx = kg_space.relation_index(relation)
-                cand = kg_space.item_entities()
-                results = [
-                    rank_tail(model, rel_idx, kg_space.item(h),
-                              gold=(kg_space.item(t),), keep=k, candidates=cand)
-                    for h, t in edges
-                ]
-                _ranking_rows(report, name, relation, results, k)
+            rank_rows(relation, relation, edges, ("hit", "ndcg"))
 
     # search ranking, split by whether the exact query was seen in training
     if search_test is not None:
@@ -405,25 +373,9 @@ def evaluate_all(
         for record in (search_test if query_cap is None else search_test[:query_cap]):
             key = tuple(sorted(record.query_words))
             bucket = "search_encountered" if key in train_queries else "search_new"
-            groups[bucket].append(record)
-        for bucket, records in groups.items():
-            results = [
-                rank_tail(params, "search", np.asarray(r.query_words),
-                          gold=(r.clicked_item,), keep=k)
-                for r in records
-            ]
-            _ranking_rows(report, "proposed", bucket, results, k, metrics=("recall", "map"))
-            for name in sorted(kg_models):
-                model = kg_models[name]
-                rel_idx = kg_space.relation_index("search")
-                cand = kg_space.item_entities()
-                kg_results = []
-                for r in records:
-                    parts = query_head_parts(model, kg_space, r.query_words)
-                    scores = score_tails_vector(model, parts, rel_idx, cand)
-                    kg_results.append(rank_candidates(
-                        cand, scores, (kg_space.item(r.clicked_item),), keep=k))
-                _ranking_rows(report, name, bucket, kg_results, k, metrics=("recall", "map"))
+            groups[bucket].append((np.asarray(record.query_words), record.clicked_item))
+        for bucket, queries in groups.items():
+            rank_rows("search", bucket, queries, ("recall", "map"))
 
     # next-impression recommendation over pooled test sessions
     if recommend_sessions is not None:

@@ -200,13 +200,3 @@ def build_relation_graph(
     normalized = normalize_adjacency(adjacency)
     visits = biased_random_walk(normalized, walks_per_node, walk_length, p, q, seed)
     return topk_neighbors(visits, k=k, relation=relation)
-
-
-def export_visit_counts(visits: dict, path, key_of=None) -> None:
-    """Dump walk visit counts as (source, node, count) TSV for neighbour tuning."""
-    key_of = key_of or (lambda node: str(node))
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("source\tnode\tcount\n")
-        for source in sorted(visits):
-            for node, count in sorted(visits[source].items()):
-                handle.write(f"{key_of(source)}\t{key_of(node)}\t{count}\n")

@@ -22,9 +22,10 @@ from .embeddings import (
     sgd_update,
 )
 from .attention import TASK_WIRING, sequence_loss_grad
-from .evaluation import pkg_candidate_scores, rank_candidates
+from .evaluation import pkg_candidate_scores
 from .model import PkgParams
 from .poincare import isa_loss
+from .ranking import rank_candidates
 
 TASK_NAMES = ("substitute", "complement", "co_view", "search", "describe", "isa")
 SEQUENCE_TASKS = tuple(sorted(TASK_WIRING))
@@ -199,6 +200,13 @@ PRIMARY_METRIC = {"substitute": "hit@10", "complement": "hit@10", "co_view": "hi
                   "search": "hit@10", "describe": "hit@10", "isa": "neg_loss"}
 
 
+def selection_metric(metrics: dict) -> float:
+    """Mean of the per-task hit@10 values; isa's negative loss, on another
+    scale, counts only when isa is the sole task."""
+    hits = [value for task, value in metrics.items() if PRIMARY_METRIC[task] == "hit@10"]
+    return float(np.mean(hits or list(metrics.values())))
+
+
 class _Samplers:
     """Per-namespace negative samplers with deterministic derived seeds."""
 
@@ -240,24 +248,14 @@ def _example_loss(task: str, example, params: PkgParams, samplers: _Samplers,
     return relation_loss(example, task, params, negs)
 
 
-def sequence_rank_scores(params: PkgParams, task: str, context) -> tuple[np.ndarray, np.ndarray]:
-    """Next-entity scores under the task's own scoring table for one context."""
-    from .attention import context_for_ranking  # local to avoid import cycles in tooling
-
-    vector = context_for_ranking(np.asarray(context, dtype=np.int64),
-                                 params.tables, params.attn[task], task)
-    score_table = params.tables[TASK_WIRING[task][3]]
-    candidates = np.arange(1, score_table.rows, dtype=np.int64)
-    return candidates, score_table.values[candidates] @ vector
-
-
 def validation_metric(task: str, examples, params: PkgParams, samplers: _Samplers,
                       k_negatives: int, cap: int, rank_k: int = 10) -> float:
     """Primary validation metric: HIT@10 for ranking tasks, -loss for isa.
 
     Sequence tasks rank the next entity by their own training objective
     (attention context against the task's scoring table); the substitute
-    task ranks one side of the pair against the other.
+    task ranks one side of the pair against the other.  Both score through
+    :func:`prodkg.evaluation.pkg_candidate_scores`.
     """
     picked = examples[:cap]
     if not picked:
@@ -272,13 +270,8 @@ def validation_metric(task: str, examples, params: PkgParams, samplers: _Sampler
             total += loss
         return -total / len(picked)
     hits = 0
-    for example in picked:
-        if task == "substitute":
-            head, gold = example
-            candidates, scores = pkg_candidate_scores(params, "substitute", head)
-        else:
-            context, gold = example
-            candidates, scores = sequence_rank_scores(params, task, context)
+    for head, gold in picked:
+        candidates, scores = pkg_candidate_scores(params, task, head)
         result = rank_candidates(candidates, scores, (gold,), keep=rank_k)
         hits += int(result.gold_rank <= rank_k)
     return hits / len(picked)
@@ -295,7 +288,8 @@ def train(
     ``validation`` maps task names to held-out example lists.  Every epoch
     logs each task's metric; when no task improves by more than
     ``improve_eps`` for ``patience`` consecutive epochs the loop stops and
-    the snapshot of the best epoch (highest mean metric) is returned.
+    the snapshot of the best epoch (highest :func:`selection_metric`) is
+    returned.
     The category table never receives gradients here: it is pre-trained
     and frozen before this loop runs.
     """
@@ -356,7 +350,7 @@ def train(
             if value > previous_best.get(spec.name, -np.inf) + config.improve_eps:
                 previous_best[spec.name] = value
                 improved_any = True
-        mean_metric = float(np.mean(list(metrics.values())))
+        mean_metric = selection_metric(metrics)
         if mean_metric > best_mean:
             best_mean = mean_metric
             best_params = params.copy()
@@ -428,11 +422,11 @@ def select_learning_rate(
     validation: dict,
     epochs: int = 2,
 ) -> float:
-    """Pick one shared rate from the grid by mean validation metric.
+    """Pick one shared rate from the grid by validation metric.
 
     Each candidate trains a fresh initialisation for a few epochs; the rate
-    whose final per-task metrics average highest wins (ties to the smaller
-    rate for stability).
+    whose final per-task metrics score highest under
+    :func:`selection_metric` wins (ties to the smaller rate for stability).
     """
     best_lr = None
     best_value = -np.inf
@@ -442,7 +436,7 @@ def select_learning_rate(
         finals: dict[str, float] = {}
         for _epoch, _trained, task, _metric, value in result.log:
             finals[task] = value
-        mean_value = float(np.mean(list(finals.values()))) if finals else -np.inf
+        mean_value = selection_metric(finals) if finals else -np.inf
         if mean_value > best_value:
             best_value = mean_value
             best_lr = lr

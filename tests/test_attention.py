@@ -289,13 +289,3 @@ class TestBatchLossAndExport:
         direct, _ = sequence_loss_grad(np.array([1, 4, 2]), 5, np.array([2, 8]),
                                        tables, params, "complement")
         assert via_batch == direct
-
-    def test_weight_export_format(self, tmp_path):
-        from prodkg.attention import export_attention_weights
-        weights = np.array([[0.25, 0.75], [0.5, 0.5]])
-        path = tmp_path / "weights.tsv"
-        export_attention_weights(path, weights, row=0)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "position\tweight"
-        assert lines[1] == "1\t0.25"
-        assert lines[2] == "2\t0.75"

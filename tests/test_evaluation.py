@@ -17,6 +17,33 @@ from prodkg.evaluation import (
 )
 from prodkg.model import ModelConfig, init_params
 
+# --- frozen lexsort-and-dict reference ------------------------------------------
+# The full-sort ranking routine that the partition and closed-form gold rank
+# replaced, kept verbatim as the oracle the new routine must match.
+
+
+def _ref_rank_candidates(candidates, scores, gold, keep=None):
+    candidates = np.asarray(candidates, dtype=np.int64)
+    scores = np.asarray(scores, dtype=float)
+    if candidates.shape != scores.shape or candidates.ndim != 1 or candidates.size == 0:
+        raise ValueError("candidates and scores must be matching nonempty 1-d arrays")
+    order = np.lexsort((candidates, -scores))
+    ranked_ids = candidates[order]
+    ranked_scores = scores[order]
+    gold = tuple(int(g) for g in (gold if hasattr(gold, "__iter__") else (gold,)))
+    position = {int(c): i + 1 for i, c in enumerate(ranked_ids)}
+    gold_ranks = tuple(position[g] for g in gold if g in position)
+    if gold and not gold_ranks:
+        raise ValueError("no gold id present among candidates")
+    cut = len(ranked_ids) if keep is None else min(keep, len(ranked_ids))
+    return RankingResult(
+        candidates=ranked_ids[:cut],
+        scores=ranked_scores[:cut],
+        gold=gold,
+        gold_ranks=gold_ranks,
+        n_candidates=int(candidates.size),
+    )
+
 
 def result_with_rank(rank, n=100):
     """Single-gold ranking result with the gold at the given 1-based rank."""
@@ -91,6 +118,31 @@ class TestRankCandidates:
         result = rank_candidates(np.array([4]), np.array([-3.0]), gold=(4,))
         assert result.gold_rank == 1
 
+    def test_matches_reference_on_heavy_ties(self):
+        """Distinct shuffled ids, scores drawn from a few levels, one to three
+        gold ids (some absent), every kind of cut."""
+        rng = np.random.default_rng(11)
+        for _ in range(2000):
+            n = int(rng.integers(1, 60))
+            ids = rng.permutation(200)[:n] + 1
+            scores = rng.integers(0, int(rng.integers(1, 5)), size=n) / 2.0
+            gold = tuple(rng.choice(ids, size=int(rng.integers(1, 4))))
+            if rng.random() < 0.3:
+                gold += (1000,)
+            for keep in (None, int(rng.integers(1, n + 1)), n, n + 3):
+                got = rank_candidates(ids, scores, gold, keep=keep)
+                want = _ref_rank_candidates(ids, scores, gold, keep=keep)
+                np.testing.assert_array_equal(got.candidates, want.candidates)
+                np.testing.assert_array_equal(got.scores, want.scores)
+                assert (got.gold, got.gold_ranks, got.n_candidates) == \
+                    (want.gold, want.gold_ranks, want.n_candidates)
+
+    def test_missing_gold_raises_like_reference(self):
+        ids, scores = np.array([3, 1, 2]), np.array([0.5, 0.5, 0.1])
+        for rank in (rank_candidates, _ref_rank_candidates):
+            with pytest.raises(ValueError, match="no gold id"):
+                rank(ids, scores, (7,), keep=2)
+
 
 class TestPkgRanking:
     def params(self):
@@ -125,6 +177,36 @@ class TestPkgRanking:
     def test_unknown_relation_rejected(self):
         with pytest.raises(ValueError, match="unknown relation"):
             pkg_candidate_scores(self.params(), "friendship", 1)
+
+    def test_candidate_filter_rejected_for_proposed_model(self):
+        with pytest.raises(ValueError, match="baseline"):
+            rank_tail(self.params(), "substitute", 1, candidates=np.array([2, 3]))
+
+    def test_scores_match_full_table_products(self):
+        """Every relation scores all non-PAD items against its query vector."""
+        from prodkg.attention import context_for_ranking
+
+        params = self.params()
+        tables = {name: table.values for name, table in params.tables.items()}
+        context = np.array([3, 1, 4])
+        cases = {
+            ("substitute", 2): tables["item_in"] @ tables["item_in"][2],
+            ("complement", 2): tables["item_out_buy"] @ tables["item_in"][2],
+            ("co_view", 2): tables["item_out_view"] @ tables["item_in"][2],
+            ("isa", 3): tables["item_in"] @ tables["category"][3],
+        }
+        for task, table in (("complement", "item_out_buy"), ("co_view", "item_out_view"),
+                            ("search", "item_in"), ("describe", "item_in")):
+            vector = context_for_ranking(context, params.tables, params.attn[task], task)
+            cases[(task, tuple(context))] = tables[table] @ vector
+        vector = context_for_ranking(context, params.tables, params.attn["complement"],
+                                     "complement")
+        cases[("recommend", tuple(context))] = \
+            (tables["item_out_buy"] + tables["item_out_view"]) @ vector
+        for (relation, head), full in cases.items():
+            candidates, scores = pkg_candidate_scores(params, relation, head)
+            np.testing.assert_array_equal(candidates, np.arange(1, 8))
+            np.testing.assert_allclose(scores, full[1:], rtol=1e-12, atol=1e-15)
 
 
 class TestClassificationProbe:
@@ -253,6 +335,27 @@ class TestEvaluateAllWithBaseline:
         assert report.value("proposed", "substitute", "hit@10") is not None
         assert report.value("distmult_prg", "search_encountered", "recall@10") is not None
         assert report.value("distmult_prg", "search_new", "map@10") is not None
+
+        # the baseline rows rank the same queries as the proposed model: item
+        # heads for completion, the mean of the query's word rows for search
+        from prodkg.baselines import head_parts, score_tails
+
+        def expected(heads_and_golds, relation, metric):
+            cand = space.item_entities()
+            results = [_ref_rank_candidates(
+                cand, score_tails(model, head_parts(model, head),
+                                  space.relation_index(relation), cand),
+                (space.item(gold),), keep=10) for head, gold in heads_and_golds]
+            return ranking_metrics(results, 10)[metric]
+
+        edges = [(space.item(h), t) for h, t in splits["substitute"].test]
+        assert report.value("distmult_prg", "substitute", "ndcg@10") == \
+            expected(edges, "substitute", "ndcg@10")
+        for bucket, record in (("search_encountered", searches[0]),
+                               ("search_new", searches[1])):
+            words = [space.word(w) for w in record.query_words]
+            assert report.value("distmult_prg", bucket, "map@10") == \
+                expected([(words, record.clicked_item)], "search", "map@10")
 
     def test_report_deterministic_across_runs(self):
         from prodkg.evaluation import GraphSplit

@@ -159,14 +159,3 @@ class TestExport:
         export_prg([graph], p1)
         export_prg([build_relation_graph(sessions, 4, "co_buy", k=2, seed=9)], p2)
         assert p1.read_bytes() == p2.read_bytes()
-
-
-class TestVisitExport:
-    def test_visit_counts_tsv(self, tmp_path):
-        from prodkg.prg import export_visit_counts
-        visits = {1: Counter({2: 5, 3: 1}), 4: Counter()}
-        path = tmp_path / "visits.tsv"
-        export_visit_counts(visits, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "source\tnode\tcount"
-        assert "1\t2\t5" in lines and "1\t3\t1" in lines

@@ -286,3 +286,64 @@ class TestLearningRateSelection:
         picked = select_learning_rate(config, specs, lambda: tiny_params(seed=6),
                                       validation, epochs=1)
         assert picked in (0.01, 0.1)
+
+
+class TestBestEpochSelection:
+    """The best epoch and the learning rate are chosen by the hit@10 tasks;
+    isa's negative loss (around -11, on another scale) must not swing them."""
+
+    def test_selection_metric_ignores_isa_beside_hit_tasks(self):
+        from prodkg.trainer import selection_metric
+        assert selection_metric({"substitute": 0.5, "complement": 0.3, "isa": -11.0}) == 0.4
+        assert selection_metric({"isa": -3.0}) == -3.0
+
+    @staticmethod
+    def scripted(script):
+        """validation_metric stand-in returning script[task] one epoch at a time."""
+        calls = {}
+
+        def fake(task, examples, params, samplers, k_negatives, cap, rank_k=10):
+            calls[task] = calls.get(task, 0) + 1
+            return script[task][calls[task] - 1]
+        return fake
+
+    def test_isa_loss_does_not_pick_the_epoch(self, monkeypatch):
+        import prodkg.trainer as trainer_module
+        # a plain mean over tasks would pick epoch 2: (0.4 - 5) / 2 > (0.5 - 20) / 2
+        monkeypatch.setattr(trainer_module, "validation_metric", self.scripted(
+            {"substitute": [0.5, 0.4, 0.4], "isa": [-20.0, -5.0, -4.0]}))
+        rng = np.random.default_rng(3)
+        specs = [s for s in tiny_specs(rng) if s.name in ("substitute", "isa")]
+        config = TrainConfig(max_epochs=3, patience=1, seed=2)
+        result = train(config, specs, tiny_params(), validation={})
+        assert result.best_epoch == 1
+        # isa stays in the log and in the patience count: its improvements
+        # alone keep the run going to the last epoch
+        assert result.epochs_run == 3
+        assert [(e, task, value) for e, _t, task, _m, value in result.log if task == "isa"] \
+            == [(1, "isa", -20.0), (2, "isa", -5.0), (3, "isa", -4.0)]
+
+    def test_isa_alone_still_selects(self, monkeypatch):
+        import prodkg.trainer as trainer_module
+        monkeypatch.setattr(trainer_module, "validation_metric",
+                            self.scripted({"isa": [-9.0, -4.0, -6.0]}))
+        rng = np.random.default_rng(3)
+        specs = [s for s in tiny_specs(rng) if s.name == "isa"]
+        result = train(TrainConfig(max_epochs=3, seed=2), specs, tiny_params(),
+                       validation={})
+        assert result.best_epoch == 2
+
+    def test_isa_loss_does_not_pick_the_learning_rate(self, monkeypatch):
+        import prodkg.trainer as trainer_module
+        from prodkg.trainer import TrainResult, select_learning_rate
+
+        finals = {0.01: (0.5, -20.0), 0.1: (0.4, -5.0)}
+
+        def fake_train(config, specs, params, validation=None):
+            hit, isa = finals[config.lr]
+            log = [(1, "mixed", "substitute", "hit@10", hit), (1, "mixed", "isa", "neg_loss", isa)]
+            return TrainResult(params, log, 1, 1)
+
+        monkeypatch.setattr(trainer_module, "train", fake_train)
+        config = TrainConfig(lr_grid=(0.01, 0.1), seed=5)
+        assert select_learning_rate(config, [], tiny_params, {}, epochs=1) == 0.01
