@@ -469,9 +469,6 @@ class KgSpace:
     def item_entities(self) -> np.ndarray:
         return np.arange(self.n_items - 1)
 
-    def entity_to_item(self, entity: int) -> int:
-        return entity + 1
-
 
 def graph_triples(edges_by_relation: dict, space: KgSpace) -> list[Triple]:
     """Convert relation-graph item edges to triples in the shared space."""

@@ -189,7 +189,8 @@ def help_text(subcommand: str | None = None) -> str:
     return "\n".join(lines)
 
 
-def write_manifest(out_dir: str, subcommand: str, config: dict, inputs: list[str]) -> None:
+def write_manifest(out_dir: str, subcommand: str, config: dict, inputs: list[str],
+                   **extra) -> None:
     os.makedirs(out_dir, exist_ok=True)
 
     # Paths are stored relative to the artifact directory: the manifest stays
@@ -209,6 +210,7 @@ def write_manifest(out_dir: str, subcommand: str, config: dict, inputs: list[str
         "seed": config.get("seed"),
         "versions": {"prodkg": __version__, "numpy": np.__version__,
                      "python": ".".join(map(str, sys.version_info[:3]))},
+        **extra,
     }
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=1, sort_keys=True)
@@ -222,23 +224,22 @@ def _write_vocab(path: str, vocab) -> None:
 
 
 def _run_dir_state(run: str) -> pl.PipelineData:
-    """Rebuild the split pipeline state from an ingest run directory."""
+    """Rebuild the split pipeline state (splits have no seed) from an ingest run."""
     if not run or not os.path.isdir(run):
         raise DataError(f"run directory not found: {run!r}; run 'prodkg ingest' first")
-    split_dir = os.path.join(run, "splits")
-    if not os.path.isdir(split_dir):
-        raise DataError(f"missing splits under {run!r}; run 'prodkg ingest' first")
-    paths = {
-        "catalog": os.path.join(run, "filtered", "catalog.tsv"),
-        "buy_sessions": os.path.join(run, "filtered", "buy_sessions.tsv"),
-        "view_sessions": os.path.join(run, "filtered", "view_sessions.tsv"),
-        "substitutions": os.path.join(run, "filtered", "substitutions.tsv"),
-        "search": os.path.join(run, "filtered", "search.tsv"),
-        "category_edges": os.path.join(run, "filtered", "category_edges.tsv"),
-    }
+    filtered_dir = os.path.join(run, "filtered")
+    if not os.path.isdir(filtered_dir):
+        raise DataError(f"missing filtered records under {run!r}; run 'prodkg ingest' first")
     # records were already filtered at ingest time
-    state = pl.load_and_split(paths, item_min=0, word_min=0)
-    return state
+    return pl.load_and_split(dm.modality_paths(filtered_dir), item_min=0, word_min=0)
+
+
+def _load_model(run: str) -> tuple[str, object, dict]:
+    """Checkpoint directory, parameters and per-table key lists of a trained run."""
+    checkpoint = os.path.join(run, "model")
+    if not os.path.isdir(checkpoint):
+        raise DataError(f"missing trained model at {checkpoint!r}; run 'prodkg train' first")
+    return (checkpoint, *load_checkpoint(checkpoint))
 
 
 def cmd_gen_data(config: dict) -> int:
@@ -258,42 +259,15 @@ def cmd_ingest(config: dict) -> int:
     data_dir = config["data"]
     if not data_dir:
         raise UsageError("ingest needs --data <directory>")
-    paths = {
-        "catalog": os.path.join(data_dir, "catalog.tsv"),
-        "buy_sessions": os.path.join(data_dir, "buy_sessions.tsv"),
-        "view_sessions": os.path.join(data_dir, "view_sessions.tsv"),
-        "substitutions": os.path.join(data_dir, "substitutions.tsv"),
-        "search": os.path.join(data_dir, "search.tsv"),
-        "category_edges": os.path.join(data_dir, "category_edges.tsv"),
-    }
-    paths = {name: p for name, p in paths.items() if os.path.exists(p)}
+    paths = {name: p for name, p in dm.modality_paths(data_dir).items() if os.path.exists(p)}
     if not paths:
         raise DataError(f"no modality files found under {data_dir!r}")
     dataset = dm.filter_infrequent(dm.ingest_dataset(paths),
                                    config["item_min"], config["word_min"])
     out = config["out"]
-    filtered_dir = os.path.join(out, "filtered")
-    dm.export_dataset(dataset, filtered_dir)
-    os.makedirs(os.path.join(out, "splits"), exist_ok=True)
+    dm.export_dataset(dataset, os.path.join(out, "filtered"))
     for namespace in dm.NAMESPACES:
         _write_vocab(os.path.join(out, f"vocab_{namespace}.tsv"), dataset.vocab[namespace])
-    for modality, records, writer in (
-        ("buy_sessions", dataset.buy_sessions, dm.export_sessions),
-        ("view_sessions", dataset.view_sessions, dm.export_sessions),
-    ):
-        split = dm.chronological_split(records, allow_empty=True)
-        for part in ("train", "validation", "test"):
-            writer(os.path.join(out, "splits", f"{modality}.{part}.tsv"),
-                   getattr(split, part), dataset.vocab[dm.ITEM])
-    subs_split = dm.chronological_split(dataset.substitutions, allow_empty=True)
-    for part in ("train", "validation", "test"):
-        dm.export_substitutions(os.path.join(out, "splits", f"substitutions.{part}.tsv"),
-                                getattr(subs_split, part), dataset.vocab[dm.ITEM])
-    search_split = dm.chronological_split(dataset.searches, allow_empty=True)
-    for part in ("train", "validation", "test"):
-        dm.export_searches(os.path.join(out, "splits", f"search.{part}.tsv"),
-                           getattr(search_split, part), dataset.vocab[dm.ITEM],
-                           dataset.vocab[dm.WORD])
     write_manifest(out, "ingest", config, sorted(paths.values()))
     print(f"ingested {data_dir} -> {out}/ "
           f"({dataset.vocab[dm.ITEM].size - 1} items, {dataset.vocab[dm.WORD].size - 1} words)")
@@ -348,8 +322,7 @@ def cmd_train(config: dict) -> int:
     state = _run_dir_state(config["run"])
     vocab = state.dataset.vocab
     seq_lens = _seq_lens(config)
-    pl.build_graphs(state, seed=config["seed"])
-    pl.split_graphs(state, seed=config["seed"])
+    prg_hash = pl.load_graph_splits(state, os.path.join(config["run"], "prg"))
     pl.mask_products(state, 0.1, seed=config["seed"])
     specs = pl.assemble_training_data(state, seq_lens)
     model_config = ModelConfig(dim=config["dim"], seq_lens=seq_lens, seed=config["seed"])
@@ -371,7 +344,7 @@ def cmd_train(config: dict) -> int:
     with open(os.path.join(out, "masked_items.tsv"), "w", encoding="utf-8") as handle:
         for item in state.masked_items:
             handle.write(f"{vocab[dm.ITEM].key(int(item))}\n")
-    write_manifest(out, "train", config, [config["run"]])
+    write_manifest(out, "train", config, [config["run"]], prg_config_hash=prg_hash)
     print(f"trained for {result.epochs_run} epochs (best {result.best_epoch}); "
           f"checkpoint in {out}/")
     return 0
@@ -379,8 +352,7 @@ def cmd_train(config: dict) -> int:
 
 def cmd_train_baseline(config: dict) -> int:
     state = _run_dir_state(config["run"])
-    pl.build_graphs(state, seed=config["seed"])
-    pl.split_graphs(state, seed=config["seed"])
+    pl.load_graph_splits(state, os.path.join(config["run"], "prg"))
     kg_config = KgConfig(variant=config["variant"], dim=config["dim"], lr=config["lr"],
                          margin=config["margin"], norm=config["norm"],
                          epochs=config["epochs"], negatives=config["negatives"],
@@ -395,24 +367,38 @@ def cmd_train_baseline(config: dict) -> int:
     return 0
 
 
+def _read_masked_items(path: str, vocab) -> np.ndarray:
+    """Item ids of the probe's masked products, one item key per line."""
+    if not os.path.isfile(path):
+        raise DataError(f"missing {path!r}; run 'prodkg train' first")
+    return np.array([dm.at_line(path, number, lambda: vocab.id(key))
+                     for number, key in dm._read_lines(path)], dtype=np.int64)
+
+
 def cmd_evaluate(config: dict) -> int:
     run = config["run"]
-    checkpoint = os.path.join(run, "model")
-    if not os.path.isdir(checkpoint):
-        raise DataError(f"missing trained model at {checkpoint!r}; run 'prodkg train' first")
-    params, _keys = load_checkpoint(checkpoint)
+    checkpoint, params, _keys = _load_model(run)
     state = _run_dir_state(run)
-    pl.build_graphs(state, seed=config["seed"])
-    pl.split_graphs(state, seed=config["seed"])
-    pl.mask_products(state, 0.1, seed=config["seed"])
-    pl.assemble_training_data(state, {t: p.max_len for t, p in params.attn.items()})
+    prg_dir = os.path.join(run, "prg")
+    prg_hash = pl.load_graph_splits(state, prg_dir)
+    manifest = os.path.join(checkpoint, "manifest.json")
+    trained_on = None
+    if os.path.isfile(manifest):
+        with open(manifest, "r", encoding="utf-8") as handle:
+            trained_on = json.load(handle).get("prg_config_hash")
+    if trained_on != prg_hash:
+        raise DataError(f"{prg_dir}/manifest.json is not the build-prg run the model in "
+                        f"{checkpoint!r} was trained on; re-run 'prodkg train'")
+    state.masked_items = _read_masked_items(os.path.join(checkpoint, "masked_items.tsv"),
+                                            state.dataset.vocab[dm.ITEM])
     features, labels, test_rows = pl.probe_inputs(state, params)
+    searches = state.splits["searches"]
     cap = config["query_cap"] or None
     report = evaluate_all(
         params,
         graph_splits=state.graph_splits,
-        search_test=list(state.splits["searches"].test),
-        train_queries=state.train_queries,
+        search_test=list(searches.test),
+        train_queries={tuple(sorted(r.query_words)) for r in searches.train},
         recommend_sessions=pl.recommend_test_sessions(state),
         probe_features=features, probe_labels=labels, probe_test_rows=test_rows,
         k=config["k"], query_cap=cap)
@@ -428,38 +414,27 @@ def cmd_evaluate(config: dict) -> int:
 
 
 def cmd_rank(config: dict) -> int:
-    run = config["run"]
-    checkpoint = os.path.join(run, "model")
-    if not os.path.isdir(checkpoint):
-        raise DataError(f"missing trained model at {checkpoint!r}; run 'prodkg train' first")
-    params, _keys = load_checkpoint(checkpoint)
-    state = _run_dir_state(run)
-    vocab = state.dataset.vocab
+    _checkpoint, params, keys = _load_model(config["run"])
     relation = config["relation"]
     head_keys = config["head"].split()
     if not head_keys:
         raise UsageError("rank needs --head <entity key(s)>")
-    if relation in ("search", "describe"):
-        head = [vocab[dm.WORD].id(k) for k in head_keys]
-    elif relation == "recommend":
-        head = [vocab[dm.ITEM].id(k) for k in head_keys]
-    elif relation == "isa":
-        head = vocab[dm.CATEGORY].id(head_keys[0])
-    else:
-        head = vocab[dm.ITEM].id(head_keys[0])
+    namespace, table = {"search": (dm.WORD, "word"), "describe": (dm.WORD, "word"),
+                        "isa": (dm.CATEGORY, "category")}.get(relation, (dm.ITEM, "item_in"))
+    vocab = dm.Vocabulary(namespace, {key: i for i, key in enumerate(keys[table])},
+                          tuple(keys[table]))
+    head = [vocab.id(k) for k in head_keys]
+    if relation not in ("search", "describe", "recommend"):
+        head = head[0]
     result = rank_tail(params, relation, head, keep=config["k"])
     print("rank\titem\tscore")
     for position, (item, score) in enumerate(zip(result.candidates, result.scores), 1):
-        print(f"{position}\t{vocab[dm.ITEM].key(int(item))}\t{score:.9g}")
+        print(f"{position}\t{keys['item_in'][int(item)]}\t{score:.9g}")
     return 0
 
 
 def cmd_export(config: dict) -> int:
-    run = config["run"]
-    checkpoint = os.path.join(run, "model")
-    if not os.path.isdir(checkpoint):
-        raise DataError(f"missing trained model at {checkpoint!r}; run 'prodkg train' first")
-    params, keys = load_checkpoint(checkpoint)
+    checkpoint, params, keys = _load_model(config["run"])
     out = config["out"]
     os.makedirs(out, exist_ok=True)
     for name, table in params.tables.items():

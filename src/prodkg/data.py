@@ -27,6 +27,21 @@ NAMESPACES = (ITEM, WORD, CATEGORY)
 
 PAD_KEY = "<pad>"
 
+# modality -> file name, the same under a raw data directory and a run's filtered/
+MODALITY_FILES = {
+    "catalog": "catalog.tsv",
+    "buy_sessions": "buy_sessions.tsv",
+    "view_sessions": "view_sessions.tsv",
+    "substitutions": "substitutions.tsv",
+    "search": "search.tsv",
+    "category_edges": "category_edges.tsv",
+}
+
+
+def modality_paths(directory: str) -> dict:
+    """Modality -> path of its file under ``directory``."""
+    return {name: os.path.join(directory, file) for name, file in MODALITY_FILES.items()}
+
 
 class DataError(ValueError):
     """Malformed input data; carries file and line context when available."""
@@ -143,6 +158,14 @@ def _fields(path, number, line, expected: int):
     return parts
 
 
+def at_line(path, number, builder):
+    """``builder()``, with ``path:number`` prefixed to any DataError it raises."""
+    try:
+        return builder()
+    except DataError as err:
+        raise DataError(f"{path}:{number}: {err}") from None
+
+
 def _timestamp(token):
     try:
         return int(token)
@@ -159,9 +182,7 @@ def ingest_dataset(paths: dict) -> Dataset:
     category vocabulary comes from the edge file alone, so a catalog path
     label missing there is an error.
     """
-    known = {"catalog", "buy_sessions", "view_sessions", "substitutions", "search",
-             "category_edges"}
-    present = {name: path for name, path in paths.items() if path and name in known}
+    present = {name: path for name, path in paths.items() if path and name in MODALITY_FILES}
     for name, path in present.items():
         if not os.path.exists(path):
             raise DataError(f"missing input file for {name}: {path}")
@@ -203,12 +224,6 @@ def ingest_dataset(paths: dict) -> Dataset:
     dataset = Dataset(vocab=vocab)
 
     # Second pass: resolve ids and validate record invariants.
-    def wrap(path, number, builder):
-        try:
-            return builder()
-        except DataError as err:
-            raise DataError(f"{path}:{number}: {err}") from None
-
     if "category_edges" in present:
         path = present["category_edges"]
         for number, line in _read_lines(path):
@@ -223,7 +238,7 @@ def ingest_dataset(paths: dict) -> Dataset:
             for label in labels:
                 if label not in vocab[CATEGORY].key_to_id:
                     raise DataError(f"{path}:{number}: unknown category label {label!r}")
-            dataset.catalog.append(wrap(path, number, lambda: CatalogEntry(
+            dataset.catalog.append(at_line(path, number, lambda: CatalogEntry(
                 item=vocab[ITEM].id(item),
                 description=tuple(vocab[WORD].id(w) for w in words.split(" ") if w),
                 category_path=tuple(vocab[CATEGORY].id(l) for l in labels),
@@ -234,7 +249,7 @@ def ingest_dataset(paths: dict) -> Dataset:
             session_kind = "buy" if kind == "buy_sessions" else "view"
             for number, line in _read_lines(path):
                 ts, items = _fields(path, number, line, 2)
-                getattr(dataset, attr).append(wrap(path, number, lambda: SessionSequence(
+                getattr(dataset, attr).append(at_line(path, number, lambda: SessionSequence(
                     kind=session_kind,
                     items=tuple(vocab[ITEM].id(i) for i in items.split(" ") if i),
                     timestamp=_timestamp(ts),
@@ -243,7 +258,7 @@ def ingest_dataset(paths: dict) -> Dataset:
         path = present["substitutions"]
         for number, line in _read_lines(path):
             ts, a, b = _fields(path, number, line, 3)
-            dataset.substitutions.append(wrap(path, number, lambda: SubstitutionPair(
+            dataset.substitutions.append(at_line(path, number, lambda: SubstitutionPair(
                 accepted_for=vocab[ITEM].id(a),
                 substitute=vocab[ITEM].id(b),
                 timestamp=_timestamp(ts),
@@ -252,7 +267,7 @@ def ingest_dataset(paths: dict) -> Dataset:
         path = present["search"]
         for number, line in _read_lines(path):
             ts, words, clicked = _fields(path, number, line, 3)
-            dataset.searches.append(wrap(path, number, lambda: SearchRecord(
+            dataset.searches.append(at_line(path, number, lambda: SearchRecord(
                 query_words=tuple(vocab[WORD].id(w) for w in words.split(" ") if w),
                 clicked_item=vocab[ITEM].id(clicked),
                 timestamp=_timestamp(ts),
@@ -412,14 +427,7 @@ def export_category_edges(path, edges, vocab: Vocabulary) -> None:
 def export_dataset(dataset: Dataset, directory: str) -> dict:
     """Write every modality back to ``directory``; returns the path map."""
     os.makedirs(directory, exist_ok=True)
-    paths = {
-        "catalog": os.path.join(directory, "catalog.tsv"),
-        "buy_sessions": os.path.join(directory, "buy_sessions.tsv"),
-        "view_sessions": os.path.join(directory, "view_sessions.tsv"),
-        "substitutions": os.path.join(directory, "substitutions.tsv"),
-        "search": os.path.join(directory, "search.tsv"),
-        "category_edges": os.path.join(directory, "category_edges.tsv"),
-    }
+    paths = modality_paths(directory)
     export_catalog(paths["catalog"], dataset.catalog, dataset.vocab[ITEM],
                    dataset.vocab[WORD], dataset.vocab[CATEGORY])
     export_sessions(paths["buy_sessions"], dataset.buy_sessions, dataset.vocab[ITEM])

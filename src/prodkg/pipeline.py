@@ -8,6 +8,8 @@ example assembly, and baseline triple preparation.
 """
 from __future__ import annotations
 
+import json
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -33,13 +35,10 @@ class PipelineData:
     graphs: dict = field(default_factory=dict)          # relation -> RelationGraph
     graph_splits: dict = field(default_factory=dict)    # relation -> GraphSplit
     masked_items: np.ndarray = field(default_factory=lambda: np.array([], dtype=np.int64))
-    train_records: dict = field(default_factory=dict)
     validation_examples: dict = field(default_factory=dict)
-    train_queries: set = field(default_factory=set)
 
 
-def load_and_split(paths: dict, item_min: int = 10, word_min: int = 3,
-                   allow_empty_splits: bool = False) -> PipelineData:
+def load_and_split(paths: dict, item_min: int = 10, word_min: int = 3) -> PipelineData:
     """Ingest, frequency-filter, and chronologically split every modality."""
     dataset = dm.filter_infrequent(dm.ingest_dataset(paths), item_min, word_min)
     splits = {}
@@ -50,7 +49,7 @@ def load_and_split(paths: dict, item_min: int = 10, word_min: int = 3,
         ("searches", dataset.searches),
     ):
         if records:
-            splits[modality] = dm.chronological_split(records, allow_empty=allow_empty_splits)
+            splits[modality] = dm.chronological_split(records)
         else:
             splits[modality] = dm.DatasetSplit(train=(), validation=(), test=())
     return PipelineData(dataset=dataset, splits=splits)
@@ -61,25 +60,55 @@ def build_graphs(state: PipelineData, k: int = 20, walks_per_node: int = 10,
                  seed: int = 0) -> None:
     """Relation graphs from the training split of each activity modality."""
     n_items = state.dataset.vocab[dm.ITEM].size
+    for relation, groups in _graph_sources(state).items():
+        state.graphs[relation] = build_relation_graph(
+            groups, n_items, relation, k=k, walks_per_node=walks_per_node,
+            walk_length=walk_length, p=p, q=q, seed=seed)
+
+
+def _graph_sources(state: PipelineData) -> dict:
+    """Relation -> training co-occurrence groups, for relations that have any."""
     sources = {
         "complement": [s.items for s in state.splits["buy_sessions"].train],
         "co_view": [s.items for s in state.splits["view_sessions"].train],
         "substitute": [(pair.accepted_for, pair.substitute)
                        for pair in state.splits["substitutions"].train],
     }
-    for relation, groups in sources.items():
-        if groups:
-            state.graphs[relation] = build_relation_graph(
-                groups, n_items, relation, k=k, walks_per_node=walks_per_node,
-                walk_length=walk_length, p=p, q=q, seed=seed)
+    return {relation: groups for relation, groups in sources.items() if groups}
 
 
-def split_graphs(state: PipelineData, seed: int = 0) -> None:
-    """80/10/10 edge splits with the training-connectivity repair."""
-    for relation, graph in state.graphs.items():
-        edges = [(h, t) for h, t, _ in graph.facts()]
+def split_graphs(state: PipelineData, seed: int = 0, edges: dict | None = None) -> None:
+    """80/10/10 edge splits, with the training-connectivity repair, of ``edges``
+    (relation -> (head, tail) list) or else of the facts of ``state.graphs``."""
+    if edges is None:
+        edges = {relation: [(h, t) for h, t, _ in graph.facts()]
+                 for relation, graph in state.graphs.items()}
+    for relation, pairs in edges.items():
         state.graph_splits[relation] = split_relation_graph(
-            edges, seed=seed, relation=relation)
+            pairs, seed=seed, relation=relation)
+
+
+def load_graph_splits(state: PipelineData, prg_dir: str) -> str:
+    """Split each relation's facts in build-prg's ``prg_dir`` with the seed in its
+    manifest (empty for a relation without facts); returns its config hash."""
+    manifest_path = os.path.join(prg_dir, "manifest.json")
+    triples_path = os.path.join(prg_dir, "prg_triples.tsv")
+    if not (os.path.isfile(manifest_path) and os.path.isfile(triples_path)):
+        raise dm.DataError(f"missing relation graphs under {prg_dir!r}; "
+                           f"run 'prodkg build-prg --out {prg_dir}' first")
+    with open(manifest_path, "r", encoding="utf-8") as handle:
+        manifest = json.load(handle)
+    vocab = state.dataset.vocab[dm.ITEM]
+    edges = {relation: [] for relation in _graph_sources(state)}
+    for number, line in dm._read_lines(triples_path):
+        head, relation, tail = dm._fields(triples_path, number, line, 3)
+        if relation not in edges:
+            raise dm.DataError(f"{triples_path}:{number}: relation {relation!r} "
+                               "has no training records in this run")
+        edges[relation].append(
+            dm.at_line(triples_path, number, lambda: (vocab.id(head), vocab.id(tail))))
+    split_graphs(state, seed=manifest["seed"], edges=edges)
+    return manifest["config_hash"]
 
 
 def mask_products(state: PipelineData, fraction: float = 0.1, seed: int = 0) -> None:
@@ -114,15 +143,13 @@ def assemble_training_data(state: PipelineData, seq_lens: dict,
     isa_val_set = {e.item for e in isa_val_entries}
     catalog_train = [e for e in catalog_for_isa if e.item not in isa_val_set]
 
-    state.train_records = {
+    train_records = {
         "buy_sessions": list(state.splits["buy_sessions"].train),
         "view_sessions": list(state.splits["view_sessions"].train),
         "substitutions": subs_train,
         "searches": list(state.splits["searches"].train),
         "catalog": catalog_train,
     }
-    state.train_queries = {tuple(sorted(r.query_words))
-                           for r in state.splits["searches"].train}
 
     def session_validation(split, max_len):
         return [(s.items[:-1][-max_len:], s.items[-1]) for s in split.validation]
@@ -137,7 +164,7 @@ def assemble_training_data(state: PipelineData, seq_lens: dict,
         "describe": [],
         "isa": [(e.item, tuple(e.category_path)) for e in isa_val_entries],
     }
-    specs = build_task_specs(state.train_records, seq_lens)
+    specs = build_task_specs(train_records, seq_lens)
     for spec in specs:
         if spec.name in ("complement", "co_view"):
             spec.examples = drop_leaky_examples(spec.examples, eval_edges[spec.name])

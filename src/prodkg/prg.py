@@ -61,9 +61,6 @@ class RelationGraph:
             for tail, score in self.neighbors[head]:
                 yield head, tail, score
 
-    def edge_set(self) -> set:
-        return {(h, t) for h, t, _ in self.facts()}
-
 
 def build_adjacency(groups, n_nodes: int) -> WeightedGraph:
     """Count unordered co-occurrence once per group (set semantics).

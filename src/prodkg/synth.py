@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import modality_paths
+
 GROUND_TRUTH_RELATIONS = ("substitute", "complement", "co_view")
 
 
@@ -208,14 +210,7 @@ def generate(config: SynthConfig, out_dir: str) -> tuple[dict, GroundTruth]:
         description = [description[int(i)] for i in order]
         catalog_lines.append((key, description, full_path(leaf_of_cluster[cluster])))
 
-    paths = {
-        "catalog": os.path.join(out_dir, "catalog.tsv"),
-        "buy_sessions": os.path.join(out_dir, "buy_sessions.tsv"),
-        "view_sessions": os.path.join(out_dir, "view_sessions.tsv"),
-        "substitutions": os.path.join(out_dir, "substitutions.tsv"),
-        "search": os.path.join(out_dir, "search.tsv"),
-        "category_edges": os.path.join(out_dir, "category_edges.tsv"),
-    }
+    paths = modality_paths(out_dir)
     with open(paths["buy_sessions"], "w", encoding="utf-8") as handle:
         for ts, tokens in buy_lines:
             handle.write(f"{ts}\t{' '.join(tokens)}\n")

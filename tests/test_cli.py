@@ -3,10 +3,13 @@
 import filecmp
 import json
 import os
+import shutil
 
 import pytest
 
+from prodkg import pipeline as pl
 from prodkg.cli import main
+from prodkg.data import modality_paths
 
 
 def run_dir(tmp_path, seed=7):
@@ -18,6 +21,34 @@ def run_dir(tmp_path, seed=7):
                  "--substitutions", "120", "--words", "100"]) == 0
     assert main(["ingest", "--data", data, "--out", run]) == 0
     return data, run
+
+
+# 11 category epochs: one past the 10-epoch burn-in, so train prints no warning
+TINY_TRAIN = ["--dim", "4", "--epochs", "1", "--l-buy", "4", "--l-view", "4",
+              "--l-search", "3", "--l-describe", "4", "--cat-epochs", "11",
+              "--validation-cap", "10"]
+
+
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory):
+    """An ingested run with build-prg and a tiny train at seed 7; copy before changing it."""
+    _, run = run_dir(tmp_path_factory.mktemp("trained"))
+    assert main(["build-prg", "--run", run, "--out", os.path.join(run, "prg"),
+                 "--seed", "7"]) == 0
+    assert main(["train", "--run", run, "--out", os.path.join(run, "model"),
+                 "--seed", "7", *TINY_TRAIN]) == 0
+    return run
+
+
+def copy_run(run, tmp_path):
+    copy = str(tmp_path / "run")
+    shutil.copytree(run, copy)
+    return copy
+
+
+def evaluate(run, seed=7):
+    return main(["evaluate", "--run", run, "--out", os.path.join(run, "eval"),
+                 "--query-cap", "20", "--seed", str(seed)])
 
 
 class TestGenData:
@@ -79,6 +110,69 @@ class TestManifest:
         assert manifest["config"]["items"] == 60
 
 
+class TestStagesReadUpstream:
+    def test_stages_without_prg_exit_2(self, trained_run, tmp_path, capsys):
+        run = copy_run(trained_run, tmp_path)
+        shutil.rmtree(os.path.join(run, "prg"))
+        capsys.readouterr()
+        for argv in (["train", *TINY_TRAIN], ["train-baseline", "--dim", "4", "--epochs", "1"],
+                     ["evaluate", "--query-cap", "20"]):
+            assert main([*argv, "--run", run, "--out", str(tmp_path / "out")]) == 2
+            assert "run 'prodkg build-prg" in capsys.readouterr().err
+
+    def test_malformed_prg_line_names_file_and_line(self, trained_run, tmp_path, capsys):
+        run = copy_run(trained_run, tmp_path)
+        triples = os.path.join(run, "prg", "prg_triples.tsv")
+        with open(triples, encoding="utf-8") as handle:
+            n_lines = sum(1 for _ in handle)
+        for bad in ("i00001\tcomplement\n", "i00001\tcomplement\tnot-an-item\n"):
+            shutil.copy(os.path.join(trained_run, "prg", "prg_triples.tsv"), triples)
+            with open(triples, "a", encoding="utf-8") as handle:
+                handle.write(bad)
+            capsys.readouterr()
+            assert main(["train-baseline", "--run", run, "--out", str(tmp_path / "kg"),
+                         "--dim", "4", "--epochs", "1"]) == 2
+            assert f"prg_triples.tsv:{n_lines + 1}:" in capsys.readouterr().err
+
+    def test_evaluate_seed_does_not_change_the_report(self, trained_run, tmp_path):
+        run = copy_run(trained_run, tmp_path)
+        reports = []
+        for seed in (7, 8):
+            assert evaluate(run, seed) == 0
+            with open(os.path.join(run, "eval", "report.tsv"), "rb") as handle:
+                reports.append(handle.read())
+        assert reports[0] == reports[1]
+
+    def test_loaded_splits_cover_the_biased_graph_facts(self, trained_run, tmp_path):
+        run = copy_run(trained_run, tmp_path)
+        prg = os.path.join(run, "prg")
+        assert main(["build-prg", "--run", run, "--out", prg, "--k", "5",
+                     "--p", "0.25", "--q", "4", "--seed", "3"]) == 0
+        with open(os.path.join(prg, "prg_triples.tsv"), encoding="utf-8") as handle:
+            facts = [tuple(line.rstrip("\n").split("\t")) for line in handle]
+        state = pl.load_and_split(modality_paths(os.path.join(run, "filtered")),
+                                  item_min=0, word_min=0)
+        pl.load_graph_splits(state, prg)
+        assert list(state.graph_splits) == list(pl.GRAPH_RELATIONS)
+        key = state.dataset.vocab["item"].key
+        loaded = [(key(h), relation, key(t))
+                  for relation, split in state.graph_splits.items()
+                  for h, t in split.train + split.validation + split.test]
+        assert len(loaded) == len(facts) and set(loaded) == set(facts)
+
+    def test_evaluate_after_build_prg_rerun_exit_2(self, trained_run, tmp_path, capsys):
+        run = copy_run(trained_run, tmp_path)
+        assert main(["build-prg", "--run", run, "--out", os.path.join(run, "prg"),
+                     "--k", "5", "--seed", "7"]) == 0
+        capsys.readouterr()
+        assert evaluate(run) == 2
+        assert "re-run 'prodkg train'" in capsys.readouterr().err
+
+    def test_rank_unknown_head_exit_2(self, trained_run, capsys):
+        assert main(["rank", "--run", trained_run, "--head", "no-such-item"]) == 2
+        assert "unknown item key 'no-such-item'" in capsys.readouterr().err
+
+
 class TestBurnInWarning:
     def test_pretraining_inside_burn_in_warns_once(self, tmp_path, capsys):
         _, run = run_dir(tmp_path)
@@ -125,6 +219,8 @@ class TestPipelineCommands:
 
     def test_train_baseline(self, tmp_path, capsys):
         _, run = run_dir(tmp_path)
+        assert main(["build-prg", "--run", run, "--out", os.path.join(run, "prg"),
+                     "--seed", "7"]) == 0
         assert main(["train-baseline", "--run", run, "--out", os.path.join(run, "kg"),
                      "--variant", "distmult", "--dim", "8", "--epochs", "2",
                      "--seed", "7"]) == 0
