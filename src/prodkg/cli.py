@@ -265,6 +265,15 @@ def cmd_ingest(config: dict) -> int:
     dataset = dm.filter_infrequent(dm.ingest_dataset(paths),
                                    config["item_min"], config["word_min"])
     out = config["out"]
+    filtered = dm.modality_paths(os.path.join(out, "filtered"))
+    for modality, records in (("buy_sessions", dataset.buy_sessions),
+                              ("view_sessions", dataset.view_sessions),
+                              ("substitutions", dataset.substitutions),
+                              ("search", dataset.searches)):
+        # every later stage splits these records chronologically
+        if records and not dm.splittable(len(records)):
+            raise DataError(f"{modality} ({filtered[modality]}): {len(records)} records after "
+                            "filtering cannot form nonempty train, validation and test parts")
     dm.export_dataset(dataset, os.path.join(out, "filtered"))
     for namespace in dm.NAMESPACES:
         _write_vocab(os.path.join(out, f"vocab_{namespace}.tsv"), dataset.vocab[namespace])

@@ -363,21 +363,25 @@ def filter_infrequent(dataset: Dataset, item_min: int = 10, word_min: int = 3) -
     return out
 
 
-def chronological_split(records, fractions=(0.8, 0.1, 0.1), allow_empty: bool = False) -> DatasetSplit:
+def splittable(n: int, fractions=(0.8, 0.1, 0.1)) -> bool:
+    """Whether a chronological split of n records leaves validation and test nonempty."""
+    return int(fractions[1] * n) > 0 and int(fractions[2] * n) > 0
+
+
+def chronological_split(records, fractions=(0.8, 0.1, 0.1)) -> DatasetSplit:
     """Stable timestamp-ordered split; validation/test take floor(f*n) each.
 
-    Ties keep input order.  The remainder goes to train.  Unless
-    ``allow_empty`` is set, a split that would leave validation or test
-    empty is an error.
+    Ties keep input order.  The remainder goes to train.  A split that would
+    leave validation or test empty is an error.
     """
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise DataError("split fractions must sum to 1")
     records = list(records)
     n = len(records)
+    if not splittable(n, fractions):
+        raise DataError(f"cannot form three nonempty parts from {n} records")
     n_val = int(fractions[1] * n)
     n_test = int(fractions[2] * n)
-    if not allow_empty and (n_val == 0 or n_test == 0):
-        raise DataError(f"cannot form three nonempty parts from {n} records")
     ordered = sorted(records, key=lambda r: r.timestamp)
     n_train = n - n_val - n_test
     return DatasetSplit(

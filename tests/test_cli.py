@@ -75,6 +75,18 @@ class TestErrors:
         assert main(["evaluate", "--run", str(tmp_path / "empty")]) == 2
         assert "model" in capsys.readouterr().err
 
+    def test_ingest_rejects_modality_too_small_to_split(self, tmp_path, capsys):
+        data, run = str(tmp_path / "data"), str(tmp_path / "run")
+        assert main(["gen-data", "--seed", "3", "--out", data, "--items", "60",
+                     "--clusters", "10", "--sessions", "200", "--searches", "50",
+                     "--substitutions", "8"]) == 0
+        capsys.readouterr()
+        assert main(["ingest", "--data", data, "--out", run]) == 2
+        err = capsys.readouterr().err
+        assert "substitutions" in err
+        assert os.path.join(run, "filtered", "substitutions.tsv") in err
+        assert not os.path.exists(os.path.join(run, "filtered"))
+
     def test_help_exits_zero_and_lists_defaults(self, capsys):
         assert main(["train", "--help"]) == 0
         out = capsys.readouterr().out
