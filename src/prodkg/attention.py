@@ -2,11 +2,14 @@
 
 One attention block per sequence task: a learned positional matrix, a shared
 two-layer point-wise feed-forward transform applied to the query and key
-branches, scaled dot-product attention, and masked mean pooling of the
-attended rows into one context vector.  The context vector is scored against
-an output table with the negative-sampling loss; the backward pass
-propagates analytic gradients through the whole chain (scoring, pooling,
-attention softmax, feed-forward, positional and entity embeddings).
+branches, scaled dot-product attention, and mean pooling of the attended
+rows into one context vector.  The context vector is scored against an
+output table with the negative-sampling loss; the backward pass propagates
+analytic gradients through the whole chain (scoring, pooling, attention
+softmax, feed-forward, positional and entity embeddings).  Gradients come
+back as a :class:`prodkg.embeddings.Grads`: row ids plus gradient rows per
+table, and dense gradients whose positional entry covers only the first L
+rows for a sequence of length L.
 """
 from __future__ import annotations
 
@@ -17,10 +20,9 @@ import numpy as np
 from .embeddings import (
     PAD_ID,
     EmbeddingTable,
-    GradStore,
+    Grads,
     NumericalError,
-    log_sigmoid,
-    sigmoid,
+    sampled_softmax_loss_grad,
 )
 
 
@@ -72,64 +74,6 @@ class AttentionParams:
         }
 
 
-@dataclass
-class SequenceBatch:
-    """Padded, masked, position-indexed id sequences with targets.
-
-    ``ids`` is (batch, max_len) with PAD fill on the right; ``mask`` is True
-    at real positions.  Real entries always form a prefix, and over-long
-    sequences keep their most recent ``max_len`` entries.
-    """
-
-    ids: np.ndarray
-    mask: np.ndarray
-    targets: np.ndarray
-    task: str
-
-    def __post_init__(self) -> None:
-        if self.ids.shape != self.mask.shape:
-            raise ValueError("ids and mask shapes differ")
-        lengths = self.mask.sum(axis=1)
-        if np.any(lengths < 1):
-            raise ValueError("every batch row needs at least one unmasked position")
-        if np.any(self.ids[self.mask] == PAD_ID):
-            raise ValueError("PAD id at an unmasked position")
-        # real entries must be a left-aligned prefix
-        first_pad = np.argmin(self.mask, axis=1)
-        for row, (length, cut) in enumerate(zip(lengths, first_pad)):
-            if length < self.mask.shape[1] and cut != length:
-                raise ValueError(f"mask of batch row {row} is not a prefix")
-
-    def row_ids(self, row: int) -> np.ndarray:
-        return self.ids[row, self.mask[row]]
-
-
-def pack_sequences(sequences: list[list[int]], max_len: int, task: str,
-                   targets: list[int]) -> SequenceBatch:
-    """Build a batch, truncating each sequence to its most recent ``max_len`` items."""
-    n = len(sequences)
-    ids = np.full((n, max_len), PAD_ID, dtype=np.int64)
-    mask = np.zeros((n, max_len), dtype=bool)
-    for row, seq in enumerate(sequences):
-        kept = list(seq)[-max_len:]
-        ids[row, : len(kept)] = kept
-        mask[row, : len(kept)] = True
-    return SequenceBatch(ids=ids, mask=mask, targets=np.asarray(targets, dtype=np.int64), task=task)
-
-
-def embed_with_positions(ids: np.ndarray, mask: np.ndarray, table: EmbeddingTable,
-                         params: AttentionParams) -> np.ndarray:
-    """Entity embeddings plus positional encodings; masked rows are zeroed."""
-    ids = np.asarray(ids, dtype=np.int64)
-    if ids.shape[0] > params.max_len:
-        raise ValueError("sequence longer than the positional matrix")
-    if np.any(ids[np.asarray(mask, dtype=bool)] >= table.rows) or np.any(ids < 0):
-        raise ValueError("entity id out of range for table")
-    out = table.values[ids] + params.positions[: ids.shape[0]]
-    out[~np.asarray(mask, dtype=bool)] = 0.0
-    return out
-
-
 def scaled_dot_attention(
     q: np.ndarray, k: np.ndarray, v: np.ndarray, key_mask: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -173,26 +117,24 @@ class _AttnCache:
     h: np.ndarray
 
 
-def _ffn_forward(e: np.ndarray, params: AttentionParams):
+def ffn_forward(e: np.ndarray, params: AttentionParams):
+    """Row-wise two-layer transform relu(e theta1 + b1) theta2 + b2.
+
+    Returns the output together with the pre-activation and hidden rows the
+    backward pass reuses.
+    """
     pre = e @ params.theta1 + params.b1
     hidden = np.maximum(pre, 0.0)
     out = hidden @ params.theta2 + params.b2
     return out, pre, hidden
 
 
-def ffn_forward(e: np.ndarray, params: AttentionParams) -> np.ndarray:
-    """Row-wise two-layer transform: relu(e theta1 + b1) theta2 + b2."""
-    return _ffn_forward(e, params)[0]
-
-
-def _ffn_backward(d_out, e, pre, hidden, params, grads: GradStore, prefix: str):
+def _ffn_backward(d_out, e, pre, hidden, params):
+    """Input gradient and the (theta2, b2, theta1, b1) gradients of one branch."""
     d_hidden = d_out @ params.theta2.T
-    grads.add_dense(f"{prefix}.theta2", hidden.T @ d_out)
-    grads.add_dense(f"{prefix}.b2", d_out.sum(axis=0))
     d_pre = d_hidden * (pre > 0.0)
-    grads.add_dense(f"{prefix}.theta1", e.T @ d_pre)
-    grads.add_dense(f"{prefix}.b1", d_pre.sum(axis=0))
-    return d_pre @ params.theta1.T
+    return d_pre @ params.theta1.T, (hidden.T @ d_out, d_out.sum(axis=0),
+                                     e.T @ d_pre, d_pre.sum(axis=0))
 
 
 def aggregate_context(
@@ -221,8 +163,8 @@ def aggregate_context(
     pos = params.positions[:length]
     e_in = in_table.values[ids] + pos
     e_out = out_table.values[ids] + pos
-    f_in, b_in, a_in = _ffn_forward(e_in, params)
-    f_out, b_out, a_out = _ffn_forward(e_out, params)
+    f_in, b_in, a_in = ffn_forward(e_in, params)
+    f_out, b_out, a_out = ffn_forward(e_out, params)
     h, alpha = scaled_dot_attention(f_in, f_out, e_in)
     context = h.mean(axis=0)
     cache = _AttnCache(ids, e_in, e_out, b_in, a_in, f_in, b_out, a_out, f_out, alpha, h)
@@ -232,13 +174,16 @@ def aggregate_context(
 def aggregate_context_backward(
     d_context: np.ndarray,
     cache: _AttnCache,
-    in_table: EmbeddingTable,
-    out_table: EmbeddingTable,
     params: AttentionParams,
-    grads: GradStore,
     param_prefix: str,
-) -> None:
-    """Accumulate gradients of ``context`` w.r.t. every touched parameter."""
+) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Gradients of ``context`` w.r.t. every parameter it touched.
+
+    Returns ``(d_e_in, d_e_out, dense)``: one gradient row per sequence
+    position for the input and the output embedding, and the dense
+    gradients keyed ``<param_prefix>.<name>``, the positional one covering
+    only the sequence's positions.
+    """
     length, dim = cache.e_in.shape
     d_h = np.tile(d_context / length, (length, 1))
 
@@ -253,16 +198,13 @@ def aggregate_context_backward(
     d_f_in = d_logits @ cache.f_out * scale
     d_f_out = d_logits.T @ cache.f_in * scale
 
-    d_e_in += _ffn_backward(d_f_in, cache.e_in, cache.b_in, cache.a_in, params, grads, param_prefix)
-    d_e_out = _ffn_backward(d_f_out, cache.e_out, cache.b_out, cache.a_out, params, grads, param_prefix)
-
-    pos_grad = np.zeros_like(params.positions)
-    pos_grad[:length] = d_e_in + d_e_out
-    grads.add_dense(f"{param_prefix}.positions", pos_grad)
-
-    for k, entity in enumerate(cache.ids):
-        grads.add_row(in_table.name, int(entity), d_e_in[k])
-        grads.add_row(out_table.name, int(entity), d_e_out[k])
+    d_in, in_grads = _ffn_backward(d_f_in, cache.e_in, cache.b_in, cache.a_in, params)
+    d_e_in += d_in
+    d_e_out, out_grads = _ffn_backward(d_f_out, cache.e_out, cache.b_out, cache.a_out, params)
+    dense = {f"{param_prefix}.{name}": g_in + g_out
+             for name, g_in, g_out in zip(("theta2", "b2", "theta1", "b1"), in_grads, out_grads)}
+    dense[f"{param_prefix}.positions"] = d_e_in + d_e_out
+    return d_e_in, d_e_out, dense
 
 
 def sequence_loss_grad(
@@ -272,12 +214,15 @@ def sequence_loss_grad(
     tables: dict[str, EmbeddingTable],
     params: AttentionParams,
     task: str,
-) -> tuple[float, GradStore]:
+) -> tuple[float, Grads]:
     """Negative-sampling loss of predicting ``target`` from the id sequence.
 
     The task tag selects which tables play the query/value, key and scoring
     roles.  Gradients flow end-to-end: scoring rows, attention weights,
     feed-forward transform, positional matrix and the sequence embeddings.
+    Each table's rows come in the order the backward pass produces them:
+    the scored rows, then position by position the query/value row and the
+    key row.
     """
     wiring = TASK_WIRING.get(task)
     if wiring is None:
@@ -285,33 +230,24 @@ def sequence_loss_grad(
     _, in_name, out_name, score_name = wiring
     in_table, out_table, score_table = tables[in_name], tables[out_name], tables[score_name]
 
-    if target == PAD_ID or not 0 < target < score_table.rows:
-        raise ValueError(f"invalid target id {target}")
-    negatives = np.asarray(negatives, dtype=np.int64)
-    if np.any(negatives == target):
-        raise ValueError("target id present among negatives")
-
     context, _, cache = aggregate_context(ids, in_table, out_table, params)
-
-    grads = GradStore()
-    z_t = score_table.values[target]
-    score_t = float(context @ z_t)
-    loss = -log_sigmoid(score_t)
-    coeff_t = -sigmoid(-score_t)
-    d_context = coeff_t * z_t
-    grads.add_row(score_table.name, target, coeff_t * context)
-    for neg in negatives:
-        z_n = score_table.values[neg]
-        score_n = float(context @ z_n)
-        loss -= log_sigmoid(-score_n)
-        coeff_n = sigmoid(score_n)
-        d_context = d_context + coeff_n * z_n
-        grads.add_row(score_table.name, int(neg), coeff_n * context)
-
-    aggregate_context_backward(d_context, cache, in_table, out_table, params, grads, task)
+    loss, d_context, score_rows, score_grads = sampled_softmax_loss_grad(
+        context, score_table, target, negatives)
     if not np.isfinite(loss):
         raise NumericalError(f"non-finite sequence loss for task {task!r}")
-    return float(loss), grads
+
+    d_e_in, d_e_out, dense = aggregate_context_backward(d_context, cache, params, task)
+    ids = cache.ids
+    if in_name == out_name:
+        # one word table plays both roles: rows in_0, out_0, in_1, out_1, ...
+        rows = {score_name: score_rows, in_name: np.repeat(ids, 2)}
+        row_grads = {score_name: score_grads,
+                     in_name: np.stack((d_e_in, d_e_out), axis=1).reshape(-1, params.dim)}
+    else:
+        # the key table is the scoring table: its scored rows come first
+        rows = {score_name: np.concatenate((score_rows, ids)), in_name: ids}
+        row_grads = {score_name: np.concatenate((score_grads, d_e_out)), in_name: d_e_in}
+    return loss, Grads(rows, row_grads, dense)
 
 
 def context_for_ranking(
@@ -325,15 +261,3 @@ def context_for_ranking(
     ids = np.asarray(ids, dtype=np.int64)[-params.max_len:]
     context, _, _ = aggregate_context(ids, tables[in_name], tables[out_name], params)
     return context
-
-
-def sequence_loss_from_batch(
-    batch: SequenceBatch,
-    row: int,
-    negatives: np.ndarray,
-    tables: dict[str, EmbeddingTable],
-    params: AttentionParams,
-) -> tuple[float, GradStore]:
-    """Loss of one batch row; unpads the row and delegates to the sequence loss."""
-    return sequence_loss_grad(batch.row_ids(row), int(batch.targets[row]),
-                              negatives, tables, params, batch.task)

@@ -122,6 +122,14 @@ KEYS: dict[str, dict] = {
 }
 
 
+# subcommand -> key -> (lower bound, whether the bound itself is allowed);
+# resolve_config rejects a value outside its range before the stage starts.
+RANGES: dict[str, dict] = {
+    "build-prg": {"k": (1, True), "p": (0, False), "q": (0, False)},
+    "train": {"batch": (1, True), "negatives": (1, True)},
+}
+
+
 def parse_config_file(path: str) -> dict:
     values = {}
     with open(path, "r", encoding="utf-8") as handle:
@@ -171,6 +179,11 @@ def resolve_config(subcommand: str, argv: list[str]) -> dict:
                 values[key] = parser(value)
             except ValueError:
                 raise UsageError(f"bad value for {key!r}: {value!r}") from None
+    for key, (bound, inclusive) in RANGES.get(subcommand, {}).items():
+        value = values[key]
+        if not (value >= bound if inclusive else value > bound):
+            relation = ">=" if inclusive else ">"
+            raise UsageError(f"{key} must be {relation} {bound}, got {value}")
     return values
 
 

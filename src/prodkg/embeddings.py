@@ -2,13 +2,17 @@
 
 All parameters live in named :class:`EmbeddingTable` objects (dense float64
 matrices tagged with their geometry).  Losses return the value together with
-hand-derived analytic gradients collected in a :class:`GradStore`; the SGD
-updater consumes those stores.  A full-softmax log-probability is kept as a
-slow oracle against which the sampled estimators are tested.
+hand-derived analytic gradients in one sparse format: an int64 array of row
+ids plus a gradient matrix with one row per id.  An id may repeat; its rows
+are summed in array order.  Losses that touch several tables or dense
+parameters return a :class:`Grads`, which :func:`sgd_update` consumes.  A
+full-softmax log-probability is kept as a slow oracle against which the
+sampled estimators are tested.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,43 +83,18 @@ def new_table(name: str, rows: int, dim: int, rng: np.random.Generator,
     return EmbeddingTable(name, values, geometry)
 
 
-class GradStore:
-    """Accumulator for sparse per-row table gradients and dense array gradients."""
+class Grads(NamedTuple):
+    """Gradients of one update step.
 
-    def __init__(self) -> None:
-        self.rows: dict[str, dict[int, np.ndarray]] = {}
-        self.dense: dict[str, np.ndarray] = {}
+    ``rows[table]`` holds int64 row ids and ``row_grads[table]`` the matching
+    gradient matrix, one row per id.  ``dense[name]`` is the gradient of a
+    dense parameter; it may cover only the leading rows of that parameter
+    (the used prefix of a positional matrix).
+    """
 
-    def add_row(self, table: str, row: int, grad: np.ndarray) -> None:
-        if row == PAD_ID:
-            raise ValueError(f"gradient routed to PAD row of table {table!r}")
-        per_table = self.rows.setdefault(table, {})
-        existing = per_table.get(row)
-        if existing is None:
-            per_table[row] = np.array(grad, dtype=float, copy=True)
-        else:
-            existing += grad
-
-    def add_dense(self, name: str, grad: np.ndarray) -> None:
-        existing = self.dense.get(name)
-        if existing is None:
-            self.dense[name] = np.array(grad, dtype=float, copy=True)
-        else:
-            existing += grad
-
-    def scale(self, factor: float) -> None:
-        for per_table in self.rows.values():
-            for grad in per_table.values():
-                grad *= factor
-        for grad in self.dense.values():
-            grad *= factor
-
-    def merge(self, other: "GradStore") -> None:
-        for table, per_table in other.rows.items():
-            for row, grad in per_table.items():
-                self.add_row(table, row, grad)
-        for name, grad in other.dense.items():
-            self.add_dense(name, grad)
+    rows: dict
+    row_grads: dict
+    dense: dict
 
 
 class NegativeSampler:
@@ -204,12 +183,12 @@ def softmax_logprob_full(query: np.ndarray, table: EmbeddingTable, target: int) 
 
 def softmax_full_loss_grad(
     query: np.ndarray, table: EmbeddingTable, target: int
-) -> tuple[float, np.ndarray, GradStore]:
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """Negative full-softmax log-likelihood with analytic gradients.
 
     Companion to :func:`softmax_logprob_full` for training the oracle side
-    of tiny-vocabulary comparisons.  Returns ``(loss, grad_query, grads)``
-    where ``grads`` carries per-row gradients for the output table.
+    of tiny-vocabulary comparisons.  Returns ``(loss, grad_query, rows,
+    grads)``: every non-PAD row of the output table and its gradient.
     """
     logp = softmax_logprob_full(query, table, target)
     query = np.asarray(query, dtype=float)
@@ -218,14 +197,10 @@ def softmax_full_loss_grad(
     probs = np.exp(logits - peak)
     probs /= probs.sum()
 
-    grads = GradStore()
     # d(-logp)/dq = E_p[z] - z_target
     grad_query = probs @ table.values[1:] - table.values[target]
-    for offset, p in enumerate(probs):
-        row = offset + 1
-        coeff = p - (1.0 if row == target else 0.0)
-        grads.add_row(table.name, row, coeff * query)
-    return -logp, grad_query, grads
+    probs[target - 1] -= 1.0
+    return -logp, grad_query, np.arange(1, table.rows), np.outer(probs, query)
 
 
 def sampled_softmax_loss_grad(
@@ -233,75 +208,85 @@ def sampled_softmax_loss_grad(
     table: EmbeddingTable,
     target: int,
     negatives: np.ndarray,
-) -> tuple[float, np.ndarray, GradStore]:
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """Negative-sampling estimator of the softmax objective.
 
     loss = -log s(q.z_t) - sum_n log s(-q.z_n)   with s the logistic function.
 
-    Returns ``(loss, grad_query, grads)``; ``grads`` holds the per-row
-    gradients for the target and each negative in ``table``.
+    Returns ``(loss, grad_query, rows, grads)``: ``rows`` is the target
+    followed by each negative (repeats kept) and ``grads`` their gradient
+    rows in ``table``.
     """
     query = np.asarray(query, dtype=float)
-    if not np.all(np.isfinite(query)):
+    if not np.isfinite(query).all():
         raise NumericalError("non-finite query vector")
     if target == PAD_ID or not 0 < target < table.rows:
         raise ValueError(f"invalid target id {target}")
     negatives = np.asarray(negatives, dtype=np.int64)
-    if np.any(negatives == target):
+    if (negatives == target).any():
         raise ValueError("target id present among negatives")
-    if np.any(negatives == PAD_ID):
+    if (negatives == PAD_ID).any():
         raise ValueError("PAD id present among negatives")
 
     z_target = table.values[target]
     score_t = float(query @ z_target)
     loss = -log_sigmoid(score_t)
-    grads = GradStore()
-    coeff_t = -sigmoid(-score_t)
-    grad_query = coeff_t * z_target
-    grads.add_row(table.name, target, coeff_t * query)
-
-    for neg in negatives:
+    coeffs = np.empty(negatives.size + 1)
+    coeffs[0] = -sigmoid(-score_t)
+    grad_query = coeffs[0] * z_target
+    for slot, neg in enumerate(negatives, 1):
         z_neg = table.values[neg]
         score_n = float(query @ z_neg)
         loss -= log_sigmoid(-score_n)
-        coeff_n = sigmoid(score_n)
-        grad_query = grad_query + coeff_n * z_neg
-        grads.add_row(table.name, int(neg), coeff_n * query)
+        coeffs[slot] = sigmoid(score_n)
+        grad_query = grad_query + coeffs[slot] * z_neg
 
-    return float(loss), grad_query, grads
+    rows = np.concatenate(([target], negatives))
+    return float(loss), grad_query, rows, np.outer(coeffs, query)
 
 
-def sgd_update(tables: dict[str, EmbeddingTable], grads: GradStore, lr: float,
+def sgd_update(tables: dict[str, EmbeddingTable], grads: Grads, lr: float,
                dense_params: dict[str, np.ndarray] | None = None) -> None:
     """Apply one plain gradient step in place.
 
-    Only Euclidean tables may be touched here; rows of ball-geometry tables
-    go through the Riemannian update instead.  ``dense_params`` receives the
-    dense (non-table) gradients, e.g. attention parameters.
+    Each table's gradient rows are summed per row id, in array order, and
+    the table takes one step.  Only Euclidean tables may be touched here;
+    rows of ball-geometry tables go through the Riemannian update instead.
+    ``dense_params`` receives the dense (non-table) gradients, e.g. attention
+    parameters; a gradient covering a prefix of rows steps only those rows.
     """
     if lr <= 0:
         raise ValueError("learning rate must be positive")
-    for table_name, per_table in grads.rows.items():
+    for table_name, rows in grads.rows.items():
         table = tables[table_name]
         if table.geometry != EUCLIDEAN:
             raise ValueError(
                 f"table {table_name!r} has geometry {table.geometry!r}; use the Riemannian update"
             )
-        # Dict keys are distinct rows, so one fancy-indexed step equals the per-row loop.
-        rows = list(per_table)
-        stacked = np.array(list(per_table.values()))
-        finite = np.isfinite(stacked).all(axis=1)
+        # each row's slot is its id's place in order of first emission
+        slot_of: dict = {}
+        slot = np.array([slot_of.setdefault(row, len(slot_of)) for row in rows.tolist()],
+                        dtype=np.int64)
+        if PAD_ID in slot_of:
+            raise ValueError(f"gradient routed to PAD row of table {table_name!r}")
+        unique = np.fromiter(slot_of, dtype=np.int64, count=len(slot_of))
+        # bincount adds the weights of one cell in array order, so a repeated
+        # id sums left to right, bit for bit as a Python loop would
+        cells = (slot[:, None] * table.dim + np.arange(table.dim)).ravel()
+        summed = np.bincount(cells, weights=grads.row_grads[table_name].ravel(),
+                             minlength=unique.size * table.dim).reshape(unique.size, table.dim)
+        finite = np.isfinite(summed).all(axis=1)
         if not finite.all():
-            bad = rows[int(np.argmin(finite))]
+            bad = unique[int(np.argmin(finite))]
             raise NumericalError(f"non-finite gradient for table {table_name!r} row {bad}")
-        table.values[rows] -= lr * stacked
+        table.values[unique] -= lr * summed
     if grads.dense:
         if dense_params is None:
             raise ValueError("dense gradients present but no dense parameter dict given")
         for name, grad in grads.dense.items():
             if not np.isfinite(grad).all():
                 raise NumericalError(f"non-finite gradient for parameter {name!r}")
-            dense_params[name] -= lr * grad
+            dense_params[name][:len(grad)] -= lr * grad
 
 
 def write_table_tsv(path, table: EmbeddingTable, keys: list[str]) -> None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .embeddings import (
-    GradStore,
+    Grads,
     NegativeSampler,
     NumericalError,
     sampled_softmax_loss_grad,
@@ -125,45 +125,63 @@ def substitution_loss(
     tables: dict,
     negatives_forward: np.ndarray,
     negatives_backward: np.ndarray,
-) -> tuple[float, GradStore]:
+) -> tuple[float, Grads]:
     """Symmetric pair loss: each direction scores one item against the other.
 
     Both directions share the product input table; scoring is the plain
     inner product, so swapping the pair with mirrored negatives yields the
-    identical value.
+    identical value.  Each direction emits its scored rows, then the query
+    item's row.
     """
     a, b = pair
     if a == b:
         raise ValueError("substitution pair with identical items")
     table = tables["item_in"]
-    grads = GradStore()
     total = 0.0
+    rows, grads = [], []
     for query_id, target, negs in ((a, b, negatives_forward), (b, a, negatives_backward)):
-        loss, grad_query, side = sampled_softmax_loss_grad(
+        loss, grad_query, side_rows, side_grads = sampled_softmax_loss_grad(
             table.values[query_id], table, target, negs)
         total += loss
-        side.add_row(table.name, query_id, grad_query)
-        grads.merge(side)
-    return total, grads
-
-
-def relation_loss(example, task: str, params: PkgParams,
-                  negatives: np.ndarray) -> tuple[float, GradStore]:
-    """Sequence-task loss dispatch (complement / co_view / search / describe)."""
-    context, target = example
-    return sequence_loss_grad(np.asarray(context, dtype=np.int64), target, negatives,
-                              params.tables, params.attn[task], task)
+        rows += [side_rows, [query_id]]
+        grads += [side_grads, grad_query[None, :]]
+    return total, Grads({table.name: np.concatenate(rows)},
+                        {table.name: np.concatenate(grads)}, {})
 
 
 def isa_example_loss(example, params: PkgParams,
-                     negatives_per_label: list[np.ndarray]) -> tuple[float, GradStore]:
+                     negatives_per_label: list[np.ndarray]) -> tuple[float, Grads]:
     item, labels = example
     table = params.tables["item_in"]
     loss, grad_item = isa_loss(table.values[item], list(labels),
                                params.tables["category"], negatives_per_label)
-    grads = GradStore()
-    grads.add_row(table.name, item, grad_item)
-    return loss, grads
+    return loss, Grads({table.name: np.array([item])}, {table.name: grad_item[None, :]}, {})
+
+
+def batch_mean(parts: list[Grads]) -> Grads:
+    """Mean gradient of a batch's examples.
+
+    Row arrays are concatenated in example order and dense gradients summed
+    over the longest prefix any example covers, then everything is scaled
+    by 1/len(parts).  A single example's gradients pass through unchanged.
+    """
+    if len(parts) == 1:
+        return parts[0]
+    scale = 1.0 / len(parts)
+    rows, row_grads, dense = {}, {}, {}
+    for part in parts:
+        for name in part.rows:
+            rows.setdefault(name, []).append(part.rows[name])
+            row_grads.setdefault(name, []).append(part.row_grads[name])
+        for name, grad in part.dense.items():
+            dense.setdefault(name, []).append(grad)
+    for name, grads in dense.items():
+        total = np.zeros((max(len(g) for g in grads),) + grads[0].shape[1:])
+        for grad in grads:
+            total[:len(grad)] += grad
+        dense[name] = scale * total
+    return Grads({name: np.concatenate(ids) for name, ids in rows.items()},
+                 {name: scale * np.concatenate(g) for name, g in row_grads.items()}, dense)
 
 
 def task_probabilities(specs: list[TaskSpec], schedule: str = "weighted") -> np.ndarray:
@@ -233,7 +251,7 @@ class _Samplers:
 
 
 def _example_loss(task: str, example, params: PkgParams, samplers: _Samplers,
-                  k: int) -> tuple[float, GradStore]:
+                  k: int) -> tuple[float, Grads]:
     if task == "substitute":
         a, b = example
         negs_f = samplers.item.sample(k, exclude={a, b})
@@ -245,7 +263,8 @@ def _example_loss(task: str, example, params: PkgParams, samplers: _Samplers,
         return isa_example_loss(example, params, negs)
     context, target = example
     negs = samplers.item.sample(k, exclude={target})
-    return relation_loss(example, task, params, negs)
+    return sequence_loss_grad(np.asarray(context, dtype=np.int64), target, negs,
+                              params.tables, params.attn[task], task)
 
 
 def validation_metric(task: str, examples, params: PkgParams, samplers: _Samplers,
@@ -321,18 +340,17 @@ def train(
             task = epoch_task or sample_task(active, rng, config.schedule, config.single_task, probs)
             spec = by_name[task]
             batch_idx = rng.integers(0, spec.n, size=min(config.batch_size, spec.n))
-            grads = GradStore()
+            parts = []
             batch_loss = 0.0
             for idx in batch_idx:
                 loss, example_grads = _example_loss(
                     task, spec.examples[int(idx)], params, samplers, config.negatives)
                 batch_loss += loss
-                grads.merge(example_grads)
+                parts.append(example_grads)
             if not np.isfinite(batch_loss):
                 raise NumericalError(
                     f"training diverged: non-finite loss on task {task!r} at epoch {epoch}")
-            grads.scale(1.0 / len(batch_idx))
-            sgd_update(params.tables, grads, config.lr, dense)
+            sgd_update(params.tables, batch_mean(parts), config.lr, dense)
 
         if validation is None:
             continue
@@ -404,15 +422,6 @@ def task_correlation(log: list) -> dict:
                 continue
             out[(a, b)] = float(np.corrcoef(xs, ys)[0, 1])
     return out
-
-
-def pearson(xs, ys) -> float:
-    """Plain Pearson correlation of two equal-length sequences."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if xs.size != ys.size or xs.size < 2:
-        raise ValueError("need two equal-length sequences of at least two points")
-    return float(np.corrcoef(xs, ys)[0, 1])
 
 
 def select_learning_rate(

@@ -19,10 +19,10 @@ from .gradcheck import GradCheckReport, grad_check
 from .poincare import hierarchy_loss_grad, isa_loss
 
 
-def _dense_from_rows(shape_source: np.ndarray, rows: dict) -> np.ndarray:
+def _dense(shape_source: np.ndarray, rows: np.ndarray, grads: np.ndarray) -> np.ndarray:
+    """Gradient rows summed into a zero array shaped like ``shape_source``."""
     dense = np.zeros_like(shape_source)
-    for row, grad in rows.items():
-        dense[row] += grad
+    np.add.at(dense, rows, grads)
     return dense
 
 
@@ -34,8 +34,8 @@ def _check_neg_sampling(rng: np.random.Generator, eps: float) -> GradCheckReport
 
     def loss_fn(p):
         t = EmbeddingTable("out", p["out"], "euclidean")
-        loss, grad_q, grads = sampled_softmax_loss_grad(p["q"], t, 3, negatives)
-        return loss, {"q": grad_q, "out": _dense_from_rows(p["out"], grads.rows["out"])}
+        loss, grad_q, rows, grads = sampled_softmax_loss_grad(p["q"], t, 3, negatives)
+        return loss, {"q": grad_q, "out": _dense(p["out"], rows, grads)}
 
     return grad_check(loss_fn, {"q": query, "out": table.values}, eps=eps)
 
@@ -47,8 +47,8 @@ def _check_softmax_full(rng: np.random.Generator, eps: float) -> GradCheckReport
 
     def loss_fn(p):
         t = EmbeddingTable("out", p["out"], "euclidean")
-        loss, grad_q, grads = softmax_full_loss_grad(p["q"], t, 2)
-        return loss, {"q": grad_q, "out": _dense_from_rows(p["out"], grads.rows["out"])}
+        loss, grad_q, rows, grads = softmax_full_loss_grad(p["q"], t, 2)
+        return loss, {"q": grad_q, "out": _dense(p["out"], rows, grads)}
 
     return grad_check(loss_fn, {"q": query, "out": table.values}, eps=eps)
 
@@ -64,7 +64,8 @@ def _check_substitution(rng: np.random.Generator, eps: float) -> GradCheckReport
     def loss_fn(p):
         tables = {"item_in": EmbeddingTable("item_in", p["item_in"], "euclidean")}
         loss, grads = substitution_loss((1, 4), tables, negs_f, negs_b)
-        return loss, {"item_in": _dense_from_rows(p["item_in"], grads.rows["item_in"])}
+        return loss, {"item_in": _dense(p["item_in"], grads.rows["item_in"],
+                                        grads.row_grads["item_in"])}
 
     return grad_check(loss_fn, {"item_in": table.values}, eps=eps)
 
@@ -90,10 +91,11 @@ def _check_sequence(task: str, rng: np.random.Generator, eps: float) -> GradChec
         tb = {name: EmbeddingTable(name, p[name], "euclidean") for name in table_names}
         ap = AttentionParams(*(p[name] for name in param_names))
         loss, grads = sequence_loss_grad(ids, target, negatives, tb, ap, task)
-        out = {name: _dense_from_rows(p[name], grads.rows.get(name, {}))
+        out = {name: _dense(p[name], grads.rows[name], grads.row_grads[name])
                for name in table_names}
         for name in param_names:
-            out[name] = grads.dense[f"{task}.{name}"]
+            grad = grads.dense[f"{task}.{name}"]
+            out[name] = _dense(p[name], np.arange(len(grad)), grad)
         return loss, out
 
     point = {name: tables[name].values for name in table_names}
@@ -110,9 +112,7 @@ def _check_hierarchy(rng: np.random.Generator, eps: float) -> GradCheckReport:
     def loss_fn(p):
         table = EmbeddingTable("category", p["category"], "poincare")
         loss, rows, grads = hierarchy_loss_grad(1, candidates, 0, table)
-        dense = np.zeros_like(p["category"])
-        np.add.at(dense, rows, grads)
-        return loss, {"category": dense}
+        return loss, {"category": _dense(p["category"], rows, grads)}
 
     return grad_check(loss_fn, {"category": values}, eps=eps)
 

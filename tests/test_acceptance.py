@@ -16,6 +16,7 @@ from prodkg import pipeline as pl
 from prodkg.attention import AttentionParams, aggregate_context, scaled_dot_attention
 from prodkg.baselines import KgConfig, KgModel, Triple, circular_correlation, kg_score
 from prodkg.embeddings import (
+    Grads,
     new_table,
     sampled_softmax_loss_grad,
     sgd_update,
@@ -78,13 +79,14 @@ class TestCriterion2OracleEquivalence:
                 for k in order:
                     ctx, tgt = pairs[k]
                     if estimator == "full":
-                        _, gq, gs = softmax_full_loss_grad(inp.values[ctx], out, tgt)
+                        _, gq, rows, gs = softmax_full_loss_grad(inp.values[ctx], out, tgt)
                     else:
                         negatives = all_ids[all_ids != tgt]
-                        _, gq, gs = sampled_softmax_loss_grad(
+                        _, gq, rows, gs = sampled_softmax_loss_grad(
                             inp.values[ctx], out, tgt, negatives)
-                    gs.add_row("inp", ctx, gq)
-                    sgd_update({"inp": inp, "out": out}, gs, 0.05)
+                    grads = Grads({"out": rows, "inp": np.array([ctx])},
+                                  {"out": gs, "inp": gq[None, :]}, {})
+                    sgd_update({"inp": inp, "out": out}, grads, 0.05)
             return inp, out
 
         full_in, full_out = run("full")

@@ -6,13 +6,10 @@ import pytest
 
 from prodkg.attention import (
     AttentionParams,
-    SequenceBatch,
     TASK_WIRING,
     aggregate_context,
     context_for_ranking,
-    embed_with_positions,
     ffn_forward,
-    pack_sequences,
     scaled_dot_attention,
     sequence_loss_grad,
 )
@@ -28,52 +25,22 @@ def identity_params(max_len, dim):
     )
 
 
-class TestEmbedWithPositions:
-    def test_zero_positions_equal_raw_embeddings(self):
-        table = new_table("t", 5, 3, np.random.default_rng(0))
-        params = identity_params(4, 3)
-        ids = np.array([1, 3, 2])
-        out = embed_with_positions(ids, np.ones(3, bool), table, params)
-        np.testing.assert_array_equal(out, table.values[ids])
-
-    def test_single_item_gets_first_position(self):
-        table = new_table("t", 5, 3, np.random.default_rng(0))
-        params = identity_params(4, 3)
-        params.positions[:] = np.random.default_rng(1).normal(size=(4, 3))
-        out = embed_with_positions(np.array([2]), np.ones(1, bool), table, params)
-        np.testing.assert_allclose(out[0], table.values[2] + params.positions[0])
-
-    def test_masked_rows_zeroed(self):
-        table = new_table("t", 5, 3, np.random.default_rng(0))
-        params = identity_params(4, 3)
-        params.positions[:] = 1.0
-        mask = np.array([True, False, True])
-        out = embed_with_positions(np.array([1, 0, 2]), mask, table, params)
-        np.testing.assert_array_equal(out[1], 0.0)
-
-    def test_out_of_range_id_rejected(self):
-        table = new_table("t", 3, 2, np.random.default_rng(0))
-        params = identity_params(4, 2)
-        with pytest.raises(ValueError, match="out of range"):
-            embed_with_positions(np.array([7]), np.ones(1, bool), table, params)
-
-
 class TestFfn:
     def test_identity_on_nonnegative_input(self):
         params = identity_params(2, 3)
         x = np.array([[0.5, 0.0, 2.0]])
-        np.testing.assert_array_equal(ffn_forward(x, params), x)
+        np.testing.assert_array_equal(ffn_forward(x, params)[0], x)
 
     def test_relu_clips_negative(self):
         params = identity_params(2, 2)
-        out = ffn_forward(np.array([[-1.0, 2.0]]), params)
+        out, _, _ = ffn_forward(np.array([[-1.0, 2.0]]), params)
         np.testing.assert_array_equal(out, [[0.0, 2.0]])
 
     def test_zero_second_layer_gives_constant(self):
         params = identity_params(2, 2)
         params.theta2[:] = 0.0
         params.b2[:] = [3.0, -1.0]
-        out = ffn_forward(np.random.default_rng(0).normal(size=(4, 2)), params)
+        out, _, _ = ffn_forward(np.random.default_rng(0).normal(size=(4, 2)), params)
         np.testing.assert_array_equal(out, np.tile([3.0, -1.0], (4, 1)))
 
     def test_pointwise_row_permutation(self):
@@ -81,8 +48,8 @@ class TestFfn:
         params = AttentionParams.init(6, 4, rng)
         x = rng.normal(size=(5, 4))
         perm = rng.permutation(5)
-        np.testing.assert_allclose(ffn_forward(x, params)[perm],
-                                   ffn_forward(x[perm], params))
+        np.testing.assert_allclose(ffn_forward(x, params)[0][perm],
+                                   ffn_forward(x[perm], params)[0])
 
 
 class TestScaledDotAttention:
@@ -166,6 +133,20 @@ class TestAggregateContext:
         h = expected_alpha @ np.array([1.0, 2.0])
         np.testing.assert_allclose(context, [h.mean()], atol=1e-12)
 
+    def test_zero_positions_feed_raw_embeddings(self):
+        table = new_table("t", 5, 3, np.random.default_rng(0))
+        ids = np.array([1, 3, 2])
+        _, _, cache = aggregate_context(ids, table, table, identity_params(4, 3))
+        np.testing.assert_array_equal(cache.e_in, table.values[ids])
+        np.testing.assert_array_equal(cache.e_out, table.values[ids])
+
+    def test_single_item_gets_first_position(self):
+        table = new_table("t", 5, 3, np.random.default_rng(0))
+        params = identity_params(4, 3)
+        params.positions[:] = np.random.default_rng(1).normal(size=(4, 3))
+        _, _, cache = aggregate_context(np.array([2]), table, table, params)
+        np.testing.assert_allclose(cache.e_in[0], table.values[2] + params.positions[0])
+
     def test_alpha_rows_sum_to_one(self):
         rng = np.random.default_rng(9)
         table_in = new_table("in", 10, 6, rng)
@@ -174,34 +155,6 @@ class TestAggregateContext:
         _, alpha, _ = aggregate_context(np.array([1, 5, 3, 7, 2]), table_in, table_out, params)
         np.testing.assert_allclose(alpha.sum(axis=1), 1.0, atol=1e-10)
         assert np.all(alpha >= 0)
-
-
-class TestSequenceBatch:
-    def test_pack_truncates_keeping_most_recent(self):
-        batch = pack_sequences([[1, 2, 3, 4, 5]], max_len=3, task="complement", targets=[6])
-        np.testing.assert_array_equal(batch.ids[0], [3, 4, 5])
-
-    def test_pad_fill_and_mask_prefix(self):
-        batch = pack_sequences([[4, 2]], max_len=4, task="co_view", targets=[1])
-        np.testing.assert_array_equal(batch.ids[0], [4, 2, 0, 0])
-        np.testing.assert_array_equal(batch.mask[0], [True, True, False, False])
-
-    def test_all_pad_row_rejected(self):
-        with pytest.raises(ValueError, match="unmasked"):
-            SequenceBatch(ids=np.zeros((1, 3), dtype=np.int64),
-                          mask=np.zeros((1, 3), dtype=bool),
-                          targets=np.array([1]), task="complement")
-
-    def test_pad_under_mask_rejected(self):
-        with pytest.raises(ValueError, match="PAD"):
-            SequenceBatch(ids=np.array([[0, 2]]), mask=np.array([[True, True]]),
-                          targets=np.array([1]), task="complement")
-
-    def test_non_prefix_mask_rejected(self):
-        with pytest.raises(ValueError, match="prefix"):
-            SequenceBatch(ids=np.array([[1, 0, 2]]),
-                          mask=np.array([[True, False, True]]),
-                          targets=np.array([1]), task="complement")
 
 
 def _loss_point(task, seed):
@@ -244,18 +197,34 @@ class TestSequenceLoss:
             loss, grads = sequence_loss_grad(ids, target, negatives, tb, ap, task)
             out = {}
             for name in names:
-                dense = np.zeros_like(p[name])
-                for row, grad in grads.rows.get(name, {}).items():
-                    dense[row] += grad
-                out[name] = dense
+                out[name] = np.zeros_like(p[name])
+                np.add.at(out[name], grads.rows[name], grads.row_grads[name])
             for name in param_names:
-                out[name] = grads.dense[f"{task}.{name}"]
+                grad = grads.dense[f"{task}.{name}"]
+                out[name] = np.zeros_like(p[name])
+                out[name][:len(grad)] = grad
             return loss, out
 
         point = {name: tables[name].values for name in names}
         point.update({name: getattr(params, name) for name in param_names})
         report = grad_check(loss_fn, point, eps=1e-5, max_coords_per_param=30)
         assert report.max_rel_error < 1e-4, report.summary()
+
+    @pytest.mark.parametrize("task", sorted(TASK_WIRING))
+    def test_gradient_rows_and_positional_prefix(self, task):
+        tables, params, _ = _loss_point(task, seed=8)
+        ids = np.array([3, 1, 3])
+        _, grads = sequence_loss_grad(ids, 5, np.array([2, 3, 2]), tables, params, task)
+        _, in_name, out_name, score_name = TASK_WIRING[task]
+        assert grads.dense[f"{task}.positions"].shape == (3, params.dim)
+        if in_name == out_name:
+            np.testing.assert_array_equal(grads.rows[score_name], [5, 2, 3, 2])
+            np.testing.assert_array_equal(grads.rows[in_name], [3, 3, 1, 1, 3, 3])
+        else:
+            np.testing.assert_array_equal(grads.rows[score_name], [5, 2, 3, 2, 3, 1, 3])
+            np.testing.assert_array_equal(grads.rows[in_name], ids)
+        for name, rows in grads.rows.items():
+            assert grads.row_grads[name].shape == (rows.size, params.dim)
 
     def test_unknown_task_rejected(self):
         tables, params, _ = _loss_point("complement", seed=0)
@@ -278,14 +247,3 @@ class TestSequenceLoss:
         short = context_for_ranking(long_ids, tables, params, "complement")
         explicit = context_for_ranking(long_ids[-params.max_len:], tables, params, "complement")
         np.testing.assert_array_equal(short, explicit)
-
-
-class TestBatchLossAndExport:
-    def test_batch_row_loss_matches_direct_call(self):
-        tables, params, _names = _loss_point("complement", seed=5)
-        batch = pack_sequences([[1, 4, 2]], max_len=6, task="complement", targets=[5])
-        from prodkg.attention import sequence_loss_from_batch
-        via_batch, _ = sequence_loss_from_batch(batch, 0, np.array([2, 8]), tables, params)
-        direct, _ = sequence_loss_grad(np.array([1, 4, 2]), 5, np.array([2, 8]),
-                                       tables, params, "complement")
-        assert via_batch == direct

@@ -96,6 +96,19 @@ class TestErrors:
     def test_bad_flag_value_exit_1(self):
         assert main(["gen-data", "--items", "many"]) == 1
 
+    @pytest.mark.parametrize("subcommand, flag, value", [
+        ("build-prg", "k", "0"), ("build-prg", "p", "0"), ("build-prg", "q", "-1"),
+        ("train", "batch", "0"), ("train", "negatives", "0")])
+    def test_out_of_range_value_exit_1_before_loading(self, subcommand, flag, value,
+                                                      tmp_path, capsys):
+        # the run directory does not exist: a stage that started would exit 2
+        out = tmp_path / "out"
+        assert main([subcommand, "--run", str(tmp_path / "missing"), "--out", str(out),
+                     f"--{flag}", value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and f"{flag} must be" in err
+        assert not out.exists()
+
 
 class TestManifest:
     def test_manifest_contents(self, tmp_path):

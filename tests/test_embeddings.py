@@ -8,7 +8,7 @@ from prodkg.embeddings import (
     PAD_ID,
     POINCARE,
     EmbeddingTable,
-    GradStore,
+    Grads,
     NegativeSampler,
     NumericalError,
     new_table,
@@ -20,6 +20,22 @@ from prodkg.embeddings import (
     write_table_tsv,
 )
 from prodkg.gradcheck import grad_check
+
+
+def row_grads(emitted):
+    """Grads from (table, row, gradient) triples in emission order."""
+    rows, grads = {}, {}
+    for name, row, grad in emitted:
+        rows.setdefault(name, []).append(row)
+        grads.setdefault(name, []).append(np.asarray(grad, dtype=float))
+    return Grads({name: np.array(ids, dtype=np.int64) for name, ids in rows.items()},
+                 {name: np.vstack(g) for name, g in grads.items()}, {})
+
+
+def dense_rows(shape_source, rows, grads):
+    dense = np.zeros_like(shape_source)
+    np.add.at(dense, rows, grads)
+    return dense
 
 
 class TestInit:
@@ -123,8 +139,8 @@ class TestSampledLoss:
     def test_zero_logits_value(self):
         """q = 0 makes every logistic term 1/2: loss = (1+k) log 2."""
         table = EmbeddingTable("o", np.ones((6, 4)))
-        loss, grad_q, _ = sampled_softmax_loss_grad(np.zeros(4), table, 1,
-                                                    np.array([2, 3, 4]))
+        loss, grad_q, _, _ = sampled_softmax_loss_grad(np.zeros(4), table, 1,
+                                                       np.array([2, 3, 4]))
         assert loss == pytest.approx(4 * np.log(2), abs=1e-12)
 
     def test_gradient_matches_finite_differences(self):
@@ -135,11 +151,8 @@ class TestSampledLoss:
 
         def loss_fn(p):
             table = EmbeddingTable("o", p["out"])
-            loss, grad_q, grads = sampled_softmax_loss_grad(p["q"], table, 3, negatives)
-            dense = np.zeros_like(p["out"])
-            for row, grad in grads.rows["o"].items():
-                dense[row] += grad
-            return loss, {"q": grad_q, "out": dense}
+            loss, grad_q, rows, grads = sampled_softmax_loss_grad(p["q"], table, 3, negatives)
+            return loss, {"q": grad_q, "out": dense_rows(p["out"], rows, grads)}
 
         report = grad_check(loss_fn, {"q": query, "out": values}, eps=1e-5)
         assert report.max_rel_error < 1e-4
@@ -151,11 +164,8 @@ class TestSampledLoss:
 
         def loss_fn(p):
             table = EmbeddingTable("o", p["out"])
-            loss, grad_q, grads = softmax_full_loss_grad(p["q"], table, 2)
-            dense = np.zeros_like(p["out"])
-            for row, grad in grads.rows["o"].items():
-                dense[row] += grad
-            return loss, {"q": grad_q, "out": dense}
+            loss, grad_q, rows, grads = softmax_full_loss_grad(p["q"], table, 2)
+            return loss, {"q": grad_q, "out": dense_rows(p["out"], rows, grads)}
 
         report = grad_check(loss_fn, {"q": query, "out": values}, eps=1e-5)
         assert report.max_rel_error < 1e-4
@@ -170,68 +180,88 @@ class TestSgd:
     def test_zero_gradient_no_change(self):
         table = new_table("t", 4, 3, np.random.default_rng(0))
         before = table.values.copy()
-        grads = GradStore()
-        grads.add_row("t", 2, np.zeros(3))
-        sgd_update({"t": table}, grads, lr=0.1)
+        sgd_update({"t": table}, row_grads([("t", 2, np.zeros(3))]), lr=0.1)
         np.testing.assert_array_equal(table.values, before)
 
     def test_row_arithmetic(self):
         table = EmbeddingTable("t", np.array([[0.0, 0.0], [1.0, 1.0]]))
-        grads = GradStore()
-        grads.add_row("t", 1, np.array([1.0, 0.0]))
-        sgd_update({"t": table}, grads, lr=0.1)
+        sgd_update({"t": table}, row_grads([("t", 1, [1.0, 0.0])]), lr=0.1)
         np.testing.assert_allclose(table.values[1], [0.9, 1.0])
 
     def test_paper_grid_rates_accepted(self):
         for lr in (0.001, 0.005, 0.01, 0.1):
             table = EmbeddingTable("t", np.ones((2, 2)))
-            grads = GradStore()
-            grads.add_row("t", 1, np.ones(2))
-            sgd_update({"t": table}, grads, lr=lr)
+            sgd_update({"t": table}, row_grads([("t", 1, np.ones(2))]), lr=lr)
 
     def test_ball_table_rejected(self):
         table = EmbeddingTable("t", np.zeros((3, 2)), geometry=POINCARE)
-        grads = GradStore()
-        grads.add_row("t", 1, np.ones(2))
         with pytest.raises(ValueError, match="Riemannian"):
-            sgd_update({"t": table}, grads, lr=0.1)
+            sgd_update({"t": table}, row_grads([("t", 1, np.ones(2))]), lr=0.1)
 
     def test_non_finite_gradient_names_table_and_row(self):
         table = EmbeddingTable("t", np.zeros((3, 2)))
-        grads = GradStore()
-        grads.add_row("t", 2, np.array([np.inf, 0.0]))
         with pytest.raises(NumericalError, match=r"'t' row 2"):
-            sgd_update({"t": table}, grads, lr=0.1)
+            sgd_update({"t": table}, row_grads([("t", 2, [np.inf, 0.0])]), lr=0.1)
 
     def test_several_rows_match_per_row_steps_exactly(self):
         rng = np.random.default_rng(3)
         table = EmbeddingTable("t", rng.normal(size=(7, 4)))
         other = EmbeddingTable("u", rng.normal(size=(5, 4)))
-        grads = GradStore()
-        for name, row in (("t", 5), ("u", 2), ("t", 1), ("t", 3), ("u", 4)):
-            grads.add_row(name, row, rng.normal(size=4))
-        grads.add_row("t", 5, rng.normal(size=4))
+        emitted = [(name, row, rng.normal(size=4))
+                   for name, row in (("t", 5), ("u", 2), ("t", 1), ("t", 3), ("u", 4))]
+        emitted.append(("t", 5, rng.normal(size=4)))
+        summed = {}
+        for name, row, grad in emitted:
+            key = (name, row)
+            summed[key] = summed[key] + grad if key in summed else grad.copy()
         expected = {"t": table.values.copy(), "u": other.values.copy()}
-        for name, per_table in grads.rows.items():
-            for row, grad in per_table.items():
-                expected[name][row] -= 0.05 * grad
-        sgd_update({"t": table, "u": other}, grads, lr=0.05)
+        for (name, row), grad in summed.items():
+            expected[name][row] -= 0.05 * grad
+        sgd_update({"t": table, "u": other}, row_grads(emitted), lr=0.05)
         np.testing.assert_array_equal(table.values, expected["t"])
         np.testing.assert_array_equal(other.values, expected["u"])
 
+    def test_repeated_id_sums_left_to_right(self):
+        rng = np.random.default_rng(5)
+        table = EmbeddingTable("t", rng.normal(size=(4, 3)))
+        grads = rng.normal(size=(40, 3)) * 10.0 ** rng.integers(-6, 6, size=(40, 1))
+        total = grads[0].copy()
+        for grad in grads[1:]:
+            total = total + grad
+        expected = table.values.copy()
+        expected[2] -= 0.1 * total
+        sgd_update({"t": table}, Grads({"t": np.full(40, 2)}, {"t": grads}, {}), lr=0.1)
+        np.testing.assert_array_equal(table.values, expected)
+
     def test_first_non_finite_row_named_among_several(self):
         table = EmbeddingTable("t", np.zeros((6, 2)))
-        grads = GradStore()
-        grads.add_row("t", 1, np.ones(2))
-        grads.add_row("t", 4, np.array([0.0, np.nan]))
-        grads.add_row("t", 2, np.array([np.inf, 0.0]))
+        grads = row_grads([("t", 1, np.ones(2)), ("t", 4, [0.0, np.nan]),
+                           ("t", 2, [np.inf, 0.0])])
         with pytest.raises(NumericalError, match=r"'t' row 4"):
             sgd_update({"t": table}, grads, lr=0.1)
 
     def test_pad_row_gradient_rejected(self):
-        grads = GradStore()
+        table = EmbeddingTable("t", np.zeros((3, 2)))
         with pytest.raises(ValueError, match="PAD"):
-            grads.add_row("t", PAD_ID, np.ones(2))
+            sgd_update({"t": table}, row_grads([("t", PAD_ID, np.ones(2))]), lr=0.1)
+
+    def test_dense_prefix_gradient_steps_only_its_rows(self):
+        positions = np.arange(12, dtype=float).reshape(6, 2)
+        bias = np.ones(2)
+        dense = {"p.positions": positions, "p.b": bias}
+        grads = Grads({}, {}, {"p.positions": np.ones((2, 2)), "p.b": np.full(2, 2.0)})
+        sgd_update({}, grads, lr=0.5, dense_params=dense)
+        np.testing.assert_array_equal(positions[:2], np.arange(4.0).reshape(2, 2) - 0.5)
+        np.testing.assert_array_equal(positions[2:], np.arange(4.0, 12.0).reshape(4, 2))
+        np.testing.assert_array_equal(bias, [0.0, 0.0])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_rows_whose_sum_overflows_are_named(self):
+        table = EmbeddingTable("t", np.zeros((4, 1)))
+        grads = row_grads([("t", 1, [1.0]), ("t", 3, [1e308]), ("t", 3, [1e308])])
+        with pytest.raises(NumericalError, match=r"'t' row 3"):
+            sgd_update({"t": table}, grads, lr=0.1)
+        np.testing.assert_array_equal(table.values, 0.0)
 
     def test_convex_loss_decreases_monotonically(self):
         """Least squares under fixed lr 0.01 must descend for 100 steps."""
@@ -243,9 +273,8 @@ class TestSgd:
         for _ in range(100):
             residual = design @ table.values[1] - target
             losses.append(0.5 * float(residual @ residual))
-            grads = GradStore()
-            grads.add_row("theta", 1, design.T @ residual)
-            sgd_update({"theta": table}, grads, lr=0.01)
+            sgd_update({"theta": table}, row_grads([("theta", 1, design.T @ residual)]),
+                       lr=0.01)
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
 

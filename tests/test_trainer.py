@@ -4,14 +4,13 @@ task-correlation diagnostic."""
 import numpy as np
 import pytest
 
+from prodkg.attention import sequence_loss_grad
 from prodkg.embeddings import EmbeddingTable, NumericalError
 from prodkg.model import ModelConfig, init_params
 from prodkg.trainer import (
     TaskSpec,
     TrainConfig,
     build_task_specs,
-    pearson,
-    relation_loss,
     sample_task,
     substitution_loss,
     task_correlation,
@@ -68,6 +67,12 @@ class TestSubstitutionLoss:
         forward, _ = substitution_loss((1, 2), tables, negs_a, negs_b)
         backward, _ = substitution_loss((2, 1), tables, negs_b, negs_a)
         assert forward == pytest.approx(backward, abs=1e-12)
+
+
+def relation_loss(example, task, params, negatives):
+    context, target = example
+    return sequence_loss_grad(np.array(context), target, negatives,
+                              params.tables, params.attn[task], task)
 
 
 class TestRelationLoss:
@@ -271,9 +276,6 @@ class TestTaskCorrelation:
         series = {"a": [0.0, 1.0, 3.0, 6.0, 10.0], "b": [0.0, 1.0, 3.0, 6.0, 10.0]}
         rho = task_correlation(self.log_from(series, ["mixed"] * 5))
         assert rho[("a", "b")] is None
-
-    def test_pearson_plain(self):
-        assert pearson([1, 2, 3], [1, 2, 4]) == pytest.approx(9 / np.sqrt(84), abs=1e-9)
 
 
 class TestLearningRateSelection:
