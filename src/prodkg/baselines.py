@@ -5,16 +5,20 @@ distance models (plain, hyperplane-projected, subspace-projected, and
 dynamic rank-1 projections) and four semantic-matching models (bilinear,
 diagonal bilinear, circular correlation, complex-valued bilinear).
 Translational variants train with margin ranking against corrupted
-triples; semantic-matching variants use the logistic loss.  All gradients
-are analytic and covered by finite-difference tests.
+triples; semantic-matching variants use the logistic loss.  Training is
+minibatch SGD: a block of positives and their corruptions is scored in one
+pass, each parameter row takes the sum of its per-triple gradients, and the
+constraint projections run once per block.  All gradients are analytic and
+covered by finite-difference tests.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .embeddings import NumericalError, log_sigmoid, sigmoid
+from .embeddings import Grads, NumericalError, log_sigmoid, row_sums, sigmoid
 from .ranking import rank_candidates
 
 TRANSLATIONAL = ("transE", "transH", "transR", "transD")
@@ -32,7 +36,7 @@ class KgConfig:
     negatives: int = 3
     epochs: int = 100
     patience: int = 5
-    batch_size: int = 64
+    batch_size: int = 32
     seed: int = 7
 
     def __post_init__(self):
@@ -40,12 +44,13 @@ class KgConfig:
             raise ValueError(f"unknown variant {self.variant!r}; choose from {VARIANTS}")
         if self.norm not in ("l1", "l2"):
             raise ValueError("norm must be 'l1' or 'l2'")
-        if self.variant in TRANSLATIONAL and self.margin <= 0:
+        if self.variant in TRANSLATIONAL and not self.margin > 0:
             raise ValueError("margin must be positive for translational variants")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be at least 1")
 
 
-@dataclass
-class Triple:
+class Triple(NamedTuple):
     head: int
     relation: int
     tail: int
@@ -118,14 +123,12 @@ class KgModel:
             w[rel_ids] /= np.linalg.norm(w[rel_ids], axis=-1, keepdims=True)
 
 
-def _norm_and_grad(diff: np.ndarray, norm: str) -> tuple[float, np.ndarray]:
-    """Returns (|diff|, d|diff|/d diff) with a zero gradient at the kink/origin."""
+def _norm_and_grad(diff: np.ndarray, norm: str) -> tuple[np.ndarray, np.ndarray]:
+    """|diff| over the last axis and its gradient, zero at the kink/origin."""
     if norm == "l1":
-        return float(np.abs(diff).sum()), np.sign(diff)
-    value = float(np.linalg.norm(diff))
-    if value == 0.0:
-        return 0.0, np.zeros_like(diff)
-    return value, diff / value
+        return np.abs(diff).sum(axis=-1), np.sign(diff)
+    value = np.linalg.norm(diff, axis=-1)
+    return value, diff / np.where(value == 0.0, 1.0, value)[..., None]
 
 
 def _correlation_index(d: int) -> np.ndarray:
@@ -141,154 +144,138 @@ def circular_correlation(h: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def kg_score(model: KgModel, triple: Triple) -> float:
     """Plausibility score (higher is better) of one triple under the variant."""
-    score, _ = kg_score_grad(model, triple)
-    return score
+    scores, _ = kg_score_grad(model, *np.array([triple], dtype=np.int64).T)
+    return float(scores[0])
 
 
-def kg_score_grad(model: KgModel, triple: Triple) -> tuple[float, dict]:
-    """Score plus gradients keyed by (param_name, index).
+def kg_score_grad(model: KgModel, heads: np.ndarray, relations: np.ndarray,
+                  tails: np.ndarray) -> tuple[np.ndarray, list]:
+    """Scores of the triples (heads[i], relations[i], tails[i]) for index
+    arrays of one shape S, and the gradient of each score.
 
-    Matrix-valued parameters (per-relation projection/bilinear matrices)
-    carry matrix-shaped gradients under their relation index.
+    The gradients are a list of (param_name, row ids, gradient rows): the
+    ids have shape S and the gradients shape S plus the parameter's row
+    shape (a vector, or a matrix for the per-relation projection and
+    bilinear matrices).  A parameter may appear twice (head and tail rows).
     """
-    h_i, r_i, t_i = triple.head, triple.relation, triple.tail
     p = model.params
-    h, r, t = p["ent"][h_i], p["rel"][r_i], p["ent"][t_i]
+    h, r, t = p["ent"][heads], p["rel"][relations], p["ent"][tails]
     norm = model.config.norm
-    grads: dict[tuple, np.ndarray] = {}
-
-    def add(name, idx, grad):
-        key = (name, idx)
-        grads[key] = grads.get(key, 0.0) + grad
-
     variant = model.variant
     if variant == "transE":
         value, g = _norm_and_grad(h + r - t, norm)
-        score = -value
-        add("ent", h_i, -g)
-        add("rel", r_i, -g)
-        add("ent", t_i, g)
-    elif variant == "transH":
-        w = p["w"][r_i]
-        h_p = h - (w @ h) * w
-        t_p = t - (w @ t) * w
-        value, g = _norm_and_grad(h_p + r - t_p, norm)
-        score = -value
+        return -value, [("ent", heads, -g), ("rel", relations, -g), ("ent", tails, g)]
+    if variant == "transH":
+        w = p["w"][relations]
+        wh, wt = (w * h).sum(-1, keepdims=True), (w * t).sum(-1, keepdims=True)
+        value, g = _norm_and_grad((h - wh * w) + r - (t - wt * w), norm)
         g = -g  # gradient of score = -|.|
-        add("ent", h_i, g - (w @ g) * w)
-        add("ent", t_i, -(g - (w @ g) * w))
-        add("rel", r_i, g)
-        add("w", r_i, -((g @ w) * h + (w @ h) * g) + ((g @ w) * t + (w @ t) * g))
-    elif variant == "transR":
-        m = p["proj"][r_i]
-        value, g = _norm_and_grad(m @ h + r - m @ t, norm)
-        score = -value
+        gw = (g * w).sum(-1, keepdims=True)
+        return -value, [("ent", heads, g - gw * w), ("ent", tails, -(g - gw * w)),
+                        ("rel", relations, g),
+                        ("w", relations, -(gw * h + wh * g) + (gw * t + wt * g))]
+    if variant == "transR":
+        m = p["proj"][relations]
+        value, g = _norm_and_grad(np.einsum("...ij,...j->...i", m, h - t) + r, norm)
         g = -g
-        add("ent", h_i, m.T @ g)
-        add("ent", t_i, -(m.T @ g))
-        add("rel", r_i, g)
-        add("proj", r_i, np.outer(g, h - t))
-    elif variant == "transD":
-        h_v, t_v = p["ent_p"][h_i], p["ent_p"][t_i]
-        r_v = p["rel_p"][r_i]
-        h_p = h + (h_v @ h) * r_v
-        t_p = t + (t_v @ t) * r_v
-        value, g = _norm_and_grad(h_p + r - t_p, norm)
-        score = -value
+        mg = np.einsum("...ji,...j->...i", m, g)
+        return -value, [("ent", heads, mg), ("ent", tails, -mg), ("rel", relations, g),
+                        ("proj", relations, g[..., :, None] * (h - t)[..., None, :])]
+    if variant == "transD":
+        h_v, t_v = p["ent_p"][heads], p["ent_p"][tails]
+        r_v = p["rel_p"][relations]
+        hh, tt = (h_v * h).sum(-1, keepdims=True), (t_v * t).sum(-1, keepdims=True)
+        value, g = _norm_and_grad((h + hh * r_v) + r - (t + tt * r_v), norm)
         g = -g
-        gr = g @ r_v
-        add("ent", h_i, g + gr * h_v)
-        add("ent_p", h_i, gr * h)
-        add("ent", t_i, -(g + gr * t_v))
-        add("ent_p", t_i, -gr * t)
-        add("rel", r_i, g)
-        add("rel_p", r_i, (h_v @ h) * g - (t_v @ t) * g)
-    elif variant == "rescal":
-        m = p["m"][r_i]
-        score = float(h @ m @ t)
-        add("ent", h_i, m @ t)
-        add("ent", t_i, m.T @ h)
-        add("m", r_i, np.outer(h, t))
-    elif variant == "distmult":
-        score = float(np.sum(h * r * t))
-        add("ent", h_i, r * t)
-        add("ent", t_i, h * r)
-        add("rel", r_i, h * t)
-    elif variant == "hole":
-        d = h.shape[0]
-        idx = _correlation_index(d)
-        corr = t[idx] @ h
-        score = float(r @ corr)
-        add("rel", r_i, corr)
+        gr = (g * r_v).sum(-1, keepdims=True)
+        return -value, [("ent", heads, g + gr * h_v), ("ent_p", heads, gr * h),
+                        ("ent", tails, -(g + gr * t_v)), ("ent_p", tails, -gr * t),
+                        ("rel", relations, g), ("rel_p", relations, hh * g - tt * g)]
+    if variant == "rescal":
+        m = p["m"][relations]
+        m_t = np.einsum("...ij,...j->...i", m, t)
+        return (h * m_t).sum(-1), [("ent", heads, m_t),
+                                   ("ent", tails, np.einsum("...ij,...i->...j", m, h)),
+                                   ("m", relations, h[..., :, None] * t[..., None, :])]
+    if variant == "distmult":
+        return (h * r * t).sum(-1), [("ent", heads, r * t), ("ent", tails, h * r),
+                                     ("rel", relations, h * t)]
+    if variant == "hole":
+        d = h.shape[-1]
+        t_shift = t[..., _correlation_index(d)]
+        corr = np.einsum("...ki,...i->...k", t_shift, h)
         # d score / d h_i = sum_k r_k t_(i+k)  ;  d score / d t_j = sum_k r_k h_(j-k)
-        add("ent", h_i, r @ t[idx])
-        add("ent", t_i, h[(np.arange(d)[:, None] - np.arange(d)[None, :]) % d] @ r)
-    elif variant == "complex":
-        h_im, t_im = p["ent_im"][h_i], p["ent_im"][t_i]
-        r_im = p["rel_im"][r_i]
-        score = float(np.sum((h * r - h_im * r_im) * t + (h * r_im + h_im * r) * t_im))
-        add("ent", h_i, r * t + r_im * t_im)
-        add("ent_im", h_i, -r_im * t + r * t_im)
-        add("rel", r_i, h * t + h_im * t_im)
-        add("rel_im", r_i, -h_im * t + h * t_im)
-        add("ent", t_i, h * r - h_im * r_im)
-        add("ent_im", t_i, h * r_im + h_im * r)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    return score, grads
+        h_shift = h[..., (np.arange(d)[:, None] - np.arange(d)[None, :]) % d]
+        return (r * corr).sum(-1), [("rel", relations, corr),
+                                    ("ent", heads, np.einsum("...k,...ki->...i", r, t_shift)),
+                                    ("ent", tails, np.einsum("...jk,...k->...j", h_shift, r))]
+    if variant == "complex":
+        h_im, t_im = p["ent_im"][heads], p["ent_im"][tails]
+        r_im = p["rel_im"][relations]
+        score = ((h * r - h_im * r_im) * t + (h * r_im + h_im * r) * t_im).sum(-1)
+        return score, [("ent", heads, r * t + r_im * t_im),
+                       ("ent_im", heads, -r_im * t + r * t_im),
+                       ("rel", relations, h * t + h_im * t_im),
+                       ("rel_im", relations, -h_im * t + h * t_im),
+                       ("ent", tails, h * r - h_im * r_im),
+                       ("ent_im", tails, h * r_im + h_im * r)]
+    raise ValueError(f"unknown variant {variant!r}")
 
 
-def margin_loss(model: KgModel, positive: Triple, negatives: list[Triple],
-                gamma: float | None = None) -> tuple[float, dict]:
-    """Ranking loss of one positive against its corrupted triples.
+def margin_loss(model: KgModel, heads: np.ndarray, relations: np.ndarray, tails: np.ndarray,
+                gamma: float | None = None) -> tuple[float, Grads]:
+    """Summed ranking loss of B positives against their corrupted triples,
+    scored in one pass over the (B, 1 + N) ``heads`` and ``tails`` blocks that
+    :func:`corrupt` returns (column 0 the positives, all on ``relations``).
 
     Translational variants use the hinge sum(max(0, gamma - s_pos + s_neg));
-    semantic-matching variants use -log s(s_pos) - sum log s(-s_neg).
-    Returns (loss, gradient dict keyed like :func:`kg_score_grad`).
+    semantic-matching variants use -log s(s_pos) - sum log s(-s_neg).  Returns
+    the loss and, per parameter, the gradient rows of every triple whose loss
+    term has a nonzero gradient.
     """
-    grads: dict[tuple, np.ndarray] = {}
-
-    def accumulate(src: dict, factor: float):
-        for key, grad in src.items():
-            grads[key] = grads.get(key, 0.0) + factor * grad
-
-    score_pos, grad_pos = kg_score_grad(model, positive)
+    scores, parts = kg_score_grad(model, heads, np.broadcast_to(relations[:, None], heads.shape),
+                                  tails)
+    pos, neg = scores[:, :1], scores[:, 1:]
     if model.variant in TRANSLATIONAL:
         gamma = model.config.margin if gamma is None else gamma
         if gamma <= 0:
             raise ValueError("margin must be positive")
-        loss = 0.0
-        for neg in negatives:
-            score_neg, grad_neg = kg_score_grad(model, neg)
-            hinge = gamma - score_pos + score_neg
-            if hinge > 0:
-                loss += hinge
-                accumulate(grad_pos, -1.0)
-                accumulate(grad_neg, 1.0)
+        hinge = gamma - pos + neg
+        active = hinge > 0
+        loss = hinge[active].sum()
+        # d loss / d score: -1 per active hinge for the positive, +1 for the negative
+        coeff = np.concatenate((-active.sum(axis=1, keepdims=True), active), axis=1)
     else:
-        loss = -log_sigmoid(score_pos)
-        accumulate(grad_pos, -sigmoid(-score_pos))
-        for neg in negatives:
-            score_neg, grad_neg = kg_score_grad(model, neg)
-            loss -= log_sigmoid(-score_neg)
-            accumulate(grad_neg, sigmoid(score_neg))
+        loss = -log_sigmoid(pos).sum() - log_sigmoid(-neg).sum()
+        coeff = np.concatenate((-sigmoid(-pos), sigmoid(neg)), axis=1)
     if not np.isfinite(loss):
         raise NumericalError(f"non-finite {model.variant} loss")
-    return float(loss), grads
+    keep = coeff != 0
+    if not keep.any():
+        return float(loss), Grads({}, {}, {})
+    factor = coeff[keep].astype(float)
+    rows: dict[str, list] = {}
+    row_grads: dict[str, list] = {}
+    for name, ids, grad in parts:
+        rows.setdefault(name, []).append(ids[keep])
+        row_grads.setdefault(name, []).append((grad[keep].T * factor).T)  # one factor per row
+    return float(loss), Grads({name: np.concatenate(ids) for name, ids in rows.items()},
+                              {name: np.concatenate(grads) for name, grads in row_grads.items()},
+                              {})
 
 
-def apply_grads(model: KgModel, grads: dict, lr: float) -> tuple[np.ndarray, np.ndarray]:
-    """In-place SGD step; returns the touched (entity_ids, relation_ids)."""
-    ent_ids, rel_ids = [], []
-    for (name, idx), grad in grads.items():
-        if not np.all(np.isfinite(grad)):
-            raise NumericalError(f"non-finite gradient for {name}[{idx}]")
-        model.params[name][idx] -= lr * grad
-        if name.startswith("ent"):
-            ent_ids.append(idx)
-        else:
-            rel_ids.append(idx)
-    return np.array(ent_ids, dtype=np.int64), np.array(rel_ids, dtype=np.int64)
+def apply_grads(model: KgModel, grads: Grads, lr: float) -> tuple[np.ndarray, np.ndarray]:
+    """In-place SGD step: each parameter row takes the sum of its emitted
+    gradients at rate ``lr``.  Returns the touched (entity_ids, relation_ids)."""
+    ent_ids, rel_ids = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for name, ids in grads.rows.items():
+        unique, summed = row_sums(ids, grads.row_grads[name])
+        finite = np.isfinite(summed).all(axis=tuple(range(1, summed.ndim)))
+        if not finite.all():
+            raise NumericalError(f"non-finite gradient for {name}[{unique[np.argmin(finite)]}]")
+        model.params[name][unique] -= lr * summed
+        (ent_ids if name.startswith("ent") else rel_ids).append(unique)
+    return np.concatenate(ent_ids), np.concatenate(rel_ids)
 
 
 def head_parts(model: KgModel, entities) -> dict:
@@ -350,22 +337,26 @@ def score_tails(model: KgModel, head: dict, relation: int,
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def corrupt(triple: Triple, n_entities: int, rng: np.random.Generator,
-            entity_pool: np.ndarray | None = None) -> Triple:
-    """Replace head or tail (uniform coin) with a random entity."""
-    pool_size = n_entities if entity_pool is None else entity_pool.shape[0]
+def corrupt(heads: np.ndarray, tails: np.ndarray, negatives: int,
+            rng: np.random.Generator, pool: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(B, 1 + negatives) heads and tails: column 0 the B positives, then
+    their corruptions.
 
-    def draw(avoid):
-        for _ in range(16):
-            pick = int(rng.integers(pool_size))
-            value = pick if entity_pool is None else int(entity_pool[pick])
-            if value != avoid:
-                return value
-        return value
-
-    if rng.random() < 0.5:
-        return Triple(draw(triple.head), triple.relation, triple.tail)
-    return Triple(triple.head, triple.relation, draw(triple.tail))
+    A fair coin per negative picks the side to replace; the replacement is
+    uniform over the sorted, distinct ``pool`` with the replaced entity left
+    out (draw from one slot fewer and skip that entity's slot), so it never
+    comes back while the pool has two members or more.
+    """
+    if pool.size < 2:
+        raise ValueError("corruption needs a pool of at least two entities")
+    replace_head = rng.random((heads.shape[0], negatives)) < 0.5
+    replaced = np.where(replace_head, heads[:, None], tails[:, None])
+    slot = np.searchsorted(pool, replaced)
+    in_pool = pool[np.minimum(slot, pool.size - 1)] == replaced
+    draw = rng.integers(pool.size - in_pool)
+    picked = pool[draw + (in_pool & (draw >= slot))]
+    return (np.hstack((heads[:, None], np.where(replace_head, picked, heads[:, None]))),
+            np.hstack((tails[:, None], np.where(replace_head, tails[:, None], picked))))
 
 
 def hit_at_k(model: KgModel, triples: list[Triple], k: int = 10,
@@ -384,34 +375,38 @@ def hit_at_k(model: KgModel, triples: list[Triple], k: int = 10,
 
 def train_kg(
     model: KgModel,
-    triples: list[Triple],
+    triples: np.ndarray | list[Triple],
     validation: list[Triple] | None = None,
     candidates: np.ndarray | None = None,
     epochs: int | None = None,
     log: list | None = None,
 ) -> KgModel:
-    """Margin/logistic SGD with per-triple corruption and early stopping.
+    """Minibatch margin/logistic SGD with early stopping.
 
-    Shuffles triples each epoch, corrupts ``config.negatives`` entities per
-    positive, applies the step and re-runs constraint projections.  With a
-    validation set, stops once HIT@10 fails to improve for ``patience``
-    epochs and returns the best snapshot; otherwise runs all epochs.
+    ``triples`` holds Triples or (n, 3) rows.  Each epoch shuffles them and
+    walks them in blocks of ``config.batch_size``: one :func:`corrupt` call
+    draws ``config.negatives`` corruptions per positive from ``candidates``
+    (every entity by default), every row takes the sum of its per-triple
+    gradients at ``config.lr``, and the constraint projections run once on
+    the touched rows.  With a validation set, stops once HIT@10 fails to
+    improve for ``patience`` epochs and returns the best snapshot; otherwise
+    runs all epochs.
     """
     config = model.config
     epochs = config.epochs if epochs is None else epochs
     rng = np.random.default_rng(config.seed + 1)
-    pool = candidates if candidates is not None else None
+    pool = np.arange(model.n_entities) if candidates is None else np.unique(candidates)
+    triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
     best = model.copy()
     best_metric = -np.inf
     stale = 0
     for epoch in range(epochs):
         order = rng.permutation(len(triples))
-        for idx in order:
-            positive = triples[idx]
-            negatives = [corrupt(positive, model.n_entities, rng, pool)
-                         for _ in range(config.negatives)]
-            loss, grads = margin_loss(model, positive, negatives)
-            if grads:
+        for start in range(0, len(order), config.batch_size):
+            heads, relations, tails = triples[order[start:start + config.batch_size]].T
+            heads, tails = corrupt(heads, tails, config.negatives, rng, pool)
+            _loss, grads = margin_loss(model, heads, relations, tails)
+            if grads.rows:
                 ent_ids, rel_ids = apply_grads(model, grads, config.lr)
                 model.enforce_constraints(ent_ids, rel_ids)
         if validation is not None:
@@ -470,11 +465,10 @@ class KgSpace:
         return np.arange(self.n_items - 1)
 
 
-def graph_triples(edges_by_relation: dict, space: KgSpace) -> list[Triple]:
-    """Convert relation-graph item edges to triples in the shared space."""
-    out = []
-    for relation in sorted(edges_by_relation):
-        rel = space.relation_index(relation)
-        for head, tail in edges_by_relation[relation]:
-            out.append(Triple(space.item(head), rel, space.item(tail)))
-    return out
+def graph_triples(edges_by_relation: dict, space: KgSpace) -> np.ndarray:
+    """(n, 3) int64 (head, relation, tail) rows of relation-graph item edges
+    in the shared space, relations in name order."""
+    rows = [(space.item(head), space.relation_index(relation), space.item(tail))
+            for relation in sorted(edges_by_relation)
+            for head, tail in edges_by_relation[relation]]
+    return np.array(rows, dtype=np.int64).reshape(-1, 3)

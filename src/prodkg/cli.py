@@ -127,6 +127,8 @@ KEYS: dict[str, dict] = {
 RANGES: dict[str, dict] = {
     "build-prg": {"k": (1, True), "p": (0, False), "q": (0, False)},
     "train": {"batch": (1, True), "negatives": (1, True)},
+    "train-baseline": {"dim": (1, True), "lr": (0, False), "negatives": (1, True),
+                       "epochs": (1, True)},
 }
 
 
@@ -373,18 +375,21 @@ def cmd_train(config: dict) -> int:
 
 
 def cmd_train_baseline(config: dict) -> int:
+    try:
+        kg_config = KgConfig(variant=config["variant"], dim=config["dim"], lr=config["lr"],
+                             margin=config["margin"], norm=config["norm"],
+                             epochs=config["epochs"], negatives=config["negatives"],
+                             seed=config["seed"])
+    except ValueError as err:
+        raise UsageError(str(err)) from None
     state = _run_dir_state(config["run"])
-    pl.load_graph_splits(state, os.path.join(config["run"], "prg"))
-    kg_config = KgConfig(variant=config["variant"], dim=config["dim"], lr=config["lr"],
-                         margin=config["margin"], norm=config["norm"],
-                         epochs=config["epochs"], negatives=config["negatives"],
-                         seed=config["seed"])
-    model, space = pl.train_prg_baseline(state, config=kg_config)
+    prg_hash = pl.load_graph_splits(state, os.path.join(config["run"], "prg"))
+    model, _space = pl.train_prg_baseline(state, config=kg_config)
     out = config["out"]
     os.makedirs(out, exist_ok=True)
     np.savez(os.path.join(out, f"kg_{config['variant']}.npz"),
              **{name: value for name, value in model.params.items()})
-    write_manifest(out, "train-baseline", config, [config["run"]])
+    write_manifest(out, "train-baseline", config, [config["run"]], prg_config_hash=prg_hash)
     print(f"trained {config['variant']} on PRG triples; model in {out}/")
     return 0
 

@@ -11,6 +11,7 @@ sampled estimators are tested.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -245,6 +246,22 @@ def sampled_softmax_loss_grad(
     return float(loss), grad_query, rows, np.outer(coeffs, query)
 
 
+def row_sums(rows: np.ndarray, row_grads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ids in order of first emission and the sum of each id's
+    gradient rows (vectors or matrices), added left to right, bit for bit as
+    a Python loop would."""
+    slot_of: dict = {}
+    slot = np.array([slot_of.setdefault(row, len(slot_of)) for row in rows.tolist()],
+                    dtype=np.int64)
+    unique = np.fromiter(slot_of, dtype=np.int64, count=len(slot_of))
+    shape = row_grads.shape[1:]
+    width = math.prod(shape)
+    # bincount adds the weights of one cell in array order
+    cells = (slot[:, None] * width + np.arange(width)).ravel()
+    summed = np.bincount(cells, weights=row_grads.ravel(), minlength=unique.size * width)
+    return unique, summed.reshape((unique.size, *shape))
+
+
 def sgd_update(tables: dict[str, EmbeddingTable], grads: Grads, lr: float,
                dense_params: dict[str, np.ndarray] | None = None) -> None:
     """Apply one plain gradient step in place.
@@ -263,18 +280,9 @@ def sgd_update(tables: dict[str, EmbeddingTable], grads: Grads, lr: float,
             raise ValueError(
                 f"table {table_name!r} has geometry {table.geometry!r}; use the Riemannian update"
             )
-        # each row's slot is its id's place in order of first emission
-        slot_of: dict = {}
-        slot = np.array([slot_of.setdefault(row, len(slot_of)) for row in rows.tolist()],
-                        dtype=np.int64)
-        if PAD_ID in slot_of:
+        unique, summed = row_sums(rows, grads.row_grads[table_name])
+        if PAD_ID in unique.tolist():  # a list scan: cheaper than numpy's on a few ids
             raise ValueError(f"gradient routed to PAD row of table {table_name!r}")
-        unique = np.fromiter(slot_of, dtype=np.int64, count=len(slot_of))
-        # bincount adds the weights of one cell in array order, so a repeated
-        # id sums left to right, bit for bit as a Python loop would
-        cells = (slot[:, None] * table.dim + np.arange(table.dim)).ravel()
-        summed = np.bincount(cells, weights=grads.row_grads[table_name].ravel(),
-                             minlength=unique.size * table.dim).reshape(unique.size, table.dim)
         finite = np.isfinite(summed).all(axis=1)
         if not finite.all():
             bad = unique[int(np.argmin(finite))]

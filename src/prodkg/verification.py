@@ -9,11 +9,12 @@ meaningless.
 from __future__ import annotations
 
 import zlib
+from dataclasses import replace
 
 import numpy as np
 
 from .attention import AttentionParams, sequence_loss_grad
-from .baselines import TRANSLATIONAL, VARIANTS, KgConfig, KgModel, Triple, kg_score_grad, margin_loss
+from .baselines import TRANSLATIONAL, VARIANTS, KgConfig, KgModel, kg_score_grad, margin_loss
 from .embeddings import EmbeddingTable, sampled_softmax_loss_grad, softmax_full_loss_grad
 from .gradcheck import GradCheckReport, grad_check
 from .poincare import hierarchy_loss_grad, isa_loss
@@ -146,45 +147,38 @@ def _scaled_model(variant: str, norm: str, seed: int, scale: float = 0.15) -> Kg
     return model
 
 
-def _kink_free(model: KgModel, positive: Triple, negatives: list[Triple],
-               eps: float) -> bool:
-    """True when no |.| coordinate or hinge activation sits within the probe step."""
+def _kink_free(model: KgModel, block: tuple, eps: float) -> bool:
+    """True when no |.| coordinate or hinge activation of the block's
+    positives and negatives sits within the probe step."""
     if model.variant not in TRANSLATIONAL:
         return True
-    margin = model.config.margin
-    score_pos, _ = kg_score_grad(model, positive)
+    heads, relations, tails = block
+    relations = np.broadcast_to(relations[:, None], heads.shape)
     guard = 50 * eps
-    for triple in [positive] + negatives:
-        p = model.params
-        h, r, t = p["ent"][triple.head], p["rel"][triple.relation], p["ent"][triple.tail]
-        if model.variant == "transE":
-            diff = h + r - t
-        elif model.variant == "transH":
-            w = p["w"][triple.relation]
-            diff = (h - (w @ h) * w) + r - (t - (w @ t) * w)
-        elif model.variant == "transR":
-            m = p["proj"][triple.relation]
-            diff = m @ h + r - m @ t
-        else:
-            h_p = h + (p["ent_p"][triple.head] @ h) * p["rel_p"][triple.relation]
-            t_p = t + (p["ent_p"][triple.tail] @ t) * p["rel_p"][triple.relation]
-            diff = h_p + r - t_p
-        if model.config.norm == "l1" and np.min(np.abs(diff)) < guard:
-            return False
-        if triple is not positive:
-            score_neg, _ = kg_score_grad(model, triple)
-            if abs(margin - score_pos + score_neg) < guard:
-                return False
-    return True
+    scores, _ = kg_score_grad(model, heads, relations, tails)
+    if np.min(np.abs(model.config.margin - scores[:, :1] + scores[:, 1:])) < guard:
+        return False
+    if model.config.norm == "l2":
+        return True
+    twin = model.copy()
+    twin.config = replace(model.config, norm="l2")
+    l2_scores, parts = kg_score_grad(twin, heads, relations, tails)
+    # every translational score is -|diff| with diff = h_p + r - t_p, so under
+    # l2 the relation row's gradient -diff / |diff| times the score is diff
+    diff = next(grad for name, _ids, grad in parts if name == "rel") * l2_scores[..., None]
+    return bool(np.min(np.abs(diff)) >= guard)
 
 
 def _check_kg(variant: str, norm: str, rng: np.random.Generator, eps: float) -> GradCheckReport:
-    positive = Triple(1, 0, 4)
-    negatives = [Triple(1, 0, 5), Triple(2, 0, 4), Triple(6, 0, 3)]
+    # four positives (column 0; the first repeats) with three negatives each;
+    # entities 1, 2 and 4 recur across rows, so their gradient rows are summed
+    block = (np.array([[1, 1, 2, 1], [4, 4, 6, 4], [2, 2, 7, 2], [1, 3, 1, 1]]),
+             np.array([0, 1, 0, 0]),
+             np.array([[4, 5, 4, 2], [2, 1, 2, 7], [1, 4, 1, 6], [4, 4, 6, 1]]))
     seed = int(rng.integers(1 << 30))
     model = _scaled_model(variant, norm, seed)
     for attempt in range(64):
-        if _kink_free(model, positive, negatives, eps):
+        if _kink_free(model, block, eps):
             break
         model = _scaled_model(variant, norm, seed + attempt + 1)
     names = list(model.params)
@@ -192,11 +186,9 @@ def _check_kg(variant: str, norm: str, rng: np.random.Generator, eps: float) -> 
     def loss_fn(p):
         for name in names:
             model.params[name][...] = p[name]
-        loss, grads = margin_loss(model, positive, negatives)
-        out = {name: np.zeros_like(model.params[name]) for name in names}
-        for (name, idx), grad in grads.items():
-            out[name][idx] += grad
-        return loss, out
+        loss, grads = margin_loss(model, *block)
+        return loss, {name: _dense(p[name], rows, grads.row_grads[name])
+                      for name, rows in grads.rows.items()}
 
     point = {name: model.params[name].copy() for name in names}
     return grad_check(loss_fn, point, eps=eps, max_coords_per_param=40)

@@ -4,11 +4,16 @@ import numpy as np
 import pytest
 
 from prodkg.baselines import (
+    TRANSLATIONAL,
+    VARIANTS,
     KgConfig,
     KgModel,
     KgSpace,
     Triple,
+    apply_grads,
     circular_correlation,
+    corrupt,
+    graph_triples,
     head_parts,
     hit_at_k,
     kg_score,
@@ -16,7 +21,157 @@ from prodkg.baselines import (
     score_tails,
     train_kg,
 )
+from prodkg.embeddings import NumericalError, log_sigmoid, sigmoid
 from prodkg.verification import run_gradient_sweep
+
+VARIANT_NORMS = [(v, n) for v in VARIANTS for n in (("l2", "l1") if v in TRANSLATIONAL else ("l2",))]
+
+# --- frozen per-triple training step ------------------------------------------------
+# The dict-of-(name, index) gradient path that the minibatch step replaced:
+# one triple's score and gradients, one positive's loss against its
+# negatives, and the per-key SGD step, verbatim.  The batched step must match
+# it to 1e-12.
+
+
+def _frozen_norm_and_grad(diff, norm):
+    if norm == "l1":
+        return float(np.abs(diff).sum()), np.sign(diff)
+    value = float(np.linalg.norm(diff))
+    if value == 0.0:
+        return 0.0, np.zeros_like(diff)
+    return value, diff / value
+
+
+def _frozen_kg_score_grad(model, triple):
+    h_i, r_i, t_i = triple.head, triple.relation, triple.tail
+    p = model.params
+    h, r, t = p["ent"][h_i], p["rel"][r_i], p["ent"][t_i]
+    norm = model.config.norm
+    grads = {}
+
+    def add(name, idx, grad):
+        key = (name, idx)
+        grads[key] = grads.get(key, 0.0) + grad
+
+    variant = model.variant
+    if variant == "transE":
+        value, g = _frozen_norm_and_grad(h + r - t, norm)
+        score = -value
+        add("ent", h_i, -g)
+        add("rel", r_i, -g)
+        add("ent", t_i, g)
+    elif variant == "transH":
+        w = p["w"][r_i]
+        h_p = h - (w @ h) * w
+        t_p = t - (w @ t) * w
+        value, g = _frozen_norm_and_grad(h_p + r - t_p, norm)
+        score = -value
+        g = -g  # gradient of score = -|.|
+        add("ent", h_i, g - (w @ g) * w)
+        add("ent", t_i, -(g - (w @ g) * w))
+        add("rel", r_i, g)
+        add("w", r_i, -((g @ w) * h + (w @ h) * g) + ((g @ w) * t + (w @ t) * g))
+    elif variant == "transR":
+        m = p["proj"][r_i]
+        value, g = _frozen_norm_and_grad(m @ h + r - m @ t, norm)
+        score = -value
+        g = -g
+        add("ent", h_i, m.T @ g)
+        add("ent", t_i, -(m.T @ g))
+        add("rel", r_i, g)
+        add("proj", r_i, np.outer(g, h - t))
+    elif variant == "transD":
+        h_v, t_v = p["ent_p"][h_i], p["ent_p"][t_i]
+        r_v = p["rel_p"][r_i]
+        h_p = h + (h_v @ h) * r_v
+        t_p = t + (t_v @ t) * r_v
+        value, g = _frozen_norm_and_grad(h_p + r - t_p, norm)
+        score = -value
+        g = -g
+        gr = g @ r_v
+        add("ent", h_i, g + gr * h_v)
+        add("ent_p", h_i, gr * h)
+        add("ent", t_i, -(g + gr * t_v))
+        add("ent_p", t_i, -gr * t)
+        add("rel", r_i, g)
+        add("rel_p", r_i, (h_v @ h) * g - (t_v @ t) * g)
+    elif variant == "rescal":
+        m = p["m"][r_i]
+        score = float(h @ m @ t)
+        add("ent", h_i, m @ t)
+        add("ent", t_i, m.T @ h)
+        add("m", r_i, np.outer(h, t))
+    elif variant == "distmult":
+        score = float(np.sum(h * r * t))
+        add("ent", h_i, r * t)
+        add("ent", t_i, h * r)
+        add("rel", r_i, h * t)
+    elif variant == "hole":
+        d = h.shape[0]
+        idx = (np.arange(d)[None, :] + np.arange(d)[:, None]) % d
+        corr = t[idx] @ h
+        score = float(r @ corr)
+        add("rel", r_i, corr)
+        add("ent", h_i, r @ t[idx])
+        add("ent", t_i, h[(np.arange(d)[:, None] - np.arange(d)[None, :]) % d] @ r)
+    elif variant == "complex":
+        h_im, t_im = p["ent_im"][h_i], p["ent_im"][t_i]
+        r_im = p["rel_im"][r_i]
+        score = float(np.sum((h * r - h_im * r_im) * t + (h * r_im + h_im * r) * t_im))
+        add("ent", h_i, r * t + r_im * t_im)
+        add("ent_im", h_i, -r_im * t + r * t_im)
+        add("rel", r_i, h * t + h_im * t_im)
+        add("rel_im", r_i, -h_im * t + h * t_im)
+        add("ent", t_i, h * r - h_im * r_im)
+        add("ent_im", t_i, h * r_im + h_im * r)
+    else:
+        raise ValueError(f"unknown variant {variant!r}")
+    return score, grads
+
+
+def _frozen_margin_loss(model, positive, negatives, gamma=None):
+    grads = {}
+
+    def accumulate(src, factor):
+        for key, grad in src.items():
+            grads[key] = grads.get(key, 0.0) + factor * grad
+
+    score_pos, grad_pos = _frozen_kg_score_grad(model, positive)
+    if model.variant in TRANSLATIONAL:
+        gamma = model.config.margin if gamma is None else gamma
+        if gamma <= 0:
+            raise ValueError("margin must be positive")
+        loss = 0.0
+        for neg in negatives:
+            score_neg, grad_neg = _frozen_kg_score_grad(model, neg)
+            hinge = gamma - score_pos + score_neg
+            if hinge > 0:
+                loss += hinge
+                accumulate(grad_pos, -1.0)
+                accumulate(grad_neg, 1.0)
+    else:
+        loss = -log_sigmoid(score_pos)
+        accumulate(grad_pos, -sigmoid(-score_pos))
+        for neg in negatives:
+            score_neg, grad_neg = _frozen_kg_score_grad(model, neg)
+            loss -= log_sigmoid(-score_neg)
+            accumulate(grad_neg, sigmoid(score_neg))
+    if not np.isfinite(loss):
+        raise NumericalError(f"non-finite {model.variant} loss")
+    return float(loss), grads
+
+
+def _frozen_apply_grads(model, grads, lr):
+    ent_ids, rel_ids = [], []
+    for (name, idx), grad in grads.items():
+        if not np.all(np.isfinite(grad)):
+            raise NumericalError(f"non-finite gradient for {name}[{idx}]")
+        model.params[name][idx] -= lr * grad
+        if name.startswith("ent"):
+            ent_ids.append(idx)
+        else:
+            rel_ids.append(idx)
+    return np.array(ent_ids, dtype=np.int64), np.array(rel_ids, dtype=np.int64)
 
 # --- frozen two-scorer reference ----------------------------------------------------
 # The entity-head and averaged-query tail scorers that the one head-part
@@ -223,6 +378,12 @@ class TestScores:
         with pytest.raises(ValueError, match="unknown variant"):
             KgConfig(variant="bogus")
 
+    def test_nan_margin_and_empty_batch_rejected(self):
+        with pytest.raises(ValueError, match="margin"):
+            KgConfig(variant="transE", margin=float("nan"))
+        with pytest.raises(ValueError, match="batch_size"):
+            KgConfig(batch_size=0)
+
 
 class TestHole:
     def test_matches_double_loop_oracle(self):
@@ -246,6 +407,29 @@ class TestHole:
             float(r @ circular_correlation(h, t)), abs=1e-10)
 
 
+def as_block(positives, negatives):
+    """margin_loss's (heads, relations, tails) for Triples and, per positive,
+    its negative Triples."""
+    block = np.concatenate((np.array(positives, dtype=np.int64)[:, None],
+                            np.array(negatives, dtype=np.int64)), axis=1)
+    assert np.all(block[..., 1] == block[:, :1, 1])
+    return block[..., 0], block[:, 0, 1], block[..., 2]
+
+
+def dense_grads(model, grads):
+    out = {name: np.zeros_like(value) for name, value in model.params.items()}
+    for name, rows in grads.rows.items():
+        np.add.at(out[name], rows, grads.row_grads[name])
+    return out
+
+
+def frozen_dense_grads(model, grads):
+    out = {name: np.zeros_like(value) for name, value in model.params.items()}
+    for (name, idx), grad in grads.items():
+        out[name][idx] += grad
+    return out
+
+
 class TestMarginLoss:
     def test_hinge_dead_zone(self):
         model = model_with("transE", {}, dim=2)
@@ -253,28 +437,154 @@ class TestMarginLoss:
         model.params["ent"][2] = [0.0, 1.0]
         model.params["ent"][3] = [9.0, 9.0]
         model.params["rel"][0] = [0.0, 1.0]  # pos score 0, neg score very negative
-        loss, grads = margin_loss(model, Triple(1, 0, 2), [Triple(1, 0, 3)], gamma=1.0)
+        loss, grads = margin_loss(model, *as_block([Triple(1, 0, 2)], [[Triple(1, 0, 3)]]),
+                                  gamma=1.0)
         assert loss == 0.0
-        assert grads == {}
+        assert grads.rows == {}
 
     def test_equal_scores_cost_margin_each(self):
         model = model_with("transE", {}, dim=2)
         model.params["ent"][1:4] = 0.0
         model.params["rel"][0] = 0.0
         negatives = [Triple(1, 0, 3), Triple(2, 0, 2)]
-        loss, _ = margin_loss(model, Triple(1, 0, 2), negatives, gamma=1.0)
+        loss, _ = margin_loss(model, *as_block([Triple(1, 0, 2)], [negatives]), gamma=1.0)
         assert loss == pytest.approx(len(negatives) * 1.0)
 
     def test_nonpositive_margin_rejected(self):
         model = model_with("transE", {}, dim=2)
         with pytest.raises(ValueError, match="margin"):
-            margin_loss(model, Triple(1, 0, 2), [Triple(1, 0, 3)], gamma=0.0)
+            margin_loss(model, *as_block([Triple(1, 0, 2)], [[Triple(1, 0, 3)]]), gamma=0.0)
 
     def test_all_variants_pass_gradient_check(self):
         reports = run_gradient_sweep(points=1, include_kg=True)
         for name, report in reports:
             if name.startswith("kg:"):
                 assert report.max_rel_error < 1e-4, f"{name}: {report.summary()}"
+
+    def test_non_finite_loss_and_gradient_raise(self):
+        model = model_with("distmult", {}, dim=2)
+        model.params["ent"][1] = [np.inf, 0.0]
+        with pytest.raises(NumericalError, match="non-finite distmult loss"):
+            margin_loss(model, *as_block([Triple(1, 0, 2)], [[Triple(1, 0, 3)]]))
+        model = model_with("transE", {}, dim=2)
+        _loss, grads = margin_loss(model, *as_block([Triple(1, 0, 2)], [[Triple(1, 0, 3)]]),
+                                   gamma=10.0)
+        grads.row_grads["rel"][0, 0] = np.nan
+        with pytest.raises(NumericalError, match=r"rel\[0\]"):
+            apply_grads(model, grads, 0.1)
+
+
+class TestBatchParity:
+    """The minibatch step against the frozen per-triple step."""
+
+    @pytest.mark.parametrize("variant, norm", VARIANT_NORMS)
+    def test_batch_of_one_matches_per_triple_step(self, variant, norm):
+        config = KgConfig(variant=variant, dim=5, norm=norm, lr=0.05, seed=11)
+        live = KgModel(config, n_entities=9, n_relations=3)
+        frozen = live.copy()
+        rng = np.random.default_rng(12)
+        steps_taken = 0
+        for _step in range(25):
+            h, t = rng.integers(9, size=2)
+            r = int(rng.integers(3))
+            positive = Triple(int(h), r, int(t))
+            negatives = [Triple(int(a), r, int(b)) for a, b in rng.integers(9, size=(3, 2))]
+            loss_f, grads_f = _frozen_margin_loss(frozen, positive, negatives)
+            if grads_f:
+                frozen.enforce_constraints(*_frozen_apply_grads(frozen, grads_f, config.lr))
+            loss, grads = margin_loss(live, *as_block([positive], [negatives]))
+            assert bool(grads.rows) == bool(grads_f)
+            if grads.rows:
+                live.enforce_constraints(*apply_grads(live, grads, config.lr))
+                steps_taken += 1
+            assert abs(loss - loss_f) <= 1e-12
+            for name in live.params:
+                np.testing.assert_allclose(live.params[name], frozen.params[name],
+                                           rtol=0, atol=1e-12, err_msg=name)
+        assert steps_taken >= 5
+
+    @pytest.mark.parametrize("variant, norm", VARIANT_NORMS)
+    def test_block_matches_summed_per_triple_gradients(self, variant, norm):
+        """A block whose positives and negatives share entities: every row's
+        gradient is the sum of the per-triple gradients at the same parameters."""
+        config = KgConfig(variant=variant, dim=5, norm=norm, margin=4.0, seed=13)
+        model = KgModel(config, n_entities=8, n_relations=3)
+        positives = [Triple(1, 0, 4), Triple(4, 1, 2), Triple(2, 0, 1), Triple(1, 0, 4),
+                     Triple(6, 2, 1)]
+        negatives = [[Triple(1, p.relation, 2), Triple(4, p.relation, 4), Triple(7, p.relation, 1)]
+                     for p in positives]
+        loss, grads = margin_loss(model, *as_block(positives, negatives))
+        expected_loss = 0.0
+        expected = {name: np.zeros_like(value) for name, value in model.params.items()}
+        for positive, negs in zip(positives, negatives):
+            loss_f, grads_f = _frozen_margin_loss(model, positive, negs)
+            expected_loss += loss_f
+            for name, grad in frozen_dense_grads(model, grads_f).items():
+                expected[name] += grad
+        assert abs(loss - expected_loss) <= 1e-12
+        got = dense_grads(model, grads)
+        for name in model.params:
+            np.testing.assert_allclose(got[name], expected[name], rtol=0, atol=1e-12,
+                                       err_msg=name)
+        assert any(np.abs(g).max() > 0 for g in got.values())
+
+
+class TestCorruption:
+    POOL = np.array([2, 3, 5, 7, 11])
+
+    def test_only_pool_members_and_never_the_replaced_entity(self):
+        rng = np.random.default_rng(0)
+        heads = rng.choice(self.POOL, size=300)
+        tails = rng.choice(self.POOL, size=300)
+        block_heads, block_tails = corrupt(heads, tails, 4, rng, self.POOL)
+        assert block_heads.shape == block_tails.shape == (300, 5)
+        np.testing.assert_array_equal(block_heads[:, 0], heads)
+        np.testing.assert_array_equal(block_tails[:, 0], tails)
+        neg_heads, neg_tails = block_heads[:, 1:], block_tails[:, 1:]
+        assert np.isin(neg_heads, self.POOL).all() and np.isin(neg_tails, self.POOL).all()
+        # exactly one side is replaced, and never by the entity it replaces
+        assert np.all((neg_heads != heads[:, None]) ^ (neg_tails != tails[:, None]))
+
+    def test_two_member_pool_and_entities_outside_the_pool(self):
+        rng = np.random.default_rng(1)
+        pool = np.array([4, 9])
+        neg_heads, neg_tails = (b[:, 1:] for b in corrupt(np.full(50, 4), np.full(50, 9), 3,
+                                                           rng, pool))
+        assert np.all((neg_heads == 9) ^ (neg_tails == 4))
+        # an entity outside the pool (0, 20) is replaced by any pool member
+        neg_heads, neg_tails = (b[:, 1:] for b in corrupt(np.full(400, 0), np.full(400, 20), 1,
+                                                           rng, pool))
+        picked = np.where(neg_heads == 0, neg_tails, neg_heads)
+        assert set(picked.ravel().tolist()) == {4, 9}
+
+    def test_pool_of_one_rejected(self):
+        with pytest.raises(ValueError, match="two entities"):
+            corrupt(np.array([1]), np.array([1]), 1, np.random.default_rng(0), np.array([1]))
+
+    def test_coin_and_draws_uniform(self):
+        """Chi-square statistics on a fixed seed stay below the 0.1% critical
+        values (10.83 for 1 degree of freedom, 16.27 for 3)."""
+        rng = np.random.default_rng(2)
+        heads, tails = np.full(4000, 3), np.full(4000, 7)
+        neg_heads, neg_tails = (b[:, 1:] for b in corrupt(heads, tails, 5, rng, self.POOL))
+        replaced_head = neg_heads != 3
+        n = replaced_head.size
+        n_head = int(replaced_head.sum())
+        coin = (n_head - n / 2) ** 2 / (n / 2) + (n - n_head - n / 2) ** 2 / (n / 2)
+        assert coin < 10.83
+        for drawn, left_out in ((neg_heads[replaced_head], 3), (neg_tails[~replaced_head], 7)):
+            members = self.POOL[self.POOL != left_out]
+            counts = np.array([(drawn == m).sum() for m in members])
+            assert counts.sum() == drawn.size
+            expect = drawn.size / members.size
+            assert ((counts - expect) ** 2 / expect).sum() < 16.27
+
+    def test_same_seed_same_draws(self):
+        heads, tails = np.array([2, 3, 11, 5]), np.array([7, 7, 2, 3])
+        first = corrupt(heads, tails, 6, np.random.default_rng(9), self.POOL)
+        second = corrupt(heads, tails, 6, np.random.default_rng(9), self.POOL)
+        for a, b in zip(first, second):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestScoreTails:
@@ -384,3 +694,10 @@ class TestTripleEnumeration:
         cats = {space.category(c) for c in range(1, 3)}
         assert not items & words and not words & cats and not items & cats
         assert space.n_entities == len(items) + len(words) + len(cats)
+
+    def test_graph_triples_rows_in_relation_name_order(self):
+        space = KgSpace(n_items=8, n_words=2, n_categories=2)
+        rows = graph_triples({"substitute": [(1, 2)], "complement": [(3, 4), (5, 6)],
+                              "co_view": []}, space)
+        np.testing.assert_array_equal(rows, [[2, 0, 3], [4, 0, 5], [0, 2, 1]])
+        assert rows.dtype == np.int64

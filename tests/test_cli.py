@@ -98,7 +98,9 @@ class TestErrors:
 
     @pytest.mark.parametrize("subcommand, flag, value", [
         ("build-prg", "k", "0"), ("build-prg", "p", "0"), ("build-prg", "q", "-1"),
-        ("train", "batch", "0"), ("train", "negatives", "0")])
+        ("train", "batch", "0"), ("train", "negatives", "0"),
+        ("train-baseline", "dim", "0"), ("train-baseline", "lr", "-1"),
+        ("train-baseline", "negatives", "0"), ("train-baseline", "epochs", "-1")])
     def test_out_of_range_value_exit_1_before_loading(self, subcommand, flag, value,
                                                       tmp_path, capsys):
         # the run directory does not exist: a stage that started would exit 2
@@ -107,6 +109,19 @@ class TestErrors:
                      f"--{flag}", value]) == 1
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and f"{flag} must be" in err
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("margin", "0", "margin must be positive"), ("norm", "l3", "norm must be"),
+        ("variant", "foo", "unknown variant 'foo'")])
+    def test_bad_baseline_config_exit_1_before_loading(self, flag, value, message,
+                                                       tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["train-baseline", "--run", str(tmp_path / "missing"), "--out", str(out),
+                     f"--{flag}", value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and message in err
         assert not out.exists()
 
 
@@ -192,6 +207,16 @@ class TestStagesReadUpstream:
         capsys.readouterr()
         assert evaluate(run) == 2
         assert "re-run 'prodkg train'" in capsys.readouterr().err
+
+    def test_train_baseline_records_the_build_prg_hash(self, trained_run, tmp_path):
+        run = copy_run(trained_run, tmp_path)
+        out = tmp_path / "kg"
+        assert main(["train-baseline", "--run", run, "--out", str(out), "--dim", "4",
+                     "--epochs", "1", "--seed", "7"]) == 0
+        with open(os.path.join(run, "prg", "manifest.json"), encoding="utf-8") as handle:
+            prg_hash = json.load(handle)["config_hash"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["prg_config_hash"] == prg_hash
 
     def test_rank_unknown_head_exit_2(self, trained_run, capsys):
         assert main(["rank", "--run", trained_run, "--head", "no-such-item"]) == 2
