@@ -379,7 +379,6 @@ def train_kg(
     validation: list[Triple] | None = None,
     candidates: np.ndarray | None = None,
     epochs: int | None = None,
-    log: list | None = None,
 ) -> KgModel:
     """Minibatch margin/logistic SGD with early stopping.
 
@@ -400,7 +399,7 @@ def train_kg(
     best = model.copy()
     best_metric = -np.inf
     stale = 0
-    for epoch in range(epochs):
+    for _epoch in range(epochs):
         order = rng.permutation(len(triples))
         for start in range(0, len(order), config.batch_size):
             heads, relations, tails = triples[order[start:start + config.batch_size]].T
@@ -411,8 +410,6 @@ def train_kg(
                 model.enforce_constraints(ent_ids, rel_ids)
         if validation is not None:
             metric = hit_at_k(model, validation, 10, candidates)
-            if log is not None:
-                log.append((epoch + 1, "hit@10", metric))
             if metric > best_metric + 1e-9:
                 best_metric = metric
                 best = model.copy()

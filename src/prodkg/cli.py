@@ -21,9 +21,8 @@ from . import pipeline as pl
 from .baselines import VARIANTS, KgConfig
 from .data import DataError
 from .embeddings import NumericalError, write_table_tsv
-from .evaluation import evaluate_all, rank_tail
+from .evaluation import PKG_SCORING, evaluate_all, rank_tail
 from .model import ModelConfig, init_params, load_checkpoint, save_checkpoint
-from .poincare import BallConfig
 from .prg import export_prg
 from .synth import SynthConfig, generate
 from .trainer import TrainConfig, train
@@ -33,8 +32,8 @@ class UsageError(ValueError):
     """Bad invocation: unknown subcommand, key, or malformed flag."""
 
 
-SUBCOMMANDS = ("gen-data", "ingest", "build-prg", "pretrain-categories", "train",
-               "train-baseline", "evaluate", "rank", "export", "grad-check")
+SUBCOMMANDS = ("gen-data", "ingest", "build-prg", "train", "train-baseline", "evaluate",
+               "rank", "export", "grad-check")
 
 # key -> (default, parser, help)
 COMMON_KEYS = {
@@ -64,14 +63,6 @@ KEYS: dict[str, dict] = {
         "walk_length": (10, int, "steps per walk"),
         "p": (1.0, float, "walk return parameter"),
         "q": (1.0, float, "walk in-out parameter"),
-    },
-    "pretrain-categories": {
-        "run": ("", str, "run directory produced by ingest"),
-        "dim": (100, int, "embedding dimension"),
-        "epochs": (50, int, "pre-training epochs"),
-        "negatives": (10, int, "negative candidates per edge"),
-        "ball_lr": (0.1, float, "ball-geometry learning rate"),
-        "burn_in": (10, int, "burn-in epochs at a tenth of the rate"),
     },
     "train": {
         "run": ("", str, "run directory produced by ingest"),
@@ -124,11 +115,29 @@ KEYS: dict[str, dict] = {
 
 # subcommand -> key -> (lower bound, whether the bound itself is allowed);
 # resolve_config rejects a value outside its range before the stage starts.
+# gen-data's noise and train-baseline's margin have no entry: SynthConfig
+# checks noise in [0, 1), and KgConfig checks the margin of the variants
+# that use one.
+_AT_LEAST_1 = (1, True)
+_AT_LEAST_0 = (0, True)
+_ABOVE_0 = (0, False)
 RANGES: dict[str, dict] = {
-    "build-prg": {"k": (1, True), "p": (0, False), "q": (0, False)},
-    "train": {"batch": (1, True), "negatives": (1, True)},
-    "train-baseline": {"dim": (1, True), "lr": (0, False), "negatives": (1, True),
-                       "epochs": (1, True)},
+    "gen-data": {"items": _AT_LEAST_1, "words": _AT_LEAST_1, "clusters": _AT_LEAST_1,
+                 "sessions": _AT_LEAST_0, "searches": _AT_LEAST_0,
+                 "substitutions": _AT_LEAST_0},
+    "ingest": {"item_min": _AT_LEAST_0, "word_min": _AT_LEAST_0},
+    "build-prg": {"k": _AT_LEAST_1, "walks": _AT_LEAST_1, "walk_length": _AT_LEAST_0,
+                  "p": _ABOVE_0, "q": _ABOVE_0},
+    "train": {"dim": _AT_LEAST_1, "lr": _ABOVE_0, "batch": _AT_LEAST_1,
+              "negatives": _AT_LEAST_1, "epochs": _AT_LEAST_1, "patience": _AT_LEAST_1,
+              "l_buy": _AT_LEAST_1, "l_view": _AT_LEAST_1, "l_search": _AT_LEAST_1,
+              "l_describe": _AT_LEAST_1, "cat_epochs": _AT_LEAST_1,
+              "validation_cap": _AT_LEAST_1},
+    "train-baseline": {"dim": _AT_LEAST_1, "lr": _ABOVE_0, "negatives": _AT_LEAST_1,
+                       "epochs": _AT_LEAST_1},
+    "evaluate": {"k": _AT_LEAST_1, "query_cap": _AT_LEAST_0},
+    "rank": {"k": _AT_LEAST_1},
+    "grad-check": {"eps": _ABOVE_0, "tol": _ABOVE_0, "points": _AT_LEAST_1},
 }
 
 
@@ -257,13 +266,22 @@ def _load_model(run: str) -> tuple[str, object, dict]:
     return (checkpoint, *load_checkpoint(checkpoint))
 
 
+def _stage_config(factory, **fields):
+    """A stage's config object, built before the stage reads anything; a value
+    its checks reject is a usage error."""
+    try:
+        return factory(**fields)
+    except ValueError as err:
+        raise UsageError(str(err)) from None
+
+
 def cmd_gen_data(config: dict) -> int:
     out = config["out"]
-    synth = SynthConfig(
-        n_items=config["items"], n_words=config["words"], n_clusters=config["clusters"],
-        n_sessions=config["sessions"], n_searches=config["searches"],
-        n_substitutions=config["substitutions"], noise_rate=config["noise"],
-        seed=config["seed"])
+    synth = _stage_config(
+        SynthConfig, n_items=config["items"], n_words=config["words"],
+        n_clusters=config["clusters"], n_sessions=config["sessions"],
+        n_searches=config["searches"], n_substitutions=config["substitutions"],
+        noise_rate=config["noise"], seed=config["seed"])
     generate(synth, out)
     write_manifest(out, "gen-data", config, [])
     print(f"wrote synthetic dataset to {out}/")
@@ -319,30 +337,12 @@ def cmd_build_prg(config: dict) -> int:
     return 0
 
 
-def cmd_pretrain_categories(config: dict) -> int:
-    state = _run_dir_state(config["run"])
-    vocab = state.dataset.vocab
-    model_config = ModelConfig(dim=config["dim"], seed=config["seed"])
-    params = init_params(model_config, vocab[dm.ITEM].size, vocab[dm.WORD].size,
-                         vocab[dm.CATEGORY].size)
-    ball = BallConfig(burn_in_epochs=config["burn_in"], lr=config["ball_lr"])
-    losses = pl.pretrain_categories(state, params, ball, epochs=config["epochs"],
-                                    negatives=config["negatives"], seed=config["seed"])
-    out = config["out"]
-    os.makedirs(out, exist_ok=True)
-    write_table_tsv(os.path.join(out, "embeddings_category.tsv"),
-                    params.tables["category"], list(vocab[dm.CATEGORY].id_to_key))
-    with open(os.path.join(out, "category_pretrain_loss.tsv"), "w", encoding="utf-8") as handle:
-        handle.write("epoch\tloss\n")
-        for epoch, loss in enumerate(losses, 1):
-            handle.write(f"{epoch}\t{loss:.9g}\n")
-    write_manifest(out, "pretrain-categories", config, [config["run"]])
-    print(f"pre-trained {vocab[dm.CATEGORY].size - 1} category embeddings "
-          f"(loss {losses[0]:.4f} -> {losses[-1]:.4f})")
-    return 0
-
-
 def cmd_train(config: dict) -> int:
+    train_config = _stage_config(
+        TrainConfig, lr=config["lr"], batch_size=config["batch"],
+        negatives=config["negatives"], patience=config["patience"],
+        max_epochs=config["epochs"], seed=config["seed"], schedule=config["schedule"],
+        single_task=config["single_task"] or None, validation_cap=config["validation_cap"])
     state = _run_dir_state(config["run"])
     vocab = state.dataset.vocab
     seq_lens = _seq_lens(config)
@@ -352,15 +352,15 @@ def cmd_train(config: dict) -> int:
     model_config = ModelConfig(dim=config["dim"], seq_lens=seq_lens, seed=config["seed"])
     params = init_params(model_config, vocab[dm.ITEM].size, vocab[dm.WORD].size,
                          vocab[dm.CATEGORY].size)
-    pl.pretrain_categories(state, params, epochs=config["cat_epochs"], seed=config["seed"])
-    train_config = TrainConfig(
-        lr=config["lr"], batch_size=config["batch"], negatives=config["negatives"],
-        patience=config["patience"], max_epochs=config["epochs"], seed=config["seed"],
-        schedule=config["schedule"], single_task=config["single_task"] or None,
-        validation_cap=config["validation_cap"])
+    cat_losses = pl.pretrain_categories(state, params, epochs=config["cat_epochs"],
+                                        seed=config["seed"])
     result = train(train_config, specs, params, state.validation_examples)
     out = config["out"]
     save_checkpoint(out, result.params, vocab)
+    with open(os.path.join(out, "category_pretrain_loss.tsv"), "w", encoding="utf-8") as handle:
+        handle.write("epoch\tloss\n")
+        for epoch, loss in enumerate(cat_losses, 1):
+            handle.write(f"{epoch}\t{loss:.9g}\n")
     with open(os.path.join(out, "metrics_log.tsv"), "w", encoding="utf-8") as handle:
         handle.write("epoch\ttrained_task\ttask\tmetric\tvalue\n")
         for epoch, trained, task, metric, value in result.log:
@@ -375,13 +375,10 @@ def cmd_train(config: dict) -> int:
 
 
 def cmd_train_baseline(config: dict) -> int:
-    try:
-        kg_config = KgConfig(variant=config["variant"], dim=config["dim"], lr=config["lr"],
-                             margin=config["margin"], norm=config["norm"],
-                             epochs=config["epochs"], negatives=config["negatives"],
-                             seed=config["seed"])
-    except ValueError as err:
-        raise UsageError(str(err)) from None
+    kg_config = _stage_config(KgConfig, variant=config["variant"], dim=config["dim"],
+                              lr=config["lr"], margin=config["margin"], norm=config["norm"],
+                              epochs=config["epochs"], negatives=config["negatives"],
+                              seed=config["seed"])
     state = _run_dir_state(config["run"])
     prg_hash = pl.load_graph_splits(state, os.path.join(config["run"], "prg"))
     model, _space = pl.train_prg_baseline(state, config=kg_config)
@@ -441,11 +438,14 @@ def cmd_evaluate(config: dict) -> int:
 
 
 def cmd_rank(config: dict) -> int:
-    _checkpoint, params, keys = _load_model(config["run"])
     relation = config["relation"]
+    if relation not in PKG_SCORING:
+        raise UsageError(f"unknown relation {relation!r}; valid relations: "
+                         + ", ".join(PKG_SCORING))
     head_keys = config["head"].split()
     if not head_keys:
         raise UsageError("rank needs --head <entity key(s)>")
+    _checkpoint, params, keys = _load_model(config["run"])
     namespace, table = {"search": (dm.WORD, "word"), "describe": (dm.WORD, "word"),
                         "isa": (dm.CATEGORY, "category")}.get(relation, (dm.ITEM, "item_in"))
     vocab = dm.Vocabulary(namespace, {key: i for i, key in enumerate(keys[table])},
@@ -492,7 +492,6 @@ HANDLERS = {
     "gen-data": cmd_gen_data,
     "ingest": cmd_ingest,
     "build-prg": cmd_build_prg,
-    "pretrain-categories": cmd_pretrain_categories,
     "train": cmd_train,
     "train-baseline": cmd_train_baseline,
     "evaluate": cmd_evaluate,

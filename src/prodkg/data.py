@@ -55,6 +55,7 @@ class Vocabulary:
 
     @classmethod
     def from_keys(cls, namespace: str, keys) -> "Vocabulary":
+        """Deterministic vocabulary: PAD is 0, real ids follow sorted raw keys."""
         ordered = sorted(set(keys))
         if PAD_KEY in ordered:
             raise DataError(f"reserved key {PAD_KEY!r} present in {namespace} input")
@@ -304,11 +305,6 @@ def entity_counts(dataset: Dataset) -> tuple[dict, dict]:
     return item_counts, word_counts
 
 
-def build_vocab(namespace: str, keys) -> Vocabulary:
-    """Deterministic vocabulary: PAD is 0, real ids follow sorted raw keys."""
-    return Vocabulary.from_keys(namespace, keys)
-
-
 def filter_infrequent(dataset: Dataset, item_min: int = 10, word_min: int = 3) -> Dataset:
     """Drop rare items and words everywhere, then re-index the survivors.
 
@@ -326,8 +322,8 @@ def filter_infrequent(dataset: Dataset, item_min: int = 10, word_min: int = 3) -
                       if word_counts.get(w, 0) >= word_min]
 
     new_vocab = {
-        ITEM: build_vocab(ITEM, kept_item_keys),
-        WORD: build_vocab(WORD, kept_word_keys),
+        ITEM: Vocabulary.from_keys(ITEM, kept_item_keys),
+        WORD: Vocabulary.from_keys(WORD, kept_word_keys),
         CATEGORY: dataset.vocab[CATEGORY],
     }
 

@@ -121,10 +121,6 @@ class NegativeSampler:
         self.total = float(self.cumulative[-1])
         self.rng = np.random.default_rng(seed)
 
-    @property
-    def probabilities(self) -> np.ndarray:
-        return self.weights / self.total
-
     def sample(self, k: int, exclude: frozenset | set | tuple = ()) -> np.ndarray:
         if k < 1:
             raise ValueError("k must be >= 1")

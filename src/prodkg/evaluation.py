@@ -328,7 +328,6 @@ def evaluate_all(
     kg_models: dict | None = None,
     kg_space=None,
     k: int = 10,
-    recommend_min_prefix: int = 1,
     query_cap: int | None = None,
 ) -> MetricsReport:
     """Full protocol: knowledge completion, search ranking, recommendation,
@@ -384,7 +383,7 @@ def evaluate_all(
                     else recommend_sessions[:query_cap])
         for session in sessions:
             items = list(session)
-            for position in range(recommend_min_prefix, len(items)):
+            for position in range(1, len(items)):
                 prefix = np.asarray(items[:position])
                 results.append(rank_tail(params, "recommend", prefix,
                                          gold=(items[position],), keep=k))

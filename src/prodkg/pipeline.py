@@ -8,6 +8,7 @@ example assembly, and baseline triple preparation.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import sys
@@ -171,17 +172,17 @@ def assemble_training_data(state: PipelineData, seq_lens: dict,
     return [spec for spec in specs if spec.n > 0]
 
 
-def pretrain_categories(state: PipelineData, params: PkgParams,
-                        config: BallConfig | None = None, epochs: int = 50,
-                        negatives: int = 10, seed: int = 0) -> list[float]:
-    """Ball-geometry pre-training of the category table (frozen afterwards)."""
-    config = config or BallConfig()
+def pretrain_categories(state: PipelineData, params: PkgParams, epochs: int = 50,
+                        seed: int = 0) -> list[float]:
+    """Ball-geometry pre-training of the category table (frozen afterwards);
+    returns the mean loss of each epoch."""
+    config = BallConfig()
     if epochs <= config.burn_in_epochs:
         print(f"warning: category pre-training runs {epochs} epochs, none past the "
               f"{config.burn_in_epochs}-epoch burn-in at a tenth of the rate", file=sys.stderr)
     return hierarchy_pretrain(state.dataset.category_edges,
                               params.tables["category"], config,
-                              epochs=epochs, negatives=negatives, seed=seed)
+                              epochs=epochs, negatives=10, seed=seed)
 
 
 def probe_inputs(state: PipelineData, params: PkgParams):
@@ -223,12 +224,14 @@ def train_prg_baseline(state: PipelineData, variant: str = "transE",
     config = config or KgConfig(variant=variant)
     edges = {relation: split.train for relation, split in state.graph_splits.items()}
     triples = graph_triples(edges, space)
-    validation = []
-    for relation, split in state.graph_splits.items():
-        rel = space.relation_index(relation)
-        validation.extend(Triple(space.item(h), rel, space.item(t))
-                          for h, t in split.validation)
+    # Early stopping watches 300 validation edges taken round-robin over the
+    # relations, so that every relation reaches best-epoch selection.
+    by_relation = [[Triple(space.item(h), space.relation_index(relation), space.item(t))
+                    for h, t in state.graph_splits[relation].validation]
+                   for relation in GRAPH_RELATIONS if relation in state.graph_splits]
+    validation = [triple for turn in itertools.zip_longest(*by_relation)
+                  for triple in turn if triple is not None][:300]
     model = KgModel(config, space.n_entities, space.n_relations)
-    model = train_kg(model, triples, validation[:300] or None,
+    model = train_kg(model, triples, validation or None,
                      candidates=space.item_entities(), epochs=epochs)
     return model, space

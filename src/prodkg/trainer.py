@@ -29,6 +29,8 @@ from .ranking import rank_candidates
 
 TASK_NAMES = ("substitute", "complement", "co_view", "search", "describe", "isa")
 SEQUENCE_TASKS = tuple(sorted(TASK_WIRING))
+# a validation metric must rise by more than this to count as an improvement
+IMPROVE_EPS = 1e-4
 
 
 @dataclass
@@ -51,7 +53,6 @@ class TaskSpec:
 @dataclass
 class TrainConfig:
     lr: float = 0.1
-    lr_grid: tuple = (0.001, 0.005, 0.01, 0.1)
     # Per-record updates by default: minibatch means shrink each row's step
     # by the batch size because examples rarely share rows.
     batch_size: int = 1
@@ -61,7 +62,6 @@ class TrainConfig:
     seed: int = 7
     schedule: str = "weighted"          # weighted | uniform | single_task
     single_task: str | None = None
-    improve_eps: float = 1e-4
     validation_cap: int = 400
     epoch_task_attribution: bool = False
 
@@ -70,6 +70,9 @@ class TrainConfig:
             raise ValueError("patience must be >= 1")
         if self.schedule not in ("weighted", "uniform", "single_task"):
             raise ValueError(f"unknown schedule {self.schedule!r}")
+        if self.single_task is not None and self.single_task not in TASK_NAMES:
+            raise ValueError(f"unknown task {self.single_task!r}; "
+                             f"choose from {' '.join(TASK_NAMES)}")
         if self.schedule == "single_task" and not self.single_task:
             raise ValueError("single_task schedule needs the task name")
 
@@ -306,7 +309,7 @@ def train(
 
     ``validation`` maps task names to held-out example lists.  Every epoch
     logs each task's metric; when no task improves by more than
-    ``improve_eps`` for ``patience`` consecutive epochs the loop stops and
+    ``IMPROVE_EPS`` for ``patience`` consecutive epochs the loop stops and
     the snapshot of the best epoch (highest :func:`selection_metric`) is
     returned.
     The category table never receives gradients here: it is pre-trained
@@ -365,7 +368,7 @@ def train(
                                       config.validation_cap)
             metrics[spec.name] = value
             log.append((epoch, trained_tag, spec.name, metric_name, value))
-            if value > previous_best.get(spec.name, -np.inf) + config.improve_eps:
+            if value > previous_best.get(spec.name, -np.inf) + IMPROVE_EPS:
                 previous_best[spec.name] = value
                 improved_any = True
         mean_metric = selection_metric(metrics)
@@ -422,34 +425,6 @@ def task_correlation(log: list) -> dict:
                 continue
             out[(a, b)] = float(np.corrcoef(xs, ys)[0, 1])
     return out
-
-
-def select_learning_rate(
-    base_config: TrainConfig,
-    specs: list[TaskSpec],
-    params_factory,
-    validation: dict,
-    epochs: int = 2,
-) -> float:
-    """Pick one shared rate from the grid by validation metric.
-
-    Each candidate trains a fresh initialisation for a few epochs; the rate
-    whose final per-task metrics score highest under
-    :func:`selection_metric` wins (ties to the smaller rate for stability).
-    """
-    best_lr = None
-    best_value = -np.inf
-    for lr in sorted(base_config.lr_grid):
-        config = replace(base_config, lr=lr, max_epochs=epochs, patience=max(epochs, 1))
-        result = train(config, specs, params_factory(), validation)
-        finals: dict[str, float] = {}
-        for _epoch, _trained, task, _metric, value in result.log:
-            finals[task] = value
-        mean_value = selection_metric(finals) if finals else -np.inf
-        if mean_value > best_value:
-            best_value = mean_value
-            best_lr = lr
-    return best_lr
 
 
 def compare_schedules(

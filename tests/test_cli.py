@@ -8,8 +8,9 @@ import shutil
 import pytest
 
 from prodkg import pipeline as pl
-from prodkg.cli import main
+from prodkg.cli import HANDLERS, KEYS, RANGES, SUBCOMMANDS, main
 from prodkg.data import modality_paths
+from prodkg.model import ModelConfig, init_params
 
 
 def run_dir(tmp_path, seed=7):
@@ -66,6 +67,11 @@ class TestErrors:
     def test_unknown_subcommand_exit_1(self, capsys):
         assert main(["frobnicate"]) == 1
 
+    def test_pretrain_categories_is_no_subcommand(self, capsys):
+        # train pre-trains the category table itself
+        assert main(["pretrain-categories", "--run", "run"]) == 1
+        assert "unknown subcommand 'pretrain-categories'" in capsys.readouterr().err
+
     def test_unknown_key_exit_1_lists_valid_keys(self, capsys):
         assert main(["train", "--bogus", "1"]) == 1
         err = capsys.readouterr().err
@@ -100,17 +106,39 @@ class TestErrors:
         ("build-prg", "k", "0"), ("build-prg", "p", "0"), ("build-prg", "q", "-1"),
         ("train", "batch", "0"), ("train", "negatives", "0"),
         ("train-baseline", "dim", "0"), ("train-baseline", "lr", "-1"),
-        ("train-baseline", "negatives", "0"), ("train-baseline", "epochs", "-1")])
+        ("train-baseline", "negatives", "0"), ("train-baseline", "epochs", "-1"),
+        ("train", "patience", "0"), ("train", "dim", "0"), ("train", "l_buy", "0"),
+        ("train", "lr", "-1"), ("train", "epochs", "0"), ("evaluate", "k", "0"),
+        ("evaluate", "query_cap", "-1"), ("rank", "k", "-3"), ("rank", "k", "0"),
+        ("build-prg", "walks", "0"), ("grad-check", "eps", "0")])
     def test_out_of_range_value_exit_1_before_loading(self, subcommand, flag, value,
                                                       tmp_path, capsys):
         # the run directory does not exist: a stage that started would exit 2
         out = tmp_path / "out"
-        assert main([subcommand, "--run", str(tmp_path / "missing"), "--out", str(out),
-                     f"--{flag}", value]) == 1
+        run = ["--run", str(tmp_path / "missing")] if "run" in KEYS[subcommand] else []
+        assert main([subcommand, *run, "--out", str(out),
+                     f"--{flag.replace('_', '-')}", value]) == 1
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and f"{flag} must be" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["rank", "--relation", "nope", "--head", "i00001"],
+         "valid relations: substitute, complement, co_view"),
+        (["train", "--schedule", "single_task", "--single-task", "nope"],
+         "unknown task 'nope'")])
+    def test_bad_name_exit_1_before_loading(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main([*argv, "--run", str(tmp_path / "missing"), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and message in err
+        assert not out.exists()
+
+    def test_bad_gen_data_config_exit_1_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["gen-data", "--noise", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("usage error: noise rate must lie in")
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag, value, message", [
         ("margin", "0", "margin must be positive"), ("norm", "l3", "norm must be"),
@@ -223,16 +251,33 @@ class TestStagesReadUpstream:
         assert "unknown item key 'no-such-item'" in capsys.readouterr().err
 
 
+class TestCategoryPretraining:
+    def test_loss_log_has_one_row_per_epoch(self, trained_run):
+        with open(os.path.join(trained_run, "model", "category_pretrain_loss.tsv"),
+                  encoding="utf-8") as handle:
+            rows = handle.read().splitlines()
+        state = pl.load_and_split(modality_paths(os.path.join(trained_run, "filtered")),
+                                  item_min=0, word_min=0)
+        vocab = state.dataset.vocab
+        params = init_params(ModelConfig(dim=4, seed=7), vocab["item"].size,
+                             vocab["word"].size, vocab["category"].size)
+        losses = pl.pretrain_categories(state, params, epochs=11, seed=7)
+        assert len(losses) == 11
+        assert rows == ["epoch\tloss"] + [f"{epoch}\t{loss:.9g}"
+                                          for epoch, loss in enumerate(losses, 1)]
+
+
 class TestBurnInWarning:
-    def test_pretraining_inside_burn_in_warns_once(self, tmp_path, capsys):
-        _, run = run_dir(tmp_path)
+    def test_pretraining_inside_burn_in_warns_once(self, trained_run, tmp_path, capsys):
+        run = copy_run(trained_run, tmp_path)
         capsys.readouterr()
-        assert main(["pretrain-categories", "--run", run, "--out", str(tmp_path / "short"),
-                     "--dim", "4", "--epochs", "2", "--burn-in", "2", "--seed", "7"]) == 0
+        # the later --cat-epochs flag overrides TINY_TRAIN's 11
+        assert main(["train", "--run", run, "--out", str(tmp_path / "short"), "--seed", "7",
+                     *TINY_TRAIN, "--cat-epochs", "10"]) == 0
         err = capsys.readouterr().err
-        assert err.count("warning:") == 1 and "2-epoch burn-in" in err
-        assert main(["pretrain-categories", "--run", run, "--out", str(tmp_path / "long"),
-                     "--dim", "4", "--epochs", "3", "--burn-in", "2", "--seed", "7"]) == 0
+        assert err.count("warning:") == 1 and "10-epoch burn-in" in err
+        assert main(["train", "--run", run, "--out", str(tmp_path / "long"), "--seed", "7",
+                     *TINY_TRAIN]) == 0
         assert "warning" not in capsys.readouterr().err
 
 
@@ -242,15 +287,12 @@ class TestPipelineCommands:
         data, run = run_dir(tmp_path)
         assert main(["build-prg", "--run", run, "--out", os.path.join(run, "prg"),
                      "--seed", "7"]) == 0
-        assert main(["pretrain-categories", "--run", run, "--out",
-                     os.path.join(run, "cats"), "--dim", "8", "--epochs", "3",
-                     "--seed", "7"]) == 0
         assert main(["train", "--run", run, "--out", os.path.join(run, "model"),
                      "--dim", "8", "--epochs", "2", "--l-buy", "6", "--l-view", "6",
                      "--l-search", "4", "--l-describe", "8", "--cat-epochs", "3",
                      "--seed", "7", "--validation-cap", "30"]) == 0
         err = capsys.readouterr().err
-        assert err.count("warning: category pre-training runs 3 epochs") == 2
+        assert err.count("warning: category pre-training runs 3 epochs") == 1
 
         assert main(["rank", "--run", run, "--relation", "substitute",
                      "--head", "i00005", "--k", "10"]) == 0
@@ -277,9 +319,28 @@ class TestPipelineCommands:
         assert (tmp_path / "run" / "kg" / "kg_distmult.npz").exists()
 
 
+class TestCommandTables:
+    """The tables that define the subcommands stay in step with each other."""
+
+    def test_subcommands_keys_and_handlers_agree(self):
+        assert len(set(SUBCOMMANDS)) == len(SUBCOMMANDS)
+        assert set(SUBCOMMANDS) == set(KEYS) == set(HANDLERS)
+
+    def test_every_range_bounds_a_numeric_key(self):
+        for subcommand, ranges in RANGES.items():
+            for key in ranges:
+                assert KEYS[subcommand][key][1] in (int, float), (subcommand, key)
+
+    def test_every_numeric_key_has_a_range(self):
+        unbounded = {(subcommand, key) for subcommand, spec in KEYS.items()
+                     for key, (_default, parser, _help) in spec.items()
+                     if parser in (int, float) and key not in RANGES.get(subcommand, {})}
+        # checked by SynthConfig and KgConfig instead
+        assert unbounded == {("gen-data", "noise"), ("train-baseline", "margin")}
+
+
 class TestHelpEverywhere:
     def test_every_subcommand_help_exits_zero(self, capsys):
-        from prodkg.cli import SUBCOMMANDS
         for subcommand in SUBCOMMANDS:
             assert main([subcommand, "--help"]) == 0
             out = capsys.readouterr().out

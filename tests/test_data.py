@@ -89,22 +89,22 @@ class TestIngest:
 
 class TestVocabulary:
     def test_lexicographic_ids(self):
-        vocab = dm.build_vocab("item", {"b", "a"})
+        vocab = dm.Vocabulary.from_keys("item", {"b", "a"})
         assert vocab.id("a") == 1
         assert vocab.id("b") == 2
         assert vocab.key(0) == dm.PAD_KEY
 
     def test_empty_namespace_has_only_pad(self):
-        vocab = dm.build_vocab("word", [])
+        vocab = dm.Vocabulary.from_keys("word", [])
         assert vocab.size == 1
 
     def test_rebuild_is_identical(self):
-        first = dm.build_vocab("item", ["x", "m", "a"])
-        second = dm.build_vocab("item", ["a", "x", "m"])
+        first = dm.Vocabulary.from_keys("item", ["x", "m", "a"])
+        second = dm.Vocabulary.from_keys("item", ["a", "x", "m"])
         assert first.id_to_key == second.id_to_key
 
     def test_unknown_key_raises(self):
-        vocab = dm.build_vocab("item", ["a"])
+        vocab = dm.Vocabulary.from_keys("item", ["a"])
         with pytest.raises(dm.DataError, match="unknown item"):
             vocab.id("zzz")
 

@@ -3,7 +3,7 @@
 import numpy as np
 
 from prodkg.model import ModelConfig, init_params, load_checkpoint, save_checkpoint
-from prodkg.data import build_vocab
+from prodkg.data import Vocabulary
 
 
 def small_model(seed=7):
@@ -37,9 +37,9 @@ class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         params = small_model()
         vocab = {
-            "item": build_vocab("item", [f"i{i}" for i in range(8)]),
-            "word": build_vocab("word", [f"w{i}" for i in range(6)]),
-            "category": build_vocab("category", [f"c{i}" for i in range(4)]),
+            "item": Vocabulary.from_keys("item", [f"i{i}" for i in range(8)]),
+            "word": Vocabulary.from_keys("word", [f"w{i}" for i in range(6)]),
+            "category": Vocabulary.from_keys("category", [f"c{i}" for i in range(4)]),
         }
         save_checkpoint(str(tmp_path / "ckpt"), params, vocab)
         loaded, keys = load_checkpoint(str(tmp_path / "ckpt"))
@@ -55,9 +55,9 @@ class TestCheckpoint:
 
     def test_checkpoint_files_deterministic(self, tmp_path):
         vocab = {
-            "item": build_vocab("item", [f"i{i}" for i in range(8)]),
-            "word": build_vocab("word", [f"w{i}" for i in range(6)]),
-            "category": build_vocab("category", [f"c{i}" for i in range(4)]),
+            "item": Vocabulary.from_keys("item", [f"i{i}" for i in range(8)]),
+            "word": Vocabulary.from_keys("word", [f"w{i}" for i in range(6)]),
+            "category": Vocabulary.from_keys("category", [f"c{i}" for i in range(4)]),
         }
         save_checkpoint(str(tmp_path / "a"), small_model(), vocab)
         save_checkpoint(str(tmp_path / "b"), small_model(), vocab)

@@ -3,6 +3,7 @@
 import pytest
 
 from prodkg import pipeline as pl
+from prodkg.evaluation import GraphSplit
 from prodkg.model import ModelConfig, init_params
 from prodkg.synth import SynthConfig, generate
 from prodkg.trainer import TrainConfig, train
@@ -66,6 +67,35 @@ class TestAssembly:
         assert features.shape[0] == len(labels["category"]) == len(labels["department"])
         assert test_rows.size > 0
         assert features.shape[1] == 8
+
+
+class TestBaselineValidation:
+    def test_early_stopping_watches_every_relation(self, state, monkeypatch):
+        # the first 300 validation edges are all complement ones
+        validation = {"complement": [(1 + i % 90, 2 + i % 90) for i in range(400)],
+                      "co_view": [(3, 4), (5, 6)], "substitute": [(7, 8), (9, 10), (11, 12)]}
+        splits = {relation: GraphSplit(relation, [(1, 2)], edges, [])
+                  for relation, edges in validation.items()}
+        run = pl.PipelineData(dataset=state.dataset, splits=state.splits,
+                              graph_splits=splits)
+        seen = {}
+
+        def fake_train_kg(model, triples, validation=None, **_kwargs):
+            seen["validation"] = validation
+            return model
+        monkeypatch.setattr(pl, "train_kg", fake_train_kg)
+        _model, space = pl.train_prg_baseline(run)
+
+        def triples(relation, edges):
+            rel = space.relation_index(relation)
+            return [(space.item(h), rel, space.item(t)) for h, t in edges]
+        complement = triples("complement", validation["complement"])
+        co_view = triples("co_view", validation["co_view"])
+        substitute = triples("substitute", validation["substitute"])
+        expected = [complement[0], co_view[0], substitute[0],
+                    complement[1], co_view[1], substitute[1],
+                    complement[2], substitute[2], *complement[3:295]]
+        assert [tuple(t) for t in seen["validation"]] == expected
 
 
 @pytest.mark.slow

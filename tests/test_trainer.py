@@ -278,21 +278,9 @@ class TestTaskCorrelation:
         assert rho[("a", "b")] is None
 
 
-class TestLearningRateSelection:
-    def test_grid_search_returns_a_grid_member(self):
-        from prodkg.trainer import select_learning_rate
-        rng = np.random.default_rng(21)
-        specs = tiny_specs(rng, n_each=20)
-        validation = {"substitute": [(1, 2), (3, 4), (5, 6)]}
-        config = TrainConfig(lr_grid=(0.01, 0.1), seed=5, validation_cap=10)
-        picked = select_learning_rate(config, specs, lambda: tiny_params(seed=6),
-                                      validation, epochs=1)
-        assert picked in (0.01, 0.1)
-
-
 class TestBestEpochSelection:
-    """The best epoch and the learning rate are chosen by the hit@10 tasks;
-    isa's negative loss (around -11, on another scale) must not swing them."""
+    """The best epoch is chosen by the hit@10 tasks; isa's negative loss
+    (around -11, on another scale) must not swing it."""
 
     def test_selection_metric_ignores_isa_beside_hit_tasks(self):
         from prodkg.trainer import selection_metric
@@ -334,18 +322,3 @@ class TestBestEpochSelection:
         result = train(TrainConfig(max_epochs=3, seed=2), specs, tiny_params(),
                        validation={})
         assert result.best_epoch == 2
-
-    def test_isa_loss_does_not_pick_the_learning_rate(self, monkeypatch):
-        import prodkg.trainer as trainer_module
-        from prodkg.trainer import TrainResult, select_learning_rate
-
-        finals = {0.01: (0.5, -20.0), 0.1: (0.4, -5.0)}
-
-        def fake_train(config, specs, params, validation=None):
-            hit, isa = finals[config.lr]
-            log = [(1, "mixed", "substitute", "hit@10", hit), (1, "mixed", "isa", "neg_loss", isa)]
-            return TrainResult(params, log, 1, 1)
-
-        monkeypatch.setattr(trainer_module, "train", fake_train)
-        config = TrainConfig(lr_grid=(0.01, 0.1), seed=5)
-        assert select_learning_rate(config, [], tiny_params, {}, epochs=1) == 0.01
