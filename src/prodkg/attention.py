@@ -104,17 +104,22 @@ TASK_WIRING = {
 
 @dataclass
 class _AttnCache:
+    """Forward values of one sequence, query rows stacked over key rows."""
+
     ids: np.ndarray
-    e_in: np.ndarray
-    e_out: np.ndarray
-    b_in: np.ndarray
-    a_in: np.ndarray
-    f_in: np.ndarray
-    b_out: np.ndarray
-    a_out: np.ndarray
-    f_out: np.ndarray
-    alpha: np.ndarray
-    h: np.ndarray
+    e: np.ndarray       # (2L, d) positionally encoded input rows, then output rows
+    pre: np.ndarray     # (2L, d) feed-forward pre-activations
+    hidden: np.ndarray  # (2L, d) feed-forward hidden rows
+    f: np.ndarray       # (2L, d) feed-forward outputs: queries, then keys
+    alpha: np.ndarray   # (L, L) attention weights
+
+    @property
+    def e_in(self) -> np.ndarray:
+        return self.e[:self.ids.size]
+
+    @property
+    def e_out(self) -> np.ndarray:
+        return self.e[self.ids.size:]
 
 
 def ffn_forward(e: np.ndarray, params: AttentionParams):
@@ -129,14 +134,6 @@ def ffn_forward(e: np.ndarray, params: AttentionParams):
     return out, pre, hidden
 
 
-def _ffn_backward(d_out, e, pre, hidden, params):
-    """Input gradient and the (theta2, b2, theta1, b1) gradients of one branch."""
-    d_hidden = d_out @ params.theta2.T
-    d_pre = d_hidden * (pre > 0.0)
-    return d_pre @ params.theta1.T, (hidden.T @ d_out, d_out.sum(axis=0),
-                                     e.T @ d_pre, d_pre.sum(axis=0))
-
-
 def aggregate_context(
     ids: np.ndarray,
     in_table: EmbeddingTable,
@@ -146,10 +143,11 @@ def aggregate_context(
     """Collapse one unpadded id sequence into a context vector.
 
     Queries and keys are the feed-forward transforms of the positionally
-    encoded input/output embeddings; values are the raw positionally encoded
-    input embeddings.  The attended rows are mean-pooled.  Returns
-    ``(context, attention_weights, cache)`` with the cache reused by
-    :func:`sequence_loss_grad` for the backward pass.
+    encoded input/output embeddings, computed as one stacked (2L, d) pass;
+    values are the raw positionally encoded input embeddings.  The attended
+    rows are mean-pooled, which is the column means of the weights times the
+    values.  Returns ``(context, attention_weights, cache)`` with the cache
+    reused by :func:`aggregate_context_backward`.
     """
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim != 1 or ids.shape[0] == 0:
@@ -161,14 +159,12 @@ def aggregate_context(
         raise ValueError("sequence longer than the positional matrix; truncate first")
 
     pos = params.positions[:length]
-    e_in = in_table.values[ids] + pos
-    e_out = out_table.values[ids] + pos
-    f_in, b_in, a_in = ffn_forward(e_in, params)
-    f_out, b_out, a_out = ffn_forward(e_out, params)
-    h, alpha = scaled_dot_attention(f_in, f_out, e_in)
-    context = h.mean(axis=0)
-    cache = _AttnCache(ids, e_in, e_out, b_in, a_in, f_in, b_out, a_out, f_out, alpha, h)
-    return context, alpha, cache
+    e = np.concatenate((in_table.values[ids] + pos, out_table.values[ids] + pos))
+    f, pre, hidden = ffn_forward(e, params)
+    e_in = e[:length]
+    _, alpha = scaled_dot_attention(f[:length], f[length:], e_in)
+    context = (alpha.sum(axis=0) / length) @ e_in
+    return context, alpha, _AttnCache(ids, e, pre, hidden, f, alpha)
 
 
 def aggregate_context_backward(
@@ -182,28 +178,32 @@ def aggregate_context_backward(
     Returns ``(d_e_in, d_e_out, dense)``: one gradient row per sequence
     position for the input and the output embedding, and the dense
     gradients keyed ``<param_prefix>.<name>``, the positional one covering
-    only the sequence's positions.
+    only the sequence's positions.  Both feed-forward branches go back
+    through one stacked (2L, d) pass.
     """
-    length, dim = cache.e_in.shape
-    d_h = np.tile(d_context / length, (length, 1))
+    alpha, f = cache.alpha, cache.f
+    length, dim = alpha.shape[0], f.shape[1]
+    d_h = d_context / length            # the gradient of every attended row
+    e_in = cache.e_in
 
-    # h = alpha @ e_in
-    d_alpha = d_h @ cache.e_in.T
-    d_e_in = cache.alpha.T @ d_h
-
+    # h = alpha @ e_in: every row of d_alpha is g = e_in @ d_h
+    g = e_in @ d_h
+    d_e_in = np.outer(alpha.sum(axis=0), d_h)
     # softmax rows: dS = alpha * (dAlpha - sum_j alpha_j dAlpha_j)
-    inner = (cache.alpha * d_alpha).sum(axis=1, keepdims=True)
-    d_logits = cache.alpha * (d_alpha - inner)
+    d_logits = alpha * (g - (alpha @ g)[:, None])
     scale = 1.0 / np.sqrt(dim)
-    d_f_in = d_logits @ cache.f_out * scale
-    d_f_out = d_logits.T @ cache.f_in * scale
+    d_f = np.concatenate((d_logits @ f[length:], d_logits.T @ f[:length]))
+    d_f *= scale
 
-    d_in, in_grads = _ffn_backward(d_f_in, cache.e_in, cache.b_in, cache.a_in, params)
-    d_e_in += d_in
-    d_e_out, out_grads = _ffn_backward(d_f_out, cache.e_out, cache.b_out, cache.a_out, params)
-    dense = {f"{param_prefix}.{name}": g_in + g_out
-             for name, g_in, g_out in zip(("theta2", "b2", "theta1", "b1"), in_grads, out_grads)}
-    dense[f"{param_prefix}.positions"] = d_e_in + d_e_out
+    d_pre = (d_f @ params.theta2.T) * (cache.pre > 0.0)
+    d_e = d_pre @ params.theta1.T
+    d_e_in += d_e[:length]
+    d_e_out = d_e[length:]
+    dense = {f"{param_prefix}.theta2": cache.hidden.T @ d_f,
+             f"{param_prefix}.b2": d_f.sum(axis=0),
+             f"{param_prefix}.theta1": cache.e.T @ d_pre,
+             f"{param_prefix}.b1": d_pre.sum(axis=0),
+             f"{param_prefix}.positions": d_e_in + d_e_out}
     return d_e_in, d_e_out, dense
 
 

@@ -117,10 +117,11 @@ KEYS: dict[str, dict] = {
 # resolve_config rejects a value outside its range before the stage starts.
 # gen-data's noise and train-baseline's margin have no entry: SynthConfig
 # checks noise in [0, 1), and KgConfig checks the margin of the variants
-# that use one.
+# that use one.  COMMON_RANGES bounds the keys every subcommand has.
 _AT_LEAST_1 = (1, True)
 _AT_LEAST_0 = (0, True)
 _ABOVE_0 = (0, False)
+COMMON_RANGES = {"seed": _AT_LEAST_0}
 RANGES: dict[str, dict] = {
     "gen-data": {"items": _AT_LEAST_1, "words": _AT_LEAST_1, "clusters": _AT_LEAST_1,
                  "sessions": _AT_LEAST_0, "searches": _AT_LEAST_0,
@@ -190,7 +191,7 @@ def resolve_config(subcommand: str, argv: list[str]) -> dict:
                 values[key] = parser(value)
             except ValueError:
                 raise UsageError(f"bad value for {key!r}: {value!r}") from None
-    for key, (bound, inclusive) in RANGES.get(subcommand, {}).items():
+    for key, (bound, inclusive) in {**COMMON_RANGES, **RANGES.get(subcommand, {})}.items():
         value = values[key]
         if not (value >= bound if inclusive else value > bound):
             relation = ">=" if inclusive else ">"

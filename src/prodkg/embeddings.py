@@ -122,24 +122,33 @@ class NegativeSampler:
         self.rng = np.random.default_rng(seed)
 
     def sample(self, k: int, exclude: frozenset | set | tuple = ()) -> np.ndarray:
+        """``k`` ids, each slot drawn until it is not excluded.
+
+        The doubles come one batch per unfilled slot, consumed in order: each
+        fills the first open slot or is its rejected try, and a slot's double
+        after its last try goes to the exact rejection draw.  These are the
+        doubles, and the ids, of one ``rng.random()`` call per try.
+        """
         if k < 1:
             raise ValueError("k must be >= 1")
         excluded = set(exclude)
-        out = np.empty(k, dtype=np.int64)
-        for slot in range(k):
-            picked = -1
-            for _ in range(_MAX_RESAMPLE_TRIES):
-                u = self.rng.random() * self.total
-                candidate = int(np.searchsorted(self.cumulative, u, side="right"))
-                if candidate not in excluded:
-                    picked = candidate
-                    break
-            if picked < 0:
-                picked = self._rejection_sample(excluded)
-            out[slot] = picked
-        return out
+        out: list[int] = []
+        tries = 0
+        while len(out) < k:
+            draws = self.rng.random(k - len(out))
+            picks = np.searchsorted(self.cumulative, draws * self.total, side="right")
+            for u, candidate in zip(draws.tolist(), picks.tolist()):
+                if tries == _MAX_RESAMPLE_TRIES:
+                    out.append(self._rejection_sample(excluded, u))
+                    tries = 0
+                elif candidate in excluded:
+                    tries += 1
+                else:
+                    out.append(candidate)
+                    tries = 0
+        return np.array(out, dtype=np.int64)
 
-    def _rejection_sample(self, excluded: set) -> int:
+    def _rejection_sample(self, excluded: set, u: float) -> int:
         allowed = self.weights.copy()
         for idx in excluded:
             if 0 <= idx < allowed.shape[0]:
@@ -148,8 +157,7 @@ class NegativeSampler:
         if total <= 0:
             raise ValueError("exclusions cover the entire vocabulary")
         cumulative = np.cumsum(allowed)
-        u = self.rng.random() * total
-        return int(np.searchsorted(cumulative, u, side="right"))
+        return int(np.searchsorted(cumulative, u * total, side="right"))
 
 
 def log_sigmoid(x: float | np.ndarray) -> float | np.ndarray:
@@ -220,26 +228,22 @@ def sampled_softmax_loss_grad(
     if target == PAD_ID or not 0 < target < table.rows:
         raise ValueError(f"invalid target id {target}")
     negatives = np.asarray(negatives, dtype=np.int64)
-    if (negatives == target).any():
+    drawn = negatives.tolist()  # list scans: cheaper than numpy's on a few ids
+    if target in drawn:
         raise ValueError("target id present among negatives")
-    if (negatives == PAD_ID).any():
+    if PAD_ID in drawn:
         raise ValueError("PAD id present among negatives")
 
-    z_target = table.values[target]
-    score_t = float(query @ z_target)
-    loss = -log_sigmoid(score_t)
-    coeffs = np.empty(negatives.size + 1)
-    coeffs[0] = -sigmoid(-score_t)
-    grad_query = coeffs[0] * z_target
-    for slot, neg in enumerate(negatives, 1):
-        z_neg = table.values[neg]
-        score_n = float(query @ z_neg)
-        loss -= log_sigmoid(-score_n)
-        coeffs[slot] = sigmoid(score_n)
-        grad_query = grad_query + coeffs[slot] * z_neg
-
     rows = np.concatenate(([target], negatives))
-    return float(loss), grad_query, rows, np.outer(coeffs, query)
+    z = table.values[rows]
+    scores = z @ query
+    # the target's logit enters the loss as +score, each negative's as -score
+    margins = -scores
+    margins[0] = scores[0]
+    loss = -float(log_sigmoid(margins).sum())
+    coeffs = sigmoid(-margins)
+    coeffs[0] = -coeffs[0]
+    return loss, coeffs @ z, rows, np.outer(coeffs, query)
 
 
 def row_sums(rows: np.ndarray, row_grads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -263,8 +267,9 @@ def sgd_update(tables: dict[str, EmbeddingTable], grads: Grads, lr: float,
     """Apply one plain gradient step in place.
 
     Each table's gradient rows are summed per row id, in array order, and
-    the table takes one step.  Only Euclidean tables may be touched here;
-    rows of ball-geometry tables go through the Riemannian update instead.
+    the table takes one step; ids that do not repeat step with their rows
+    as given.  Only Euclidean tables may be touched here; rows of
+    ball-geometry tables go through the Riemannian update instead.
     ``dense_params`` receives the dense (non-table) gradients, e.g. attention
     parameters; a gradient covering a prefix of rows steps only those rows.
     """
@@ -276,9 +281,12 @@ def sgd_update(tables: dict[str, EmbeddingTable], grads: Grads, lr: float,
             raise ValueError(
                 f"table {table_name!r} has geometry {table.geometry!r}; use the Riemannian update"
             )
-        unique, summed = row_sums(rows, grads.row_grads[table_name])
-        if PAD_ID in unique.tolist():  # a list scan: cheaper than numpy's on a few ids
+        ids = rows.tolist()  # set and list scans: cheaper than numpy's on a few ids
+        if PAD_ID in ids:
             raise ValueError(f"gradient routed to PAD row of table {table_name!r}")
+        unique, summed = rows, grads.row_grads[table_name]
+        if len(set(ids)) < len(ids):
+            unique, summed = row_sums(unique, summed)
         finite = np.isfinite(summed).all(axis=1)
         if not finite.all():
             bad = unique[int(np.argmin(finite))]
@@ -304,9 +312,9 @@ def write_table_tsv(path, table: EmbeddingTable, keys: list[str]) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(f"# geometry={table.geometry}\n")
         handle.write(f"entity\t{table.dim}\n")
-        for row in range(1, table.rows):
-            vector = " ".join(f"{v:.9g}" for v in table.values[row])
-            handle.write(f"{keys[row]}\t{vector}\n")
+        line = "{}\t" + " ".join(["{:.9g}"] * table.dim) + "\n"
+        for key, vector in zip(keys[1:], table.values[1:]):
+            handle.write(line.format(key, *vector.tolist()))
 
 
 def read_table_tsv(path, name: str) -> tuple[EmbeddingTable, list[str]]:

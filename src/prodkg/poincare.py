@@ -109,11 +109,11 @@ def check_forest(edges: list[tuple[int, int]]) -> dict[int, int]:
 
 
 def hierarchy_loss_grad(
-    parent: int,
+    parent: int | np.ndarray,
     candidates: np.ndarray,
     true_index: int,
     table: EmbeddingTable,
-) -> tuple[float, np.ndarray, np.ndarray]:
+) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
     """Sampled-softmax loss of picking the true child among candidates.
 
     Candidate logits are negative ball distances to the parent; the loss is
@@ -121,23 +121,41 @@ def hierarchy_loss_grad(
     ``(loss, rows, grads)``: ``rows`` is the candidates then the parent, and
     ``grads[j]`` the Euclidean gradient for ``rows[j]`` (softmax weights
     chained through the distance derivatives); a repeated row sums its grads.
+    A (B,) stack of parents with (B, n) candidates gives B losses, (B, n + 1)
+    rows and (B, n + 1, d) grads, each edge's bit for bit as on its own.
     """
     candidates = np.asarray(candidates, dtype=np.int64)
+    parent = np.asarray(parent, dtype=np.int64)
     dists, grad_cand, grad_par = poincare_distance_grad(
-        table.values[candidates], table.values[parent])
+        table.values[candidates], table.values[parent][..., None, :])
     logits = -dists
-    peak = logits.max()
-    probs = np.exp(logits - peak)
-    probs /= probs.sum()
-    loss = float(-np.log(probs[true_index]))
+    probs = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    probs /= probs.sum(axis=-1, keepdims=True)
+    loss = -np.log(probs[..., true_index])
 
     # d loss / d dist_j = 1[j = true] - p_j  (sign flip of the logit derivative)
     coeffs = -probs
-    coeffs[true_index] += 1.0
+    coeffs[..., true_index] += 1.0
 
-    rows = np.append(candidates, parent)
-    grads = np.vstack((coeffs[:, None] * grad_cand, coeffs @ grad_par))
-    return loss, rows, grads
+    rows = np.concatenate((candidates, parent[..., None]), axis=-1)
+    grads = np.concatenate((coeffs[..., None] * grad_cand, coeffs[..., None, :] @ grad_par),
+                           axis=-2)
+    return (float(loss) if loss.ndim == 0 else loss), rows, grads
+
+
+def dependency_levels(step_rows: list[np.ndarray], n_rows: int) -> np.ndarray:
+    """The level of each step in a sequence of steps that read and write rows.
+
+    A step's level is 1 + the highest level of the last writers of its rows
+    (0 for a row nobody wrote), so the steps of one level touch disjoint
+    rows, and running the levels in order, each level's steps in any order,
+    reads and writes every row exactly as running the steps in sequence.
+    """
+    last = np.zeros(n_rows, dtype=np.int64)
+    levels = np.empty(len(step_rows), dtype=np.int64)
+    for step, rows in enumerate(step_rows):
+        levels[step] = last[rows] = last[rows].max() + 1
+    return levels
 
 
 def hierarchy_pretrain(
@@ -153,8 +171,13 @@ def hierarchy_pretrain(
     Negatives are drawn uniformly over categories that are neither the edge
     endpoints nor siblings (other children of the same parent).  The first
     ``burn_in_epochs`` run at a tenth of the learning rate.  The table is
-    updated in place and is meant to be frozen afterwards.  Each edge is one
-    batched step; its rows (distinct candidates, then the parent) are written once.
+    updated in place and is meant to be frozen afterwards.
+
+    This is per-edge SGD in a shuffled order: each edge steps its rows
+    (distinct candidates, then the parent) once.  An epoch draws its order
+    and every edge's negatives first, since no draw reads the table; then
+    edges of one :func:`dependency_levels` level, which touch disjoint rows,
+    step as one (B, rows, d) batch, bit for bit the per-edge steps in order.
     """
     if table.geometry != "poincare":
         raise ValueError("hierarchy pre-training expects a ball-geometry table")
@@ -171,17 +194,24 @@ def hierarchy_pretrain(
     losses: list[float] = []
     for epoch in range(epochs):
         lr = config.lr / 10.0 if epoch < config.burn_in_epochs else config.lr
-        order = rng.permutation(len(edge_list))
-        total = 0.0
-        for idx in order:
+        steps = []                      # each edge's rows: child, negatives, parent
+        for idx in rng.permutation(len(edge_list)):
             child, par, pool = edge_list[idx]
-            if pool.size == 0:
-                continue
-            negs = rng.choice(pool, size=min(negatives, pool.size), replace=False)
-            candidates = np.concatenate(([child], negs))
-            loss, rows, grads = hierarchy_loss_grad(par, candidates, 0, table)
-            total += loss
+            if pool.size:
+                negs = rng.choice(pool, size=min(negatives, pool.size), replace=False)
+                steps.append(np.concatenate(([child], negs, [par])))
+        batches: dict[tuple, list[int]] = {}
+        for step, level in enumerate(dependency_levels(steps, table.rows).tolist()):
+            batches.setdefault((level, steps[step].size), []).append(step)
+        step_losses = np.empty(len(steps))
+        for key in sorted(batches):
+            picked = batches[key]
+            rows = np.array([steps[step] for step in picked])
+            step_losses[picked], _, grads = hierarchy_loss_grad(rows[:, -1], rows[:, :-1], 0, table)
             table.values[rows] = riemannian_update(table.values[rows], grads, lr, config)
+        total = 0.0
+        for loss in step_losses.tolist():   # summed in the edges' order
+            total += loss
         losses.append(total / max(len(edge_list), 1))
     table.validate(config.eps_ball)
     return losses

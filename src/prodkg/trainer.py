@@ -187,26 +187,33 @@ def batch_mean(parts: list[Grads]) -> Grads:
                  {name: scale * np.concatenate(g) for name, g in row_grads.items()}, dense)
 
 
-def task_probabilities(specs: list[TaskSpec], schedule: str = "weighted") -> np.ndarray:
-    """Per-step draw probabilities of the tasks: uniform, or else size-proportional."""
+def task_cdf(specs: list[TaskSpec], schedule: str = "weighted") -> np.ndarray:
+    """Cumulative per-step draw probabilities of the tasks (uniform, or else
+    size-proportional), normalised as ``rng.choice(p=...)`` normalises them."""
     sizes = np.array([1.0 if schedule == "uniform" else s.n for s in specs], dtype=float)
-    return sizes / sizes.sum()
+    cdf = (sizes / sizes.sum()).cumsum()
+    cdf /= cdf[-1]
+    return cdf
 
 
 def sample_task(specs: list[TaskSpec], rng: np.random.Generator,
                 schedule: str = "weighted", single_task: str | None = None,
-                probs: np.ndarray | None = None) -> str:
-    """Draw the next task: size-proportional, uniform, or fixed (``probs`` from
-    :func:`task_probabilities` saves recomputing them on every draw)."""
+                cdf: np.ndarray | None = None) -> str:
+    """Draw the next task: size-proportional, uniform, or fixed.
+
+    One ``rng.random()`` searched in ``cdf`` (from :func:`task_cdf`, which
+    saves recomputing it on every draw) picks the task ``rng.choice(p=...)``
+    would pick from the same double.
+    """
     if not specs:
         raise ValueError("no active tasks")
     if schedule == "single_task":
         if single_task not in {s.name for s in specs}:
             raise ValueError(f"task {single_task!r} not among active tasks")
         return single_task
-    if probs is None:
-        probs = task_probabilities(specs, schedule)
-    return specs[int(rng.choice(len(specs), p=probs))].name
+    if cdf is None:
+        cdf = task_cdf(specs, schedule)
+    return specs[int(cdf.searchsorted(rng.random(), side="right"))].name
 
 
 @dataclass
@@ -324,7 +331,7 @@ def train(
     total = sum(s.n for s in active)
     steps_per_epoch = max(1, math.ceil(total / config.batch_size))
     by_name = {s.name: s for s in active}
-    probs = task_probabilities(active, config.schedule)
+    cdf = task_cdf(active, config.schedule)
 
     log: list[tuple] = []
     best_params = params.copy()
@@ -338,9 +345,9 @@ def train(
         if config.schedule == "single_task":
             epoch_task = config.single_task
         elif config.epoch_task_attribution:
-            epoch_task = sample_task(active, rng, config.schedule, probs=probs)
+            epoch_task = sample_task(active, rng, config.schedule, cdf=cdf)
         for _step in range(steps_per_epoch):
-            task = epoch_task or sample_task(active, rng, config.schedule, config.single_task, probs)
+            task = epoch_task or sample_task(active, rng, config.schedule, config.single_task, cdf)
             spec = by_name[task]
             batch_idx = rng.integers(0, spec.n, size=min(config.batch_size, spec.n))
             parts = []

@@ -8,7 +8,7 @@ import shutil
 import pytest
 
 from prodkg import pipeline as pl
-from prodkg.cli import HANDLERS, KEYS, RANGES, SUBCOMMANDS, main
+from prodkg.cli import COMMON_KEYS, COMMON_RANGES, HANDLERS, KEYS, RANGES, SUBCOMMANDS, main
 from prodkg.data import modality_paths
 from prodkg.model import ModelConfig, init_params
 
@@ -120,6 +120,15 @@ class TestErrors:
                      f"--{flag.replace('_', '-')}", value]) == 1
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and f"{flag} must be" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+    def test_negative_seed_exit_1_before_loading(self, subcommand, tmp_path, capsys):
+        out = tmp_path / "out"
+        run = ["--run", str(tmp_path / "missing")] if "run" in KEYS[subcommand] else []
+        assert main([subcommand, *run, "--out", str(out), "--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: seed must be >= 0, got -1")
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, message", [
@@ -330,6 +339,8 @@ class TestCommandTables:
         for subcommand, ranges in RANGES.items():
             for key in ranges:
                 assert KEYS[subcommand][key][1] in (int, float), (subcommand, key)
+        for key in COMMON_RANGES:
+            assert COMMON_KEYS[key][1] in (int, float), key
 
     def test_every_numeric_key_has_a_range(self):
         unbounded = {(subcommand, key) for subcommand, spec in KEYS.items()

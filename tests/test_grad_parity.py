@@ -1,10 +1,13 @@
 """Parity of the row-array gradient format with the dict-of-rows store it replaced.
 
 The store, the updater and every loss that built one are frozen below as
-they were before the row-id arrays replaced them.  One update through the
-frozen code and one through the live code must leave bit-identical tables
-and attention arrays; a batch of several examples must agree to 1e-12 (the
-live batch scales each row before summing instead of after).
+they were before the row-id arrays replaced them (the attention forward pass
+and the task draw they used come from ``step_oracles``).  One update through
+the frozen code and one through the live code must leave bit-identical
+tables, except where the live step sums in another order: the vectorised
+sampled-softmax scoring, the stacked attention pass, and a batch of several
+examples (the live batch scales each row before summing instead of after)
+agree to 1e-12.
 """
 
 import math
@@ -12,7 +15,8 @@ import math
 import numpy as np
 import pytest
 
-from prodkg.attention import TASK_WIRING, aggregate_context, sequence_loss_grad
+import step_oracles as oracle
+from prodkg.attention import TASK_WIRING, sequence_loss_grad
 from prodkg.embeddings import (
     EUCLIDEAN,
     PAD_ID,
@@ -33,9 +37,7 @@ from prodkg.trainer import (
     TrainConfig,
     _Samplers,
     isa_example_loss,
-    sample_task,
     substitution_loss,
-    task_probabilities,
     train,
 )
 
@@ -197,7 +199,7 @@ def frozen_sequence_loss_grad(ids, target, negatives, tables, params, task):
     _, in_name, out_name, score_name = TASK_WIRING[task]
     in_table, out_table, score_table = tables[in_name], tables[out_name], tables[score_name]
     negatives = np.asarray(negatives, dtype=np.int64)
-    context, _, cache = aggregate_context(ids, in_table, out_table, params)
+    context, _, cache = oracle.aggregate_context(ids, in_table, out_table, params)
     grads = FrozenGradStore()
     z_t = score_table.values[target]
     score_t = float(context @ z_t)
@@ -240,10 +242,10 @@ def frozen_train(config, specs, params):
     dense = params.dense_dict()
     steps_per_epoch = max(1, math.ceil(sum(s.n for s in active) / config.batch_size))
     by_name = {s.name: s for s in active}
-    probs = task_probabilities(active, config.schedule)
+    probs = oracle.task_probabilities(active, config.schedule)
     for _epoch in range(config.max_epochs):
         for _step in range(steps_per_epoch):
-            task = sample_task(active, rng, config.schedule, config.single_task, probs)
+            task = oracle.sample_task(active, rng, config.schedule, config.single_task, probs)
             spec = by_name[task]
             batch_idx = rng.integers(0, spec.n, size=min(config.batch_size, spec.n))
             grads = FrozenGradStore()
@@ -281,6 +283,25 @@ def assert_tables_equal(left, right):
         np.testing.assert_array_equal(left[name].values, right[name].values, err_msg=name)
 
 
+# the bound of a rewritten path against the code it replaced
+TOL = 1e-12
+
+
+def assert_tables_close(left, right):
+    assert left.keys() == right.keys()
+    for name in left:
+        np.testing.assert_allclose(left[name].values, right[name].values, rtol=0, atol=TOL,
+                                   err_msg=name)
+
+
+def assert_params_close(live, frozen):
+    assert_tables_close(live.tables, frozen.tables)
+    mine, theirs = live.dense_dict(), frozen.dense_dict()
+    assert mine.keys() == theirs.keys()
+    for name in mine:
+        np.testing.assert_allclose(mine[name], theirs[name], rtol=0, atol=TOL, err_msg=name)
+
+
 def tiny_params(seed, dim=6):
     config = ModelConfig(dim=dim, seed=seed,
                          seq_lens={"complement": 5, "co_view": 5, "search": 4, "describe": 7})
@@ -299,11 +320,11 @@ class TestOneUpdatePerLoss:
         loss, grad_q, rows, grads = sampled_softmax_loss_grad(query, tables["out"], 3, negatives)
         old_loss, old_grad_q, store = frozen_sampled_softmax_loss_grad(
             query, frozen["out"], 3, negatives)
-        assert loss == old_loss
-        np.testing.assert_array_equal(grad_q, old_grad_q)
+        assert loss == pytest.approx(old_loss, rel=0, abs=TOL)
+        np.testing.assert_allclose(grad_q, old_grad_q, rtol=0, atol=TOL)
         sgd_update(tables, Grads({"out": rows}, {"out": grads}, {}), 0.1)
         frozen_sgd_update(frozen, store, 0.1)
-        assert_tables_equal(tables, frozen)
+        assert_tables_close(tables, frozen)
 
     def test_full_softmax(self):
         rng = np.random.default_rng(2)
@@ -331,10 +352,10 @@ class TestOneUpdatePerLoss:
         loss, grads = substitution_loss((1, 2), tables, np.array(negs_f), np.array(negs_b))
         old_loss, store = frozen_substitution_loss((1, 2), frozen, np.array(negs_f),
                                                    np.array(negs_b))
-        assert loss == old_loss
+        assert loss == pytest.approx(old_loss, rel=0, abs=TOL)
         sgd_update(tables, grads, 0.1)
         frozen_sgd_update(frozen, store, 0.1)
-        assert_tables_equal(tables, frozen)
+        assert_tables_close(tables, frozen)
 
     def test_substitution_backward_repeat_of_a_forward_id_within_rounding(self):
         """The frozen store summed each direction before merging them, so an id
@@ -384,10 +405,10 @@ class TestOneUpdatePerLoss:
                                          params.attn[task], task)
         old_loss, store = frozen_sequence_loss_grad(ids, 5, negatives, frozen.tables,
                                                     frozen.attn[task], task)
-        assert loss == old_loss
+        assert loss == pytest.approx(old_loss, rel=0, abs=TOL)
         sgd_update(params.tables, grads, 0.1, params.dense_dict())
         frozen_sgd_update(frozen.tables, store, 0.1, frozen.dense_dict())
-        assert params.equal(frozen)
+        assert_params_close(params, frozen)
 
     def test_live_rows_poured_into_the_frozen_store_give_its_sums(self):
         params = tiny_params(seed=12)
@@ -401,7 +422,7 @@ class TestOneUpdatePerLoss:
         for name, per_table in store.rows.items():
             assert list(poured.rows[name]) == list(per_table)
             for row, grad in per_table.items():
-                np.testing.assert_array_equal(poured.rows[name][row], grad)
+                np.testing.assert_allclose(poured.rows[name][row], grad, rtol=0, atol=TOL)
 
 
 # --- whole training runs ------------------------------------------------------------
@@ -435,23 +456,18 @@ def tiny_specs(seed, n_items=14, n_words=10, n_each=24):
 
 
 class TestTrainingRuns:
-    def test_per_example_run_is_bit_identical(self):
+    def test_per_example_run_agrees_to_1e12(self):
         specs = tiny_specs(seed=5)
         config = TrainConfig(max_epochs=2, seed=3, lr=0.1)
         live = train(config, specs, tiny_params(seed=9), validation=None).params
         frozen = frozen_train(config, specs, tiny_params(seed=9))
-        assert live.equal(frozen)
+        assert_params_close(live, frozen)
+        assert not live.equal(tiny_params(seed=9))
 
     def test_batch_of_four_agrees_to_1e12(self):
         specs = tiny_specs(seed=6)
         config = TrainConfig(max_epochs=1, seed=4, lr=0.1, batch_size=4)
         live = train(config, specs, tiny_params(seed=10), validation=None).params
         frozen = frozen_train(config, specs, tiny_params(seed=10))
-        for name, table in live.tables.items():
-            np.testing.assert_allclose(table.values, frozen.tables[name].values,
-                                       rtol=0, atol=1e-12, err_msg=name)
-        mine, theirs = live.dense_dict(), frozen.dense_dict()
-        for name in mine:
-            np.testing.assert_allclose(mine[name], theirs[name], rtol=0, atol=1e-12,
-                                       err_msg=name)
+        assert_params_close(live, frozen)
         assert not live.equal(tiny_params(seed=10))
