@@ -74,10 +74,10 @@ class AttentionParams:
         }
 
 
-def scaled_dot_attention(
-    q: np.ndarray, k: np.ndarray, v: np.ndarray, key_mask: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """softmax(q kT / sqrt(d)) v with masked keys forced to exactly zero weight."""
+def attention_weights(
+    q: np.ndarray, k: np.ndarray, key_mask: np.ndarray | None = None
+) -> np.ndarray:
+    """softmax(q kT / sqrt(d)) with masked keys forced to exactly zero weight."""
     dim = q.shape[1]
     logits = q @ k.T / np.sqrt(dim)
     if key_mask is not None:
@@ -90,6 +90,14 @@ def scaled_dot_attention(
     if key_mask is not None:
         weights[:, ~key_mask] = 0.0
     weights /= weights.sum(axis=1, keepdims=True)
+    return weights
+
+
+def scaled_dot_attention(
+    q: np.ndarray, k: np.ndarray, v: np.ndarray, key_mask: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """softmax(q kT / sqrt(d)) v and the weights, masked keys at exactly zero weight."""
+    weights = attention_weights(q, k, key_mask)
     return weights @ v, weights
 
 
@@ -162,7 +170,7 @@ def aggregate_context(
     e = np.concatenate((in_table.values[ids] + pos, out_table.values[ids] + pos))
     f, pre, hidden = ffn_forward(e, params)
     e_in = e[:length]
-    _, alpha = scaled_dot_attention(f[:length], f[length:], e_in)
+    alpha = attention_weights(f[:length], f[length:])
     context = (alpha.sum(axis=0) / length) @ e_in
     return context, alpha, _AttnCache(ids, e, pre, hidden, f, alpha)
 

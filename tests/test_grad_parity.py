@@ -411,18 +411,24 @@ class TestOneUpdatePerLoss:
         assert_params_close(params, frozen)
 
     def test_live_rows_poured_into_the_frozen_store_give_its_sums(self):
+        """The live row layout, carrying the unfused step's values (the fused
+        step's values differ from them in the last bits), sums in emission
+        order to exactly the frozen store's rows."""
         params = tiny_params(seed=12)
         ids, negatives = np.array([2, 3, 2, 2]), np.array([3, 7, 7])
-        _, grads = sequence_loss_grad(ids, 6, negatives, params.tables,
-                                      params.attn["describe"], "describe")
-        _, store = frozen_sequence_loss_grad(ids, 6, negatives, params.tables,
-                                             params.attn["describe"], "describe")
-        poured = frozen_store_of(grads)
+        args = (ids, 6, negatives, params.tables, params.attn["describe"], "describe")
+        _, grads = sequence_loss_grad(*args)
+        _, rows, row_grads, dense = oracle.sequence_loss_grad(*args)
+        _, store = frozen_sequence_loss_grad(*args)
+        assert list(grads.rows) == list(rows)
+        for name in rows:
+            np.testing.assert_array_equal(grads.rows[name], rows[name], err_msg=name)
+        poured = frozen_store_of(Grads(grads.rows, row_grads, dense))
         assert list(poured.rows) == list(store.rows)
         for name, per_table in store.rows.items():
             assert list(poured.rows[name]) == list(per_table)
             for row, grad in per_table.items():
-                np.testing.assert_allclose(poured.rows[name][row], grad, rtol=0, atol=TOL)
+                np.testing.assert_array_equal(poured.rows[name][row], grad)
 
 
 # --- whole training runs ------------------------------------------------------------
