@@ -255,7 +255,10 @@ def _run_dir_state(run: str) -> pl.PipelineData:
     filtered_dir = os.path.join(run, "filtered")
     if not os.path.isdir(filtered_dir):
         raise DataError(f"missing filtered records under {run!r}; run 'prodkg ingest' first")
-    # records were already filtered at ingest time
+    # Ingest wrote these records filtered, so they load as written (0/0).
+    # Filtering is not idempotent: dropping items shrinks sessions and
+    # drops searches, which lowers other keys' counts, so a second pass at
+    # ingest's thresholds could drop more.
     return pl.load_and_split(dm.modality_paths(filtered_dir), item_min=0, word_min=0)
 
 
@@ -296,8 +299,7 @@ def cmd_ingest(config: dict) -> int:
     paths = {name: p for name, p in dm.modality_paths(data_dir).items() if os.path.exists(p)}
     if not paths:
         raise DataError(f"no modality files found under {data_dir!r}")
-    dataset = dm.filter_infrequent(dm.ingest_dataset(paths),
-                                   config["item_min"], config["word_min"])
+    dataset = dm.ingest_dataset(paths, config["item_min"], config["word_min"])
     out = config["out"]
     filtered = dm.modality_paths(os.path.join(out, "filtered"))
     for modality, records in (("buy_sessions", dataset.buy_sessions),

@@ -9,8 +9,9 @@ Five line-oriented UTF-8 text modalities are supported:
   search.tsv          timestamp <TAB> space-separated query words <TAB> clicked item_key
   category_edges.tsv  child_label <TAB> parent_label
 
-Ingestion reads each file twice in effect: keys are collected first, then
-records are re-resolved against the vocabularies built from those keys.
+Ingestion reads each file once: every line becomes a checked record over
+raw string keys, keys are counted and filtered by frequency, and the
+surviving records are resolved to ids against vocabularies of the kept keys.
 Entity ids are dense integers per namespace with id 0 reserved for PAD;
 real ids follow the lexicographic order of the raw string keys, so
 rebuilding a vocabulary from the same keys is reproducible.
@@ -18,7 +19,9 @@ rebuilding a vocabulary from the same keys is reproducible.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from dataclasses import dataclass, field
+from itertools import chain
 
 ITEM = "item"
 WORD = "word"
@@ -174,189 +177,164 @@ def _timestamp(token):
         raise DataError(f"bad timestamp {token!r}") from None
 
 
-def ingest_dataset(paths: dict) -> Dataset:
-    """Parse all provided modality files into an id-resolved :class:`Dataset`.
+def check_forest(edges, where=None) -> dict:
+    """Validate that child->parent edges form a forest; returns the parent map.
+
+    A self-edge or a second parent is reported at its edge, a cycle at the
+    parent edge of a category on it; ``where[i]``, when given, prefixes the
+    message for ``edges[i]`` (a ``file:line``).  A repeated edge is fine.
+    """
+    parent: dict = {}
+    first_edge: dict = {}
+
+    def fail(index, message):
+        raise DataError(f"{where[index]}: {message}" if where else message)
+
+    for index, (child, par) in enumerate(edges):
+        if child == par:
+            fail(index, f"self-edge on category {child!r}")
+        if parent.setdefault(child, par) != par:
+            fail(index, f"category {child!r} has two parents, {parent[child]!r} and {par!r}")
+        first_edge.setdefault(child, index)
+    for start in parent:
+        chain = {start: None}  # insertion-ordered
+        node = start
+        while node in parent:
+            node = parent[node]
+            if node in chain:
+                loop = [*chain][[*chain].index(node):] + [node]
+                fail(first_edge[node],
+                     "cycle through categories " + " -> ".join(map(repr, loop)))
+            chain[node] = None
+    return parent
+
+
+def _vocabulary(namespace: str, counts: Counter, minimum: int, uncounted=()) -> Vocabulary:
+    """The keys counted at least ``minimum`` times; ``uncounted`` keys count 0.
+
+    The reserved PAD key is an error even where the threshold would drop it.
+    """
+    keys = set(counts).union(uncounted)
+    if PAD_KEY in keys:
+        raise DataError(f"reserved key {PAD_KEY!r} present in {namespace} input")
+    return Vocabulary.from_keys(namespace, [key for key in keys if counts[key] >= minimum])
+
+
+def ingest_dataset(paths: dict, item_min: int = 0, word_min: int = 0) -> Dataset:
+    """Parse, frequency-filter and id-resolve the modality files into a :class:`Dataset`.
 
     ``paths`` maps modality names (``catalog``, ``buy_sessions``,
     ``view_sessions``, ``substitutions``, ``search``, ``category_edges``) to
-    file paths; absent modalities may be omitted or set to None.  The
-    category vocabulary comes from the edge file alone, so a catalog path
-    label missing there is an error.
+    file paths; absent modalities may be omitted or set to None.  Each file
+    is read once, each line checked into a record over raw string keys.
+
+    Items count every occurrence in buy/view sessions, substitution pairs
+    (both sides) and search clicks; words every occurrence in catalog
+    descriptions and search queries.  Items counted fewer than ``item_min``
+    times and words fewer than ``word_min`` are dropped everywhere:
+    sequences shrink, and one left shorter than two is discarded, as are
+    substitutions losing either side, searches losing their click or whole
+    query, and catalog entries of dropped items.  Categories are never
+    filtered; their vocabulary comes from the edge file alone, so a catalog
+    path label missing there is an error, as are edges that are not a forest.
     """
     present = {name: path for name, path in paths.items() if path and name in MODALITY_FILES}
     for name, path in present.items():
         if not os.path.exists(path):
             raise DataError(f"missing input file for {name}: {path}")
 
-    item_keys: set[str] = set()
-    word_keys: set[str] = set()
-    category_keys: set[str] = set()
+    # One string object per distinct key: the raw records then hold no more
+    # objects than id-resolved ones, and every later lookup of a key reuses
+    # its cached hash.
+    keys: dict[str, str] = {}
 
-    # First pass: collect raw keys.
-    if "category_edges" in present:
-        for number, line in _read_lines(present["category_edges"]):
-            child, parent = _fields(present["category_edges"], number, line, 2)
-            category_keys.update((child, parent))
-    if "catalog" in present:
-        for number, line in _read_lines(present["catalog"]):
-            item, words, _path = _fields(present["catalog"], number, line, 3)
-            item_keys.add(item)
-            word_keys.update(w for w in words.split(" ") if w)
-    for kind in ("buy_sessions", "view_sessions"):
-        if kind in present:
-            for number, line in _read_lines(present[kind]):
-                _ts, items = _fields(present[kind], number, line, 2)
-                item_keys.update(i for i in items.split(" ") if i)
-    if "substitutions" in present:
-        for number, line in _read_lines(present["substitutions"]):
-            _ts, a, b = _fields(present["substitutions"], number, line, 3)
-            item_keys.update((a, b))
-    if "search" in present:
-        for number, line in _read_lines(present["search"]):
-            _ts, words, clicked = _fields(present["search"], number, line, 3)
-            word_keys.update(w for w in words.split(" ") if w)
-            item_keys.add(clicked)
+    def key(text):
+        return keys.setdefault(text, text)
 
+    def split(text, sep=" "):
+        tokens = tuple(filter(None, text.split(sep)))
+        return tuple(map(keys.setdefault, tokens, tokens))
+
+    def records(name, expected, build):
+        """``build(line_number, *fields)`` per line of ``name``; errors get file:line."""
+        if name not in present:
+            return []
+        path, out = present[name], []
+        for number, line in _read_lines(path):
+            fields = _fields(path, number, line, expected)
+            out.append(at_line(path, number, lambda: build(number, *fields)))
+        return out
+
+    edges = records("category_edges", 2, lambda number, child, parent: (number, child, parent))
+    check_forest([(child, parent) for _, child, parent in edges],
+                 [f"{present['category_edges']}:{number}" for number, _, _ in edges])
+    categories = {label for _, child, parent in edges for label in (child, parent)}
+
+    catalog_lines: dict[str, int] = {}  # item -> line of its catalog entry
+
+    def catalog_entry(number, item, words, cat_path):
+        item = key(item)
+        if item in catalog_lines:
+            raise DataError(f"item {item!r} listed again (first at line {catalog_lines[item]})")
+        catalog_lines[item] = number
+        labels = split(cat_path, "/")
+        for label in labels:
+            if label not in categories:
+                raise DataError(f"unknown category label {label!r}")
+        return CatalogEntry(item, split(words), labels)
+
+    def session(kind):
+        return lambda _, ts, items: SessionSequence(kind, split(items), _timestamp(ts))
+
+    catalog = records("catalog", 3, catalog_entry)
+    buys = records("buy_sessions", 2, session("buy"))
+    views = records("view_sessions", 2, session("view"))
+    pairs = records("substitutions", 3,
+                    lambda _, ts, a, b: SubstitutionPair(key(a), key(b), _timestamp(ts)))
+    searches = records("search", 3, lambda _, ts, words, clicked: SearchRecord(
+        split(words), key(clicked), _timestamp(ts)))
+
+    item_counts = Counter(chain.from_iterable(s.items for s in buys + views))
+    item_counts.update(chain.from_iterable((p.accepted_for, p.substitute) for p in pairs))
+    item_counts.update(r.clicked_item for r in searches)
+    word_counts = Counter(chain.from_iterable(r.query_words for r in searches))
+    word_counts.update(chain.from_iterable(e.description for e in catalog))
     vocab = {
-        ITEM: Vocabulary.from_keys(ITEM, item_keys),
-        WORD: Vocabulary.from_keys(WORD, word_keys),
-        CATEGORY: Vocabulary.from_keys(CATEGORY, category_keys),
-    }
-    dataset = Dataset(vocab=vocab)
-
-    # Second pass: resolve ids and validate record invariants.
-    if "category_edges" in present:
-        path = present["category_edges"]
-        for number, line in _read_lines(path):
-            child, parent = _fields(path, number, line, 2)
-            dataset.category_edges.append(
-                (vocab[CATEGORY].id(child), vocab[CATEGORY].id(parent)))
-    if "catalog" in present:
-        path = present["catalog"]
-        for number, line in _read_lines(path):
-            item, words, cat_path = _fields(path, number, line, 3)
-            labels = [p for p in cat_path.split("/") if p]
-            for label in labels:
-                if label not in vocab[CATEGORY].key_to_id:
-                    raise DataError(f"{path}:{number}: unknown category label {label!r}")
-            dataset.catalog.append(at_line(path, number, lambda: CatalogEntry(
-                item=vocab[ITEM].id(item),
-                description=tuple(vocab[WORD].id(w) for w in words.split(" ") if w),
-                category_path=tuple(vocab[CATEGORY].id(l) for l in labels),
-            )))
-    for kind, attr in (("buy_sessions", "buy_sessions"), ("view_sessions", "view_sessions")):
-        if kind in present:
-            path = present[kind]
-            session_kind = "buy" if kind == "buy_sessions" else "view"
-            for number, line in _read_lines(path):
-                ts, items = _fields(path, number, line, 2)
-                getattr(dataset, attr).append(at_line(path, number, lambda: SessionSequence(
-                    kind=session_kind,
-                    items=tuple(vocab[ITEM].id(i) for i in items.split(" ") if i),
-                    timestamp=_timestamp(ts),
-                )))
-    if "substitutions" in present:
-        path = present["substitutions"]
-        for number, line in _read_lines(path):
-            ts, a, b = _fields(path, number, line, 3)
-            dataset.substitutions.append(at_line(path, number, lambda: SubstitutionPair(
-                accepted_for=vocab[ITEM].id(a),
-                substitute=vocab[ITEM].id(b),
-                timestamp=_timestamp(ts),
-            )))
-    if "search" in present:
-        path = present["search"]
-        for number, line in _read_lines(path):
-            ts, words, clicked = _fields(path, number, line, 3)
-            dataset.searches.append(at_line(path, number, lambda: SearchRecord(
-                query_words=tuple(vocab[WORD].id(w) for w in words.split(" ") if w),
-                clicked_item=vocab[ITEM].id(clicked),
-                timestamp=_timestamp(ts),
-            )))
-    return dataset
-
-
-def entity_counts(dataset: Dataset) -> tuple[dict, dict]:
-    """Total appearance counts: items over activity records, words over text.
-
-    Items count every occurrence in buy/view sessions, substitution pairs
-    (both sides) and search clicks; words count every occurrence in catalog
-    descriptions and search queries.  Keys are entity ids.
-    """
-    item_counts: dict[int, int] = {}
-    word_counts: dict[int, int] = {}
-
-    def bump(counter, key, n=1):
-        counter[key] = counter.get(key, 0) + n
-
-    for session in dataset.buy_sessions + dataset.view_sessions:
-        for item in session.items:
-            bump(item_counts, item)
-    for pair in dataset.substitutions:
-        bump(item_counts, pair.accepted_for)
-        bump(item_counts, pair.substitute)
-    for record in dataset.searches:
-        bump(item_counts, record.clicked_item)
-        for word in record.query_words:
-            bump(word_counts, word)
-    for entry in dataset.catalog:
-        for word in entry.description:
-            bump(word_counts, word)
-    return item_counts, word_counts
-
-
-def filter_infrequent(dataset: Dataset, item_min: int = 10, word_min: int = 3) -> Dataset:
-    """Drop rare items and words everywhere, then re-index the survivors.
-
-    Sequences are shortened in place; any sequence shrinking below length
-    two is discarded, as are substitutions losing either side, searches
-    losing their click or whole query, and catalog entries of dropped
-    items.  Categories are never filtered.
-    """
-    item_counts, word_counts = entity_counts(dataset)
-    old_items = dataset.vocab[ITEM]
-    old_words = dataset.vocab[WORD]
-    kept_item_keys = [old_items.key(i) for i in old_items.real_ids()
-                      if item_counts.get(i, 0) >= item_min]
-    kept_word_keys = [old_words.key(w) for w in old_words.real_ids()
-                      if word_counts.get(w, 0) >= word_min]
-
-    new_vocab = {
-        ITEM: Vocabulary.from_keys(ITEM, kept_item_keys),
-        WORD: Vocabulary.from_keys(WORD, kept_word_keys),
-        CATEGORY: dataset.vocab[CATEGORY],
+        ITEM: _vocabulary(ITEM, item_counts, item_min, catalog_lines),
+        WORD: _vocabulary(WORD, word_counts, word_min),
+        CATEGORY: Vocabulary.from_keys(CATEGORY, categories),
     }
 
-    def item_id(old_id):
-        key = old_items.key(old_id)
-        return new_vocab[ITEM].key_to_id.get(key)
+    item_id = vocab[ITEM].key_to_id.get
+    word_id = vocab[WORD].key_to_id.get
+    category_id = vocab[CATEGORY].key_to_id
 
-    def word_id(old_id):
-        key = old_words.key(old_id)
-        return new_vocab[WORD].key_to_id.get(key)
+    def kept(keys, id_of):
+        # real ids are at least 1, so filter(None, ...) drops just the missing keys
+        return tuple(filter(None, map(id_of, keys)))
 
-    out = Dataset(vocab=new_vocab, category_edges=list(dataset.category_edges))
-    for session in dataset.buy_sessions + dataset.view_sessions:
-        kept = tuple(i for i in (item_id(x) for x in session.items) if i is not None)
-        if len(kept) >= 2:
-            target = out.buy_sessions if session.kind == "buy" else out.view_sessions
-            target.append(replace(session, items=kept))
-    for pair in dataset.substitutions:
-        a, b = item_id(pair.accepted_for), item_id(pair.substitute)
+    dataset = Dataset(vocab=vocab, category_edges=[
+        (category_id[child], category_id[parent]) for _, child, parent in edges])
+    for raw, target in ((buys, dataset.buy_sessions), (views, dataset.view_sessions)):
+        for s in raw:
+            items = kept(s.items, item_id)
+            if len(items) >= 2:
+                target.append(SessionSequence(s.kind, items, s.timestamp))
+    for p in pairs:
+        a, b = item_id(p.accepted_for), item_id(p.substitute)
         if a is not None and b is not None:
-            out.substitutions.append(replace(pair, accepted_for=a, substitute=b))
-    for record in dataset.searches:
-        clicked = item_id(record.clicked_item)
-        words = tuple(w for w in (word_id(x) for x in record.query_words) if w is not None)
+            dataset.substitutions.append(SubstitutionPair(a, b, p.timestamp))
+    for r in searches:
+        clicked, words = item_id(r.clicked_item), kept(r.query_words, word_id)
         if clicked is not None and words:
-            out.searches.append(replace(record, query_words=words, clicked_item=clicked))
-    for entry in dataset.catalog:
-        item = item_id(entry.item)
-        if item is None:
-            continue
-        words = tuple(w for w in (word_id(x) for x in entry.description) if w is not None)
-        out.catalog.append(replace(entry, item=item, description=words))
-    return out
+            dataset.searches.append(SearchRecord(words, clicked, r.timestamp))
+    for e in catalog:
+        item = item_id(e.item)
+        if item is not None:
+            dataset.catalog.append(CatalogEntry(
+                item, kept(e.description, word_id),
+                tuple(category_id[label] for label in e.category_path)))
+    return dataset
 
 
 def splittable(n: int, fractions=(0.8, 0.1, 0.1)) -> bool:

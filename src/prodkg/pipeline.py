@@ -40,8 +40,8 @@ class PipelineData:
 
 
 def load_and_split(paths: dict, item_min: int = 10, word_min: int = 3) -> PipelineData:
-    """Ingest, frequency-filter, and chronologically split every modality."""
-    dataset = dm.filter_infrequent(dm.ingest_dataset(paths), item_min, word_min)
+    """Ingest (frequency-filtered) and chronologically split every modality."""
+    dataset = dm.ingest_dataset(paths, item_min, word_min)
     splits = {}
     for modality, records in (
         ("buy_sessions", dataset.buy_sessions),

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import check_forest
 from .embeddings import PAD_ID, EmbeddingTable, NumericalError, log_sigmoid, sigmoid
 
 # Guards the arcosh derivative near coincident points.
@@ -86,26 +87,6 @@ def riemannian_update(row: np.ndarray, euclidean_grad: np.ndarray, lr: float,
     limit = 1.0 - config.eps_ball
     # limit / max(norm, limit) is exactly 1.0 for rows already inside the margin
     return updated * (limit / np.maximum(np.sqrt(_sq_norms(updated)), limit))
-
-
-def check_forest(edges: list[tuple[int, int]]) -> dict[int, int]:
-    """Validate child->parent edges form a forest; returns the parent map."""
-    parent: dict[int, int] = {}
-    for child, par in edges:
-        if child == par:
-            raise ValueError(f"self-edge on category {child}")
-        if child in parent and parent[child] != par:
-            raise ValueError(f"category {child} has two parents")
-        parent[child] = par
-    for start in parent:
-        seen = {start}
-        node = start
-        while node in parent:
-            node = parent[node]
-            if node in seen:
-                raise ValueError(f"cycle detected through category {node}")
-            seen.add(node)
-    return parent
 
 
 def hierarchy_loss_grad(

@@ -6,10 +6,13 @@ import os
 import shutil
 
 import pytest
+from ingest_oracle import oracle_dataset
 
 from prodkg import pipeline as pl
-from prodkg.cli import COMMON_KEYS, COMMON_RANGES, HANDLERS, KEYS, RANGES, SUBCOMMANDS, main
-from prodkg.data import modality_paths
+from prodkg.cli import (
+    COMMON_KEYS, COMMON_RANGES, HANDLERS, KEYS, RANGES, SUBCOMMANDS, _run_dir_state, main,
+)
+from prodkg.data import NAMESPACES, modality_paths
 from prodkg.model import ModelConfig, init_params
 
 
@@ -52,6 +55,16 @@ def evaluate(run, seed=7):
                  "--query-cap", "20", "--seed", str(seed)])
 
 
+@pytest.fixture(scope="module")
+def raw_data(tmp_path_factory):
+    """A tiny gen-data directory at seed 3; copy before changing it."""
+    data = str(tmp_path_factory.mktemp("raw") / "data")
+    assert main(["gen-data", "--seed", "3", "--out", data, "--items", "120",
+                 "--clusters", "20", "--sessions", "500", "--searches", "150",
+                 "--substitutions", "120", "--words", "100"]) == 0
+    return data
+
+
 class TestGenData:
     def test_same_seed_identical_directories(self, tmp_path):
         for sub in ("a", "b"):
@@ -92,6 +105,27 @@ class TestErrors:
         assert "substitutions" in err
         assert os.path.join(run, "filtered", "substitutions.tsv") in err
         assert not os.path.exists(os.path.join(run, "filtered"))
+
+    @pytest.mark.parametrize("file, line, message", [
+        ("category_edges.tsv", "c1_0000\tc1_0002",
+         "category_edges.tsv:321: category 'c1_0000' has two parents, 'c0_0000' and 'c1_0002'"),
+        ("category_edges.tsv", "c1_0000\tc1_0000",
+         "category_edges.tsv:321: self-edge on category 'c1_0000'"),
+        ("category_edges.tsv", "c0_0000\tc1_0000",
+         "category_edges.tsv:1: cycle through categories 'c1_0000' -> 'c0_0000' -> 'c1_0000'"),
+        ("catalog.tsv", "i00005\tw0001\tc3_0005/c2_0002/c1_0001/c0_0000",
+         "catalog.tsv:121: item 'i00005' listed again (first at line 6)"),
+    ], ids=["two-parents", "self-edge", "cycle", "repeated-item"])
+    def test_ingest_rejects_malformed_catalog_exit_2(self, raw_data, tmp_path, capsys,
+                                                      file, line, message):
+        data, run = str(tmp_path / "data"), str(tmp_path / "run")
+        shutil.copytree(raw_data, data)
+        with open(os.path.join(data, file), "a", encoding="utf-8") as handle:
+            handle.write(line + "\n")
+        capsys.readouterr()
+        assert main(["ingest", "--data", data, "--out", run]) == 2
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(run)
 
     def test_help_exits_zero_and_lists_defaults(self, capsys):
         assert main(["train", "--help"]) == 0
@@ -254,6 +288,35 @@ class TestStagesReadUpstream:
             prg_hash = json.load(handle)["config_hash"]
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["prg_config_hash"] == prg_hash
+
+    def test_loaded_state_is_ingest_filtering_the_raw_files(self, tmp_path):
+        # stages load filtered/ at 0/0; that is exact only because ingest wrote it filtered
+        data, run = run_dir(tmp_path)
+        state = _run_dir_state(run)
+        frozen = oracle_dataset(modality_paths(data), item_min=10, word_min=3)
+        for name in ("buy_sessions", "view_sessions", "substitutions", "searches", "catalog",
+                     "category_edges"):
+            assert getattr(frozen, name), name
+            assert getattr(state.dataset, name) == getattr(frozen, name), name
+        assert state.dataset.vocab == frozen.vocab
+        for namespace in NAMESPACES:
+            with open(os.path.join(run, f"vocab_{namespace}.tsv"), encoding="utf-8") as handle:
+                written = [line.rstrip("\n").split("\t") for line in handle]
+            vocab = state.dataset.vocab[namespace]
+            assert written == [[str(idx), vocab.key(idx)] for idx in vocab.real_ids()]
+
+    def test_repeated_filtered_catalog_item_exit_2(self, trained_run, tmp_path, capsys):
+        run = copy_run(trained_run, tmp_path)
+        catalog = os.path.join(run, "filtered", "catalog.tsv")
+        with open(catalog, encoding="utf-8") as handle:
+            lines = handle.readlines()
+        with open(catalog, "a", encoding="utf-8") as handle:
+            handle.write(lines[0])
+        capsys.readouterr()
+        assert main(["build-prg", "--run", run, "--out", str(tmp_path / "prg")]) == 2
+        item = lines[0].split("\t")[0]
+        assert (f"catalog.tsv:{len(lines) + 1}: item {item!r} listed again (first at line 1)"
+                in capsys.readouterr().err)
 
     def test_rank_unknown_head_exit_2(self, trained_run, capsys):
         assert main(["rank", "--run", trained_run, "--head", "no-such-item"]) == 2

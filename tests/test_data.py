@@ -1,8 +1,10 @@
 """Ingestion, vocabularies, frequency filtering and chronological splits."""
 
 import pytest
+from ingest_oracle import oracle_dataset
 
 from prodkg import data as dm
+from prodkg.synth import SynthConfig, generate
 
 
 def write(tmp_path, name, text):
@@ -109,24 +111,21 @@ class TestVocabulary:
             vocab.id("zzz")
 
 
-def _counted_dataset(tmp_path, times_a: int):
+def _counted_paths(tmp_path, times_a: int):
     """Item 'a' appears ``times_a`` times in buys; 'b' and 'c' appear plenty."""
     lines = [f"{i}\ta b c\n" for i in range(times_a)]
     lines += [f"{100 + i}\tb c\n" for i in range(30)]
-    paths = {"buy_sessions": write(tmp_path, "buy.tsv", "".join(lines))}
-    return dm.ingest_dataset(paths)
+    return {"buy_sessions": write(tmp_path, "buy.tsv", "".join(lines))}
 
 
 class TestFiltering:
     def test_item_below_threshold_removed(self, tmp_path):
-        ds = _counted_dataset(tmp_path, times_a=9)
-        filtered = dm.filter_infrequent(ds, item_min=10, word_min=3)
+        filtered = dm.ingest_dataset(_counted_paths(tmp_path, times_a=9), item_min=10, word_min=3)
         assert "a" not in filtered.vocab["item"].key_to_id
         assert "b" in filtered.vocab["item"].key_to_id
 
     def test_item_at_threshold_kept(self, tmp_path):
-        ds = _counted_dataset(tmp_path, times_a=10)
-        filtered = dm.filter_infrequent(ds, item_min=10, word_min=3)
+        filtered = dm.ingest_dataset(_counted_paths(tmp_path, times_a=10), item_min=10, word_min=3)
         assert "a" in filtered.vocab["item"].key_to_id
 
     def test_word_at_threshold_kept(self, tmp_path):
@@ -138,20 +137,19 @@ class TestFiltering:
                                   "".join(f"{i}\ta a\n" for i in range(10))),
         }
         # sessions of repeated single item count each occurrence
-        ds = dm.ingest_dataset(paths)
-        filtered = dm.filter_infrequent(ds, item_min=10, word_min=3)
+        filtered = dm.ingest_dataset(paths, item_min=10, word_min=3)
         assert "rare" in filtered.vocab["word"].key_to_id
         assert "common" in filtered.vocab["word"].key_to_id
 
     def test_all_above_threshold_is_noop(self, tmp_path):
-        ds = _counted_dataset(tmp_path, times_a=30)
-        filtered = dm.filter_infrequent(ds, item_min=10, word_min=3)
+        paths = _counted_paths(tmp_path, times_a=30)
+        ds = dm.ingest_dataset(paths)
+        filtered = dm.ingest_dataset(paths, item_min=10, word_min=3)
         assert filtered.vocab["item"].id_to_key == ds.vocab["item"].id_to_key
         assert [s.items for s in filtered.buy_sessions] == [s.items for s in ds.buy_sessions]
 
     def test_no_surviving_record_contains_removed_entity(self, tmp_path):
-        ds = _counted_dataset(tmp_path, times_a=5)
-        filtered = dm.filter_infrequent(ds, item_min=10, word_min=3)
+        filtered = dm.ingest_dataset(_counted_paths(tmp_path, times_a=5), item_min=10, word_min=3)
         valid = set(filtered.vocab["item"].real_ids())
         for session in filtered.buy_sessions + filtered.view_sessions:
             assert set(session.items) <= valid
@@ -161,10 +159,81 @@ class TestFiltering:
         # 'a' appears alongside the frequent 'b'; removing 'a' leaves length-1 sessions
         lines = "".join(f"{i}\ta b\n" for i in range(5))
         lines += "".join(f"{10 + i}\tb c\n" for i in range(20))
-        ds = dm.ingest_dataset({"buy_sessions": write(tmp_path, "buy.tsv", lines)})
-        filtered = dm.filter_infrequent(ds, item_min=10, word_min=3)
+        filtered = dm.ingest_dataset({"buy_sessions": write(tmp_path, "buy.tsv", lines)},
+                                     item_min=10, word_min=3)
         assert all(len(s.items) >= 2 for s in filtered.buy_sessions)
         assert len(filtered.buy_sessions) == 20
+
+    def test_raw_lines_are_checked_before_filtering(self, tmp_path):
+        # 'only' would be filtered out, but its one-item session is still an error
+        lines = "".join(f"{i}\tb c\n" for i in range(20)) + "99\tonly\n"
+        paths = {"buy_sessions": write(tmp_path, "buy.tsv", lines)}
+        with pytest.raises(dm.DataError, match=r"buy\.tsv:21: session needs at least two items"):
+            dm.ingest_dataset(paths, item_min=10, word_min=3)
+
+    @pytest.mark.parametrize("files, namespace", [
+        ({"buy_sessions": "".join(f"{i}\tb c\n" for i in range(20)) + "99\t<pad> c\n"},
+         "item"),
+        ({"search": "".join(f"{i}\tred fruit\tb\n" for i in range(20)) + "99\t<pad>\tb\n"},
+         "word"),
+        # catalog items are never counted, so every one falls below item_min
+        ({"catalog": "<pad>\tword\tsub1\n", "category_edges": "sub1\tcat1\n"}, "item"),
+    ], ids=["session-item", "query-word", "catalog-item"])
+    def test_reserved_key_raises_even_when_filtered_out(self, tmp_path, files, namespace):
+        paths = {name: write(tmp_path, f"{name}.tsv", text) for name, text in files.items()}
+        with pytest.raises(dm.DataError, match=f"reserved key '<pad>' present in {namespace}"):
+            dm.ingest_dataset(paths, item_min=10, word_min=3)
+
+
+class TestCatalogAndEdgeChecks:
+    def test_repeated_catalog_item_names_both_lines(self, tmp_path):
+        paths = {
+            "catalog": write(tmp_path, "catalog.tsv",
+                             "a\tred\tsub1\n\nb\tblue\tsub1\na\tgreen\tsub1\n"),
+            "category_edges": write(tmp_path, "edges.tsv", "sub1\tcat1\n"),
+        }
+        with pytest.raises(dm.DataError,
+                           match=r"catalog\.tsv:4: item 'a' listed again \(first at line 1\)"):
+            dm.ingest_dataset(paths)
+
+    def test_repeated_edge_is_fine(self, tmp_path):
+        paths = {"category_edges": write(tmp_path, "edges.tsv", "a\tb\na\tb\n")}
+        assert len(dm.ingest_dataset(paths).category_edges) == 2
+
+
+@pytest.fixture(scope="module")
+def synth_paths(tmp_path_factory):
+    config = SynthConfig(n_items=200, n_words=80, n_clusters=20, n_sessions=600,
+                         n_searches=200, n_substitutions=150, seed=5)
+    paths, _truth = generate(config, str(tmp_path_factory.mktemp("synth")))
+    return {name: path for name, path in paths.items() if name in dm.MODALITY_FILES}
+
+
+class TestOnePassParity:
+    """The one-pass loader against the frozen two-pass read and filtering rebuild."""
+
+    @pytest.mark.parametrize("item_min, word_min", [(0, 0), (10, 3), (20, 30)])
+    def test_equals_two_pass_oracle(self, synth_paths, item_min, word_min):
+        live = dm.ingest_dataset(synth_paths, item_min=item_min, word_min=word_min)
+        frozen = oracle_dataset(synth_paths, item_min=item_min, word_min=word_min)
+        assert live.vocab == frozen.vocab
+        for name in ("buy_sessions", "view_sessions", "substitutions", "searches", "catalog",
+                     "category_edges"):
+            assert getattr(live, name) == getattr(frozen, name), name
+
+    def test_high_threshold_reaches_every_drop_and_shrink_rule(self, synth_paths):
+        raw = dm.ingest_dataset(synth_paths)
+        high = dm.ingest_dataset(synth_paths, item_min=20, word_min=30)
+        item_key, word_key = raw.vocab["item"].key, raw.vocab["word"].key
+        items, words = high.vocab["item"].key_to_id, high.vocab["word"].key_to_id
+        sessions = raw.buy_sessions + raw.view_sessions
+        kept = [sum(item_key(i) in items for i in s.items) for s in sessions]
+        assert any(2 <= n < len(s.items) for n, s in zip(kept, sessions))      # shrunk
+        assert any(n < 2 for n in kept)                                          # dropped
+        assert any(item_key(r.clicked_item) in items
+                   and 0 < sum(word_key(w) in words for w in r.query_words) < len(r.query_words)
+                   for r in raw.searches)                                        # lost words
+        assert any(item_key(e.item) not in items for e in raw.catalog)           # dropped
 
 
 class _Stamp:
