@@ -14,7 +14,6 @@ covered by finite-difference tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -48,12 +47,6 @@ class KgConfig:
             raise ValueError("margin must be positive for translational variants")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
-
-
-class Triple(NamedTuple):
-    head: int
-    relation: int
-    tail: int
 
 
 class KgModel:
@@ -142,16 +135,11 @@ def circular_correlation(h: np.ndarray, t: np.ndarray) -> np.ndarray:
     return t[_correlation_index(d)] @ h
 
 
-def kg_score(model: KgModel, triple: Triple) -> float:
-    """Plausibility score (higher is better) of one triple under the variant."""
-    scores, _ = kg_score_grad(model, *np.array([triple], dtype=np.int64).T)
-    return float(scores[0])
-
-
 def kg_score_grad(model: KgModel, heads: np.ndarray, relations: np.ndarray,
                   tails: np.ndarray) -> tuple[np.ndarray, list]:
-    """Scores of the triples (heads[i], relations[i], tails[i]) for index
-    arrays of one shape S, and the gradient of each score.
+    """Plausibility scores (higher is better) of the triples (heads[i],
+    relations[i], tails[i]) for index arrays of one shape S, and the
+    gradient of each score.
 
     The gradients are a list of (param_name, row ids, gradient rows): the
     ids have shape S and the gradients shape S plus the parameter's row
@@ -359,47 +347,44 @@ def corrupt(heads: np.ndarray, tails: np.ndarray, negatives: int,
             np.hstack((tails[:, None], np.where(replace_head, tails[:, None], picked))))
 
 
-def hit_at_k(model: KgModel, triples: list[Triple], k: int = 10,
+def hit_at_k(model: KgModel, triples: np.ndarray, k: int = 10,
              candidates: np.ndarray | None = None) -> float:
-    """Fraction of triples whose true tail ranks in the top k (ties by id); a
-    tail missing from the candidates is a miss."""
-    if not triples:
+    """Fraction of the (n, 3) (head, relation, tail) rows whose true tail ranks
+    in the top k (ties by id); a tail missing from the candidates is a miss."""
+    if not len(triples):
         return 0.0
     hits = 0
     cand = np.arange(model.n_entities) if candidates is None else candidates
-    for triple in triples:
-        scores = score_tails(model, head_parts(model, triple.head), triple.relation, cand)
-        hits += int(triple.tail in rank_candidates(cand, scores, (), keep=k).candidates)
+    for head, relation, tail in triples.tolist():
+        scores = score_tails(model, head_parts(model, head), relation, cand)
+        hits += int(tail in rank_candidates(cand, scores, (), keep=k).candidates)
     return hits / len(triples)
 
 
 def train_kg(
     model: KgModel,
-    triples: np.ndarray | list[Triple],
-    validation: list[Triple] | None = None,
+    triples: np.ndarray,
+    validation: np.ndarray | None = None,
     candidates: np.ndarray | None = None,
-    epochs: int | None = None,
 ) -> KgModel:
     """Minibatch margin/logistic SGD with early stopping.
 
-    ``triples`` holds Triples or (n, 3) rows.  Each epoch shuffles them and
-    walks them in blocks of ``config.batch_size``: one :func:`corrupt` call
-    draws ``config.negatives`` corruptions per positive from ``candidates``
-    (every entity by default), every row takes the sum of its per-triple
-    gradients at ``config.lr``, and the constraint projections run once on
-    the touched rows.  With a validation set, stops once HIT@10 fails to
-    improve for ``patience`` epochs and returns the best snapshot; otherwise
-    runs all epochs.
+    ``triples`` and ``validation`` are (n, 3) int64 (head, relation, tail)
+    rows.  Each epoch shuffles the triples and walks them in blocks of
+    ``config.batch_size``: one :func:`corrupt` call draws ``config.negatives``
+    corruptions per positive from ``candidates`` (every entity by default),
+    every row takes the sum of its per-triple gradients at ``config.lr``, and
+    the constraint projections run once on the touched rows.  With a
+    validation set, stops once HIT@10 fails to improve for ``patience``
+    epochs and returns the best snapshot; otherwise runs all epochs.
     """
     config = model.config
-    epochs = config.epochs if epochs is None else epochs
     rng = np.random.default_rng(config.seed + 1)
     pool = np.arange(model.n_entities) if candidates is None else np.unique(candidates)
-    triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
     best = model.copy()
     best_metric = -np.inf
     stale = 0
-    for _epoch in range(epochs):
+    for _epoch in range(config.epochs):
         order = rng.permutation(len(triples))
         for start in range(0, len(order), config.batch_size):
             heads, relations, tails = triples[order[start:start + config.batch_size]].T

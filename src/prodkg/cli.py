@@ -255,11 +255,7 @@ def _run_dir_state(run: str) -> pl.PipelineData:
     filtered_dir = os.path.join(run, "filtered")
     if not os.path.isdir(filtered_dir):
         raise DataError(f"missing filtered records under {run!r}; run 'prodkg ingest' first")
-    # Ingest wrote these records filtered, so they load as written (0/0).
-    # Filtering is not idempotent: dropping items shrinks sessions and
-    # drops searches, which lowers other keys' counts, so a second pass at
-    # ingest's thresholds could drop more.
-    return pl.load_and_split(dm.modality_paths(filtered_dir), item_min=0, word_min=0)
+    return pl.load_and_split(dm.modality_paths(filtered_dir))
 
 
 def _load_model(run: str) -> tuple[str, object, dict]:
@@ -326,16 +322,16 @@ def _seq_lens(config: dict) -> dict:
 
 def cmd_build_prg(config: dict) -> int:
     state = _run_dir_state(config["run"])
-    pl.build_graphs(state, k=config["k"], walks_per_node=config["walks"],
-                    walk_length=config["walk_length"], p=config["p"], q=config["q"],
-                    seed=config["seed"])
+    graphs = pl.build_graphs(state, k=config["k"], walks_per_node=config["walks"],
+                             walk_length=config["walk_length"], p=config["p"], q=config["q"],
+                             seed=config["seed"])
     out = config["out"]
     os.makedirs(out, exist_ok=True)
     vocab = state.dataset.vocab[dm.ITEM]
-    export_prg([state.graphs[r] for r in sorted(state.graphs)],
+    export_prg([graphs[r] for r in sorted(graphs)],
                os.path.join(out, "prg_triples.tsv"), key_of=vocab.key)
     write_manifest(out, "build-prg", config, [config["run"]])
-    n_facts = sum(len(v) for g in state.graphs.values() for v in g.neighbors.values())
+    n_facts = sum(len(v) for g in graphs.values() for v in g.neighbors.values())
     print(f"wrote {n_facts} relation-graph facts to {out}/prg_triples.tsv")
     return 0
 
@@ -384,7 +380,7 @@ def cmd_train_baseline(config: dict) -> int:
                               seed=config["seed"])
     state = _run_dir_state(config["run"])
     prg_hash = pl.load_graph_splits(state, os.path.join(config["run"], "prg"))
-    model, _space = pl.train_prg_baseline(state, config=kg_config)
+    model, _space = pl.train_prg_baseline(state, kg_config)
     out = config["out"]
     os.makedirs(out, exist_ok=True)
     np.savez(os.path.join(out, f"kg_{config['variant']}.npz"),
@@ -408,12 +404,8 @@ def cmd_evaluate(config: dict) -> int:
     state = _run_dir_state(run)
     prg_dir = os.path.join(run, "prg")
     prg_hash = pl.load_graph_splits(state, prg_dir)
-    manifest = os.path.join(checkpoint, "manifest.json")
-    trained_on = None
-    if os.path.isfile(manifest):
-        with open(manifest, "r", encoding="utf-8") as handle:
-            trained_on = json.load(handle).get("prg_config_hash")
-    if trained_on != prg_hash:
+    model_manifest = pl.read_manifest(os.path.join(checkpoint, "manifest.json"))
+    if model_manifest.get("prg_config_hash") != prg_hash:
         raise DataError(f"{prg_dir}/manifest.json is not the build-prg run the model in "
                         f"{checkpoint!r} was trained on; re-run 'prodkg train'")
     state.masked_items = _read_masked_items(os.path.join(checkpoint, "masked_items.tsv"),

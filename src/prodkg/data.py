@@ -148,11 +148,27 @@ class DatasetSplit:
 
 
 def _read_lines(path):
-    with open(path, "r", encoding="utf-8") as handle:
-        for number, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
-            if line:
-                yield number, line
+    """(line number, line) of every nonempty line of a UTF-8 text file, whose
+    lines end at LF, CRLF or CR (text mode); a non-UTF-8 byte is a DataError."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            for number, raw in enumerate(handle, start=1):
+                line = raw.rstrip("\n")
+                if line:
+                    yield number, line
+    except UnicodeDecodeError:
+        # Text mode decodes in chunks, so the failing read can come lines
+        # before the bad byte's line; count the line ends in the raw bytes.
+        with open(path, "rb") as handle:
+            data = handle.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as err:
+            before = data[:err.start]
+            number = 1 + before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
+            raise DataError(f"{path}:{number}: byte 0x{data[err.start]:02x} is not UTF-8 "
+                            f"({err.reason})") from None
+        raise
 
 
 def _fields(path, number, line, expected: int):
@@ -210,13 +226,8 @@ def check_forest(edges, where=None) -> dict:
 
 
 def _vocabulary(namespace: str, counts: Counter, minimum: int, uncounted=()) -> Vocabulary:
-    """The keys counted at least ``minimum`` times; ``uncounted`` keys count 0.
-
-    The reserved PAD key is an error even where the threshold would drop it.
-    """
+    """The keys counted at least ``minimum`` times; ``uncounted`` keys count 0."""
     keys = set(counts).union(uncounted)
-    if PAD_KEY in keys:
-        raise DataError(f"reserved key {PAD_KEY!r} present in {namespace} input")
     return Vocabulary.from_keys(namespace, [key for key in keys if counts[key] >= minimum])
 
 
@@ -245,14 +256,22 @@ def ingest_dataset(paths: dict, item_min: int = 0, word_min: int = 0) -> Dataset
 
     # One string object per distinct key: the raw records then hold no more
     # objects than id-resolved ones, and every later lookup of a key reuses
-    # its cached hash.
+    # its cached hash.  The reserved PAD key is an error at its line, even
+    # where filtering would drop it.
     keys: dict[str, str] = {}
 
-    def key(text):
+    def reserved(namespace):
+        return DataError(f"reserved key {PAD_KEY!r} present in {namespace} input")
+
+    def key(text, namespace):
+        if text == PAD_KEY:
+            raise reserved(namespace)
         return keys.setdefault(text, text)
 
-    def split(text, sep=" "):
+    def split(text, namespace, sep=" "):
         tokens = tuple(filter(None, text.split(sep)))
+        if PAD_KEY in text and PAD_KEY in tokens:  # a substring search first: cheaper
+            raise reserved(namespace)
         return tuple(map(keys.setdefault, tokens, tokens))
 
     def records(name, expected, build):
@@ -262,10 +281,14 @@ def ingest_dataset(paths: dict, item_min: int = 0, word_min: int = 0) -> Dataset
         path, out = present[name], []
         for number, line in _read_lines(path):
             fields = _fields(path, number, line, expected)
-            out.append(at_line(path, number, lambda: build(number, *fields)))
+            try:  # at_line's prefix, without a closure per line
+                out.append(build(number, *fields))
+            except DataError as err:
+                raise DataError(f"{path}:{number}: {err}") from None
         return out
 
-    edges = records("category_edges", 2, lambda number, child, parent: (number, child, parent))
+    edges = records("category_edges", 2, lambda number, child, parent: (
+        number, key(child, CATEGORY), key(parent, CATEGORY)))
     check_forest([(child, parent) for _, child, parent in edges],
                  [f"{present['category_edges']}:{number}" for number, _, _ in edges])
     categories = {label for _, child, parent in edges for label in (child, parent)}
@@ -273,26 +296,26 @@ def ingest_dataset(paths: dict, item_min: int = 0, word_min: int = 0) -> Dataset
     catalog_lines: dict[str, int] = {}  # item -> line of its catalog entry
 
     def catalog_entry(number, item, words, cat_path):
-        item = key(item)
+        item = key(item, ITEM)
         if item in catalog_lines:
             raise DataError(f"item {item!r} listed again (first at line {catalog_lines[item]})")
         catalog_lines[item] = number
-        labels = split(cat_path, "/")
+        labels = split(cat_path, CATEGORY, "/")
         for label in labels:
             if label not in categories:
                 raise DataError(f"unknown category label {label!r}")
-        return CatalogEntry(item, split(words), labels)
+        return CatalogEntry(item, split(words, WORD), labels)
 
     def session(kind):
-        return lambda _, ts, items: SessionSequence(kind, split(items), _timestamp(ts))
+        return lambda _, ts, items: SessionSequence(kind, split(items, ITEM), _timestamp(ts))
 
     catalog = records("catalog", 3, catalog_entry)
     buys = records("buy_sessions", 2, session("buy"))
     views = records("view_sessions", 2, session("view"))
-    pairs = records("substitutions", 3,
-                    lambda _, ts, a, b: SubstitutionPair(key(a), key(b), _timestamp(ts)))
+    pairs = records("substitutions", 3, lambda _, ts, a, b: SubstitutionPair(
+        key(a, ITEM), key(b, ITEM), _timestamp(ts)))
     searches = records("search", 3, lambda _, ts, words, clicked: SearchRecord(
-        split(words), key(clicked), _timestamp(ts)))
+        split(words, WORD), key(clicked, ITEM), _timestamp(ts)))
 
     item_counts = Counter(chain.from_iterable(s.items for s in buys + views))
     item_counts.update(chain.from_iterable((p.accepted_for, p.substitute) for p in pairs))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import data as dm
-from .baselines import KgConfig, KgModel, KgSpace, Triple, graph_triples, train_kg
+from .baselines import KgConfig, KgModel, KgSpace, graph_triples, train_kg
 from .evaluation import drop_leaky_examples, remove_leaky_pairs, split_relation_graph
 from .model import PkgParams
 from .poincare import BallConfig, hierarchy_pretrain
@@ -33,15 +33,16 @@ class PipelineData:
 
     dataset: dm.Dataset
     splits: dict                 # modality -> DatasetSplit
-    graphs: dict = field(default_factory=dict)          # relation -> RelationGraph
     graph_splits: dict = field(default_factory=dict)    # relation -> GraphSplit
     masked_items: np.ndarray = field(default_factory=lambda: np.array([], dtype=np.int64))
     validation_examples: dict = field(default_factory=dict)
 
 
-def load_and_split(paths: dict, item_min: int = 10, word_min: int = 3) -> PipelineData:
-    """Ingest (frequency-filtered) and chronologically split every modality."""
-    dataset = dm.ingest_dataset(paths, item_min, word_min)
+def load_and_split(paths: dict) -> PipelineData:
+    """Load the records unfiltered and chronologically split every modality.
+    Stages load ingest's ``filtered/`` this way: filtering is not idempotent,
+    so a second pass at ingest's thresholds could drop more."""
+    dataset = dm.ingest_dataset(paths)
     splits = {}
     for modality, records in (
         ("buy_sessions", dataset.buy_sessions),
@@ -58,13 +59,13 @@ def load_and_split(paths: dict, item_min: int = 10, word_min: int = 3) -> Pipeli
 
 def build_graphs(state: PipelineData, k: int = 20, walks_per_node: int = 10,
                  walk_length: int = 10, p: float = 1.0, q: float = 1.0,
-                 seed: int = 0) -> None:
-    """Relation graphs from the training split of each activity modality."""
+                 seed: int = 0) -> dict:
+    """Relation -> RelationGraph, from the training split of each activity modality."""
     n_items = state.dataset.vocab[dm.ITEM].size
-    for relation, groups in _graph_sources(state).items():
-        state.graphs[relation] = build_relation_graph(
-            groups, n_items, relation, k=k, walks_per_node=walks_per_node,
-            walk_length=walk_length, p=p, q=q, seed=seed)
+    return {relation: build_relation_graph(
+                groups, n_items, relation, k=k, walks_per_node=walks_per_node,
+                walk_length=walk_length, p=p, q=q, seed=seed)
+            for relation, groups in _graph_sources(state).items()}
 
 
 def _graph_sources(state: PipelineData) -> dict:
@@ -78,12 +79,9 @@ def _graph_sources(state: PipelineData) -> dict:
     return {relation: groups for relation, groups in sources.items() if groups}
 
 
-def split_graphs(state: PipelineData, seed: int = 0, edges: dict | None = None) -> None:
+def split_graphs(state: PipelineData, edges: dict, seed: int) -> None:
     """80/10/10 edge splits, with the training-connectivity repair, of ``edges``
-    (relation -> (head, tail) list) or else of the facts of ``state.graphs``."""
-    if edges is None:
-        edges = {relation: [(h, t) for h, t, _ in graph.facts()]
-                 for relation, graph in state.graphs.items()}
+    (relation -> (head, tail) list)."""
     for relation, pairs in edges.items():
         state.graph_splits[relation] = split_relation_graph(
             pairs, seed=seed, relation=relation)
@@ -94,11 +92,10 @@ def load_graph_splits(state: PipelineData, prg_dir: str) -> str:
     manifest (empty for a relation without facts); returns its config hash."""
     manifest_path = os.path.join(prg_dir, "manifest.json")
     triples_path = os.path.join(prg_dir, "prg_triples.tsv")
-    if not (os.path.isfile(manifest_path) and os.path.isfile(triples_path)):
-        raise dm.DataError(f"missing relation graphs under {prg_dir!r}; "
-                           f"run 'prodkg build-prg --out {prg_dir}' first")
-    with open(manifest_path, "r", encoding="utf-8") as handle:
-        manifest = json.load(handle)
+    for path in (manifest_path, triples_path):
+        if not os.path.isfile(path):
+            raise dm.DataError(f"missing {path!r}; run 'prodkg build-prg --out {prg_dir}' first")
+    manifest = read_manifest(manifest_path)
     vocab = state.dataset.vocab[dm.ITEM]
     edges = {relation: [] for relation in _graph_sources(state)}
     for number, line in dm._read_lines(triples_path):
@@ -108,8 +105,21 @@ def load_graph_splits(state: PipelineData, prg_dir: str) -> str:
                                "has no training records in this run")
         edges[relation].append(
             dm.at_line(triples_path, number, lambda: (vocab.id(head), vocab.id(tail))))
-    split_graphs(state, seed=manifest["seed"], edges=edges)
+    split_graphs(state, edges, seed=manifest["seed"])
     return manifest["config_hash"]
+
+
+def read_manifest(path: str) -> dict:
+    """A stage's ``manifest.json``; a missing or malformed file, or one without
+    ``seed`` or ``config_hash``, is a DataError that names it."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            manifest = json.load(handle)
+    except (OSError, ValueError) as err:  # missing or unreadable, bad JSON or UTF-8
+        raise dm.DataError(f"{path}: cannot read manifest ({err})") from None
+    if not isinstance(manifest, dict) or not {"seed", "config_hash"} <= manifest.keys():
+        raise dm.DataError(f"{path}: manifest needs a 'seed' and a 'config_hash'")
+    return manifest
 
 
 def mask_products(state: PipelineData, fraction: float = 0.1, seed: int = 0) -> None:
@@ -215,23 +225,21 @@ def recommend_test_sessions(state: PipelineData) -> list:
     return [s.items for s in pooled]
 
 
-def train_prg_baseline(state: PipelineData, variant: str = "transE",
-                       config: KgConfig | None = None,
-                       epochs: int | None = None) -> tuple[KgModel, KgSpace]:
+def train_prg_baseline(state: PipelineData, config: KgConfig) -> tuple[KgModel, KgSpace]:
     """Train one triple baseline on the relation-graph training edges."""
     vocab = state.dataset.vocab
     space = KgSpace(vocab[dm.ITEM].size, vocab[dm.WORD].size, vocab[dm.CATEGORY].size)
-    config = config or KgConfig(variant=variant)
     edges = {relation: split.train for relation, split in state.graph_splits.items()}
     triples = graph_triples(edges, space)
     # Early stopping watches 300 validation edges taken round-robin over the
     # relations, so that every relation reaches best-epoch selection.
-    by_relation = [[Triple(space.item(h), space.relation_index(relation), space.item(t))
+    by_relation = [[(space.item(h), space.relation_index(relation), space.item(t))
                     for h, t in state.graph_splits[relation].validation]
                    for relation in GRAPH_RELATIONS if relation in state.graph_splits]
-    validation = [triple for turn in itertools.zip_longest(*by_relation)
-                  for triple in turn if triple is not None][:300]
+    validation = np.array([triple for turn in itertools.zip_longest(*by_relation)
+                           for triple in turn if triple is not None][:300],
+                          dtype=np.int64).reshape(-1, 3)
     model = KgModel(config, space.n_entities, space.n_relations)
-    model = train_kg(model, triples, validation or None,
-                     candidates=space.item_entities(), epochs=epochs)
+    model = train_kg(model, triples, validation if len(validation) else None,
+                     candidates=space.item_entities())
     return model, space

@@ -31,19 +31,6 @@ class WeightedGraph:
     def degree(self, node: int) -> float:
         return sum(self.adj.get(node, {}).values())
 
-    def edges(self):
-        for a in sorted(self.adj):
-            for b in sorted(self.adj[a]):
-                if a < b:
-                    yield a, b, self.adj[a][b]
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros((self.n_nodes, self.n_nodes))
-        for a, nbrs in self.adj.items():
-            for b, w in nbrs.items():
-                dense[a, b] = w
-        return dense
-
 
 @dataclass
 class RelationGraph:

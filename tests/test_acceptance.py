@@ -1,7 +1,7 @@
 """Acceptance gate: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines.  The end-to-end criterion trains the full model on the default
+lines.  The end-to-end criterion runs the CLI stages on the default
 synthetic dataset and is the slow part of the suite (a few minutes).
 """
 
@@ -14,7 +14,9 @@ import pytest
 
 from prodkg import pipeline as pl
 from prodkg.attention import AttentionParams, aggregate_context, scaled_dot_attention
-from prodkg.baselines import KgConfig, KgModel, Triple, circular_correlation, kg_score
+from prodkg.baselines import KgConfig, KgModel, KgSpace, circular_correlation, kg_score_grad
+from prodkg.cli import main
+from prodkg.data import modality_paths
 from prodkg.embeddings import (
     Grads,
     new_table,
@@ -23,17 +25,16 @@ from prodkg.embeddings import (
     softmax_full_loss_grad,
 )
 from prodkg.evaluation import rank_candidates, rank_tail, ranking_metrics
-from prodkg.model import ModelConfig, init_params
+from prodkg.model import ModelConfig, init_params, load_checkpoint
 from prodkg.poincare import BallConfig, hierarchy_pretrain, poincare_distance, riemannian_update
 from prodkg.prg import WeightedGraph, build_relation_graph, normalize_adjacency
-from prodkg.synth import SynthConfig, generate
+from prodkg.synth import load_ground_truth
 from prodkg.trainer import (
     TaskSpec,
     TrainConfig,
     compare_schedules,
     sample_task,
     task_correlation,
-    train,
 )
 from prodkg.verification import run_gradient_sweep
 
@@ -111,7 +112,8 @@ class TestCriterion2OracleEquivalence:
             worst = max(worst, float(np.abs(fast - slow).max()))
             config = KgConfig(variant="hole", dim=d, seed=d)
             model = KgModel(config, 5, 2)
-            score = kg_score(model, Triple(1, 0, 3))
+            scores, _ = kg_score_grad(model, np.array([1]), np.array([0]), np.array([3]))
+            score = float(scores[0])
             direct = float(model.params["rel"][0]
                            @ slow_correlation(model.params["ent"][1],
                                               model.params["ent"][3]))
@@ -219,50 +221,47 @@ class TestCriterion4Poincare:
 
 @pytest.fixture(scope="module")
 def synthetic_run(tmp_path_factory):
-    """Default-scale synthetic pipeline shared by the end-to-end criteria."""
-    out = str(tmp_path_factory.mktemp("synth_default"))
-    paths, truth = generate(SynthConfig(seed=7), out)
-    state = pl.load_and_split(paths)
-    pl.build_graphs(state, seed=7)
-    pl.split_graphs(state, seed=7)
-    pl.mask_products(state, 0.1, seed=7)
-    seq_lens = {"complement": 20, "co_view": 50, "search": 10, "describe": 200}
-    specs = pl.assemble_training_data(state, seq_lens)
-    vocab = state.dataset.vocab
-    params = init_params(ModelConfig(dim=32, seq_lens=seq_lens, seed=7),
-                         vocab["item"].size, vocab["word"].size, vocab["category"].size)
-    pl.pretrain_categories(state, params, epochs=20, seed=7)
-    config = TrainConfig(lr=0.1, batch_size=1, max_epochs=10, patience=5, seed=7,
-                         validation_cap=200)
+    """The default synthetic dataset through the CLI stages: ingest,
+    build-prg, train and a transE train-baseline on one run directory."""
+    base = tmp_path_factory.mktemp("synth_default")
+    data, run = str(base / "data"), str(base / "run")
+    assert main(["gen-data", "--seed", "7", "--out", data]) == 0
+    assert main(["ingest", "--data", data, "--out", run]) == 0
+    assert main(["build-prg", "--run", run, "--out", os.path.join(run, "prg"),
+                 "--seed", "7"]) == 0
     start = time.time()
-    result = train(config, specs, params, state.validation_examples)
+    assert main(["train", "--run", run, "--out", os.path.join(run, "model"), "--dim", "32",
+                 "--cat-epochs", "20", "--validation-cap", "200", "--seed", "7"]) == 0
     train_time = time.time() - start
-    return {"state": state, "truth": truth, "params": result.params,
-            "train_time": train_time, "vocab": vocab}
+    assert main(["train-baseline", "--run", run, "--out", os.path.join(run, "kg"),
+                 "--dim", "50", "--epochs", "25", "--seed", "7"]) == 0
+    return {"data": data, "run": run, "train_time": train_time}
 
 
 @pytest.mark.slow
 class TestCriterion5SyntheticEndToEnd:
     def test_ground_truth_separation_and_baseline_comparison(self, synthetic_run):
-        state = synthetic_run["state"]
-        truth = synthetic_run["truth"]
-        params = synthetic_run["params"]
-        vocab = synthetic_run["vocab"]
-        item_vocab = vocab["item"]
-        n_items = item_vocab.size - 1
+        run = synthetic_run["run"]
+        truth = load_ground_truth(os.path.join(synthetic_run["data"], "ground_truth.tsv"))
+        params, keys = load_checkpoint(os.path.join(run, "model"))
+        item_id = {key: idx for idx, key in enumerate(keys["item_in"])}
+        n_items = len(item_id) - 1
         random_baseline = 10.0 / n_items
 
-        kg_model, space = pl.train_prg_baseline(state, "transE", epochs=25)
+        space = KgSpace(len(keys["item_in"]), len(keys["word"]), len(keys["category"]))
+        kg_model = KgModel(KgConfig(variant="transE", dim=50), space.n_entities,
+                           space.n_relations)
+        with np.load(os.path.join(run, "kg", "kg_transE.npz")) as blob:
+            kg_model.params = {name: blob[name] for name in blob.files}
 
         def truth_hit(scorer, relation, kg=False):
             results = []
             for head_key in truth.item_keys[:400]:
-                head = item_vocab.key_to_id.get(head_key)
+                head = item_id.get(head_key)
                 if head is None:
                     continue
-                gold = [item_vocab.key_to_id[t]
-                        for t in truth.oracle_rank(relation, head_key)
-                        if t in item_vocab.key_to_id]
+                gold = [item_id[t] for t in truth.oracle_rank(relation, head_key)
+                        if t in item_id]
                 if not gold:
                     continue
                 if kg:
@@ -361,12 +360,16 @@ class TestCriterion9Correlation:
         rho = task_correlation(log)
         hand_ok = abs(rho[("a", "b")] - 9 / np.sqrt(84)) < 1e-6
 
-        config = SynthConfig(n_items=150, n_clusters=25, n_words=120, n_sessions=800,
-                             n_searches=250, n_substitutions=200, seed=7)
-        paths, _ = generate(config, str(tmp_path / "sched"))
-        state = pl.load_and_split(paths)
-        pl.build_graphs(state, seed=7, walks_per_node=4, walk_length=5)
-        pl.split_graphs(state, seed=7)
+        data, run = str(tmp_path / "data"), str(tmp_path / "run")
+        prg = os.path.join(run, "prg")
+        assert main(["gen-data", "--seed", "7", "--out", data, "--items", "150",
+                     "--clusters", "25", "--words", "120", "--sessions", "800",
+                     "--searches", "250", "--substitutions", "200"]) == 0
+        assert main(["ingest", "--data", data, "--out", run]) == 0
+        assert main(["build-prg", "--run", run, "--out", prg, "--walks", "4",
+                     "--walk-length", "5", "--seed", "7"]) == 0
+        state = pl.load_and_split(modality_paths(os.path.join(run, "filtered")))
+        pl.load_graph_splits(state, prg)
         pl.mask_products(state, 0.1, seed=7)
         seq_lens = {"complement": 6, "co_view": 6, "search": 4, "describe": 8}
         specs = pl.assemble_training_data(state, seq_lens)
@@ -393,8 +396,6 @@ class TestCriterion9Correlation:
 @pytest.mark.slow
 class TestCriterion10Determinism:
     def test_repeated_pipeline_runs_byte_identical(self, tmp_path):
-        from prodkg.cli import main
-
         def run_once(tag):
             base = tmp_path / tag
             data, run = str(base / "data"), str(base / "run")

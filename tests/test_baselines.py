@@ -9,14 +9,13 @@ from prodkg.baselines import (
     KgConfig,
     KgModel,
     KgSpace,
-    Triple,
     apply_grads,
     circular_correlation,
     corrupt,
     graph_triples,
     head_parts,
     hit_at_k,
-    kg_score,
+    kg_score_grad,
     margin_loss,
     score_tails,
     train_kg,
@@ -43,7 +42,7 @@ def _frozen_norm_and_grad(diff, norm):
 
 
 def _frozen_kg_score_grad(model, triple):
-    h_i, r_i, t_i = triple.head, triple.relation, triple.tail
+    h_i, r_i, t_i = triple
     p = model.params
     h, r, t = p["ent"][h_i], p["rel"][r_i], p["ent"][t_i]
     norm = model.config.norm
@@ -280,16 +279,22 @@ def _ref_query_head_parts(model, entities):
 
 
 def _ref_hit_at_k(model, triples, k=10, candidates=None):
-    if not triples:
+    if not len(triples):
         return 0.0
     hits = 0
     cand = np.arange(model.n_entities) if candidates is None else candidates
-    for triple in triples:
-        scores = _ref_score_tails(model, triple.head, triple.relation, cand)
+    for head, relation, tail in triples:
+        scores = _ref_score_tails(model, head, relation, cand)
         order = np.lexsort((cand, -scores))
         ranked = cand[order][:k]
-        hits += int(triple.tail in ranked)
+        hits += int(tail in ranked)
     return hits / len(triples)
+
+
+def kg_score(model, head, relation, tail):
+    """The score of one (head, relation, tail) triple, from the block scorer."""
+    scores, _ = kg_score_grad(model, np.array([head]), np.array([relation]), np.array([tail]))
+    return float(scores[0])
 
 
 def model_with(variant, values, dim, n_entities=6, n_relations=2, norm="l2"):
@@ -306,14 +311,14 @@ class TestScores:
         model.params["ent"][1] = [1.0, 0.0]
         model.params["ent"][2] = [1.0, 1.0]
         model.params["rel"][0] = [0.0, 1.0]
-        assert kg_score(model, Triple(1, 0, 2)) == pytest.approx(0.0, abs=1e-12)
+        assert kg_score(model, 1, 0, 2) == pytest.approx(0.0, abs=1e-12)
 
     def test_distmult_hand_value(self):
         model = model_with("distmult", {}, dim=2)
         model.params["ent"][1] = [1.0, 1.0]
         model.params["ent"][2] = [1.0, 1.0]
         model.params["rel"][0] = [1.0, 1.0]
-        assert kg_score(model, Triple(1, 0, 2)) == pytest.approx(2.0)
+        assert kg_score(model, 1, 0, 2) == pytest.approx(2.0)
 
     def test_complex_real_specialisation(self):
         model = model_with("complex", {}, dim=1)
@@ -322,7 +327,7 @@ class TestScores:
         model.params["rel"][0] = [1.0]
         model.params["ent_im"][:] = 0.0
         model.params["rel_im"][:] = 0.0
-        assert kg_score(model, Triple(1, 0, 2)) == pytest.approx(1.0)
+        assert kg_score(model, 1, 0, 2) == pytest.approx(1.0)
 
     def test_transH_reduces_to_transE_when_normal_orthogonal(self):
         rng = np.random.default_rng(0)
@@ -335,9 +340,9 @@ class TestScores:
             model.params["rel"][0] = r
             if variant == "transH":
                 model.params["w"][0] = [0.0, 0.0, 1.0]
-                score_h = kg_score(model, Triple(1, 0, 2))
+                score_h = kg_score(model, 1, 0, 2)
             else:
-                score_e = kg_score(model, Triple(1, 0, 2))
+                score_e = kg_score(model, 1, 0, 2)
         assert score_h == pytest.approx(score_e, abs=1e-12)
 
     def test_distmult_symmetric_in_head_tail(self):
@@ -345,8 +350,8 @@ class TestScores:
         model = model_with("distmult", {}, dim=4)
         model.params["ent"][1:] = rng.normal(size=(5, 4))
         model.params["rel"][:] = rng.normal(size=(2, 4))
-        assert kg_score(model, Triple(1, 0, 3)) == pytest.approx(
-            kg_score(model, Triple(3, 0, 1)))
+        assert kg_score(model, 1, 0, 3) == pytest.approx(
+            kg_score(model, 3, 0, 1))
 
     def test_transD_matches_transR_on_constructed_matrix(self):
         """Dynamic rank-1 projections instantiate M = r_p v^T + I when both
@@ -371,8 +376,8 @@ class TestScores:
         transr.params["rel"][0] = r
         transr.params["proj"][0] = np.outer(r_p, v) + np.eye(d)
 
-        assert kg_score(transd, Triple(1, 0, 2)) == pytest.approx(
-            kg_score(transr, Triple(1, 0, 2)), abs=1e-10)
+        assert kg_score(transd, 1, 0, 2) == pytest.approx(
+            kg_score(transr, 1, 0, 2), abs=1e-10)
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError, match="unknown variant"):
@@ -403,13 +408,13 @@ class TestHole:
         model.params["ent"][1] = h = rng.normal(size=d)
         model.params["ent"][2] = t = rng.normal(size=d)
         model.params["rel"][0] = r = rng.normal(size=d)
-        assert kg_score(model, Triple(1, 0, 2)) == pytest.approx(
+        assert kg_score(model, 1, 0, 2) == pytest.approx(
             float(r @ circular_correlation(h, t)), abs=1e-10)
 
 
 def as_block(positives, negatives):
-    """margin_loss's (heads, relations, tails) for Triples and, per positive,
-    its negative Triples."""
+    """margin_loss's (heads, relations, tails) for (head, relation, tail)
+    positives and, per positive, its negative triples."""
     block = np.concatenate((np.array(positives, dtype=np.int64)[:, None],
                             np.array(negatives, dtype=np.int64)), axis=1)
     assert np.all(block[..., 1] == block[:, :1, 1])
@@ -437,7 +442,7 @@ class TestMarginLoss:
         model.params["ent"][2] = [0.0, 1.0]
         model.params["ent"][3] = [9.0, 9.0]
         model.params["rel"][0] = [0.0, 1.0]  # pos score 0, neg score very negative
-        loss, grads = margin_loss(model, *as_block([Triple(1, 0, 2)], [[Triple(1, 0, 3)]]),
+        loss, grads = margin_loss(model, *as_block([(1, 0, 2)], [[(1, 0, 3)]]),
                                   gamma=1.0)
         assert loss == 0.0
         assert grads.rows == {}
@@ -446,14 +451,14 @@ class TestMarginLoss:
         model = model_with("transE", {}, dim=2)
         model.params["ent"][1:4] = 0.0
         model.params["rel"][0] = 0.0
-        negatives = [Triple(1, 0, 3), Triple(2, 0, 2)]
-        loss, _ = margin_loss(model, *as_block([Triple(1, 0, 2)], [negatives]), gamma=1.0)
+        negatives = [(1, 0, 3), (2, 0, 2)]
+        loss, _ = margin_loss(model, *as_block([(1, 0, 2)], [negatives]), gamma=1.0)
         assert loss == pytest.approx(len(negatives) * 1.0)
 
     def test_nonpositive_margin_rejected(self):
         model = model_with("transE", {}, dim=2)
         with pytest.raises(ValueError, match="margin"):
-            margin_loss(model, *as_block([Triple(1, 0, 2)], [[Triple(1, 0, 3)]]), gamma=0.0)
+            margin_loss(model, *as_block([(1, 0, 2)], [[(1, 0, 3)]]), gamma=0.0)
 
     def test_all_variants_pass_gradient_check(self):
         reports = run_gradient_sweep(points=1, include_kg=True)
@@ -465,9 +470,9 @@ class TestMarginLoss:
         model = model_with("distmult", {}, dim=2)
         model.params["ent"][1] = [np.inf, 0.0]
         with pytest.raises(NumericalError, match="non-finite distmult loss"):
-            margin_loss(model, *as_block([Triple(1, 0, 2)], [[Triple(1, 0, 3)]]))
+            margin_loss(model, *as_block([(1, 0, 2)], [[(1, 0, 3)]]))
         model = model_with("transE", {}, dim=2)
-        _loss, grads = margin_loss(model, *as_block([Triple(1, 0, 2)], [[Triple(1, 0, 3)]]),
+        _loss, grads = margin_loss(model, *as_block([(1, 0, 2)], [[(1, 0, 3)]]),
                                    gamma=10.0)
         grads.row_grads["rel"][0, 0] = np.nan
         with pytest.raises(NumericalError, match=r"rel\[0\]"):
@@ -487,8 +492,8 @@ class TestBatchParity:
         for _step in range(25):
             h, t = rng.integers(9, size=2)
             r = int(rng.integers(3))
-            positive = Triple(int(h), r, int(t))
-            negatives = [Triple(int(a), r, int(b)) for a, b in rng.integers(9, size=(3, 2))]
+            positive = (int(h), r, int(t))
+            negatives = [(int(a), r, int(b)) for a, b in rng.integers(9, size=(3, 2))]
             loss_f, grads_f = _frozen_margin_loss(frozen, positive, negatives)
             if grads_f:
                 frozen.enforce_constraints(*_frozen_apply_grads(frozen, grads_f, config.lr))
@@ -509,9 +514,9 @@ class TestBatchParity:
         gradient is the sum of the per-triple gradients at the same parameters."""
         config = KgConfig(variant=variant, dim=5, norm=norm, margin=4.0, seed=13)
         model = KgModel(config, n_entities=8, n_relations=3)
-        positives = [Triple(1, 0, 4), Triple(4, 1, 2), Triple(2, 0, 1), Triple(1, 0, 4),
-                     Triple(6, 2, 1)]
-        negatives = [[Triple(1, p.relation, 2), Triple(4, p.relation, 4), Triple(7, p.relation, 1)]
+        positives = [(1, 0, 4), (4, 1, 2), (2, 0, 1), (1, 0, 4),
+                     (6, 2, 1)]
+        negatives = [[(1, p[1], 2), (4, p[1], 4), (7, p[1], 1)]
                      for p in positives]
         loss, grads = margin_loss(model, *as_block(positives, negatives))
         expected_loss = 0.0
@@ -594,7 +599,7 @@ class TestScoreTails:
         config = KgConfig(variant=variant, dim=5, seed=3)
         model = KgModel(config, n_entities=9, n_relations=2)
         scores = score_tails(model, head_parts(model, 2), 1)
-        direct = np.array([kg_score(model, Triple(2, 1, t)) for t in range(9)])
+        direct = np.array([kg_score(model, 2, 1, t) for t in range(9)])
         np.testing.assert_allclose(scores, direct, atol=1e-12)
 
     @pytest.mark.parametrize("norm", ("l1", "l2"))
@@ -627,7 +632,7 @@ class TestScoreTails:
             for k in (1, 3, 10):
                 assert hit_at_k(model, triples, k, cand) == \
                     _ref_hit_at_k(model, triples, k, cand)
-        assert hit_at_k(model, [Triple(0, 0, 1)], 10, candidates) == 0.0
+        assert hit_at_k(model, np.array([[0, 0, 1]]), 10, candidates) == 0.0
 
 
 def line_kg():
@@ -636,17 +641,17 @@ def line_kg():
     triples = []
     for rel, (shift, n_heads) in enumerate(((1, 16), (2, 15), (3, 14), (5, 15))):
         for h in range(n_heads):
-            triples.append(Triple(h, rel, h + shift))
+            triples.append((h, rel, h + shift))
     assert len(triples) == 60
-    return triples
+    return np.array(triples, dtype=np.int64)
 
 
 class TestTraining:
     def test_zero_epochs_leaves_model_unchanged(self):
-        config = KgConfig(variant="transE", dim=4, seed=1)
+        config = KgConfig(variant="transE", dim=4, seed=1, epochs=0)
         model = KgModel(config, 20, 4)
         before = {k: v.copy() for k, v in model.params.items()}
-        trained = train_kg(model, line_kg(), epochs=0)
+        trained = train_kg(model, line_kg())
         for name in before:
             np.testing.assert_array_equal(trained.params[name], before[name])
 
@@ -667,11 +672,11 @@ class TestTraining:
         """
         triples = line_kg()
         config = KgConfig(variant="transE", dim=16, lr=0.02, margin=0.1, seed=7,
-                          negatives=3)
+                          negatives=3, epochs=50)
         model = KgModel(config, 20, 4)
         hit = 0.0
         for _round in range(10):  # 10 x 50 = up to 500 epochs
-            model = train_kg(model, triples, epochs=50)
+            model = train_kg(model, triples)
             hit = hit_at_k(model, triples, k=3)
             if hit == 1.0:
                 break
@@ -680,8 +685,8 @@ class TestTraining:
     def test_entity_norms_clipped_for_translational(self):
         triples = line_kg()
         for variant in ("transE", "transH"):
-            config = KgConfig(variant=variant, dim=5, lr=0.1, seed=2)
-            model = train_kg(KgModel(config, 20, 4), triples, epochs=5)
+            config = KgConfig(variant=variant, dim=5, lr=0.1, seed=2, epochs=5)
+            model = train_kg(KgModel(config, 20, 4), triples)
             norms = np.linalg.norm(model.params["ent"], axis=1)
             assert np.all(norms <= 1.0 + 1e-9)
 

@@ -127,6 +127,19 @@ class TestErrors:
         assert message in capsys.readouterr().err
         assert not os.path.exists(run)
 
+    def test_ingest_non_utf8_byte_exit_2_at_its_line(self, raw_data, tmp_path, capsys):
+        data, run = str(tmp_path / "data"), str(tmp_path / "run")
+        shutil.copytree(raw_data, data)
+        with open(os.path.join(data, "view_sessions.tsv"), "rb") as handle:
+            n_lines = handle.read().count(b"\n")
+        with open(os.path.join(data, "view_sessions.tsv"), "ab") as handle:
+            handle.write(b"99\ti00001 i\xe900002\n")
+        capsys.readouterr()
+        assert main(["ingest", "--data", data, "--out", run]) == 2
+        assert (f"view_sessions.tsv:{n_lines + 1}: byte 0xe9 is not UTF-8"
+                in capsys.readouterr().err)
+        assert not os.path.exists(run)
+
     def test_help_exits_zero_and_lists_defaults(self, capsys):
         assert main(["train", "--help"]) == 0
         out = capsys.readouterr().out
@@ -245,6 +258,46 @@ class TestStagesReadUpstream:
                          "--dim", "4", "--epochs", "1"]) == 2
             assert f"prg_triples.tsv:{n_lines + 1}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("file, argv", [
+        ("prg/prg_triples.tsv", ["train-baseline", "--dim", "4", "--epochs", "1"]),
+        ("model/masked_items.tsv", ["evaluate", "--query-cap", "20"]),
+        ("filtered/search.tsv", ["build-prg"]),
+    ], ids=["prg-triples", "masked-items", "filtered"])
+    def test_non_utf8_byte_exit_2_at_its_line(self, trained_run, tmp_path, capsys, file, argv):
+        run = copy_run(trained_run, tmp_path)
+        path = os.path.join(run, file)
+        with open(path, "rb") as handle:
+            lines = handle.read().splitlines(keepends=True)
+        lines[-1] = lines[-1][:1] + b"\xfe" + lines[-1][1:]
+        with open(path, "wb") as handle:
+            handle.write(b"".join(lines))
+        capsys.readouterr()
+        assert main([*argv, "--run", run, "--out", str(tmp_path / "out")]) == 2
+        assert (f"{os.path.basename(file)}:{len(lines)}: byte 0xfe is not UTF-8"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("damage", ["truncated", "no-seed", "missing"])
+    @pytest.mark.parametrize("manifest, argv", [
+        ("prg", ["train-baseline", "--dim", "4", "--epochs", "1"]),
+        ("model", ["evaluate", "--query-cap", "20"]),
+    ], ids=["prg", "model"])
+    def test_damaged_manifest_exit_2_names_it(self, trained_run, tmp_path, capsys,
+                                              manifest, argv, damage):
+        run = copy_run(trained_run, tmp_path)
+        path = os.path.join(run, manifest, "manifest.json")
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+        os.remove(path)
+        if damage != "missing":
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text[:len(text) // 2] if damage == "truncated" else
+                             json.dumps({k: v for k, v in json.loads(text).items()
+                                         if k != "seed"}))
+        capsys.readouterr()
+        assert main([*argv, "--run", run, "--out", str(tmp_path / "out")]) == 2
+        assert os.path.join(manifest, "manifest.json") in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "out")
+
     def test_evaluate_seed_does_not_change_the_report(self, trained_run, tmp_path):
         run = copy_run(trained_run, tmp_path)
         reports = []
@@ -261,8 +314,7 @@ class TestStagesReadUpstream:
                      "--p", "0.25", "--q", "4", "--seed", "3"]) == 0
         with open(os.path.join(prg, "prg_triples.tsv"), encoding="utf-8") as handle:
             facts = [tuple(line.rstrip("\n").split("\t")) for line in handle]
-        state = pl.load_and_split(modality_paths(os.path.join(run, "filtered")),
-                                  item_min=0, word_min=0)
+        state = pl.load_and_split(modality_paths(os.path.join(run, "filtered")))
         pl.load_graph_splits(state, prg)
         assert list(state.graph_splits) == list(pl.GRAPH_RELATIONS)
         key = state.dataset.vocab["item"].key
@@ -328,8 +380,7 @@ class TestCategoryPretraining:
         with open(os.path.join(trained_run, "model", "category_pretrain_loss.tsv"),
                   encoding="utf-8") as handle:
             rows = handle.read().splitlines()
-        state = pl.load_and_split(modality_paths(os.path.join(trained_run, "filtered")),
-                                  item_min=0, word_min=0)
+        state = pl.load_and_split(modality_paths(os.path.join(trained_run, "filtered")))
         vocab = state.dataset.vocab
         params = init_params(ModelConfig(dim=4, seed=7), vocab["item"].size,
                              vocab["word"].size, vocab["category"].size)

@@ -1,5 +1,7 @@
 """Ingestion, vocabularies, frequency filtering and chronological splits."""
 
+import re
+
 import pytest
 from ingest_oracle import oracle_dataset
 
@@ -75,6 +77,21 @@ class TestIngest:
         paths = {"buy_sessions": write(tmp_path, "buy.tsv", "1\tonly\n")}
         with pytest.raises(dm.DataError, match="two items"):
             dm.ingest_dataset(paths)
+
+    def test_crlf_and_blank_lines(self, tmp_path):
+        path = tmp_path / "buy.tsv"
+        path.write_bytes(b"1\ta b\r\n\r\n\n2\tb c\r\n3\tc\r\n")
+        with pytest.raises(dm.DataError, match=r"buy\.tsv:5: session needs at least two"):
+            dm.ingest_dataset({"buy_sessions": str(path)})
+        assert list(dm._read_lines(str(path))) == [(1, "1\ta b"), (4, "2\tb c"), (5, "3\tc")]
+
+    def test_non_utf8_byte_past_the_first_chunk_names_its_line(self, tmp_path):
+        # 1,000 CRLF lines of 12 bytes: the bad byte lies past text mode's first 8 KB read
+        lines = b"".join(b"%04d\ta b c\r\n" % i for i in range(1000))
+        path = tmp_path / "buy.tsv"
+        path.write_bytes(lines + b"\n5\ta \xff\n6\tb c\n")
+        with pytest.raises(dm.DataError, match=r"buy\.tsv:1002: byte 0xff is not UTF-8"):
+            dm.ingest_dataset({"buy_sessions": str(path)})
 
     def test_round_trip(self, tiny_paths, tmp_path):
         ds = dm.ingest_dataset(tiny_paths)
@@ -171,18 +188,27 @@ class TestFiltering:
         with pytest.raises(dm.DataError, match=r"buy\.tsv:21: session needs at least two items"):
             dm.ingest_dataset(paths, item_min=10, word_min=3)
 
-    @pytest.mark.parametrize("files, namespace", [
+    @pytest.mark.parametrize("files, where, namespace", [
         ({"buy_sessions": "".join(f"{i}\tb c\n" for i in range(20)) + "99\t<pad> c\n"},
-         "item"),
+         "buy_sessions.tsv:21", "item"),
         ({"search": "".join(f"{i}\tred fruit\tb\n" for i in range(20)) + "99\t<pad>\tb\n"},
-         "word"),
+         "search.tsv:21", "word"),
         # catalog items are never counted, so every one falls below item_min
-        ({"catalog": "<pad>\tword\tsub1\n", "category_edges": "sub1\tcat1\n"}, "item"),
+        ({"catalog": "<pad>\tword\tsub1\n", "category_edges": "sub1\tcat1\n"},
+         "catalog.tsv:1", "item"),
     ], ids=["session-item", "query-word", "catalog-item"])
-    def test_reserved_key_raises_even_when_filtered_out(self, tmp_path, files, namespace):
+    def test_reserved_key_raises_even_when_filtered_out(self, tmp_path, files, where,
+                                                        namespace):
         paths = {name: write(tmp_path, f"{name}.tsv", text) for name, text in files.items()}
-        with pytest.raises(dm.DataError, match=f"reserved key '<pad>' present in {namespace}"):
+        message = rf"{re.escape(where)}: reserved key '<pad>' present in {namespace}"
+        with pytest.raises(dm.DataError, match=message):
             dm.ingest_dataset(paths, item_min=10, word_min=3)
+
+    def test_reserved_category_label_raises_at_its_edge(self, tmp_path):
+        paths = {"category_edges": write(tmp_path, "edges.tsv", "a\tb\nb\t<pad>\n")}
+        with pytest.raises(dm.DataError,
+                           match=r"edges\.tsv:2: reserved key '<pad>' present in category"):
+            dm.ingest_dataset(paths)
 
 
 class TestCatalogAndEdgeChecks:

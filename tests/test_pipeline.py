@@ -1,24 +1,42 @@
 """End-to-end pipeline assembly on a small synthetic dataset."""
 
+import os
+from collections import Counter
+
+import numpy as np
 import pytest
 
 from prodkg import pipeline as pl
+from prodkg.baselines import KgConfig
+from prodkg.cli import main
+from prodkg.data import modality_paths
 from prodkg.evaluation import GraphSplit
 from prodkg.model import ModelConfig, init_params
-from prodkg.synth import SynthConfig, generate
 from prodkg.trainer import TrainConfig, train
 
 SEQ_LENS = {"complement": 6, "co_view": 6, "search": 4, "describe": 8}
 
 
 @pytest.fixture(scope="module")
-def state(tmp_path_factory):
-    config = SynthConfig(n_items=120, n_clusters=20, n_words=100, n_sessions=600,
-                         n_searches=200, n_substitutions=150, seed=7)
-    paths, _ = generate(config, str(tmp_path_factory.mktemp("synth")))
-    state = pl.load_and_split(paths)
-    pl.build_graphs(state, seed=7, walks_per_node=4, walk_length=5)
-    pl.split_graphs(state, seed=7)
+def run(tmp_path_factory):
+    """A run directory after gen-data, ingest and build-prg (into <run>/prg)."""
+    base = tmp_path_factory.mktemp("synth")
+    data, run = str(base / "data"), str(base / "run")
+    assert main(["gen-data", "--seed", "7", "--out", data, "--items", "120",
+                 "--clusters", "20", "--words", "100", "--sessions", "600",
+                 "--searches", "200", "--substitutions", "150"]) == 0
+    assert main(["ingest", "--data", data, "--out", run]) == 0
+    assert main(["build-prg", "--run", run, "--out", os.path.join(run, "prg"),
+                 "--walks", "4", "--walk-length", "5", "--seed", "7"]) == 0
+    return run
+
+
+@pytest.fixture(scope="module")
+def state(run):
+    """The state train builds: filtered/ loaded and split, graph splits from
+    build-prg's triples, and the masked products."""
+    state = pl.load_and_split(modality_paths(os.path.join(run, "filtered")))
+    pl.load_graph_splits(state, os.path.join(run, "prg"))
     pl.mask_products(state, 0.1, seed=7)
     return state
 
@@ -29,10 +47,12 @@ class TestAssembly:
         assert len(split.train) > len(split.validation) > 0
         assert max(s.timestamp for s in split.train) <= min(s.timestamp for s in split.validation)
 
-    def test_graphs_have_default_k_lists(self, state):
-        for relation in ("complement", "co_view", "substitute"):
-            graph = state.graphs[relation]
-            assert all(len(neighbors) <= 20 for neighbors in graph.neighbors.values())
+    def test_graphs_have_default_k_lists(self, run):
+        with open(os.path.join(run, "prg", "prg_triples.tsv"), encoding="utf-8") as handle:
+            facts = [line.rstrip("\n").split("\t") for line in handle]
+        per_head = Counter((head, relation) for head, relation, _tail in facts)
+        assert {relation for _head, relation in per_head} == set(pl.GRAPH_RELATIONS)
+        assert max(per_head.values()) <= 20
 
     def test_masked_items_have_no_isa_examples(self, state):
         specs = pl.assemble_training_data(state, SEQ_LENS)
@@ -76,15 +96,15 @@ class TestBaselineValidation:
                       "co_view": [(3, 4), (5, 6)], "substitute": [(7, 8), (9, 10), (11, 12)]}
         splits = {relation: GraphSplit(relation, [(1, 2)], edges, [])
                   for relation, edges in validation.items()}
-        run = pl.PipelineData(dataset=state.dataset, splits=state.splits,
-                              graph_splits=splits)
+        crafted = pl.PipelineData(dataset=state.dataset, splits=state.splits,
+                                  graph_splits=splits)
         seen = {}
 
         def fake_train_kg(model, triples, validation=None, **_kwargs):
             seen["validation"] = validation
             return model
         monkeypatch.setattr(pl, "train_kg", fake_train_kg)
-        _model, space = pl.train_prg_baseline(run)
+        _model, space = pl.train_prg_baseline(crafted, KgConfig())
 
         def triples(relation, edges):
             rel = space.relation_index(relation)
@@ -95,7 +115,8 @@ class TestBaselineValidation:
         expected = [complement[0], co_view[0], substitute[0],
                     complement[1], co_view[1], substitute[1],
                     complement[2], substitute[2], *complement[3:295]]
-        assert [tuple(t) for t in seen["validation"]] == expected
+        assert seen["validation"].dtype == np.int64
+        np.testing.assert_array_equal(seen["validation"], np.array(expected))
 
 
 @pytest.mark.slow

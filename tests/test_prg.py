@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from prodkg import prg
-from prodkg.data import ITEM
-from prodkg.pipeline import load_and_split
+from prodkg.data import ITEM, chronological_split, ingest_dataset
 from prodkg.prg import (
     RelationGraph,
     Visits,
@@ -113,6 +112,14 @@ def random_graph(rng, hub_degree=None) -> WeightedGraph:
     return normalize_adjacency(graph) if rng.random() < 0.5 else graph
 
 
+def to_dense(graph):
+    dense = np.zeros((graph.n_nodes, graph.n_nodes))
+    for a, neighbors in graph.adj.items():
+        for b, w in neighbors.items():
+            dense[a, b] = w
+    return dense
+
+
 class TestBuildAdjacency:
     def test_single_session_all_pairs(self):
         g = build_adjacency([(1, 2, 3)], n_nodes=4)
@@ -128,8 +135,9 @@ class TestBuildAdjacency:
 
     def test_symmetric_zero_diagonal(self):
         g = build_adjacency([(1, 2, 3), (2, 3)], n_nodes=4)
-        for a, b, w in g.edges():
-            assert g.weight(b, a) == w
+        for a, neighbors in g.adj.items():
+            for b, w in neighbors.items():
+                assert g.weight(b, a) == w
         assert g.weight(2, 2) == 0
 
 
@@ -153,7 +161,7 @@ class TestNormalize:
             if a != b:
                 g.add_edge(int(a), int(b), float(rng.integers(1, 5)))
         normalized = normalize_adjacency(g)
-        dense = normalized.to_dense()
+        dense = to_dense(normalized)
         np.testing.assert_allclose(dense, dense.T)
 
     def test_spectral_radius_at_most_one(self):
@@ -162,7 +170,7 @@ class TestNormalize:
         sessions = [tuple(rng.integers(0, 150, size=rng.integers(2, 6))) for _ in range(300)]
         sessions = [s for s in sessions if len(set(s)) >= 2]
         normalized = normalize_adjacency(build_adjacency(sessions, 150))
-        dense = normalized.to_dense()
+        dense = to_dense(normalized)
         vec = np.ones(150) / np.sqrt(150)
         for _ in range(200):
             nxt = dense @ vec
@@ -258,13 +266,13 @@ class TestWalkParity:
                              n_searches=20, n_substitutions=120, seed=3)
         with tempfile.TemporaryDirectory() as out:
             paths, _ = generate(config, out)
-            state = load_and_split(paths)
-        n = state.dataset.vocab[ITEM].size
+            dataset = ingest_dataset(paths, item_min=10, word_min=3)
+        n = dataset.vocab[ITEM].size
         sources = {
-            "complement": [s.items for s in state.splits["buy_sessions"].train],
-            "co_view": [s.items for s in state.splits["view_sessions"].train],
+            "complement": [s.items for s in chronological_split(dataset.buy_sessions).train],
+            "co_view": [s.items for s in chronological_split(dataset.view_sessions).train],
             "substitute": [(pair.accepted_for, pair.substitute)
-                           for pair in state.splits["substitutions"].train],
+                           for pair in chronological_split(dataset.substitutions).train],
         }
         for relation, groups in sources.items():
             graph = build_relation_graph(groups, n, relation, k=10, walks_per_node=4,
