@@ -125,10 +125,6 @@ class _AttnCache:
     def e_in(self) -> np.ndarray:
         return self.e[:self.ids.size]
 
-    @property
-    def e_out(self) -> np.ndarray:
-        return self.e[self.ids.size:]
-
 
 def ffn_forward(e: np.ndarray, params: AttentionParams):
     """Row-wise two-layer transform relu(e theta1 + b1) theta2 + b2.

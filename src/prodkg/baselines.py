@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import Grads, NumericalError, log_sigmoid, row_sums, sigmoid
-from .ranking import rank_candidates
+from .ranking import RANK_CHUNK, rank_candidates
 
 TRANSLATIONAL = ("transE", "transH", "transR", "transD")
 SEMANTIC = ("rescal", "distmult", "hole", "complex")
@@ -347,18 +347,30 @@ def corrupt(heads: np.ndarray, tails: np.ndarray, negatives: int,
             np.hstack((tails[:, None], np.where(replace_head, tails[:, None], picked))))
 
 
+def score_tail_block(model: KgModel, heads, relations, candidates: np.ndarray) -> np.ndarray:
+    """(Q, N) tail scores of the candidates, one :func:`score_tails` row per
+    query: a head and its relation (one relation index may serve them all)."""
+    scores = np.empty((len(heads), len(candidates)))
+    for q, (head, relation) in enumerate(zip(heads, np.broadcast_to(relations, len(heads)))):
+        scores[q] = score_tails(model, head_parts(model, head), int(relation), candidates)
+    return scores
+
+
 def hit_at_k(model: KgModel, triples: np.ndarray, k: int = 10,
              candidates: np.ndarray | None = None) -> float:
     """Fraction of the (n, 3) (head, relation, tail) rows whose true tail ranks
     in the top k (ties by id); a tail missing from the candidates is a miss."""
     if not len(triples):
         return 0.0
-    hits = 0
     cand = np.arange(model.n_entities) if candidates is None else candidates
-    for head, relation, tail in triples.tolist():
-        scores = score_tails(model, head_parts(model, head), relation, cand)
-        hits += int(tail in rank_candidates(cand, scores, (), keep=k).candidates)
-    return hits / len(triples)
+    ranks = np.empty(len(triples), dtype=np.int64)
+    for start in range(0, len(triples), RANK_CHUNK):
+        chunk = slice(start, start + RANK_CHUNK)
+        heads, relations, tails = triples[chunk].T
+        ranks[chunk] = rank_candidates(score_tail_block(model, heads, relations, cand),
+                                       cand, tails)
+    # a missing tail ranks past every candidate, a miss even when k exceeds them
+    return float(np.mean(ranks <= min(k, len(cand))))
 
 
 def train_kg(

@@ -21,7 +21,7 @@ from . import pipeline as pl
 from .baselines import VARIANTS, KgConfig
 from .data import DataError
 from .embeddings import NumericalError, write_table_tsv
-from .evaluation import PKG_SCORING, evaluate_all, rank_tail
+from .evaluation import PKG_SCORING, evaluate_all, pkg_candidate_scores
 from .model import ModelConfig, init_params, load_checkpoint, save_checkpoint
 from .prg import export_prg
 from .synth import SynthConfig, generate
@@ -448,9 +448,11 @@ def cmd_rank(config: dict) -> int:
     head = [vocab.id(k) for k in head_keys]
     if relation not in ("search", "describe", "recommend"):
         head = head[0]
-    result = rank_tail(params, relation, head, keep=config["k"])
+    scores = pkg_candidate_scores(params, relation, [head])[0]
+    items = np.arange(1, scores.size + 1)
+    top = np.lexsort((items, -scores))[:config["k"]]
     print("rank\titem\tscore")
-    for position, (item, score) in enumerate(zip(result.candidates, result.scores), 1):
+    for position, (item, score) in enumerate(zip(items[top], scores[top]), 1):
         print(f"{position}\t{keys['item_in'][int(item)]}\t{score:.9g}")
     return 0
 

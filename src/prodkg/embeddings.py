@@ -17,6 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .data import DataError, _read_lines
+
 EUCLIDEAN = "euclidean"
 POINCARE = "poincare"
 
@@ -317,22 +319,47 @@ def write_table_tsv(path, table: EmbeddingTable, keys: list[str]) -> None:
             handle.write(line.format(key, *vector.tolist()))
 
 
+def _number(token: str) -> float:
+    try:
+        return float(token)
+    except ValueError:
+        return math.nan
+
+
 def read_table_tsv(path, name: str) -> tuple[EmbeddingTable, list[str]]:
-    """Inverse of :func:`write_table_tsv`; restores the PAD row as zeros."""
-    with open(path, "r", encoding="utf-8") as handle:
-        meta = handle.readline().strip()
-        if not meta.startswith("# geometry="):
-            raise ValueError(f"{path}: missing geometry metadata line")
-        geometry = meta.split("=", 1)[1]
-        header = handle.readline().strip().split("\t")
-        dim = int(header[1])
-        keys = ["<pad>"]
-        rows = [np.zeros(dim)]
-        for line in handle:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            key, vector = line.split("\t")
-            keys.append(key)
-            rows.append(np.array([float(v) for v in vector.split(" ")]))
-    return EmbeddingTable(name, np.vstack(rows), geometry), keys
+    """Inverse of :func:`write_table_tsv`; restores the PAD row as zeros.
+
+    A missing file, metadata line or header, a row whose value count is not
+    the header's dim, and a value that is not a finite number are
+    DataErrors naming the file and line.
+    """
+    lines = _read_lines(path)
+    try:
+        number, meta = next(lines, (1, ""))
+    except OSError as err:
+        raise DataError(f"{path}: cannot read ({err.strerror})") from None
+    if not meta.startswith("# geometry="):
+        raise DataError(f"{path}:{number}: missing geometry metadata line")
+    number, header = next(lines, (number + 1, ""))
+    dim = header.split("\t")[1:]
+    if len(dim) != 1 or not dim[0].isdigit() or int(dim[0]) == 0:
+        raise DataError(f"{path}:{number}: expected the header 'entity<TAB><dim>'")
+    dim = int(dim[0])
+    keys, numbers, vectors = ["<pad>"], [], []
+    for number, line in lines:
+        key, _, vector = line.partition("\t")
+        if vector.count(" ") != dim - 1:  # checked per row; parsed as one block
+            raise DataError(f"{path}:{number}: expected {dim} values, "
+                            f"got {vector.count(' ') + 1}")
+        keys.append(key)
+        numbers.append(number)
+        vectors.append(vector)
+    values = np.zeros((len(keys), dim))
+    try:
+        values[1:] = np.loadtxt(vectors, delimiter=" ", comments=None, ndmin=2) if vectors else 0
+    except ValueError:  # a token that is no number reads as nan
+        values[1:] = [[_number(token) for token in vector.split(" ")] for vector in vectors]
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if bad.size:
+        raise DataError(f"{path}:{numbers[bad[0] - 1]}: a value is not a finite number")
+    return EmbeddingTable(name, values, meta.split("=", 1)[1].strip()), keys

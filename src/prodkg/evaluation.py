@@ -4,21 +4,22 @@ evaluation protocol.
 
 Ranking contracts: candidates default to the full item vocabulary minus
 PAD, scores are whatever monotone quantity the relation defines (inner
-products; exponentiating them cannot change any metric), and every query is
-ordered by :func:`prodkg.ranking.rank_candidates`, which breaks ties
-deterministically towards the smaller entity id.
+products; exponentiating them cannot change any metric), and the queries
+of a task are ranked in blocks by :func:`prodkg.ranking.rank_candidates`,
+which breaks ties deterministically towards the smaller entity id.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .attention import context_for_ranking
-from .baselines import KgModel, head_parts, score_tails
+from .baselines import KgModel, score_tail_block
 from .model import PkgParams
-from .ranking import RankingResult, rank_candidates
+from .ranking import RANK_CHUNK, rank_candidates
 
 # relation -> (head table, attention block, scoring tables).  An entity head
 # (an item, or a category for isa) is its own row of the head table; a
@@ -36,75 +37,78 @@ PKG_SCORING = {
 }
 
 
-def pkg_candidate_scores(params: PkgParams, relation: str, head) -> tuple[np.ndarray, np.ndarray]:
-    """Score every non-PAD item as tail for one query, per the trained model.
+def pkg_candidate_scores(params: PkgParams, relation: str, heads) -> np.ndarray:
+    """(Q, N) scores of every non-PAD item (ids 1..N, in order) as tail for
+    each query, per the trained model.
 
-    ``head`` is an item id (substitute/complement/co_view), a category id
+    A head is an item id (substitute/complement/co_view), a category id
     (isa), or an id sequence (a complement/co_view context, search/describe
-    words, a recommend prefix).  Returns (candidate ids, scores).
+    words, a recommend prefix).  Each query's row is its own ``rows @ query``
+    product, so a score does not depend on which queries share its block.
     """
     if relation not in PKG_SCORING:
         raise ValueError(f"unknown relation {relation!r}")
     head_table, block, score_tables = PKG_SCORING[relation]
     tables = params.tables
-    if head_table is not None and np.ndim(head) == 0:
-        query = tables[head_table].values[int(head)]
-    else:
-        query = context_for_ranking(np.asarray(head), tables, params.attn[block], block)
     rows = tables[score_tables[0]].values[1:]
     for name in score_tables[1:]:
         rows = rows + tables[name].values[1:]
-    return np.arange(1, rows.shape[0] + 1, dtype=np.int64), rows @ query
+    scores = np.empty((len(heads), rows.shape[0]))
+    for q, head in enumerate(heads):
+        if head_table is not None and np.ndim(head) == 0:
+            query = tables[head_table].values[int(head)]
+        else:
+            query = context_for_ranking(np.asarray(head), tables, params.attn[block], block)
+        scores[q] = rows @ query
+    return scores
 
 
-def rank_tail(scorer, relation, head, gold=(), keep: int | None = None,
-              candidates: np.ndarray | None = None) -> RankingResult:
-    """Rank tail candidates for one query under a trained scorer.
+def rank_tail(scorer, relation, heads, gold, candidates: np.ndarray | None = None) -> np.ndarray:
+    """(Q,) ranks of the gold tails of Q queries under a trained scorer.
 
     ``scorer`` is either the proposed model's parameter bundle or a triple
-    baseline.  For a baseline ``relation`` is a relation index, ``head`` an
+    baseline.  For a baseline ``relation`` is a relation index, each head an
     entity id or a sequence of them (a query's words, averaged), and
     ``candidates`` the candidate entity ids (all entities when omitted); the
-    proposed model always ranks every non-PAD item.
+    proposed model always ranks every non-PAD item.  Queries are scored and
+    ranked in blocks of :data:`prodkg.ranking.RANK_CHUNK`.
     """
     if isinstance(scorer, PkgParams):
         if candidates is not None:
             raise ValueError("candidates apply to baseline scorers only")
-        cand, scores = pkg_candidate_scores(scorer, relation, head)
+        cand = np.arange(1, scorer.tables["item_in"].rows, dtype=np.int64)
+        block_scores = partial(pkg_candidate_scores, scorer, relation)
     elif isinstance(scorer, KgModel):
         cand = candidates if candidates is not None else np.arange(scorer.n_entities)
-        scores = score_tails(scorer, head_parts(scorer, head), int(relation), cand)
+        block_scores = partial(score_tail_block, scorer, relations=relation, candidates=cand)
     else:
         raise TypeError(f"cannot rank with {type(scorer).__name__}")
-    return rank_candidates(cand, scores, gold, keep=keep)
+    gold = np.asarray(gold, dtype=np.int64)
+    ranks = np.empty(len(heads), dtype=np.int64)
+    for start in range(0, len(heads), RANK_CHUNK):
+        chunk = slice(start, start + RANK_CHUNK)
+        ranks[chunk] = rank_candidates(block_scores(heads[chunk]), cand, gold[chunk])
+    return ranks
 
 
-def ranking_metrics(results: list[RankingResult], k: int = 10) -> dict:
-    """HIT@K, NDCG@K, R@K and MAP@K averaged over queries.
+def ranking_metrics(ranks: np.ndarray, k: int = 10) -> dict:
+    """HIT@K, NDCG@K, R@K and MAP@K averaged over single-gold queries.
 
-    Single-gold queries follow the reduced forms: NDCG is 1/log2(rank+1)
-    with ideal DCG 1, and average precision is 1/rank for ranks within K.
+    With one gold id at rank r, NDCG is 1/log2(r+1) (ideal DCG 1), recall
+    equals the hit, and average precision is 1/r, each 0 when r > K.
     """
     if k <= 0:
         raise ValueError("k must be positive")
-    if not results:
-        raise ValueError("no ranking results to aggregate")
-    hits, ndcgs, recalls, maps = [], [], [], []
-    for result in results:
-        ranks = sorted(r for r in result.gold_ranks)
-        within = [r for r in ranks if r <= k]
-        hits.append(1.0 if within else 0.0)
-        dcg = sum(1.0 / np.log2(r + 1) for r in within)
-        ideal = sum(1.0 / np.log2(i + 2) for i in range(min(len(ranks), k)))
-        ndcgs.append(dcg / ideal if ideal > 0 else 0.0)
-        recalls.append(len(within) / len(ranks) if ranks else 0.0)
-        precision_sum = sum((i + 1) / rank for i, rank in enumerate(within))
-        maps.append(precision_sum / min(len(ranks), k) if ranks else 0.0)
+    ranks = np.asarray(ranks, dtype=np.int64)
+    if ranks.size == 0:
+        raise ValueError("no ranks to aggregate")
+    within = ranks <= k
+    hits = within.astype(float)
     return {
         f"hit@{k}": float(np.mean(hits)),
-        f"ndcg@{k}": float(np.mean(ndcgs)),
-        f"recall@{k}": float(np.mean(recalls)),
-        f"map@{k}": float(np.mean(maps)),
+        f"ndcg@{k}": float(np.mean(np.where(within, 1.0 / np.log2(ranks + 1), 0.0))),
+        f"recall@{k}": float(np.mean(hits)),
+        f"map@{k}": float(np.mean(np.where(within, 1.0 / ranks, 0.0))),
     }
 
 
@@ -125,9 +129,7 @@ def classification_probe(
     """
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels, dtype=np.int64)
-    classes = np.unique(labels)
-    class_index = {c: i for i, c in enumerate(classes)}
-    y = np.array([class_index[c] for c in labels])
+    classes, y = np.unique(labels, return_inverse=True)
     n_classes = classes.size
 
     x_train = features[train_idx]
@@ -153,13 +155,10 @@ def classification_probe(
     if missing:
         warnings.warn(f"{len(missing)} class(es) absent from probe training; excluded from macro-F1")
 
-    tp = np.zeros(n_classes)
-    fp = np.zeros(n_classes)
-    fn = np.zeros(n_classes)
-    for cls in range(n_classes):
-        tp[cls] = np.sum((predictions == cls) & (truth == cls))
-        fp[cls] = np.sum((predictions == cls) & (truth != cls))
-        fn[cls] = np.sum((predictions != cls) & (truth == cls))
+    right = predictions == truth
+    tp = np.bincount(truth[right], minlength=n_classes).astype(float)
+    fp = np.bincount(predictions[~right], minlength=n_classes).astype(float)
+    fn = np.bincount(truth[~right], minlength=n_classes).astype(float)
     micro_p = tp.sum() / max(tp.sum() + fp.sum(), 1e-12)
     micro_r = tp.sum() / max(tp.sum() + fn.sum(), 1e-12)
     micro = 0.0 if micro_p + micro_r == 0 else 2 * micro_p * micro_r / (micro_p + micro_r)
@@ -204,10 +203,7 @@ def split_relation_graph(edges: list, fractions=(0.8, 0.1, 0.1), seed: int = 0,
     test = shuffled[n_train + n_val:]
 
     while True:
-        covered = set()
-        for h, t in train:
-            covered.add(h)
-            covered.add(t)
+        covered = {node for edge in train for node in edge}
         offending = [e for e in validation + test if e[0] not in covered or e[1] not in covered]
         if not offending:
             break
@@ -227,25 +223,15 @@ def drop_leaky_examples(examples: list, eval_edges: set) -> list:
     orientation) with any of its context items: training on it would
     directly optimise the exact score ranked at evaluation time.
     """
-    undirected = set()
-    for h, t in eval_edges:
-        undirected.add((h, t))
-        undirected.add((t, h))
-    kept = []
-    for context, target in examples:
-        if any((c, target) in undirected for c in context):
-            continue
-        kept.append((context, target))
-    return kept
+    undirected = set(eval_edges) | {(t, h) for h, t in eval_edges}
+    return [(context, target) for context, target in examples
+            if not any((c, target) in undirected for c in context)]
 
 
 def remove_leaky_pairs(pairs, eval_edges: set):
-    kept = []
-    for pair in pairs:
-        key = (pair.accepted_for, pair.substitute)
-        if key not in eval_edges and key[::-1] not in eval_edges:
-            kept.append(pair)
-    return kept
+    return [pair for pair in pairs
+            if (pair.accepted_for, pair.substitute) not in eval_edges
+            and (pair.substitute, pair.accepted_for) not in eval_edges]
 
 
 # --- report assembly ---
@@ -280,12 +266,6 @@ class MetricsReport:
             raise ValueError(f"metric {metric} for {task} out of [0, 1]: {value}")
         self.rows.append((model, task, metric, value))
 
-    def value(self, model: str, task: str, metric: str):
-        for m, t, name, v in self.rows:
-            if (m, t, name) == (model, task, metric):
-                return v
-        return None
-
     def to_tsv(self) -> str:
         lines = ["model\ttask\tmetric\tvalue"]
         for model, task, metric, value in self.rows:
@@ -305,15 +285,11 @@ class MetricsReport:
 
 
 def _ranking_rows(report: MetricsReport, model_name: str, task: str,
-                  results: list, k: int, metrics=("hit", "ndcg")) -> None:
-    if not results:
-        for metric in metrics:
-            report.add(model_name, task, f"{metric}@{k}", None)
-        return
-    values = ranking_metrics(results, k=k)
+                  ranks: np.ndarray, k: int, metrics=("hit", "ndcg")) -> None:
+    values = ranking_metrics(ranks, k=k) if len(ranks) else {}
     for metric in metrics:
         key = f"{metric}@{k}"
-        report.add(model_name, task, key, values[key])
+        report.add(model_name, task, key, values.get(key))
 
 
 def evaluate_all(
@@ -344,50 +320,47 @@ def evaluate_all(
     report.meta["k"] = k
     kg_models = kg_models or {}
 
-    def rank_rows(relation, task, queries, metrics):
-        """Rank (head, gold item) queries under the proposed model and every
-        baseline; heads are item ids, or word-id sequences for search."""
-        results = [rank_tail(params, relation, head, gold=(gold,), keep=k)
-                   for head, gold in queries]
-        _ranking_rows(report, "proposed", task, results, k, metrics)
+    def rank_rows(relation, task, heads, golds, metrics):
+        """Rank the gold items of the queries under the proposed model and
+        every baseline; heads are item ids, or word-id sequences for search."""
+        _ranking_rows(report, "proposed", task, rank_tail(params, relation, heads, golds),
+                      k, metrics)
         for name in sorted(kg_models):
             entity = kg_space.word if relation == "search" else kg_space.item
-            results = [rank_tail(kg_models[name], kg_space.relation_index(relation),
-                                 entity(np.asarray(head)), gold=(kg_space.item(gold),),
-                                 keep=k, candidates=kg_space.item_entities())
-                       for head, gold in queries]
-            _ranking_rows(report, name, task, results, k, metrics)
+            ranks = rank_tail(kg_models[name], kg_space.relation_index(relation),
+                              [entity(np.asarray(head)) for head in heads],
+                              kg_space.item(np.asarray(golds, dtype=np.int64)),
+                              candidates=kg_space.item_entities())
+            _ranking_rows(report, name, task, ranks, k, metrics)
 
     # knowledge completion over held-out relation-graph edges
     if graph_splits:
         for relation in sorted(graph_splits):
             split = graph_splits[relation]
             edges = split.test if query_cap is None else split.test[:query_cap]
-            rank_rows(relation, relation, edges, ("hit", "ndcg"))
+            rank_rows(relation, relation, [h for h, _t in edges], [t for _h, t in edges],
+                      ("hit", "ndcg"))
 
     # search ranking, split by whether the exact query was seen in training
     if search_test is not None:
         train_queries = train_queries or set()
-        groups = {"search_encountered": [], "search_new": []}
+        groups = {"search_encountered": ([], []), "search_new": ([], [])}
         for record in (search_test if query_cap is None else search_test[:query_cap]):
             key = tuple(sorted(record.query_words))
-            bucket = "search_encountered" if key in train_queries else "search_new"
-            groups[bucket].append((np.asarray(record.query_words), record.clicked_item))
-        for bucket, queries in groups.items():
-            rank_rows("search", bucket, queries, ("recall", "map"))
+            heads, golds = groups["search_encountered" if key in train_queries
+                                  else "search_new"]
+            heads.append(np.asarray(record.query_words))
+            golds.append(record.clicked_item)
+        for bucket, (heads, golds) in groups.items():
+            rank_rows("search", bucket, heads, golds, ("recall", "map"))
 
     # next-impression recommendation over pooled test sessions
     if recommend_sessions is not None:
-        results = []
-        sessions = (recommend_sessions if query_cap is None
-                    else recommend_sessions[:query_cap])
-        for session in sessions:
-            items = list(session)
-            for position in range(1, len(items)):
-                prefix = np.asarray(items[:position])
-                results.append(rank_tail(params, "recommend", prefix,
-                                         gold=(items[position],), keep=k))
-        _ranking_rows(report, "proposed", "recommend", results, k)
+        sessions = recommend_sessions if query_cap is None else recommend_sessions[:query_cap]
+        prefixes = [np.asarray(s[:end]) for s in sessions for end in range(1, len(s))]
+        golds = [s[end] for s in sessions for end in range(1, len(s))]
+        _ranking_rows(report, "proposed", "recommend",
+                      rank_tail(params, "recommend", prefixes, golds), k)
 
     # classification probe on the masked products
     if probe_features is not None and probe_labels and probe_test_rows is not None:

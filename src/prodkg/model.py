@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import json
 import os
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .attention import TASK_WIRING, AttentionParams
-from .data import CATEGORY, ITEM, WORD
+from .data import CATEGORY, ITEM, WORD, DataError
 from .embeddings import POINCARE, new_table, read_table_tsv, write_table_tsv
 
 TABLE_NAMES = ("item_in", "item_out_buy", "item_out_view", "word", "category")
@@ -48,15 +49,6 @@ class PkgParams:
         for task, params in self.attn.items():
             out.update(params.as_dict(task))
         return out
-
-    def equal(self, other: "PkgParams") -> bool:
-        if set(self.tables) != set(other.tables) or set(self.attn) != set(other.attn):
-            return False
-        for name in self.tables:
-            if not np.array_equal(self.tables[name].values, other.tables[name].values):
-                return False
-        mine, theirs = self.dense_dict(), other.dense_dict()
-        return all(np.array_equal(mine[k], theirs[k]) for k in mine)
 
 
 def init_params(config: ModelConfig, n_items: int, n_words: int, n_categories: int) -> PkgParams:
@@ -101,24 +93,58 @@ def save_checkpoint(directory: str, params: PkgParams, vocab: dict) -> None:
         handle.write("\n")
 
 
+def _read_attention(path: str, dim: int, seq_lens: dict) -> dict:
+    """Attention blocks from ``attention_params.npz``: exactly the finite
+    float arrays, of the shapes, that checkpoint.json implies."""
+    try:
+        with np.load(path, allow_pickle=False) as blob:
+            arrays = {key: blob[key] for key in blob.files}
+    except (OSError, ValueError, TypeError, EOFError, zipfile.BadZipFile) as err:
+        raise DataError(f"{path}: cannot read the attention archive "
+                        f"({type(err).__name__}: {err})") from None
+    attn = {}
+    for task, length in seq_lens.items():
+        shapes = {"positions": (length, dim), "theta1": (dim, dim), "b1": (dim,),
+                  "theta2": (dim, dim), "b2": (dim,)}
+        parts = {part: arrays.pop(f"{task}__{part}", None) for part in shapes}
+        for part, value in parts.items():
+            if value is None or value.shape != shapes[part] or value.dtype.kind != "f" \
+                    or not np.isfinite(value).all():
+                raise DataError(f"{path}: no finite float array {task}__{part} "
+                                f"of shape {shapes[part]}")
+        attn[task] = AttentionParams(**parts)
+    if arrays:
+        raise DataError(f"{path}: arrays {sorted(arrays)} belong to no attention block "
+                        f"of checkpoint.json")
+    return attn
+
+
 def load_checkpoint(directory: str) -> tuple[PkgParams, dict]:
-    """Inverse of :func:`save_checkpoint`; returns params and per-table key lists."""
-    with open(os.path.join(directory, "checkpoint.json"), "r", encoding="utf-8") as handle:
-        echo = json.load(handle)
+    """Inverse of :func:`save_checkpoint`; returns params and per-table key lists.
+
+    Each embedding TSV must hold the rows, dim and geometry that
+    checkpoint.json records, and the attention archive the blocks it lists;
+    a mismatch or a malformed file is a DataError naming the file.
+    """
+    echo_path = os.path.join(directory, "checkpoint.json")
+    try:
+        with open(echo_path, "r", encoding="utf-8") as handle:
+            echo = json.load(handle)
+        dim, shapes = int(echo["dim"]), dict(echo["tables"])
+        seq_lens = {str(task): int(length) for task, length in echo["seq_lens"].items()}
+    except (OSError, ValueError, LookupError, TypeError, AttributeError) as err:
+        raise DataError(f"{echo_path}: cannot read the checkpoint description "
+                        f"({type(err).__name__}: {err})") from None
     tables = {}
     keys_by_table = {}
     for name in TABLE_NAMES:
-        table, keys = read_table_tsv(os.path.join(directory, f"embeddings_{name}.tsv"), name)
+        path = os.path.join(directory, f"embeddings_{name}.tsv")
+        table, keys = read_table_tsv(path, name)
+        if [table.rows, table.dim, table.geometry] != shapes.get(name):
+            raise DataError(f"{path}: [rows with PAD, dim, geometry] = [{table.rows}, "
+                            f"{table.dim}, {table.geometry!r}], but {echo_path} records "
+                            f"{shapes.get(name)}")
         tables[name] = table
         keys_by_table[name] = keys
-    blob = np.load(os.path.join(directory, "attention_params.npz"))
-    attn = {}
-    for task in echo["seq_lens"]:
-        attn[task] = AttentionParams(
-            positions=blob[f"{task}__positions"],
-            theta1=blob[f"{task}__theta1"],
-            b1=blob[f"{task}__b1"],
-            theta2=blob[f"{task}__theta2"],
-            b2=blob[f"{task}__b2"],
-        )
-    return PkgParams(tables=tables, attn=attn, dim=int(echo["dim"])), keys_by_table
+    attn = _read_attention(os.path.join(directory, "attention_params.npz"), dim, seq_lens)
+    return PkgParams(tables=tables, attn=attn, dim=dim), keys_by_table

@@ -142,8 +142,7 @@ def assemble_training_data(state: PipelineData, seq_lens: dict,
     """
     eval_edges = {relation: set() for relation in GRAPH_RELATIONS}
     for relation, split in state.graph_splits.items():
-        eval_edges[relation].update(split.validation)
-        eval_edges[relation].update(split.test)
+        eval_edges[relation].update(split.validation, split.test)
 
     subs_train = remove_leaky_pairs(state.splits["substitutions"].train,
                                     eval_edges["substitute"])
@@ -172,7 +171,6 @@ def assemble_training_data(state: PipelineData, seq_lens: dict,
         "co_view": session_validation(state.splits["view_sessions"], seq_lens["co_view"]),
         "search": [(r.query_words[-seq_lens["search"]:], r.clicked_item)
                    for r in state.splits["searches"].validation],
-        "describe": [],
         "isa": [(e.item, tuple(e.category_path)) for e in isa_val_entries],
     }
     specs = build_task_specs(train_records, seq_lens)
@@ -207,11 +205,9 @@ def probe_inputs(state: PipelineData, params: PkgParams):
     entries.sort(key=lambda e: e.item)
     items = np.array([e.item for e in entries], dtype=np.int64)
     features = params.tables["item_in"].values[items]
-    labels = {}
-    for level, name in ((1, "category"), (2, "department")):
-        labels[name] = np.array(
-            [e.category_path[min(level, len(e.category_path) - 1)] for e in entries],
-            dtype=np.int64)
+    labels = {name: np.array([e.category_path[min(level, len(e.category_path) - 1)]
+                              for e in entries], dtype=np.int64)
+              for level, name in ((1, "category"), (2, "department"))}
     masked = set(int(i) for i in state.masked_items)
     test_rows = np.array([row for row, item in enumerate(items) if int(item) in masked],
                          dtype=np.int64)

@@ -1,64 +1,39 @@
-"""The one ranking routine: candidates ordered by descending score, ties
-towards the smaller entity id, and the ranks of the gold ids in that order.
+"""The one ranking routine: the rank of each query's gold id among the
+candidates ordered by descending score, ties towards the smaller entity id.
 
 It lives apart from :mod:`prodkg.evaluation` so that the triple baselines,
 which evaluation scores, can rank through it too.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-
-@dataclass
-class RankingResult:
-    """Ordered candidates with the gold entity ranks (1-based)."""
-
-    candidates: np.ndarray   # top of the ordering, possibly truncated
-    scores: np.ndarray       # non-increasing, aligned with candidates
-    gold: tuple
-    gold_ranks: tuple        # ranks of every gold id within the full ordering
-    n_candidates: int
-
-    @property
-    def gold_rank(self) -> int:
-        return min(self.gold_ranks)
+# Queries ranked per (Q, N) score block: 64 queries over 2,000 items is 1 MB.
+# A block of 256 raised train-baseline's peak RSS by about 2 MB on a
+# 1,000-item catalog, where the stage peaks inside hit_at_k.
+RANK_CHUNK = 64
 
 
-def rank_candidates(candidates: np.ndarray, scores: np.ndarray, gold,
-                    keep: int | None = None) -> RankingResult:
-    """Sort distinct candidate ids by descending score, ties to the smaller id.
+def rank_candidates(scores: np.ndarray, candidates: np.ndarray, gold) -> np.ndarray:
+    """(Q,) 1-based ranks of the gold ids in a (Q, N) score block.
 
-    A gold id's rank is 1 + the candidates scoring strictly higher + the
-    candidates scoring equal with a smaller id.  With ``keep`` only the top
-    ``keep`` are ordered: a partition picks every candidate scoring at least
-    the ``keep``-th best score, and the ordering cuts those to ``keep``.
+    Row ``q`` scores the distinct ``candidates`` for query ``q``.  A gold
+    id's rank is 1 + the candidates scoring strictly higher + the candidates
+    scoring equal with a smaller id; a gold id missing from the candidates
+    ranks N + 1, behind every candidate.
     """
-    candidates = np.asarray(candidates, dtype=np.int64)
     scores = np.asarray(scores, dtype=float)
-    if candidates.shape != scores.shape or candidates.ndim != 1 or candidates.size == 0:
-        raise ValueError("candidates and scores must be matching nonempty 1-d arrays")
-    gold = tuple(int(g) for g in (gold if hasattr(gold, "__iter__") else (gold,)))
-    gold_ranks = []
-    for g in gold:
-        at = np.flatnonzero(candidates == g)
-        if at.size:
-            score = scores[at[0]]
-            ahead = (scores > score) | ((scores == score) & (candidates < g))
-            gold_ranks.append(1 + int(np.count_nonzero(ahead)))
-    if gold and not gold_ranks:
-        raise ValueError("no gold id present among candidates")
-    n = candidates.size
-    if keep is None or not 0 < keep < n:
-        top = np.arange(n)
-    else:
-        top = np.flatnonzero(scores >= np.partition(scores, n - keep)[n - keep])
-    order = top[np.lexsort((candidates[top], -scores[top]))][:keep]
-    return RankingResult(
-        candidates=candidates[order],
-        scores=scores[order],
-        gold=gold,
-        gold_ranks=tuple(gold_ranks),
-        n_candidates=n,
-    )
+    candidates = np.asarray(candidates, dtype=np.int64)
+    gold = np.asarray(gold, dtype=np.int64)
+    if candidates.ndim != 1 or candidates.size == 0 or gold.ndim != 1 \
+            or scores.shape != (gold.size, candidates.size):
+        raise ValueError("expected a (Q, N) score block, N nonempty candidate ids "
+                         "and Q gold ids")
+    order = np.argsort(candidates, kind="stable")
+    slot = np.minimum(np.searchsorted(candidates, gold, sorter=order), candidates.size - 1)
+    column = order[slot]
+    present = candidates[column] == gold
+    gold_scores = scores[np.arange(gold.size), column][:, None]
+    ahead = (scores > gold_scores) | ((scores == gold_scores)
+                                      & (candidates[None, :] < gold[:, None]))
+    return np.where(present, 1 + np.count_nonzero(ahead, axis=1), candidates.size + 1)

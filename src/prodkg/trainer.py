@@ -22,10 +22,9 @@ from .embeddings import (
     sgd_update,
 )
 from .attention import TASK_WIRING, sequence_loss_grad
-from .evaluation import pkg_candidate_scores
+from .evaluation import rank_tail
 from .model import PkgParams
 from .poincare import isa_loss
-from .ranking import rank_candidates
 
 TASK_NAMES = ("substitute", "complement", "co_view", "search", "describe", "isa")
 SEQUENCE_TASKS = tuple(sorted(TASK_WIRING))
@@ -278,32 +277,27 @@ def _example_loss(task: str, example, params: PkgParams, samplers: _Samplers,
 
 
 def validation_metric(task: str, examples, params: PkgParams, samplers: _Samplers,
-                      k_negatives: int, cap: int, rank_k: int = 10) -> float:
-    """Primary validation metric: HIT@10 for ranking tasks, -loss for isa.
+                      k_negatives: int, cap: int, rank_k: int = 10) -> float | None:
+    """Primary validation metric: HIT@10 for ranking tasks, -loss for isa;
+    None for a task without validation examples.
 
     Sequence tasks rank the next entity by their own training objective
     (attention context against the task's scoring table); the substitute
-    task ranks one side of the pair against the other.  Both score through
-    :func:`prodkg.evaluation.pkg_candidate_scores`.
+    task ranks one side of the pair against the other.  Both rank through
+    :func:`prodkg.evaluation.rank_tail`.
     """
     picked = examples[:cap]
     if not picked:
-        return 0.0
+        return None
     if task == "isa":
         total = 0.0
-        for example in picked:
-            item, labels = example
-            negs = [samplers.category.sample(k_negatives, exclude=set(labels))
-                    for _ in labels]
-            loss, _ = isa_example_loss(example, params, negs)
-            total += loss
+        for item, labels in picked:
+            negs = [samplers.category.sample(k_negatives, exclude=set(labels)) for _ in labels]
+            total += isa_example_loss((item, labels), params, negs)[0]
         return -total / len(picked)
-    hits = 0
-    for head, gold in picked:
-        candidates, scores = pkg_candidate_scores(params, task, head)
-        result = rank_candidates(candidates, scores, (gold,), keep=rank_k)
-        hits += int(result.gold_rank <= rank_k)
-    return hits / len(picked)
+    ranks = rank_tail(params, task, [head for head, _gold in picked],
+                      [gold for _head, gold in picked])
+    return int(np.count_nonzero(ranks <= rank_k)) / len(picked)
 
 
 def train(
@@ -315,10 +309,10 @@ def train(
     """Run the sampling-then-training loop until metrics stop improving.
 
     ``validation`` maps task names to held-out example lists.  Every epoch
-    logs each task's metric; when no task improves by more than
-    ``IMPROVE_EPS`` for ``patience`` consecutive epochs the loop stops and
-    the snapshot of the best epoch (highest :func:`selection_metric`) is
-    returned.
+    logs the metric of each task that has validation examples; when no such
+    task improves by more than ``IMPROVE_EPS`` for ``patience`` consecutive
+    epochs the loop stops and the snapshot of the best epoch (highest
+    :func:`selection_metric`) is returned.
     The category table never receives gradients here: it is pre-trained
     and frozen before this loop runs.
     """
@@ -373,11 +367,15 @@ def train(
             value = validation_metric(spec.name, validation.get(spec.name, []),
                                       params, samplers, config.negatives,
                                       config.validation_cap)
+            if value is None:
+                continue
             metrics[spec.name] = value
             log.append((epoch, trained_tag, spec.name, metric_name, value))
             if value > previous_best.get(spec.name, -np.inf) + IMPROVE_EPS:
                 previous_best[spec.name] = value
                 improved_any = True
+        if not metrics:
+            continue
         mean_metric = selection_metric(metrics)
         if mean_metric > best_mean:
             best_mean = mean_metric
@@ -387,7 +385,7 @@ def train(
         if stale >= config.patience:
             return TrainResult(best_params, log, best_epoch, epoch)
 
-    if validation is None:
+    if best_epoch == 0:   # no epoch was validated
         return TrainResult(params, log, config.max_epochs, config.max_epochs)
     return TrainResult(best_params, log, best_epoch, config.max_epochs)
 
@@ -446,22 +444,18 @@ def compare_schedules(
     ``params_factory()``.  Returns rows (schedule, task, metric, value)
     with single-task rows reporting each task's own dedicated run.
     """
+    runs = [(schedule, specs, replace(base_config, schedule=schedule,
+                                      epoch_task_attribution=True))
+            for schedule in ("weighted", "uniform")]
+    runs += [("single_task", [spec], replace(base_config, schedule="single_task",
+                                             single_task=spec.name)) for spec in specs]
     rows = []
-    for schedule in ("weighted", "uniform"):
-        config = replace(base_config, schedule=schedule, epoch_task_attribution=True)
-        result = train(config, specs, params_factory(), validation)
-        samplers = _Samplers(result.params, specs, config.seed)
-        for spec in specs:
-            value = validation_metric(spec.name, validation.get(spec.name, []),
-                                      result.params, samplers, config.negatives,
-                                      config.validation_cap)
+    for schedule, run_specs, config in runs:
+        run_validation = {spec.name: validation.get(spec.name, []) for spec in run_specs}
+        result = train(config, run_specs, params_factory(), run_validation)
+        samplers = _Samplers(result.params, run_specs, config.seed)
+        for spec in run_specs:
+            value = validation_metric(spec.name, run_validation[spec.name], result.params,
+                                      samplers, config.negatives, config.validation_cap)
             rows.append((schedule, spec.name, PRIMARY_METRIC[spec.name], value))
-    for spec in specs:
-        config = replace(base_config, schedule="single_task", single_task=spec.name)
-        result = train(config, [spec], params_factory(), {spec.name: validation.get(spec.name, [])})
-        samplers = _Samplers(result.params, [spec], config.seed)
-        value = validation_metric(spec.name, validation.get(spec.name, []),
-                                  result.params, samplers, config.negatives,
-                                  config.validation_cap)
-        rows.append(("single_task", spec.name, PRIMARY_METRIC[spec.name], value))
     return rows

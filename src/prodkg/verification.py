@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -201,10 +202,8 @@ def run_gradient_sweep(eps: float = 1e-4, points: int = 3, seed: int = 7,
         ("neg_sampling", _check_neg_sampling),
         ("softmax_full", _check_softmax_full),
         ("substitution", _check_substitution),
-        ("sequence:complement", lambda r, e: _check_sequence("complement", r, e)),
-        ("sequence:co_view", lambda r, e: _check_sequence("co_view", r, e)),
-        ("sequence:search", lambda r, e: _check_sequence("search", r, e)),
-        ("sequence:describe", lambda r, e: _check_sequence("describe", r, e)),
+        *((f"sequence:{task}", partial(_check_sequence, task))
+          for task in ("complement", "co_view", "search", "describe")),
         ("hierarchy", _check_hierarchy),
         ("isa", _check_isa),
     ]
@@ -212,8 +211,7 @@ def run_gradient_sweep(eps: float = 1e-4, points: int = 3, seed: int = 7,
         for variant in VARIANTS:
             norms = ("l2", "l1") if variant in TRANSLATIONAL else ("l2",)
             for norm in norms:
-                checks.append((f"kg:{variant}:{norm}",
-                               lambda r, e, v=variant, n=norm: _check_kg(v, n, r, e)))
+                checks.append((f"kg:{variant}:{norm}", partial(_check_kg, variant, norm)))
 
     reports = []
     for name, check in checks:

@@ -4,6 +4,7 @@ attention, context pooling, and the end-to-end sequence loss."""
 import numpy as np
 import pytest
 
+from helpers import key_rows
 from prodkg.attention import (
     AttentionParams,
     TASK_WIRING,
@@ -138,7 +139,7 @@ class TestAggregateContext:
         ids = np.array([1, 3, 2])
         _, _, cache = aggregate_context(ids, table, table, identity_params(4, 3))
         np.testing.assert_array_equal(cache.e_in, table.values[ids])
-        np.testing.assert_array_equal(cache.e_out, table.values[ids])
+        np.testing.assert_array_equal(key_rows(cache), table.values[ids])
 
     def test_single_item_gets_first_position(self):
         table = new_table("t", 5, 3, np.random.default_rng(0))

@@ -629,7 +629,7 @@ class TestScoreTails:
         triples = line_kg()
         candidates = np.arange(0, 20, 2)   # odd tails are absent: always a miss
         for cand in (None, candidates):
-            for k in (1, 3, 10):
+            for k in (1, 3, 10, 15):   # 15 exceeds the 10 filtered candidates
                 assert hit_at_k(model, triples, k, cand) == \
                     _ref_hit_at_k(model, triples, k, cand)
         assert hit_at_k(model, np.array([[0, 0, 1]]), 10, candidates) == 0.0

@@ -375,6 +375,84 @@ class TestStagesReadUpstream:
         assert "unknown item key 'no-such-item'" in capsys.readouterr().err
 
 
+def _edit_line(path, number, edit):
+    with open(path, encoding="utf-8") as handle:
+        lines = handle.read().split("\n")
+    lines[number - 1] = edit(lines[number - 1])
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("\n".join(lines))
+
+
+def _truncate_half(path):
+    with open(path, encoding="utf-8") as handle:
+        text = handle.read()
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text[:len(text) // 2])
+
+
+def _drop_last_row(path):
+    with open(path, encoding="utf-8") as handle:
+        lines = handle.read().splitlines(keepends=True)
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("".join(lines[:-1]))
+
+
+def _reshape_one_array(path):
+    import numpy as np
+    with np.load(path) as blob:
+        arrays = {name: blob[name] for name in blob.files}
+    arrays["search__b1"] = arrays["search__b1"][:-1]
+    np.savez(path, **arrays)
+
+
+def _write_text(path):
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("not an archive\n")
+
+
+CHECKPOINT_DAMAGE = {
+    "truncated-json": ("checkpoint.json", _truncate_half, "checkpoint.json: cannot read"),
+    "short-row": ("embeddings_item_in.tsv",
+                  lambda path: _edit_line(path, 5, lambda line: line.rsplit(" ", 1)[0]),
+                  "embeddings_item_in.tsv:5: expected 4 values, got 3"),
+    "nan-row": ("embeddings_word.tsv",
+                lambda path: _edit_line(path, 6, lambda line: line.rsplit(" ", 1)[0] + " nan"),
+                "embeddings_word.tsv:6: a value is not a finite number"),
+    "missing-row": ("embeddings_item_out_buy.tsv", _drop_last_row,
+                    "embeddings_item_out_buy.tsv: "),
+    "missing-npz": ("attention_params.npz", os.remove,
+                    "attention_params.npz: cannot read the attention archive"),
+    "not-npz": ("attention_params.npz", _write_text,
+                "attention_params.npz: cannot read the attention archive"),
+    "npz-shape": ("attention_params.npz", _reshape_one_array,
+                  "attention_params.npz: no finite float array search__b1 of shape (4,)"),
+}
+
+
+class TestCheckedCheckpoint:
+    """rank and evaluate read the checkpoint through one checked reader: a
+    damaged file is exit 2 with its name (and line), never a traceback or a
+    report."""
+
+    @pytest.mark.parametrize("argv", [["rank", "--head", "i00001"],
+                                      ["evaluate", "--query-cap", "20"]],
+                             ids=["rank", "evaluate"])
+    @pytest.mark.parametrize("damage", sorted(CHECKPOINT_DAMAGE))
+    def test_damaged_checkpoint_exit_2_names_the_file(self, trained_run, tmp_path, capsys,
+                                                      damage, argv):
+        run = copy_run(trained_run, tmp_path)
+        name, edit, message = CHECKPOINT_DAMAGE[damage]
+        edit(os.path.join(run, "model", name))
+        capsys.readouterr()
+        out = str(tmp_path / "out")
+        assert main([argv[0], "--run", run, "--out", out, *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert os.path.join(run, "model", name) in captured.err
+        assert captured.out == ""
+        assert not os.path.exists(out)
+
+
 class TestCategoryPretraining:
     def test_loss_log_has_one_row_per_epoch(self, trained_run):
         with open(os.path.join(trained_run, "model", "category_pretrain_loss.tsv"),

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from prodkg.data import DataError
 from prodkg.embeddings import (
     EUCLIDEAN,
     PAD_ID,
@@ -296,3 +297,34 @@ class TestTableIO:
         assert path.read_text().startswith("# geometry=poincare\n")
         loaded, _ = read_table_tsv(path, "cat")
         assert loaded.geometry == POINCARE
+
+    def test_values_parse_as_python_floats(self, tmp_path):
+        """The block parse reads every value as float() does, bit for bit."""
+        values = np.random.default_rng(4).normal(size=(50, 7)) * 10.0 ** np.arange(-3, 4)
+        table = EmbeddingTable("t", np.vstack([np.zeros(7), values]))
+        path = tmp_path / "t.tsv"
+        write_table_tsv(path, table, ["<pad>"] + [f"k{i}" for i in range(50)])
+        loaded, _ = read_table_tsv(path, "t")
+        rows = path.read_text().splitlines()[2:]
+        expected = [[float(v) for v in row.split("\t")[1].split(" ")] for row in rows]
+        assert loaded.values[1:].tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("line, message", [
+        ("c\t0.5 0.25", "t.tsv:5: expected 3 values, got 2"),
+        ("c\t0.5 abc 0.25", "t.tsv:5: a value is not a finite number"),
+        ("c\t0.5 inf 0.25", "t.tsv:5: a value is not a finite number"),
+        ("c\t0.5  0.25", "t.tsv:5: a value is not a finite number"),
+    ], ids=["short", "not-a-number", "inf", "empty-field"])
+    def test_malformed_row_names_its_line(self, tmp_path, line, message):
+        path = tmp_path / "t.tsv"
+        path.write_text("# geometry=euclidean\nentity\t3\na\t1 2 3\nb\t4 5 6\n"
+                        f"{line}\nd\t7 8 9\n")
+        with pytest.raises(DataError, match=message):
+            read_table_tsv(path, "t")
+
+    def test_missing_file_and_bad_header_name_the_file(self, tmp_path):
+        with pytest.raises(DataError, match="t.tsv: cannot read"):
+            read_table_tsv(tmp_path / "t.tsv", "t")
+        (tmp_path / "t.tsv").write_text("# geometry=euclidean\nentity\tmany\n")
+        with pytest.raises(DataError, match="t.tsv:2: expected the header"):
+            read_table_tsv(tmp_path / "t.tsv", "t")

@@ -1,11 +1,13 @@
 """Ranking, metrics, the classification probe and protocol helpers."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
+from helpers import report_value
 from prodkg.evaluation import (
     MetricsReport,
-    RankingResult,
     classification_probe,
     drop_leaky_examples,
     evaluate_all,
@@ -16,10 +18,25 @@ from prodkg.evaluation import (
     split_relation_graph,
 )
 from prodkg.model import ModelConfig, init_params
+from prodkg.ranking import RANK_CHUNK
 
 # --- frozen lexsort-and-dict reference ------------------------------------------
-# The full-sort ranking routine that the partition and closed-form gold rank
-# replaced, kept verbatim as the oracle the new routine must match.
+# The full-sort, one-query ranking routine that the closed-form block rank
+# replaced, kept verbatim (with its result record) as the oracle the block
+# routine must match.
+
+
+@dataclass
+class RankingResult:
+    candidates: np.ndarray
+    scores: np.ndarray
+    gold: tuple
+    gold_ranks: tuple
+    n_candidates: int
+
+    @property
+    def gold_rank(self) -> int:
+        return min(self.gold_ranks)
 
 
 def _ref_rank_candidates(candidates, scores, gold, keep=None):
@@ -45,103 +62,118 @@ def _ref_rank_candidates(candidates, scores, gold, keep=None):
     )
 
 
-def result_with_rank(rank, n=100):
-    """Single-gold ranking result with the gold at the given 1-based rank."""
-    return RankingResult(candidates=np.arange(1, 11),
-                         scores=np.linspace(1, 0.1, 10), gold=(rank,),
-                         gold_ranks=(rank,), n_candidates=n)
+def _ref_block_ranks(scores, candidates, gold):
+    """Per-query reference ranks of a block; a missing gold ranks N + 1."""
+    ranks = []
+    for row, g in zip(scores, gold):
+        try:
+            ranks.append(_ref_rank_candidates(candidates, row, (g,)).gold_rank)
+        except ValueError:
+            ranks.append(len(candidates) + 1)
+    return np.array(ranks, dtype=np.int64)
 
 
 class TestRankingMetrics:
     def test_gold_at_rank_one_is_perfect(self):
-        metrics = ranking_metrics([result_with_rank(1)], k=10)
+        metrics = ranking_metrics(np.array([1]), k=10)
         assert metrics["hit@10"] == 1.0
         assert metrics["ndcg@10"] == 1.0
         assert metrics["map@10"] == 1.0
         assert metrics["recall@10"] == 1.0
 
     def test_gold_at_rank_three_hand_values(self):
-        metrics = ranking_metrics([result_with_rank(3)], k=10)
+        metrics = ranking_metrics(np.array([3]), k=10)
         assert metrics["ndcg@10"] == pytest.approx(1 / np.log2(4))
         assert metrics["ndcg@10"] == pytest.approx(0.5)
         assert metrics["map@10"] == pytest.approx(1 / 3)
 
     def test_gold_outside_cutoff_all_zero(self):
-        metrics = ranking_metrics([result_with_rank(11)], k=10)
+        metrics = ranking_metrics(np.array([11]), k=10)
         assert set(metrics.values()) == {0.0}
 
     def test_map_is_reciprocal_rank_for_single_gold(self):
         for rank in (1, 2, 5, 10):
-            metrics = ranking_metrics([result_with_rank(rank)], k=10)
+            metrics = ranking_metrics(np.array([rank]), k=10)
             assert metrics["map@10"] == pytest.approx(1 / rank)
 
     def test_ndcg_never_exceeds_hit(self):
         rng = np.random.default_rng(0)
-        results = [result_with_rank(int(rng.integers(1, 30))) for _ in range(50)]
-        metrics = ranking_metrics(results, k=10)
+        metrics = ranking_metrics(rng.integers(1, 30, size=50), k=10)
         assert metrics["ndcg@10"] <= metrics["hit@10"] <= 1.0
 
     def test_full_cutoff_always_hits(self):
-        results = [result_with_rank(r, n=30) for r in (1, 7, 30)]
-        metrics = ranking_metrics(results, k=30)
+        metrics = ranking_metrics(np.array([1, 7, 30]), k=30)
         assert metrics["hit@30"] == 1.0
 
     def test_invalid_k_rejected(self):
         with pytest.raises(ValueError):
-            ranking_metrics([result_with_rank(1)], k=0)
+            ranking_metrics(np.array([1]), k=0)
+
+    def test_matches_per_query_single_gold_forms(self):
+        """The vectorised means equal the per-query forms of the reference
+        loop, bit for bit."""
+        ranks = np.random.default_rng(12).integers(1, 2000, size=997)
+        ranks[::7] = np.arange(1, 11).repeat(15)[:ranks[::7].size]
+        hits = [1.0 if r <= 10 else 0.0 for r in ranks.tolist()]
+        ndcgs = [1.0 / np.log2(r + 1) / (1.0 / np.log2(2)) if r <= 10 else 0.0
+                 for r in ranks.tolist()]
+        maps = [1 / r if r <= 10 else 0.0 for r in ranks.tolist()]
+        assert ranking_metrics(ranks, 10) == {
+            "hit@10": float(np.mean(hits)), "ndcg@10": float(np.mean(ndcgs)),
+            "recall@10": float(np.mean(hits)), "map@10": float(np.mean(maps))}
 
 
 class TestRankCandidates:
     def test_tie_break_by_ascending_id(self):
-        result = rank_candidates(np.array([5, 2, 9]), np.array([1.0, 1.0, 1.0]), gold=(9,))
-        np.testing.assert_array_equal(result.candidates, [2, 5, 9])
-        assert result.gold_rank == 3
+        ranks = rank_candidates(np.ones((3, 3)), np.array([5, 2, 9]), np.array([9, 2, 5]))
+        np.testing.assert_array_equal(ranks, [3, 1, 2])
 
     def test_scores_non_increasing(self):
+        """Ranking every candidate gives a permutation of 1..N along which
+        the scores never increase."""
         rng = np.random.default_rng(1)
-        result = rank_candidates(np.arange(1, 21), rng.normal(size=20), gold=(3,))
-        assert np.all(np.diff(result.scores) <= 0)
+        ids = rng.permutation(40)[:20] + 1
+        row = rng.normal(size=20)
+        ranks = rank_candidates(np.tile(row, (20, 1)), ids, ids)
+        np.testing.assert_array_equal(np.sort(ranks), np.arange(1, 21))
+        assert np.all(np.diff(row[np.argsort(ranks)]) <= 0)
 
     def test_metric_invariance_under_exp(self):
         """Any strictly increasing transform of scores leaves metrics unchanged."""
         rng = np.random.default_rng(2)
         ids = np.arange(1, 31)
-        raw_results, exp_results = [], []
-        for _ in range(20):
-            scores = rng.normal(size=30)
-            gold = (int(rng.integers(1, 31)),)
-            raw_results.append(rank_candidates(ids, scores, gold))
-            exp_results.append(rank_candidates(ids, np.exp(scores), gold))
-        assert ranking_metrics(raw_results, 10) == ranking_metrics(exp_results, 10)
+        scores = rng.normal(size=(20, 30))
+        gold = rng.integers(1, 31, size=20)
+        assert ranking_metrics(rank_candidates(scores, ids, gold), 10) == \
+            ranking_metrics(rank_candidates(np.exp(scores), ids, gold), 10)
 
     def test_single_candidate_rank_one(self):
-        result = rank_candidates(np.array([4]), np.array([-3.0]), gold=(4,))
-        assert result.gold_rank == 1
+        ranks = rank_candidates(np.array([[-3.0]]), np.array([4]), np.array([4]))
+        np.testing.assert_array_equal(ranks, [1])
 
     def test_matches_reference_on_heavy_ties(self):
-        """Distinct shuffled ids, scores drawn from a few levels, one to three
-        gold ids (some absent), every kind of cut."""
+        """Distinct shuffled ids, small-integer scores (many ties), golds
+        sometimes absent: the block ranks equal the per-query reference."""
         rng = np.random.default_rng(11)
-        for _ in range(2000):
+        for _ in range(400):
             n = int(rng.integers(1, 60))
+            q = int(rng.integers(1, 12))
             ids = rng.permutation(200)[:n] + 1
-            scores = rng.integers(0, int(rng.integers(1, 5)), size=n) / 2.0
-            gold = tuple(rng.choice(ids, size=int(rng.integers(1, 4))))
-            if rng.random() < 0.3:
-                gold += (1000,)
-            for keep in (None, int(rng.integers(1, n + 1)), n, n + 3):
-                got = rank_candidates(ids, scores, gold, keep=keep)
-                want = _ref_rank_candidates(ids, scores, gold, keep=keep)
-                np.testing.assert_array_equal(got.candidates, want.candidates)
-                np.testing.assert_array_equal(got.scores, want.scores)
-                assert (got.gold, got.gold_ranks, got.n_candidates) == \
-                    (want.gold, want.gold_ranks, want.n_candidates)
+            scores = rng.integers(0, int(rng.integers(1, 5)), size=(q, n)) / 2.0
+            gold = rng.choice(ids, size=q)
+            gold[rng.random(q) < 0.3] = 1000
+            np.testing.assert_array_equal(rank_candidates(scores, ids, gold),
+                                          _ref_block_ranks(scores, ids, gold))
 
-    def test_missing_gold_raises_like_reference(self):
-        ids, scores = np.array([3, 1, 2]), np.array([0.5, 0.5, 0.1])
-        for rank in (rank_candidates, _ref_rank_candidates):
-            with pytest.raises(ValueError, match="no gold id"):
-                rank(ids, scores, (7,), keep=2)
+    def test_missing_gold_ranks_behind_every_candidate(self):
+        ids, scores = np.array([3, 1, 2]), np.array([[0.5, 0.5, 0.1], [0.1, 0.2, 0.3]])
+        with pytest.raises(ValueError, match="no gold id"):
+            _ref_rank_candidates(ids, scores[0], (7,), keep=2)
+        np.testing.assert_array_equal(rank_candidates(scores, ids, np.array([7, 2])), [4, 1])
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="score block"):
+            rank_candidates(np.zeros((2, 3)), np.arange(3), np.array([1]))
 
 
 class TestPkgRanking:
@@ -151,8 +183,7 @@ class TestPkgRanking:
 
     def test_substitute_score_symmetry(self):
         params = self.params()
-        _, scores_from_2 = pkg_candidate_scores(params, "substitute", 2)
-        _, scores_from_5 = pkg_candidate_scores(params, "substitute", 5)
+        scores_from_2, scores_from_5 = pkg_candidate_scores(params, "substitute", [2, 5])
         # score(t=5 | h=2) must equal score(t=2 | h=5)
         assert scores_from_2[5 - 1] == pytest.approx(scores_from_5[2 - 1], abs=1e-12)
 
@@ -164,23 +195,22 @@ class TestPkgRanking:
         table[3] = [0, 1, 0, 0]
         table[4] = [-1, 0, 0, 0]
         table[5:] = 0.0
-        result = rank_tail(params, "substitute", 1, gold=(2,))
-        assert list(result.candidates[:3]) == [1, 2, 3] or list(result.candidates[:2]) == [1, 2]
-        assert result.gold_rank == 2
+        ranks = rank_tail(params, "substitute", [1, 1, 1, 1], [1, 2, 3, 4])
+        np.testing.assert_array_equal(ranks, [1, 2, 3, 7])
 
     def test_relation_wiring_differs(self):
         params = self.params()
-        _, sub = pkg_candidate_scores(params, "substitute", 2)
-        _, com = pkg_candidate_scores(params, "complement", 2)
+        sub = pkg_candidate_scores(params, "substitute", [2])
+        com = pkg_candidate_scores(params, "complement", [2])
         assert not np.allclose(sub, com)
 
     def test_unknown_relation_rejected(self):
         with pytest.raises(ValueError, match="unknown relation"):
-            pkg_candidate_scores(self.params(), "friendship", 1)
+            pkg_candidate_scores(self.params(), "friendship", [1])
 
     def test_candidate_filter_rejected_for_proposed_model(self):
         with pytest.raises(ValueError, match="baseline"):
-            rank_tail(self.params(), "substitute", 1, candidates=np.array([2, 3]))
+            rank_tail(self.params(), "substitute", [1], [2], candidates=np.array([2, 3]))
 
     def test_scores_match_full_table_products(self):
         """Every relation scores all non-PAD items against its query vector."""
@@ -204,9 +234,30 @@ class TestPkgRanking:
         cases[("recommend", tuple(context))] = \
             (tables["item_out_buy"] + tables["item_out_view"]) @ vector
         for (relation, head), full in cases.items():
-            candidates, scores = pkg_candidate_scores(params, relation, head)
-            np.testing.assert_array_equal(candidates, np.arange(1, 8))
-            np.testing.assert_allclose(scores, full[1:], rtol=1e-12, atol=1e-15)
+            scores = pkg_candidate_scores(params, relation, [head])
+            assert scores.shape == (1, 7)
+            np.testing.assert_allclose(scores[0], full[1:], rtol=1e-12, atol=1e-15)
+
+    def test_block_rows_do_not_depend_on_the_block(self):
+        """A query's score row, and so its rank, is the same bits alone or in
+        a block of any size, past the chunk size included."""
+        params = init_params(ModelConfig(dim=6, seed=4, seq_lens={
+            "complement": 5, "co_view": 5, "search": 5, "describe": 5}), 40, 12, 5)
+        rng = np.random.default_rng(8)
+        n = RANK_CHUNK + 37
+        cases = {
+            "substitute": list(rng.integers(1, 40, size=n)),
+            "complement": [rng.integers(1, 40, size=int(rng.integers(1, 8))) for _ in range(n)],
+            "search": [rng.integers(1, 12, size=int(rng.integers(1, 4))) for _ in range(n)],
+        }
+        for relation, heads in cases.items():
+            gold = rng.integers(1, 40, size=n)
+            block = pkg_candidate_scores(params, relation, heads)
+            alone = np.vstack([pkg_candidate_scores(params, relation, [h]) for h in heads])
+            assert block.tobytes() == alone.tobytes()
+            np.testing.assert_array_equal(
+                rank_tail(params, relation, heads, gold),
+                _ref_block_ranks(alone, np.arange(1, 40), gold))
 
 
 class TestClassificationProbe:
@@ -331,10 +382,10 @@ class TestEvaluateAllWithBaseline:
             params, graph_splits=splits, search_test=searches,
             train_queries={(1, 2)}, kg_models={"distmult_prg": model},
             kg_space=space)
-        assert report.value("distmult_prg", "substitute", "hit@10") is not None
-        assert report.value("proposed", "substitute", "hit@10") is not None
-        assert report.value("distmult_prg", "search_encountered", "recall@10") is not None
-        assert report.value("distmult_prg", "search_new", "map@10") is not None
+        assert report_value(report, "distmult_prg", "substitute", "hit@10") is not None
+        assert report_value(report, "proposed", "substitute", "hit@10") is not None
+        assert report_value(report, "distmult_prg", "search_encountered", "recall@10") is not None
+        assert report_value(report, "distmult_prg", "search_new", "map@10") is not None
 
         # the baseline rows rank the same queries as the proposed model: item
         # heads for completion, the mean of the query's word rows for search
@@ -342,19 +393,19 @@ class TestEvaluateAllWithBaseline:
 
         def expected(heads_and_golds, relation, metric):
             cand = space.item_entities()
-            results = [_ref_rank_candidates(
+            ranks = [_ref_rank_candidates(
                 cand, score_tails(model, head_parts(model, head),
                                   space.relation_index(relation), cand),
-                (space.item(gold),), keep=10) for head, gold in heads_and_golds]
-            return ranking_metrics(results, 10)[metric]
+                (space.item(gold),), keep=10).gold_rank for head, gold in heads_and_golds]
+            return ranking_metrics(np.array(ranks), 10)[metric]
 
         edges = [(space.item(h), t) for h, t in splits["substitute"].test]
-        assert report.value("distmult_prg", "substitute", "ndcg@10") == \
+        assert report_value(report, "distmult_prg", "substitute", "ndcg@10") == \
             expected(edges, "substitute", "ndcg@10")
         for bucket, record in (("search_encountered", searches[0]),
                                ("search_new", searches[1])):
             words = [space.word(w) for w in record.query_words]
-            assert report.value("distmult_prg", bucket, "map@10") == \
+            assert report_value(report, "distmult_prg", bucket, "map@10") == \
                 expected([(words, record.clicked_item)], "search", "map@10")
 
     def test_report_deterministic_across_runs(self):

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from helpers import params_equal
 from prodkg.model import ModelConfig, init_params, load_checkpoint, save_checkpoint
 from prodkg.data import Vocabulary
 
@@ -14,10 +15,10 @@ def small_model(seed=7):
 
 class TestInit:
     def test_deterministic_under_seed(self):
-        assert small_model(3).equal(small_model(3))
+        assert params_equal(small_model(3), small_model(3))
 
     def test_different_seeds_differ(self):
-        assert not small_model(1).equal(small_model(2))
+        assert not params_equal(small_model(1), small_model(2))
 
     def test_shapes_and_geometry(self):
         params = small_model()
@@ -30,7 +31,7 @@ class TestInit:
         params = small_model()
         clone = params.copy()
         clone.tables["word"].values[1] += 1.0
-        assert not params.equal(clone)
+        assert not params_equal(params, clone)
 
 
 class TestCheckpoint:

@@ -4,6 +4,7 @@ task-correlation diagnostic."""
 import numpy as np
 import pytest
 
+from helpers import params_equal
 from prodkg.attention import sequence_loss_grad
 from prodkg.embeddings import EmbeddingTable, NumericalError
 from prodkg.model import ModelConfig, init_params
@@ -15,6 +16,7 @@ from prodkg.trainer import (
     substitution_loss,
     task_correlation,
     train,
+    validation_metric,
 )
 
 
@@ -151,7 +153,7 @@ class TestTrainLoop:
         config = TrainConfig(max_epochs=0, seed=1)
         result = train(config, specs, params.copy(), validation={})
         assert result.log == []
-        assert result.params.equal(params)
+        assert params_equal(result.params, params)
 
     def test_bitwise_determinism(self):
         rng = np.random.default_rng(4)
@@ -162,7 +164,7 @@ class TestTrainLoop:
             result = train(config, specs, tiny_params(seed=5),
                            validation={"substitute": [(1, 2), (3, 4)]})
             outputs.append(result)
-        assert outputs[0].params.equal(outputs[1].params)
+        assert params_equal(outputs[0].params, outputs[1].params)
         assert outputs[0].log == outputs[1].log
 
     def test_single_task_isolation(self):
@@ -312,6 +314,35 @@ class TestBestEpochSelection:
         assert result.epochs_run == 3
         assert [(e, task, value) for e, _t, task, _m, value in result.log if task == "isa"] \
             == [(1, "isa", -20.0), (2, "isa", -5.0), (3, "isa", -4.0)]
+
+    def test_task_without_validation_examples_is_not_validated(self):
+        """describe has training examples but no validation ones: it gets no
+        log row, no place in the selection mean and none in patience."""
+        assert validation_metric("describe", [], tiny_params(), None, 3, 10) is None
+        rng = np.random.default_rng(6)
+        specs = tiny_specs(rng) + [TaskSpec(
+            "describe", [(tuple(int(w) for w in rng.integers(1, 8, size=3)),
+                          int(rng.integers(1, 12))) for _ in range(30)], 5)]
+        validation = {"substitute": [(1, 2), (3, 4), (5, 6)],
+                      "search": [((1, 2, 3), 4), ((5, 6), 7)], "describe": []}
+        config = TrainConfig(max_epochs=4, patience=2, seed=2, validation_cap=10)
+        result = train(config, specs, tiny_params(), validation)
+        by_epoch = {}
+        for epoch, _trained, task, metric, value in result.log:
+            assert metric == "hit@10"
+            by_epoch.setdefault(epoch, {})[task] = value
+        assert all(set(tasks) == {"substitute", "search"} for tasks in by_epoch.values())
+        means = {epoch: np.mean(list(tasks.values())) for epoch, tasks in by_epoch.items()}
+        assert result.best_epoch == max(means, key=lambda epoch: (means[epoch], -epoch))
+
+    def test_no_validated_task_runs_every_epoch(self):
+        rng = np.random.default_rng(7)
+        params = tiny_params()
+        config = TrainConfig(max_epochs=2, patience=1, seed=2)
+        result = train(config, tiny_specs(rng), params.copy(), validation={"describe": []})
+        assert result.log == []
+        assert (result.best_epoch, result.epochs_run) == (2, 2)
+        assert not params_equal(result.params, params)
 
     def test_isa_alone_still_selects(self, monkeypatch):
         import prodkg.trainer as trainer_module
