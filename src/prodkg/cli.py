@@ -68,7 +68,8 @@ KEYS: dict[str, dict] = {
         "run": ("", str, "run directory produced by ingest"),
         "dim": (100, int, "embedding dimension"),
         "lr": (0.1, float, "learning rate (paper grid: 0.001 0.005 0.01 0.1)"),
-        "batch": (1, int, "minibatch size"),
+        "batch": (TrainConfig.batch_size, int,
+                  "examples of one task per step (sum rule: the step adds their gradients)"),
         "negatives": (3, int, "negative samples per positive"),
         "epochs": (10, int, "maximum training epochs"),
         "patience": (5, int, "early-stop patience in epochs"),

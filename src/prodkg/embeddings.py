@@ -213,39 +213,44 @@ def softmax_full_loss_grad(
 def sampled_softmax_loss_grad(
     query: np.ndarray,
     table: EmbeddingTable,
-    target: int,
+    target,
     negatives: np.ndarray,
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """Negative-sampling estimator of the softmax objective.
 
     loss = -log s(q.z_t) - sum_n log s(-q.z_n)   with s the logistic function.
 
-    Returns ``(loss, grad_query, rows, grads)``: ``rows`` is the target
-    followed by each negative (repeats kept) and ``grads`` their gradient
-    rows in ``table``.
+    ``query`` is one (d,) vector with a target id and (k,) negatives, or a
+    (B, d) stack with (B,) targets and (B, k) negatives, whose loss is the
+    sum over the stack.  Returns ``(loss, grad_query, rows, grads)``:
+    ``rows`` is each query's target followed by its negatives (repeats
+    kept) and ``grads`` their gradient rows in ``table``, one per row id.
     """
     query = np.asarray(query, dtype=float)
     if not np.isfinite(query).all():
         raise NumericalError("non-finite query vector")
-    if target == PAD_ID or not 0 < target < table.rows:
-        raise ValueError(f"invalid target id {target}")
+    target = np.asarray(target, dtype=np.int64)
     negatives = np.asarray(negatives, dtype=np.int64)
-    drawn = negatives.tolist()  # list scans: cheaper than numpy's on a few ids
-    if target in drawn:
+    if target.shape != query.shape[:-1] or negatives.shape[:-1] != target.shape:
+        raise ValueError("expected one target and one row of negatives per query")
+    if ((target <= PAD_ID) | (target >= table.rows)).any():
+        raise ValueError(f"invalid target id {target}")
+    if (negatives == target[..., None]).any():
         raise ValueError("target id present among negatives")
-    if PAD_ID in drawn:
+    if (negatives == PAD_ID).any():
         raise ValueError("PAD id present among negatives")
 
-    rows = np.concatenate(([target], negatives))
+    rows = np.concatenate((target[..., None], negatives), axis=-1)
     z = table.values[rows]
-    scores = z @ query
+    scores = (z @ query[..., None])[..., 0]
     # the target's logit enters the loss as +score, each negative's as -score
     margins = -scores
-    margins[0] = scores[0]
+    margins[..., 0] = scores[..., 0]
     loss = -float(log_sigmoid(margins).sum())
     coeffs = sigmoid(-margins)
-    coeffs[0] = -coeffs[0]
-    return loss, coeffs @ z, rows, np.outer(coeffs, query)
+    coeffs[..., 0] = -coeffs[..., 0]
+    return (loss, (coeffs[..., None, :] @ z)[..., 0, :], rows,
+            coeffs[..., None] * query[..., None, :])
 
 
 def row_sums(rows: np.ndarray, row_grads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

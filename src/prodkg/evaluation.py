@@ -43,8 +43,10 @@ def pkg_candidate_scores(params: PkgParams, relation: str, heads) -> np.ndarray:
 
     A head is an item id (substitute/complement/co_view), a category id
     (isa), or an id sequence (a complement/co_view context, search/describe
-    words, a recommend prefix).  Each query's row is its own ``rows @ query``
-    product, so a score does not depend on which queries share its block.
+    words, a recommend prefix); the sequence heads' contexts come from one
+    padded attention pass.  Each query's row is its own ``rows @ query``
+    product, so an entity head's scores do not depend on which queries share
+    its block (a sequence head's context may, in its last bits).
     """
     if relation not in PKG_SCORING:
         raise ValueError(f"unknown relation {relation!r}")
@@ -53,12 +55,16 @@ def pkg_candidate_scores(params: PkgParams, relation: str, heads) -> np.ndarray:
     rows = tables[score_tables[0]].values[1:]
     for name in score_tables[1:]:
         rows = rows + tables[name].values[1:]
-    scores = np.empty((len(heads), rows.shape[0]))
+    queries = np.empty((len(heads), rows.shape[1]))
+    sequences = [q for q, head in enumerate(heads) if head_table is None or np.ndim(head) > 0]
+    if sequences:
+        queries[sequences] = context_for_ranking([heads[q] for q in sequences], tables,
+                                                 params.attn[block], block)
     for q, head in enumerate(heads):
         if head_table is not None and np.ndim(head) == 0:
-            query = tables[head_table].values[int(head)]
-        else:
-            query = context_for_ranking(np.asarray(head), tables, params.attn[block], block)
+            queries[q] = tables[head_table].values[int(head)]
+    scores = np.empty((len(heads), rows.shape[0]))
+    for q, query in enumerate(queries):
         scores[q] = rows @ query
     return scores
 

@@ -103,8 +103,10 @@ def load_graph_splits(state: PipelineData, prg_dir: str) -> str:
         if relation not in edges:
             raise dm.DataError(f"{triples_path}:{number}: relation {relation!r} "
                                "has no training records in this run")
-        edges[relation].append(
-            dm.at_line(triples_path, number, lambda: (vocab.id(head), vocab.id(tail))))
+        try:  # at_line's prefix, without a closure per line
+            edges[relation].append((vocab.id(head), vocab.id(tail)))
+        except dm.DataError as err:
+            raise dm.DataError(f"{triples_path}:{number}: {err}") from None
     split_graphs(state, edges, seed=manifest["seed"])
     return manifest["config_hash"]
 

@@ -208,28 +208,24 @@ def isa_loss(
 
     One logistic negative-sampling term per label, scored by the plain inner
     product with the (frozen) category rows.  ``negatives[i]`` holds the
-    negative category ids for ``labels[i]``.
+    negative category ids for ``labels[i]``.  Every label and negative row is
+    gathered at once and scored by one matrix-vector product.
     """
-    labels = list(labels)
-    if not labels:
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.size == 0:
         raise ValueError("empty label set")
-    if len(negatives) != len(labels):
+    if len(negatives) != labels.size:
         raise ValueError("need one negative set per label")
-    item_vec = np.asarray(item_vec, dtype=float)
-    loss = 0.0
-    grad = np.zeros_like(item_vec)
-    for label, negs in zip(labels, negatives):
-        if label == PAD_ID:
-            raise ValueError("PAD id among labels")
-        c_pos = category_table.values[label]
-        score = float(item_vec @ c_pos)
-        loss -= log_sigmoid(score)
-        grad += -sigmoid(-score) * c_pos
-        for neg in np.asarray(negs, dtype=np.int64):
-            if neg == label:
-                raise ValueError("label present among its negatives")
-            c_neg = category_table.values[neg]
-            s_neg = float(item_vec @ c_neg)
-            loss -= log_sigmoid(-s_neg)
-            grad += sigmoid(s_neg) * c_neg
-    return float(loss), grad
+    if (labels == PAD_ID).any():
+        raise ValueError("PAD id among labels")
+    groups = [np.asarray(negs, dtype=np.int64) for negs in negatives]
+    negs = np.concatenate(groups)
+    if (negs == np.repeat(labels, [group.size for group in groups])).any():
+        raise ValueError("label present among its negatives")
+    z = category_table.values[np.concatenate((labels, negs))]
+    # a label's logit enters the loss as +score, a negative's as -score
+    margins = z @ np.asarray(item_vec, dtype=float)
+    margins[labels.size:] *= -1.0
+    coeffs = sigmoid(-margins)
+    coeffs[:labels.size] *= -1.0
+    return -float(log_sigmoid(margins).sum()), coeffs @ z

@@ -1,9 +1,12 @@
 """Multi-task training over the six product relations.
 
 One training step samples a task, draws a minibatch from that task's
-dataset, and applies the mean gradient.  An epoch is ceil(total / batch)
-steps.  Task sampling is proportional to dataset size by default; uniform
-and single-task schedules exist for comparison runs.  Validation metrics
+dataset, and applies the summed gradient of its examples (the sum step
+rule: each row steps by the sum of its per-example gradients at the
+learning rate, as a batch of one would).  A sequence task's minibatch is one
+padded attention pass.  An epoch is ceil(total / batch) steps.  Task
+sampling is proportional to dataset size by default; uniform and
+single-task schedules exist for comparison runs.  Validation metrics
 are logged per epoch, drive early stopping, and feed the task-correlation
 diagnostic.
 """
@@ -15,13 +18,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .embeddings import (
+    PAD_ID,
     Grads,
     NegativeSampler,
     NumericalError,
     sampled_softmax_loss_grad,
     sgd_update,
 )
-from .attention import TASK_WIRING, sequence_loss_grad
+from .attention import TASK_WIRING, pad_block, sequence_loss_grad
 from .evaluation import rank_tail
 from .model import PkgParams
 from .poincare import isa_loss
@@ -52,9 +56,9 @@ class TaskSpec:
 @dataclass
 class TrainConfig:
     lr: float = 0.1
-    # Per-record updates by default: minibatch means shrink each row's step
-    # by the batch size because examples rarely share rows.
-    batch_size: int = 1
+    # Examples per step, summed (not averaged): a mean would shrink each
+    # row's step by the batch size, since examples rarely share rows.
+    batch_size: int = 8
     negatives: int = 3
     patience: int = 5
     max_epochs: int = 30
@@ -160,32 +164,6 @@ def isa_example_loss(example, params: PkgParams,
     return loss, Grads({table.name: np.array([item])}, {table.name: grad_item[None, :]}, {})
 
 
-def batch_mean(parts: list[Grads]) -> Grads:
-    """Mean gradient of a batch's examples.
-
-    Row arrays are concatenated in example order and dense gradients summed
-    over the longest prefix any example covers, then everything is scaled
-    by 1/len(parts).  A single example's gradients pass through unchanged.
-    """
-    if len(parts) == 1:
-        return parts[0]
-    scale = 1.0 / len(parts)
-    rows, row_grads, dense = {}, {}, {}
-    for part in parts:
-        for name in part.rows:
-            rows.setdefault(name, []).append(part.rows[name])
-            row_grads.setdefault(name, []).append(part.row_grads[name])
-        for name, grad in part.dense.items():
-            dense.setdefault(name, []).append(grad)
-    for name, grads in dense.items():
-        total = np.zeros((max(len(g) for g in grads),) + grads[0].shape[1:])
-        for grad in grads:
-            total[:len(grad)] += grad
-        dense[name] = scale * total
-    return Grads({name: np.concatenate(ids) for name, ids in rows.items()},
-                 {name: scale * np.concatenate(g) for name, g in row_grads.items()}, dense)
-
-
 def task_cdf(specs: list[TaskSpec], schedule: str = "weighted") -> np.ndarray:
     """Cumulative per-step draw probabilities of the tasks (uniform, or else
     size-proportional), normalised as ``rng.choice(p=...)`` normalises them."""
@@ -259,21 +237,48 @@ class _Samplers:
         self.category = NegativeSampler(category_counts, exponent=1.0, seed=seed + 13)
 
 
-def _example_loss(task: str, example, params: PkgParams, samplers: _Samplers,
-                  k: int) -> tuple[float, Grads]:
-    if task == "substitute":
-        a, b = example
-        negs_f = samplers.item.sample(k, exclude={a, b})
-        negs_b = samplers.item.sample(k, exclude={a, b})
-        return substitution_loss(example, params.tables, negs_f, negs_b)
-    if task == "isa":
-        item, labels = example
-        negs = [samplers.category.sample(k, exclude=set(labels)) for _ in labels]
-        return isa_example_loss(example, params, negs)
-    context, target = example
-    negs = samplers.item.sample(k, exclude={target})
-    return sequence_loss_grad(np.asarray(context, dtype=np.int64), target, negs,
-                              params.tables, params.attn[task], task)
+def _sequence_examples(spec: TaskSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A sequence task's contexts as one padded block, with their lengths and targets."""
+    block = pad_block([context for context, _target in spec.examples])
+    targets = np.array([target for _context, target in spec.examples], dtype=np.int64)
+    return block, (block != PAD_ID).sum(axis=1), targets
+
+
+def _batch_loss(task: str, examples, batch_idx: np.ndarray, params: PkgParams,
+                samplers: _Samplers, k: int) -> tuple[float, Grads]:
+    """Summed loss and gradients of one minibatch of ``task``'s examples.
+
+    A sequence task's examples (``examples`` from :func:`_sequence_examples`)
+    go through one padded attention pass; substitute and isa examples are
+    scored one by one and their gradient rows concatenated.  Negatives are
+    drawn example by example, in batch order.
+    """
+    if task in SEQUENCE_TASKS:
+        block, lengths, targets = examples
+        targets = targets[batch_idx]
+        negatives = np.stack([samplers.item.sample(k, exclude={target})
+                              for target in targets.tolist()])
+        return sequence_loss_grad(block[batch_idx, :lengths[batch_idx].max()], targets,
+                                  negatives, params.tables, params.attn[task], task)
+    parts = []
+    for idx in batch_idx.tolist():
+        example = examples[idx]
+        if task == "substitute":
+            negs_f = samplers.item.sample(k, exclude=set(example))
+            negs_b = samplers.item.sample(k, exclude=set(example))
+            parts.append(substitution_loss(example, params.tables, negs_f, negs_b))
+        else:
+            labels = example[1]
+            negs = [samplers.category.sample(k, exclude=set(labels)) for _ in labels]
+            parts.append(isa_example_loss(example, params, negs))
+    if len(parts) == 1:
+        return parts[0]
+    names = parts[0][1].rows
+    return (sum(loss for loss, _ in parts),
+            Grads({name: np.concatenate([grads.rows[name] for _, grads in parts])
+                   for name in names},
+                  {name: np.concatenate([grads.row_grads[name] for _, grads in parts])
+                   for name in names}, {}))
 
 
 def validation_metric(task: str, examples, params: PkgParams, samplers: _Samplers,
@@ -325,6 +330,8 @@ def train(
     total = sum(s.n for s in active)
     steps_per_epoch = max(1, math.ceil(total / config.batch_size))
     by_name = {s.name: s for s in active}
+    examples = {s.name: _sequence_examples(s) if s.name in SEQUENCE_TASKS else s.examples
+                for s in active}
     cdf = task_cdf(active, config.schedule)
 
     log: list[tuple] = []
@@ -344,17 +351,12 @@ def train(
             task = epoch_task or sample_task(active, rng, config.schedule, config.single_task, cdf)
             spec = by_name[task]
             batch_idx = rng.integers(0, spec.n, size=min(config.batch_size, spec.n))
-            parts = []
-            batch_loss = 0.0
-            for idx in batch_idx:
-                loss, example_grads = _example_loss(
-                    task, spec.examples[int(idx)], params, samplers, config.negatives)
-                batch_loss += loss
-                parts.append(example_grads)
-            if not np.isfinite(batch_loss):
+            loss, grads = _batch_loss(task, examples[task], batch_idx, params, samplers,
+                                      config.negatives)
+            if not np.isfinite(loss):
                 raise NumericalError(
                     f"training diverged: non-finite loss on task {task!r} at epoch {epoch}")
-            sgd_update(params.tables, batch_mean(parts), config.lr, dense)
+            sgd_update(params.tables, grads, config.lr, dense)
 
         if validation is None:
             continue

@@ -14,7 +14,7 @@ from functools import partial
 
 import numpy as np
 
-from .attention import AttentionParams, sequence_loss_grad
+from .attention import AttentionParams, pad_block, sequence_loss_grad
 from .baselines import TRANSLATIONAL, VARIANTS, KgConfig, KgModel, kg_score_grad, margin_loss
 from .embeddings import EmbeddingTable, sampled_softmax_loss_grad, softmax_full_loss_grad
 from .gradcheck import GradCheckReport, grad_check
@@ -84,8 +84,9 @@ def _check_sequence(task: str, rng: np.random.Generator, eps: float) -> GradChec
     params = AttentionParams.init(6, d, rng)
     params.b1[:] = rng.normal(0, 0.1, size=d)
     params.b2[:] = rng.normal(0, 0.1, size=d)
-    ids = np.array([1, 4, 2, 7])
-    target, negatives = 5, np.array([2, 8])
+    # a padded block of mixed lengths, an id repeated within and across rows
+    ids = pad_block([[1, 4, 2, 7], [3], [4, 1, 4]])
+    target, negatives = np.array([5, 6, 8]), np.array([[2, 8], [4, 4], [2, 6]])
 
     param_names = ["positions", "theta1", "b1", "theta2", "b2"]
 

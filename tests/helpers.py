@@ -23,5 +23,6 @@ def report_value(report, model, task, metric):
 
 
 def key_rows(cache):
-    """The positionally encoded key-side rows of an attention forward cache."""
-    return cache.e[cache.ids.size:]
+    """The positionally encoded key-side rows of an attention forward cache,
+    (B, L, d) for a (B, L) id block."""
+    return cache.e[:, cache.ids.shape[1]:]

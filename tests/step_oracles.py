@@ -1,10 +1,12 @@
 """Frozen oracles: the per-example training step and the per-edge category
 pre-training as they were before their fast paths.
 
-The live attention step runs both feed-forward branches as one stacked pass
-and scores all sampled rows in one vectorised pass; the live task and
-negative draws search their cumulative tables in batches; the live ball
-pre-training steps one dependency level of edges at a time.  The code below
+The live attention step runs a padded block of sequences through one pass,
+both feed-forward branches stacked, and scores all sampled rows in one
+vectorised pass; the live isa loss scores a product's labels and negatives
+as one gather; the live task and negative draws search their cumulative
+tables in batches; the live ball pre-training steps one dependency level of
+edges at a time.  The code below
 is the sequential version each replaced, computing as it did (renamed, and
 without its input checks) so the tests can hold the live code to it.
 """
@@ -131,6 +133,24 @@ def sequence_loss_grad(ids, target, negatives, tables, params, task):
         rows = {score_name: np.concatenate((score_rows, ids)), in_name: ids}
         row_grads = {score_name: np.concatenate((score_grads, d_e_out)), in_name: d_e_in}
     return loss, rows, row_grads, dense
+
+
+def isa_loss(item_vec, labels, category_table, negatives):
+    """The product-to-category loss, one label and one negative at a time."""
+    item_vec = np.asarray(item_vec, dtype=float)
+    loss = 0.0
+    grad = np.zeros_like(item_vec)
+    for label, negs in zip(labels, negatives):
+        c_pos = category_table.values[label]
+        score = float(item_vec @ c_pos)
+        loss -= log_sigmoid(score)
+        grad += -sigmoid(-score) * c_pos
+        for neg in np.asarray(negs, dtype=np.int64):
+            c_neg = category_table.values[neg]
+            s_neg = float(item_vec @ c_neg)
+            loss -= log_sigmoid(-s_neg)
+            grad += sigmoid(s_neg) * c_neg
+    return float(loss), grad
 
 
 # --- draws: rng.choice per task, one double per negative try ----------------------

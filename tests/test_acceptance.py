@@ -147,8 +147,8 @@ class TestCriterion3AttentionInvariants:
         table_out = new_table("out", 7, 5, rng)
         params = AttentionParams.init(4, 5, rng)
         context, alpha, _ = aggregate_context(np.array([3]), table_in, table_out, params)
-        singleton_exact = (np.array_equal(alpha, [[1.0]]) and
-                           np.array_equal(context, table_in.values[3] + params.positions[0]))
+        singleton_exact = (np.array_equal(alpha, [[[1.0]]]) and
+                           np.array_equal(context, [table_in.values[3] + params.positions[0]]))
         report(3, worst_sum <= 1e-10 and masked_weight == 0.0 and singleton_exact,
                f"row sums off by {worst_sum:.1e}, masked weight {masked_weight}, "
                f"singleton exact: {singleton_exact}")

@@ -9,12 +9,14 @@ from prodkg.attention import (
     AttentionParams,
     TASK_WIRING,
     aggregate_context,
+    aggregate_context_backward,
     context_for_ranking,
     ffn_forward,
+    pad_block,
     scaled_dot_attention,
     sequence_loss_grad,
 )
-from prodkg.embeddings import EmbeddingTable, new_table
+from prodkg.embeddings import PAD_ID, EmbeddingTable, new_table
 from prodkg.gradcheck import grad_check
 
 
@@ -103,8 +105,8 @@ class TestAggregateContext:
         table_out = new_table("out", 6, 4, rng)
         params = AttentionParams.init(5, 4, rng)
         context, alpha, _ = aggregate_context(np.array([3]), table_in, table_out, params)
-        np.testing.assert_array_equal(alpha, [[1.0]])
-        np.testing.assert_array_equal(context, table_in.values[3] + params.positions[0])
+        np.testing.assert_array_equal(alpha, [[[1.0]]])
+        np.testing.assert_array_equal(context, [table_in.values[3] + params.positions[0]])
 
     def test_permutation_invariant_without_positions(self):
         rng = np.random.default_rng(6)
@@ -130,23 +132,23 @@ class TestAggregateContext:
         logits = np.array([[0.5, 0.0], [1.0, 0.0]])
         expected_alpha = np.exp(logits)
         expected_alpha /= expected_alpha.sum(axis=1, keepdims=True)
-        np.testing.assert_allclose(alpha, expected_alpha, atol=1e-12)
+        np.testing.assert_allclose(alpha[0], expected_alpha, atol=1e-12)
         h = expected_alpha @ np.array([1.0, 2.0])
-        np.testing.assert_allclose(context, [h.mean()], atol=1e-12)
+        np.testing.assert_allclose(context[0], [h.mean()], atol=1e-12)
 
     def test_zero_positions_feed_raw_embeddings(self):
         table = new_table("t", 5, 3, np.random.default_rng(0))
         ids = np.array([1, 3, 2])
         _, _, cache = aggregate_context(ids, table, table, identity_params(4, 3))
-        np.testing.assert_array_equal(cache.e_in, table.values[ids])
-        np.testing.assert_array_equal(key_rows(cache), table.values[ids])
+        np.testing.assert_array_equal(cache.e_in[0], table.values[ids])
+        np.testing.assert_array_equal(key_rows(cache)[0], table.values[ids])
 
     def test_single_item_gets_first_position(self):
         table = new_table("t", 5, 3, np.random.default_rng(0))
         params = identity_params(4, 3)
         params.positions[:] = np.random.default_rng(1).normal(size=(4, 3))
         _, _, cache = aggregate_context(np.array([2]), table, table, params)
-        np.testing.assert_allclose(cache.e_in[0], table.values[2] + params.positions[0])
+        np.testing.assert_allclose(cache.e_in[0, 0], table.values[2] + params.positions[0])
 
     def test_alpha_rows_sum_to_one(self):
         rng = np.random.default_rng(9)
@@ -154,7 +156,7 @@ class TestAggregateContext:
         table_out = new_table("out", 10, 6, rng)
         params = AttentionParams.init(8, 6, rng)
         _, alpha, _ = aggregate_context(np.array([1, 5, 3, 7, 2]), table_in, table_out, params)
-        np.testing.assert_allclose(alpha.sum(axis=1), 1.0, atol=1e-10)
+        np.testing.assert_allclose(alpha.sum(axis=2), 1.0, atol=1e-10)
         assert np.all(alpha >= 0)
 
 
@@ -235,7 +237,7 @@ class TestSequenceLoss:
     def test_ranking_monotone_under_softmax(self):
         """Ordering by raw score equals ordering by full-softmax probability."""
         tables, params, names = _loss_point("complement", seed=33)
-        context = context_for_ranking(np.array([1, 4, 2]), tables, params, "complement")
+        context = context_for_ranking([np.array([1, 4, 2])], tables, params, "complement")[0]
         score_table = tables[TASK_WIRING["complement"][3]]
         scores = score_table.values[1:] @ context
         probs = np.exp(scores - scores.max())
@@ -245,6 +247,135 @@ class TestSequenceLoss:
     def test_context_truncates_to_param_length(self):
         tables, params, _ = _loss_point("complement", seed=3)
         long_ids = np.array([1, 2, 3, 4, 5, 6, 7, 8])
-        short = context_for_ranking(long_ids, tables, params, "complement")
-        explicit = context_for_ranking(long_ids[-params.max_len:], tables, params, "complement")
+        short = context_for_ranking([long_ids], tables, params, "complement")
+        explicit = context_for_ranking([long_ids[-params.max_len:]], tables, params, "complement")
         np.testing.assert_array_equal(short, explicit)
+
+
+# --- the padded (B, L) block -------------------------------------------------------
+
+PARAM_NAMES = ["positions", "theta1", "b1", "theta2", "b2"]
+# mixed lengths; an id repeated within a row and across rows
+MIXED = [[1, 4, 2, 7], [3], [4, 1, 4], [7, 2]]
+TARGETS = np.array([5, 6, 8, 3])
+NEGATIVES = np.array([[2, 8], [4, 4], [2, 6], [1, 4]])
+
+
+def dense_of(grads, task, params):
+    """Each dense gradient zero-extended to its parameter's full shape."""
+    out = {}
+    for name in PARAM_NAMES:
+        grad = grads.dense[f"{task}.{name}"]
+        out[name] = np.zeros_like(getattr(params, name))
+        out[name][:len(grad)] = grad
+    return out
+
+
+class TestPaddedBlock:
+    def test_pad_block_layout_and_truncation(self):
+        block = pad_block([(3, 1), np.array([5]), [2, 6, 4]])
+        np.testing.assert_array_equal(block, [[3, 1, 0], [5, 0, 0], [2, 6, 4]])
+        assert block.dtype == np.int64
+        np.testing.assert_array_equal(pad_block([[1, 2, 3, 4], [5]], max_len=2),
+                                      [[3, 4], [5, 0]])
+        with pytest.raises(ValueError, match="nonempty"):
+            pad_block([[1], []])
+
+    @pytest.mark.parametrize("task", sorted(TASK_WIRING))
+    def test_block_matches_each_sequence_alone(self, task):
+        """Loss, row ids, row gradients and dense gradients of a mixed block
+        are those of its sequences one by one, summed, rows in example order."""
+        tables, params, _ = _loss_point(task, seed=13)
+        loss, grads = sequence_loss_grad(pad_block(MIXED), TARGETS, NEGATIVES,
+                                         tables, params, task)
+        alone = [sequence_loss_grad(np.array(ids), target, negs, tables, params, task)
+                 for ids, target, negs in zip(MIXED, TARGETS, NEGATIVES)]
+        assert loss == pytest.approx(sum(part for part, _ in alone), rel=0, abs=1e-12)
+        assert list(grads.rows) == list(alone[0][1].rows)
+        for name in grads.rows:
+            np.testing.assert_array_equal(
+                grads.rows[name], np.concatenate([g.rows[name] for _, g in alone]))
+            np.testing.assert_allclose(
+                grads.row_grads[name], np.concatenate([g.row_grads[name] for _, g in alone]),
+                rtol=0, atol=1e-12)
+        summed = {name: sum(dense_of(g, task, params)[name] for _, g in alone)
+                  for name in PARAM_NAMES}
+        for name, grad in dense_of(grads, task, params).items():
+            np.testing.assert_allclose(grad, summed[name], rtol=0, atol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("task", sorted(TASK_WIRING))
+    def test_finite_differences_on_a_mixed_block(self, task):
+        tables, params, names = _loss_point(task, seed=22)
+        block = pad_block(MIXED)
+
+        def loss_fn(p):
+            tb = {name: EmbeddingTable(name, p[name]) for name in names}
+            ap = AttentionParams(*(p[n] for n in PARAM_NAMES))
+            loss, grads = sequence_loss_grad(block, TARGETS, NEGATIVES, tb, ap, task)
+            out = dense_of(grads, task, ap)
+            for name in names:
+                out[name] = np.zeros_like(p[name])
+                np.add.at(out[name], grads.rows[name], grads.row_grads[name])
+            return loss, out
+
+        point = {name: tables[name].values for name in names}
+        point.update({name: getattr(params, name) for name in PARAM_NAMES})
+        report = grad_check(loss_fn, point, eps=1e-5, max_coords_per_param=40)
+        assert report.max_rel_error < 1e-4, report.summary()
+
+    @pytest.mark.parametrize("task", sorted(TASK_WIRING))
+    def test_padding_gets_exactly_zero_gradient(self, task):
+        """Padded positions, also past the longest row, get no weight and
+        exactly zero gradient, emit no row, and change nothing else."""
+        tables, params, _ = _loss_point(task, seed=5)
+        _, in_name, out_name, _ = TASK_WIRING[task]
+        block = pad_block(MIXED)
+        wide = np.hstack((block, np.zeros((len(MIXED), 2), dtype=np.int64)))
+        valid = wide != PAD_ID
+        contexts, alpha, cache = aggregate_context(wide, tables[in_name], tables[out_name],
+                                                   params)
+        assert np.all(alpha[~valid[:, None, :].repeat(wide.shape[1], axis=1)] == 0.0)
+        d_context = np.random.default_rng(1).normal(size=contexts.shape)
+        d_e_in, d_e_out, dense = aggregate_context_backward(d_context, cache, params, task)
+        assert np.all(d_e_in[~valid] == 0.0) and np.all(d_e_out[~valid] == 0.0)
+        assert np.all(dense[f"{task}.positions"][block.shape[1]:] == 0.0)
+
+        narrow_contexts, _, _ = aggregate_context(block, tables[in_name], tables[out_name],
+                                                  params)
+        np.testing.assert_array_equal(contexts, narrow_contexts)
+        loss, grads = sequence_loss_grad(wide, TARGETS, NEGATIVES, tables, params, task)
+        narrow_loss, narrow = sequence_loss_grad(block, TARGETS, NEGATIVES, tables, params,
+                                                 task)
+        assert loss == pytest.approx(narrow_loss, rel=0, abs=1e-12)
+        for name, rows in grads.rows.items():
+            assert PAD_ID not in rows
+            np.testing.assert_array_equal(rows, narrow.rows[name])
+            np.testing.assert_allclose(grads.row_grads[name], narrow.row_grads[name],
+                                       rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("block", [
+        [[3, 0, 2]],          # PAD inside a sequence
+        [[0, 3, 2]],          # PAD before the ids
+        [[1, 2], [0, 0]],     # an empty row
+    ], ids=["inside", "leading", "empty"])
+    def test_malformed_blocks_rejected(self, block):
+        tables, params, _ = _loss_point("complement", seed=0)
+        with pytest.raises(ValueError, match="PAD id inside a sequence"):
+            aggregate_context(np.array(block), tables["item_in"], tables["item_out_buy"],
+                              params)
+
+    def test_one_target_and_negative_row_per_sequence(self):
+        tables, params, _ = _loss_point("complement", seed=0)
+        with pytest.raises(ValueError, match="one target"):
+            sequence_loss_grad(pad_block(MIXED), TARGETS[:3], NEGATIVES, tables, params,
+                               "complement")
+        with pytest.raises(ValueError, match="one target"):
+            sequence_loss_grad(pad_block(MIXED), TARGETS, NEGATIVES[0], tables, params,
+                               "complement")
+
+    def test_ranking_contexts_are_the_block_rows(self):
+        tables, params, _ = _loss_point("search", seed=4)
+        block = context_for_ranking(MIXED, tables, params, "search")
+        for row, ids in zip(block, MIXED):
+            np.testing.assert_array_equal(
+                row, context_for_ranking([ids], tables, params, "search")[0])

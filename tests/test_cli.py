@@ -256,7 +256,9 @@ class TestStagesReadUpstream:
             capsys.readouterr()
             assert main(["train-baseline", "--run", run, "--out", str(tmp_path / "kg"),
                          "--dim", "4", "--epochs", "1"]) == 2
-            assert f"prg_triples.tsv:{n_lines + 1}:" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert f"prg_triples.tsv:{n_lines + 1}:" in err
+        assert f"prg_triples.tsv:{n_lines + 1}: unknown item key 'not-an-item'" in err
 
     @pytest.mark.parametrize("file, argv", [
         ("prg/prg_triples.tsv", ["train-baseline", "--dim", "4", "--epochs", "1"]),

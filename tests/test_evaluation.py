@@ -227,10 +227,10 @@ class TestPkgRanking:
         }
         for task, table in (("complement", "item_out_buy"), ("co_view", "item_out_view"),
                             ("search", "item_in"), ("describe", "item_in")):
-            vector = context_for_ranking(context, params.tables, params.attn[task], task)
+            vector = context_for_ranking([context], params.tables, params.attn[task], task)[0]
             cases[(task, tuple(context))] = tables[table] @ vector
-        vector = context_for_ranking(context, params.tables, params.attn["complement"],
-                                     "complement")
+        vector = context_for_ranking([context], params.tables, params.attn["complement"],
+                                     "complement")[0]
         cases[("recommend", tuple(context))] = \
             (tables["item_out_buy"] + tables["item_out_view"]) @ vector
         for (relation, head), full in cases.items():
@@ -240,7 +240,9 @@ class TestPkgRanking:
 
     def test_block_rows_do_not_depend_on_the_block(self):
         """A query's score row, and so its rank, is the same bits alone or in
-        a block of any size, past the chunk size included."""
+        a block of any size, past the chunk size included.  (At this dim; at
+        d = 100 the padded attention pass's matrix products may move a
+        sequence head's context in its last bits with the block's make-up.)"""
         params = init_params(ModelConfig(dim=6, seed=4, seq_lens={
             "complement": 5, "co_view": 5, "search": 5, "describe": 5}), 40, 12, 5)
         rng = np.random.default_rng(8)

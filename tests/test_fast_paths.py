@@ -4,6 +4,7 @@ held to the sequential code they replaced (``step_oracles``).
 - The stacked attention pass and the vectorised scoring sum in another
   order, so they agree with the two-branch, row-by-row step to 1e-12 and
   emit the same row ids in the same order.
+- The one-gather isa loss agrees with its per-label loop to 1e-12.
 - The batched task and negative draws return the ids of one draw per try
   and leave the generator where it left it.
 - Dependency-level pre-training is bit-identical to the per-edge loop.
@@ -32,7 +33,7 @@ from prodkg.embeddings import (
     write_table_tsv,
 )
 from prodkg.model import ModelConfig, init_params
-from prodkg.poincare import BallConfig, dependency_levels, hierarchy_pretrain
+from prodkg.poincare import BallConfig, dependency_levels, hierarchy_pretrain, isa_loss
 from prodkg.synth import SynthConfig, generate
 from prodkg.trainer import TaskSpec, sample_task, task_cdf
 
@@ -99,10 +100,10 @@ class TestFusedStep:
             args = (ids, params.tables[in_name], params.tables[out_name], params.attn[task])
             context, alpha, cache = aggregate_context(*args)
             old_context, old_alpha, old_cache = oracle.aggregate_context(*args)
-            np.testing.assert_allclose(context, old_context, rtol=0, atol=TOL)
-            np.testing.assert_allclose(alpha, old_alpha, rtol=0, atol=TOL)
-            np.testing.assert_array_equal(cache.e_in, old_cache.e_in)
-            np.testing.assert_array_equal(key_rows(cache), old_cache.e_out)
+            np.testing.assert_allclose(context[0], old_context, rtol=0, atol=TOL)
+            np.testing.assert_allclose(alpha[0], old_alpha, rtol=0, atol=TOL)
+            np.testing.assert_array_equal(cache.e_in[0], old_cache.e_in)
+            np.testing.assert_array_equal(key_rows(cache)[0], old_cache.e_out)
 
     @pytest.mark.parametrize("negatives", [[2, 5, 6], [5, 5, 2, 5], [7], list(range(4, 14))])
     def test_vectorised_scoring(self, negatives):
@@ -116,6 +117,33 @@ class TestFusedStep:
         np.testing.assert_allclose(grad_q, old_grad_q, rtol=0, atol=TOL)
         np.testing.assert_array_equal(rows, old_rows)
         np.testing.assert_allclose(grads, old_grads, rtol=0, atol=TOL)
+
+
+class TestIsaLoss:
+    @pytest.mark.parametrize("labels, negatives", [
+        ([2], [[3, 4, 5]]),
+        ([2, 5], [[1, 4], [3, 3]]),                 # a negative drawn twice
+        ([1, 3, 4, 6], [[2], [5, 5, 2], [1], [2, 3, 4, 5, 7, 8, 9, 1, 2]]),
+    ])
+    def test_matches_the_per_label_loop(self, labels, negatives):
+        rng = np.random.default_rng(len(labels))
+        table = EmbeddingTable("category", rng.uniform(-0.4, 0.4, size=(10, 6)), "poincare")
+        item = rng.normal(0, 0.5, size=6)
+        negatives = [np.array(negs) for negs in negatives]
+        loss, grad = isa_loss(item, labels, table, negatives)
+        old_loss, old_grad = oracle.isa_loss(item, labels, table, negatives)
+        assert loss == pytest.approx(old_loss, rel=0, abs=TOL)
+        np.testing.assert_allclose(grad, old_grad, rtol=0, atol=TOL)
+
+    @pytest.mark.parametrize("labels, negatives, message", [
+        ([0, 2], [[3], [4]], "PAD id among labels"),
+        ([2, 5], [[3], [4, 5]], "label present among its negatives"),
+        ([2, 5], [[3]], "one negative set per label"),
+    ])
+    def test_input_errors_kept(self, labels, negatives, message):
+        table = EmbeddingTable("category", np.zeros((8, 3)), "poincare")
+        with pytest.raises(ValueError, match=message):
+            isa_loss(np.zeros(3), labels, table, [np.array(n) for n in negatives])
 
 
 # --- draws ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 """Smoke test of the benchmark's own code under perfbench/: the checkers'
-self-tests, and a tiny train and evaluate traced in-process by its tracer."""
+self-tests, a tiny train and evaluate traced in-process by its tracer, and
+one epoch of default training on the benchmark's catalog judged by its
+planted-truth check."""
 
 import importlib.util
 import json
 import math
 import os
+
+import pytest
 
 from prodkg.cli import main
 
@@ -62,3 +66,35 @@ def test_traced_train_reports_the_update_layer(tmp_path):
                    if stage == evaluate_stage}
     assert {"evaluation.rank_tail", "evaluation.rank_candidates",
             "evaluation.pkg_candidate_scores", "attention.context_for_ranking"} <= in_evaluate
+    # the batched step still calls the traced attention and update layers by name
+    train_stage = tracer.stage_names.index("train")
+    in_train = {tracer.names[name] for name, stage in zip(table["name"], table["stage"])
+                if stage == train_stage}
+    assert {"attention.sequence_loss_grad", "attention.aggregate_context",
+            "attention.aggregate_context_backward", "embeddings.sgd_update"} <= in_train
+
+
+# pipeline-default's gen-data catalog (perfbench/run.py CATALOG)
+BENCHMARK_CATALOG = ["--items", "1000", "--clusters", "100", "--sessions", "4000",
+                     "--searches", "1000", "--substitutions", "1000"]
+
+
+@pytest.mark.slow
+def test_one_default_epoch_beats_the_random_bar(tmp_path):
+    """On the benchmark's catalog (seed 1), one epoch of ``train`` at the
+    default batch puts substitute, complement and co_view planted-truth
+    hit@10 above the random-ranking bar of perfbench's check."""
+    checks = load("checks")
+    data, run = str(tmp_path / "data"), str(tmp_path / "run")
+    assert main(["gen-data", "--seed", "1", "--out", data, *BENCHMARK_CATALOG]) == 0
+    assert main(["ingest", "--data", data, "--out", run]) == 0
+    assert main(["build-prg", "--run", run, "--out", os.path.join(run, "prg"),
+                 "--seed", "1"]) == 0
+    model = os.path.join(run, "model")
+    assert main(["train", "--run", run, "--out", model, "--seed", "1", "--epochs", "1"]) == 0
+
+    vocab = checks.read_vocab(os.path.join(run, "vocab_item.tsv"))
+    truth = checks.read_truth(os.path.join(data, "ground_truth.tsv"))
+    hits = checks.truth_hits(checks.checkpoint_scorer(checks.load_checkpoint_tables(model)),
+                             truth, vocab, len(vocab) + 1)
+    assert checks.check_truth_hits(hits) == [], hits
