@@ -14,6 +14,7 @@ covered by finite-difference tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -116,12 +117,14 @@ class KgModel:
             w[rel_ids] /= np.linalg.norm(w[rel_ids], axis=-1, keepdims=True)
 
 
-def _norm_and_grad(diff: np.ndarray, norm: str) -> tuple[np.ndarray, np.ndarray]:
-    """|diff| over the last axis and its gradient, zero at the kink/origin."""
-    if norm == "l1":
-        return np.abs(diff).sum(axis=-1), np.sign(diff)
-    value = np.linalg.norm(diff, axis=-1)
-    return value, diff / np.where(value == 0.0, 1.0, value)[..., None]
+# the entity rows each variant reads
+ENTITY_PARAMS = {variant: ("ent",) for variant in VARIANTS} | {
+    "transD": ("ent", "ent_p"), "complex": ("ent", "ent_im")}
+
+
+def _norm(diff: np.ndarray, norm: str) -> np.ndarray:
+    """|diff| over the last axis under the l1 or l2 norm."""
+    return np.abs(diff).sum(axis=-1) if norm == "l1" else np.linalg.norm(diff, axis=-1)
 
 
 def _correlation_index(d: int) -> np.ndarray:
@@ -135,6 +138,99 @@ def circular_correlation(h: np.ndarray, t: np.ndarray) -> np.ndarray:
     return t[_correlation_index(d)] @ h
 
 
+def _matvecs(m: np.ndarray, *vs: np.ndarray) -> list:
+    """m @ v over the last axis of each v: one matrix for every row, or a
+    stack of matrices broadcasting against the rows, read once for all v."""
+    if m.ndim == 2:
+        return [v @ m.T for v in vs]
+    return list(np.moveaxis(np.matmul(m, np.stack(vs, axis=-1)), -1, 0))
+
+
+def entity_rows(model: KgModel, ids) -> tuple:
+    """The rows the scorer reads for the entities ``ids``: 'ent', then
+    'ent_p' (transD) or 'ent_im' (complex)."""
+    return tuple(model.params[name][ids] for name in ENTITY_PARAMS[model.variant])
+
+
+def kg_sides(model: KgModel, h: tuple, relations, t: tuple) -> tuple[tuple, tuple, Callable]:
+    """Each variant's score as two sides and a comparator, and the pull of the
+    score's gradient onto the parameter rows.
+
+    ``h`` and ``t`` are head and tail :func:`entity_rows`; ``relations``
+    broadcasts against their leading axes.  Translational variants score
+    -|left - right| (l1 or l2), left = P_r(h) + r and right = P_r(t) for the
+    relation's projection P_r (identity, hyperplane, matrix, dynamic
+    rank-1), and ``pull(g)`` takes g = d score / d left (d score / d right
+    is -g).  Semantic variants score sum(left * right), left = Q_r(h) and
+    right = t ((t, t_im) for complex), and ``pull(g)`` takes g = d score /
+    d left = right and covers the head and relation rows.  ``pull`` returns
+    (param name, side, gradient rows), side 0, 1, 2 the heads, tails,
+    relations.
+    """
+    p = model.params
+    variant = model.variant
+    x, y = h[0], t[0]
+    r = p["rel"][relations]
+    if variant == "transE":
+        return (x + r,), (y,), lambda g: [("ent", 0, g), ("rel", 2, g), ("ent", 1, -g)]
+    if variant == "transH":
+        w = p["w"][relations]
+        wx, wy = (w * x).sum(-1, keepdims=True), (w * y).sum(-1, keepdims=True)
+
+        def pull(g):
+            gw = (g * w).sum(-1, keepdims=True)
+            return [("ent", 0, g - gw * w), ("ent", 1, -(g - gw * w)), ("rel", 2, g),
+                    ("w", 2, -(gw * x + wx * g) + (gw * y + wy * g))]
+        return ((x - wx * w) + r,), (y - wy * w,), pull
+    if variant == "transR":
+        m = p["proj"][relations]
+
+        def pull(g):
+            mg, = _matvecs(np.swapaxes(m, -1, -2), g)
+            # P_r is linear: one g (h - t)^T block per triple covers both sides
+            return [("ent", 0, mg), ("ent", 1, -mg), ("rel", 2, g),
+                    ("proj", 2, g[..., :, None] * (x - y)[..., None, :])]
+        mx, my = _matvecs(m, x, y)
+        return (mx + r,), (my,), pull
+    if variant == "transD":
+        x_p, y_p = h[1], t[1]
+        r_p = p["rel_p"][relations]
+        xx, yy = (x_p * x).sum(-1, keepdims=True), (y_p * y).sum(-1, keepdims=True)
+
+        def pull(g):
+            gr = (g * r_p).sum(-1, keepdims=True)
+            return [("ent", 0, g + gr * x_p), ("ent_p", 0, gr * x),
+                    ("ent", 1, -(g + gr * y_p)), ("ent_p", 1, -gr * y),
+                    ("rel", 2, g), ("rel_p", 2, xx * g - yy * g)]
+        return ((x + xx * r_p) + r,), (y + yy * r_p,), pull
+    if variant == "rescal":
+        m = p["m"][relations]
+        return (tuple(_matvecs(np.swapaxes(m, -1, -2), x)), t,
+                lambda g: [("ent", 0, _matvecs(m, g[0])[0]),
+                           ("m", 2, x[..., :, None] * g[0][..., None, :])])
+    if variant == "distmult":
+        return (x * r,), t, lambda g: [("ent", 0, g[0] * r), ("rel", 2, g[0] * x)]
+    if variant == "hole":
+        # left_j = sum_k r_k h_(j-k), so left . t = r . corr(h, t)
+        d = x.shape[-1]
+
+        def pull(g):
+            g_shift = g[0][..., _correlation_index(d)]
+            return [("ent", 0, np.einsum("...k,...ki->...i", r, g_shift)),
+                    ("rel", 2, np.einsum("...ki,...i->...k", g_shift, x))]
+        x_shift = x[..., (np.arange(d)[:, None] - np.arange(d)[None, :]) % d]
+        return (np.einsum("...jk,...k->...j", x_shift, r),), t, pull
+    if variant == "complex":
+        x_im, r_im = h[1], p["rel_im"][relations]
+
+        def pull(g):
+            g_re, g_im = g
+            return [("ent", 0, g_re * r + g_im * r_im), ("ent_im", 0, g_re * -r_im + g_im * r),
+                    ("rel", 2, g_re * x + g_im * x_im), ("rel_im", 2, g_re * -x_im + g_im * x)]
+        return (x * r - x_im * r_im, x * r_im + x_im * r), t, pull
+    raise ValueError(f"unknown variant {variant!r}")
+
+
 def kg_score_grad(model: KgModel, heads: np.ndarray, relations: np.ndarray,
                   tails: np.ndarray) -> tuple[np.ndarray, list]:
     """Plausibility scores (higher is better) of the triples (heads[i],
@@ -146,77 +242,31 @@ def kg_score_grad(model: KgModel, heads: np.ndarray, relations: np.ndarray,
     shape (a vector, or a matrix for the per-relation projection and
     bilinear matrices).  A parameter may appear twice (head and tail rows).
     """
-    p = model.params
-    h, r, t = p["ent"][heads], p["rel"][relations], p["ent"][tails]
-    norm = model.config.norm
-    variant = model.variant
-    if variant == "transE":
-        value, g = _norm_and_grad(h + r - t, norm)
-        return -value, [("ent", heads, -g), ("rel", relations, -g), ("ent", tails, g)]
-    if variant == "transH":
-        w = p["w"][relations]
-        wh, wt = (w * h).sum(-1, keepdims=True), (w * t).sum(-1, keepdims=True)
-        value, g = _norm_and_grad((h - wh * w) + r - (t - wt * w), norm)
-        g = -g  # gradient of score = -|.|
-        gw = (g * w).sum(-1, keepdims=True)
-        return -value, [("ent", heads, g - gw * w), ("ent", tails, -(g - gw * w)),
-                        ("rel", relations, g),
-                        ("w", relations, -(gw * h + wh * g) + (gw * t + wt * g))]
-    if variant == "transR":
-        m = p["proj"][relations]
-        value, g = _norm_and_grad(np.einsum("...ij,...j->...i", m, h - t) + r, norm)
-        g = -g
-        mg = np.einsum("...ji,...j->...i", m, g)
-        return -value, [("ent", heads, mg), ("ent", tails, -mg), ("rel", relations, g),
-                        ("proj", relations, g[..., :, None] * (h - t)[..., None, :])]
-    if variant == "transD":
-        h_v, t_v = p["ent_p"][heads], p["ent_p"][tails]
-        r_v = p["rel_p"][relations]
-        hh, tt = (h_v * h).sum(-1, keepdims=True), (t_v * t).sum(-1, keepdims=True)
-        value, g = _norm_and_grad((h + hh * r_v) + r - (t + tt * r_v), norm)
-        g = -g
-        gr = (g * r_v).sum(-1, keepdims=True)
-        return -value, [("ent", heads, g + gr * h_v), ("ent_p", heads, gr * h),
-                        ("ent", tails, -(g + gr * t_v)), ("ent_p", tails, -gr * t),
-                        ("rel", relations, g), ("rel_p", relations, hh * g - tt * g)]
-    if variant == "rescal":
-        m = p["m"][relations]
-        m_t = np.einsum("...ij,...j->...i", m, t)
-        return (h * m_t).sum(-1), [("ent", heads, m_t),
-                                   ("ent", tails, np.einsum("...ij,...i->...j", m, h)),
-                                   ("m", relations, h[..., :, None] * t[..., None, :])]
-    if variant == "distmult":
-        return (h * r * t).sum(-1), [("ent", heads, r * t), ("ent", tails, h * r),
-                                     ("rel", relations, h * t)]
-    if variant == "hole":
-        d = h.shape[-1]
-        t_shift = t[..., _correlation_index(d)]
-        corr = np.einsum("...ki,...i->...k", t_shift, h)
-        # d score / d h_i = sum_k r_k t_(i+k)  ;  d score / d t_j = sum_k r_k h_(j-k)
-        h_shift = h[..., (np.arange(d)[:, None] - np.arange(d)[None, :]) % d]
-        return (r * corr).sum(-1), [("rel", relations, corr),
-                                    ("ent", heads, np.einsum("...k,...ki->...i", r, t_shift)),
-                                    ("ent", tails, np.einsum("...jk,...k->...j", h_shift, r))]
-    if variant == "complex":
-        h_im, t_im = p["ent_im"][heads], p["ent_im"][tails]
-        r_im = p["rel_im"][relations]
-        score = ((h * r - h_im * r_im) * t + (h * r_im + h_im * r) * t_im).sum(-1)
-        return score, [("ent", heads, r * t + r_im * t_im),
-                       ("ent_im", heads, -r_im * t + r * t_im),
-                       ("rel", relations, h * t + h_im * t_im),
-                       ("rel_im", relations, -h_im * t + h * t_im),
-                       ("ent", tails, h * r - h_im * r_im),
-                       ("ent_im", tails, h * r_im + h_im * r)]
-    raise ValueError(f"unknown variant {variant!r}")
+    left, right, pull = kg_sides(model, entity_rows(model, heads), relations,
+                                 entity_rows(model, tails))
+    if model.variant in TRANSLATIONAL:
+        diff = left[0] - right[0]
+        value = _norm(diff, model.config.norm)
+        # the gradient of |diff|, zero at the kink/origin
+        g = np.sign(diff) if model.config.norm == "l1" else \
+            diff / np.where(value == 0.0, 1.0, value)[..., None]
+        scores, parts = -value, pull(-g)
+    else:
+        products = [side * rows for side, rows in zip(left, right)]
+        scores = sum(products[1:], products[0]).sum(-1)
+        parts = pull(right) + [(name, 1, side) for name, side
+                               in zip(ENTITY_PARAMS[model.variant], left)]
+    ids = (heads, tails, relations)
+    return scores, [(name, ids[side], grad) for name, side, grad in parts]
 
 
-def margin_loss(model: KgModel, heads: np.ndarray, relations: np.ndarray, tails: np.ndarray,
-                gamma: float | None = None) -> tuple[float, Grads]:
+def margin_loss(model: KgModel, heads: np.ndarray, relations: np.ndarray,
+                tails: np.ndarray) -> tuple[float, Grads]:
     """Summed ranking loss of B positives against their corrupted triples,
     scored in one pass over the (B, 1 + N) ``heads`` and ``tails`` blocks that
     :func:`corrupt` returns (column 0 the positives, all on ``relations``).
 
-    Translational variants use the hinge sum(max(0, gamma - s_pos + s_neg));
+    Translational variants use the hinge sum(max(0, margin - s_pos + s_neg));
     semantic-matching variants use -log s(s_pos) - sum log s(-s_neg).  Returns
     the loss and, per parameter, the gradient rows of every triple whose loss
     term has a nonzero gradient.
@@ -225,10 +275,7 @@ def margin_loss(model: KgModel, heads: np.ndarray, relations: np.ndarray, tails:
                                   tails)
     pos, neg = scores[:, :1], scores[:, 1:]
     if model.variant in TRANSLATIONAL:
-        gamma = model.config.margin if gamma is None else gamma
-        if gamma <= 0:
-            raise ValueError("margin must be positive")
-        hinge = gamma - pos + neg
+        hinge = model.config.margin - pos + neg
         active = hinge > 0
         loss = hinge[active].sum()
         # d loss / d score: -1 per active hinge for the positive, +1 for the negative
@@ -266,65 +313,6 @@ def apply_grads(model: KgModel, grads: Grads, lr: float) -> tuple[np.ndarray, np
     return np.concatenate(ent_ids), np.concatenate(rel_ids)
 
 
-def head_parts(model: KgModel, entities) -> dict:
-    """Head-side rows of one entity, or their means over several (a search
-    query's words): 'ent', plus 'ent_p' / 'ent_im' where the variant has them."""
-    entities = np.atleast_1d(np.asarray(entities, dtype=np.int64))
-    return {name: model.params[name][entities].mean(axis=0)
-            for name in ("ent", "ent_p", "ent_im") if name in model.params}
-
-
-def score_tails(model: KgModel, head: dict, relation: int,
-                candidates: np.ndarray | None = None) -> np.ndarray:
-    """Vectorised tail scores for one query whose head is given by its
-    :func:`head_parts` vectors."""
-    p = model.params
-    if candidates is None:
-        candidates = np.arange(model.n_entities)
-    h = head["ent"]
-    r = p["rel"][relation]
-    tails = p["ent"][candidates]
-    norm = model.config.norm
-    variant = model.variant
-
-    def neg_norm(diff):
-        if norm == "l1":
-            return -np.abs(diff).sum(axis=1)
-        return -np.linalg.norm(diff, axis=1)
-
-    if variant == "transE":
-        return neg_norm((h + r)[None, :] - tails)
-    if variant == "transH":
-        w = p["w"][relation]
-        h_p = h - (w @ h) * w
-        t_p = tails - np.outer(tails @ w, w)
-        return neg_norm(h_p[None, :] + r[None, :] - t_p)
-    if variant == "transR":
-        m = p["proj"][relation]
-        return neg_norm((m @ h + r)[None, :] - tails @ m.T)
-    if variant == "transD":
-        r_v = p["rel_p"][relation]
-        h_p = h + (head["ent_p"] @ h) * r_v
-        dots = np.sum(p["ent_p"][candidates] * tails, axis=1)
-        t_p = tails + np.outer(dots, r_v)
-        return neg_norm(h_p[None, :] + r[None, :] - t_p)
-    if variant == "rescal":
-        return tails @ (p["m"][relation].T @ h)
-    if variant == "distmult":
-        return tails @ (h * r)
-    if variant == "hole":
-        d = h.shape[0]
-        # r.(h*t) = t.u with u_j = sum_k r_k h_(j-k)
-        u = h[(np.arange(d)[:, None] - np.arange(d)[None, :]) % d] @ r
-        return tails @ u
-    if variant == "complex":
-        h_im = head["ent_im"]
-        r_im = p["rel_im"][relation]
-        t_im = p["ent_im"][candidates]
-        return tails @ (h * r - h_im * r_im) + t_im @ (h * r_im + h_im * r)
-    raise ValueError(f"unknown variant {variant!r}")
-
-
 def corrupt(heads: np.ndarray, tails: np.ndarray, negatives: int,
             rng: np.random.Generator, pool: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(B, 1 + negatives) heads and tails: column 0 the B positives, then
@@ -348,11 +336,26 @@ def corrupt(heads: np.ndarray, tails: np.ndarray, negatives: int,
 
 
 def score_tail_block(model: KgModel, heads, relations, candidates: np.ndarray) -> np.ndarray:
-    """(Q, N) tail scores of the candidates, one :func:`score_tails` row per
-    query: a head and its relation (one relation index may serve them all)."""
+    """(Q, N) tail scores of the candidates for Q queries, each a head and its
+    relation (one relation index may serve them all).  A head is an entity
+    id, or several (a query's words) whose rows are averaged.  The
+    candidates' rows are gathered once, and their right side computed once
+    per relation."""
+    p = model.params
+    rows = entity_rows(model, candidates)
+    head_rows = tuple(np.array([p[name][np.atleast_1d(head)].mean(axis=0) for head in heads])
+                      for name in ENTITY_PARAMS[model.variant])
+    relations = np.broadcast_to(relations, len(heads))
     scores = np.empty((len(heads), len(candidates)))
-    for q, (head, relation) in enumerate(zip(heads, np.broadcast_to(relations, len(heads)))):
-        scores[q] = score_tails(model, head_parts(model, head), int(relation), candidates)
+    for relation in np.unique(relations):
+        queries = np.flatnonzero(relations == relation)
+        left, right, _pull = kg_sides(model, tuple(x[queries] for x in head_rows), relation, rows)
+        for q, *query in zip(queries, *left):
+            if model.variant in TRANSLATIONAL:
+                scores[q] = -_norm(query[0] - right[0], model.config.norm)
+            else:
+                scores[q] = sum((part @ side for side, part in zip(query[1:], right[1:])),
+                                right[0] @ query[0])
     return scores
 
 

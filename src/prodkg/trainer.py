@@ -222,10 +222,7 @@ class _Samplers:
                 for a, b in spec.examples:
                     item_counts[a] += 1
                     item_counts[b] += 1
-            elif spec.name in ("complement", "co_view"):
-                for context, target in spec.examples:
-                    item_counts[target] += 1
-            elif spec.name in ("search", "describe"):
+            elif spec.name in SEQUENCE_TASKS:
                 for _context, target in spec.examples:
                     item_counts[target] += 1
         if item_counts.sum() == 0:

@@ -9,13 +9,13 @@ meaningless.
 from __future__ import annotations
 
 import zlib
-from dataclasses import replace
 from functools import partial
 
 import numpy as np
 
 from .attention import AttentionParams, pad_block, sequence_loss_grad
-from .baselines import TRANSLATIONAL, VARIANTS, KgConfig, KgModel, kg_score_grad, margin_loss
+from .baselines import (TRANSLATIONAL, VARIANTS, KgConfig, KgModel, entity_rows, kg_score_grad,
+                        kg_sides, margin_loss)
 from .embeddings import EmbeddingTable, sampled_softmax_loss_grad, softmax_full_loss_grad
 from .gradcheck import GradCheckReport, grad_check
 from .poincare import hierarchy_loss_grad, isa_loss
@@ -162,13 +162,9 @@ def _kink_free(model: KgModel, block: tuple, eps: float) -> bool:
         return False
     if model.config.norm == "l2":
         return True
-    twin = model.copy()
-    twin.config = replace(model.config, norm="l2")
-    l2_scores, parts = kg_score_grad(twin, heads, relations, tails)
-    # every translational score is -|diff| with diff = h_p + r - t_p, so under
-    # l2 the relation row's gradient -diff / |diff| times the score is diff
-    diff = next(grad for name, _ids, grad in parts if name == "rel") * l2_scores[..., None]
-    return bool(np.min(np.abs(diff)) >= guard)
+    left, right, _pull = kg_sides(model, entity_rows(model, heads), relations,
+                                  entity_rows(model, tails))
+    return bool(np.min(np.abs(left[0] - right[0])) >= guard)
 
 
 def _check_kg(variant: str, norm: str, rng: np.random.Generator, eps: float) -> GradCheckReport:
@@ -196,8 +192,8 @@ def _check_kg(variant: str, norm: str, rng: np.random.Generator, eps: float) -> 
     return grad_check(loss_fn, point, eps=eps, max_coords_per_param=40)
 
 
-def run_gradient_sweep(eps: float = 1e-4, points: int = 3, seed: int = 7,
-                       include_kg: bool = True) -> list[tuple[str, GradCheckReport]]:
+def run_gradient_sweep(eps: float = 1e-4, points: int = 3,
+                       seed: int = 7) -> list[tuple[str, GradCheckReport]]:
     """Check every loss at ``points`` random parameter points each."""
     checks = [
         ("neg_sampling", _check_neg_sampling),
@@ -207,12 +203,9 @@ def run_gradient_sweep(eps: float = 1e-4, points: int = 3, seed: int = 7,
           for task in ("complement", "co_view", "search", "describe")),
         ("hierarchy", _check_hierarchy),
         ("isa", _check_isa),
+        *((f"kg:{variant}:{norm}", partial(_check_kg, variant, norm)) for variant in VARIANTS
+          for norm in (("l2", "l1") if variant in TRANSLATIONAL else ("l2",))),
     ]
-    if include_kg:
-        for variant in VARIANTS:
-            norms = ("l2", "l1") if variant in TRANSLATIONAL else ("l2",)
-            for norm in norms:
-                checks.append((f"kg:{variant}:{norm}", partial(_check_kg, variant, norm)))
 
     reports = []
     for name, check in checks:

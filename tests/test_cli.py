@@ -5,10 +5,12 @@ import json
 import os
 import shutil
 
+import numpy as np
 import pytest
 from ingest_oracle import oracle_dataset
 
 from prodkg import pipeline as pl
+from prodkg.baselines import VARIANTS, KgConfig, KgModel, KgSpace
 from prodkg.cli import (
     COMMON_KEYS, COMMON_RANGES, HANDLERS, KEYS, RANGES, SUBCOMMANDS, _run_dir_state, main,
 )
@@ -512,14 +514,21 @@ class TestPipelineCommands:
         assert main(["export", "--run", run, "--out", os.path.join(run, "export")]) == 0
         assert (tmp_path / "run" / "export" / "embeddings_word.tsv").exists()
 
-    def test_train_baseline(self, tmp_path, capsys):
-        _, run = run_dir(tmp_path)
-        assert main(["build-prg", "--run", run, "--out", os.path.join(run, "prg"),
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_train_baseline(self, trained_run, tmp_path, variant):
+        out = tmp_path / "kg"
+        assert main(["train-baseline", "--run", trained_run, "--out", str(out),
+                     "--variant", variant, "--dim", "8", "--epochs", "2",
                      "--seed", "7"]) == 0
-        assert main(["train-baseline", "--run", run, "--out", os.path.join(run, "kg"),
-                     "--variant", "distmult", "--dim", "8", "--epochs", "2",
-                     "--seed", "7"]) == 0
-        assert (tmp_path / "run" / "kg" / "kg_distmult.npz").exists()
+        vocab = _run_dir_state(trained_run).dataset.vocab
+        space = KgSpace(*(vocab[namespace].size for namespace in NAMESPACES))
+        expected = KgModel(KgConfig(variant=variant, dim=8), space.n_entities,
+                           space.n_relations).params
+        with np.load(out / f"kg_{variant}.npz") as saved:
+            assert sorted(saved.files) == sorted(expected)
+            for name, value in expected.items():
+                assert saved[name].shape == value.shape, name
+                assert np.isfinite(saved[name]).all(), name
 
 
 class TestCommandTables:

@@ -391,13 +391,13 @@ class TestEvaluateAllWithBaseline:
 
         # the baseline rows rank the same queries as the proposed model: item
         # heads for completion, the mean of the query's word rows for search
-        from prodkg.baselines import head_parts, score_tails
+        from test_baselines import _ref_query_head_parts, _ref_score_tails_vector
 
         def expected(heads_and_golds, relation, metric):
             cand = space.item_entities()
             ranks = [_ref_rank_candidates(
-                cand, score_tails(model, head_parts(model, head),
-                                  space.relation_index(relation), cand),
+                cand, _ref_score_tails_vector(model, _ref_query_head_parts(model, np.ravel(head)),
+                                              space.relation_index(relation), cand),
                 (space.item(gold),), keep=10).gold_rank for head, gold in heads_and_golds]
             return ranking_metrics(np.array(ranks), 10)[metric]
 
