@@ -20,12 +20,12 @@ from . import data as dm
 from . import pipeline as pl
 from .baselines import VARIANTS, KgConfig
 from .data import DataError
-from .embeddings import NumericalError, write_table_tsv
+from .embeddings import NumericalError
 from .evaluation import PKG_SCORING, evaluate_all, pkg_candidate_scores
 from .model import ModelConfig, init_params, load_checkpoint, save_checkpoint
 from .prg import export_prg
 from .synth import SynthConfig, generate
-from .trainer import TrainConfig, train
+from .trainer import TrainConfig, task_correlation, train
 
 
 class UsageError(ValueError):
@@ -33,7 +33,7 @@ class UsageError(ValueError):
 
 
 SUBCOMMANDS = ("gen-data", "ingest", "build-prg", "train", "train-baseline", "evaluate",
-               "rank", "export", "grad-check")
+               "rank", "grad-check")
 
 # key -> (default, parser, help)
 COMMON_KEYS = {
@@ -67,20 +67,20 @@ KEYS: dict[str, dict] = {
     "train": {
         "run": ("", str, "run directory produced by ingest"),
         "dim": (100, int, "embedding dimension"),
-        "lr": (0.1, float, "learning rate (paper grid: 0.001 0.005 0.01 0.1)"),
+        "lr": (TrainConfig.lr, float, "learning rate (paper grid: 0.001 0.005 0.01 0.1)"),
         "batch": (TrainConfig.batch_size, int,
                   "examples of one task per step (sum rule: the step adds their gradients)"),
-        "negatives": (3, int, "negative samples per positive"),
-        "epochs": (10, int, "maximum training epochs"),
-        "patience": (5, int, "early-stop patience in epochs"),
-        "schedule": ("weighted", str, "weighted | uniform | single_task"),
+        "negatives": (TrainConfig.negatives, int, "negative samples per positive"),
+        "epochs": (TrainConfig.max_epochs, int, "maximum training epochs"),
+        "patience": (TrainConfig.patience, int, "early-stop patience in epochs"),
+        "schedule": (TrainConfig.schedule, str, "weighted | uniform | single_task"),
         "single_task": ("", str, "task for schedule=single_task"),
         "l_buy": (20, int, "max sequence length, purchase task"),
         "l_view": (50, int, "max sequence length, view task"),
         "l_search": (10, int, "max sequence length, search task"),
         "l_describe": (200, int, "max sequence length, describe task"),
         "cat_epochs": (50, int, "category pre-training epochs"),
-        "validation_cap": (400, int, "validation queries per task"),
+        "validation_cap": (TrainConfig.validation_cap, int, "validation queries per task"),
     },
     "train-baseline": {
         "run": ("", str, "run directory produced by ingest"),
@@ -102,9 +102,6 @@ KEYS: dict[str, dict] = {
         "relation": ("substitute", str, "relation to rank for"),
         "head": ("", str, "head entity key (or space-separated keys)"),
         "k": (10, int, "number of candidates to print"),
-    },
-    "export": {
-        "run": ("", str, "run directory with a trained model"),
     },
     "grad-check": {
         "eps": (1e-4, float, "finite-difference step"),
@@ -249,14 +246,38 @@ def _write_vocab(path: str, vocab) -> None:
             handle.write(f"{idx}\t{vocab.key(idx)}\n")
 
 
+def _check_vocab(path: str, vocab) -> None:
+    """``vocab``, reloaded from ``filtered/``, must be ingest's ``vocab_*.tsv``
+    line for line."""
+    if not os.path.isfile(path):
+        raise DataError(f"missing {path!r}; run 'prodkg ingest' first")
+    written = list(dm._read_lines(path))
+    expected = [f"{idx}\t{vocab.key(idx)}" for idx in vocab.real_ids()]
+    end = (written[-1][0] + 1 if written else 1, None)
+
+    def show(text):
+        return "the end of the file" if text is None else repr(text)
+
+    for index in range(max(len(written), len(expected))):
+        number, line = written[index] if index < len(written) else end
+        want = expected[index] if index < len(expected) else None
+        if line != want:
+            raise DataError(f"{path}:{number}: ingest wrote {show(line)}, but filtered/ "
+                            f"gives {show(want)}; re-run 'prodkg ingest'")
+
+
 def _run_dir_state(run: str) -> pl.PipelineData:
-    """Rebuild the split pipeline state (splits have no seed) from an ingest run."""
+    """Rebuild the split pipeline state (splits have no seed) from an ingest
+    run, checking its vocabularies against the ``vocab_*.tsv`` ingest wrote."""
     if not run or not os.path.isdir(run):
         raise DataError(f"run directory not found: {run!r}; run 'prodkg ingest' first")
     filtered_dir = os.path.join(run, "filtered")
     if not os.path.isdir(filtered_dir):
         raise DataError(f"missing filtered records under {run!r}; run 'prodkg ingest' first")
-    return pl.load_and_split(dm.modality_paths(filtered_dir))
+    state = pl.load_and_split(dm.modality_paths(filtered_dir))
+    for namespace in dm.NAMESPACES:
+        _check_vocab(os.path.join(run, f"vocab_{namespace}.tsv"), state.dataset.vocab[namespace])
+    return state
 
 
 def _load_model(run: str) -> tuple[str, object, dict]:
@@ -349,6 +370,10 @@ def cmd_train(config: dict) -> int:
     prg_hash = pl.load_graph_splits(state, os.path.join(config["run"], "prg"))
     pl.mask_products(state, 0.1, seed=config["seed"])
     specs = pl.assemble_training_data(state, seq_lens)
+    if train_config.schedule == "single_task" and \
+            train_config.single_task not in {spec.name for spec in specs}:
+        raise DataError(f"task {train_config.single_task!r} has no training examples in "
+                        f"{os.path.join(config['run'], 'filtered')!r}")
     model_config = ModelConfig(dim=config["dim"], seq_lens=seq_lens, seed=config["seed"])
     params = init_params(model_config, vocab[dm.ITEM].size, vocab[dm.WORD].size,
                          vocab[dm.CATEGORY].size)
@@ -361,10 +386,18 @@ def cmd_train(config: dict) -> int:
         handle.write("epoch\tloss\n")
         for epoch, loss in enumerate(cat_losses, 1):
             handle.write(f"{epoch}\t{loss:.9g}\n")
+    # The diagnostic is computed from the log as written, so that metrics_log.tsv
+    # reproduces it: isa's small loss changes move it by ~1e-5 at full precision.
+    logged = [(*row[:4], float(f"{row[4]:.9g}")) for row in result.log]
     with open(os.path.join(out, "metrics_log.tsv"), "w", encoding="utf-8") as handle:
         handle.write("epoch\ttrained_task\ttask\tmetric\tvalue\n")
-        for epoch, trained, task, metric, value in result.log:
+        for epoch, trained, task, metric, value in logged:
             handle.write(f"{epoch}\t{trained}\t{task}\t{metric}\t{value:.9g}\n")
+    with open(os.path.join(out, "task_correlation.tsv"), "w", encoding="utf-8") as handle:
+        handle.write("trained_task\ttask\tpearson\n")
+        for (trained, task), value in sorted(task_correlation(logged).items()):
+            rendered = "absent" if value is None else f"{value:.9g}"
+            handle.write(f"{trained}\t{task}\t{rendered}\n")
     with open(os.path.join(out, "masked_items.tsv"), "w", encoding="utf-8") as handle:
         for item in state.masked_items:
             handle.write(f"{vocab[dm.ITEM].key(int(item))}\n")
@@ -458,17 +491,6 @@ def cmd_rank(config: dict) -> int:
     return 0
 
 
-def cmd_export(config: dict) -> int:
-    checkpoint, params, keys = _load_model(config["run"])
-    out = config["out"]
-    os.makedirs(out, exist_ok=True)
-    for name, table in params.tables.items():
-        write_table_tsv(os.path.join(out, f"embeddings_{name}.tsv"), table, keys[name])
-    write_manifest(out, "export", config, [checkpoint])
-    print(f"exported {len(params.tables)} tables to {out}/")
-    return 0
-
-
 def cmd_grad_check(config: dict) -> int:
     from .verification import run_gradient_sweep
 
@@ -494,7 +516,6 @@ HANDLERS = {
     "train-baseline": cmd_train_baseline,
     "evaluate": cmd_evaluate,
     "rank": cmd_rank,
-    "export": cmd_export,
     "grad-check": cmd_grad_check,
 }
 

@@ -1,10 +1,10 @@
 """End-to-end assembly: raw files to trained model to evaluation report.
 
-This is the glue the command-line stages and the experiment harness share:
-chronological splitting per modality, relation-graph construction from the
-training split, held-out graph-edge splits with leakage removal, the
-masked-product protocol for the classification probe, task/validation
-example assembly, and baseline triple preparation.
+This is the glue the command-line stages share: chronological splitting
+per modality, relation-graph construction from the training split, held-out
+graph-edge splits with leakage removal, the masked-product protocol for the
+classification probe, task/validation example assembly, and baseline triple
+preparation.
 """
 from __future__ import annotations
 

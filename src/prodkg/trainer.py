@@ -5,15 +5,15 @@ dataset, and applies the summed gradient of its examples (the sum step
 rule: each row steps by the sum of its per-example gradients at the
 learning rate, as a batch of one would).  A sequence task's minibatch is one
 padded attention pass.  An epoch is ceil(total / batch) steps.  Task
-sampling is proportional to dataset size by default; uniform and
-single-task schedules exist for comparison runs.  Validation metrics
-are logged per epoch, drive early stopping, and feed the task-correlation
-diagnostic.
+sampling is proportional to dataset size by default; the uniform and
+single-task schedules are the comparison runs.  Validation metrics are
+logged per epoch, tagged with the task that epoch trained, drive early
+stopping, and feed the task-correlation diagnostic.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +42,6 @@ class TaskSpec:
 
     name: str
     examples: list
-    max_len: int | None = None
 
     def __post_init__(self):
         if self.name not in TASK_NAMES:
@@ -61,12 +60,11 @@ class TrainConfig:
     batch_size: int = 8
     negatives: int = 3
     patience: int = 5
-    max_epochs: int = 30
+    max_epochs: int = 10
     seed: int = 7
     schedule: str = "weighted"          # weighted | uniform | single_task
     single_task: str | None = None
     validation_cap: int = 400
-    epoch_task_attribution: bool = False
 
     def __post_init__(self):
         if self.patience < 1:
@@ -104,20 +102,20 @@ def build_task_specs(dataset_records: dict, seq_lens: dict) -> list[TaskSpec]:
 
     buy = session_examples(dataset_records.get("buy_sessions", []), seq_lens["complement"])
     if buy:
-        specs.append(TaskSpec("complement", buy, seq_lens["complement"]))
+        specs.append(TaskSpec("complement", buy))
     view = session_examples(dataset_records.get("view_sessions", []), seq_lens["co_view"])
     if view:
-        specs.append(TaskSpec("co_view", view, seq_lens["co_view"]))
+        specs.append(TaskSpec("co_view", view))
 
     searches = [(tuple(r.query_words[-seq_lens["search"]:]), r.clicked_item)
                 for r in dataset_records.get("searches", [])]
     if searches:
-        specs.append(TaskSpec("search", searches, seq_lens["search"]))
+        specs.append(TaskSpec("search", searches))
 
     describes = [(tuple(e.description[-seq_lens["describe"]:]), e.item)
                  for e in dataset_records.get("catalog", []) if e.description]
     if describes:
-        specs.append(TaskSpec("describe", describes, seq_lens["describe"]))
+        specs.append(TaskSpec("describe", describes))
 
     isa = [(e.item, tuple(e.category_path)) for e in dataset_records.get("catalog", [])
            if e.category_path]
@@ -174,9 +172,8 @@ def task_cdf(specs: list[TaskSpec], schedule: str = "weighted") -> np.ndarray:
 
 
 def sample_task(specs: list[TaskSpec], rng: np.random.Generator,
-                schedule: str = "weighted", single_task: str | None = None,
-                cdf: np.ndarray | None = None) -> str:
-    """Draw the next task: size-proportional, uniform, or fixed.
+                schedule: str = "weighted", cdf: np.ndarray | None = None) -> str:
+    """Draw the next task: size-proportional or uniform.
 
     One ``rng.random()`` searched in ``cdf`` (from :func:`task_cdf`, which
     saves recomputing it on every draw) picks the task ``rng.choice(p=...)``
@@ -184,10 +181,6 @@ def sample_task(specs: list[TaskSpec], rng: np.random.Generator,
     """
     if not specs:
         raise ValueError("no active tasks")
-    if schedule == "single_task":
-        if single_task not in {s.name for s in specs}:
-            raise ValueError(f"task {single_task!r} not among active tasks")
-        return single_task
     if cdf is None:
         cdf = task_cdf(specs, schedule)
     return specs[int(cdf.searchsorted(rng.random(), side="right"))].name
@@ -321,12 +314,14 @@ def train(
     active = [s for s in specs if s.n > 0]
     if not active:
         raise ValueError("no active tasks")
+    by_name = {s.name: s for s in active}
+    if config.schedule == "single_task" and config.single_task not in by_name:
+        raise ValueError(f"task {config.single_task!r} has no training examples")
     rng = np.random.default_rng(config.seed)
     samplers = _Samplers(params, active, config.seed)
     dense = params.dense_dict()
     total = sum(s.n for s in active)
     steps_per_epoch = max(1, math.ceil(total / config.batch_size))
-    by_name = {s.name: s for s in active}
     examples = {s.name: _sequence_examples(s) if s.name in SEQUENCE_TASKS else s.examples
                 for s in active}
     cdf = task_cdf(active, config.schedule)
@@ -338,14 +333,11 @@ def train(
     previous_best: dict[str, float] = {}
     stale = 0
 
+    # a single-task run tags each epoch with its task; mixed epochs are "mixed"
+    epoch_task = config.single_task if config.schedule == "single_task" else None
     for epoch in range(1, config.max_epochs + 1):
-        epoch_task = None
-        if config.schedule == "single_task":
-            epoch_task = config.single_task
-        elif config.epoch_task_attribution:
-            epoch_task = sample_task(active, rng, config.schedule, cdf=cdf)
         for _step in range(steps_per_epoch):
-            task = epoch_task or sample_task(active, rng, config.schedule, config.single_task, cdf)
+            task = epoch_task or sample_task(active, rng, config.schedule, cdf)
             spec = by_name[task]
             batch_idx = rng.integers(0, spec.n, size=min(config.batch_size, spec.n))
             loss, grads = _batch_loss(task, examples[task], batch_idx, params, samplers,
@@ -357,8 +349,6 @@ def train(
 
         if validation is None:
             continue
-        trained_tag = epoch_task or ("mixed" if config.schedule != "single_task"
-                                     else config.single_task)
         metrics = {}
         improved_any = False
         for spec in active:
@@ -369,7 +359,7 @@ def train(
             if value is None:
                 continue
             metrics[spec.name] = value
-            log.append((epoch, trained_tag, spec.name, metric_name, value))
+            log.append((epoch, epoch_task or "mixed", spec.name, metric_name, value))
             if value > previous_best.get(spec.name, -np.inf) + IMPROVE_EPS:
                 previous_best[spec.name] = value
                 improved_any = True
@@ -430,31 +420,3 @@ def task_correlation(log: list) -> dict:
             out[(a, b)] = float(np.corrcoef(xs, ys)[0, 1])
     return out
 
-
-def compare_schedules(
-    base_config: TrainConfig,
-    specs: list[TaskSpec],
-    params_factory,
-    validation: dict,
-) -> list[tuple]:
-    """Train under weighted, uniform and per-task single schedules.
-
-    Each run starts from an identical fresh initialisation produced by
-    ``params_factory()``.  Returns rows (schedule, task, metric, value)
-    with single-task rows reporting each task's own dedicated run.
-    """
-    runs = [(schedule, specs, replace(base_config, schedule=schedule,
-                                      epoch_task_attribution=True))
-            for schedule in ("weighted", "uniform")]
-    runs += [("single_task", [spec], replace(base_config, schedule="single_task",
-                                             single_task=spec.name)) for spec in specs]
-    rows = []
-    for schedule, run_specs, config in runs:
-        run_validation = {spec.name: validation.get(spec.name, []) for spec in run_specs}
-        result = train(config, run_specs, params_factory(), run_validation)
-        samplers = _Samplers(result.params, run_specs, config.seed)
-        for spec in run_specs:
-            value = validation_metric(spec.name, run_validation[spec.name], result.params,
-                                      samplers, config.negatives, config.validation_cap)
-            rows.append((schedule, spec.name, PRIMARY_METRIC[spec.name], value))
-    return rows

@@ -5,18 +5,18 @@ lines.  The end-to-end criterion runs the CLI stages on the default
 synthetic dataset and is the slow part of the suite (a few minutes).
 """
 
+import contextlib
 import filecmp
+import io
 import os
 import time
 
 import numpy as np
 import pytest
 
-from prodkg import pipeline as pl
 from prodkg.attention import AttentionParams, aggregate_context, scaled_dot_attention
 from prodkg.baselines import KgConfig, KgModel, KgSpace, circular_correlation, kg_score_grad
 from prodkg.cli import main
-from prodkg.data import modality_paths
 from prodkg.embeddings import (
     Grads,
     new_table,
@@ -25,17 +25,11 @@ from prodkg.embeddings import (
     softmax_full_loss_grad,
 )
 from prodkg.evaluation import rank_candidates, rank_tail, ranking_metrics
-from prodkg.model import ModelConfig, init_params, load_checkpoint
+from prodkg.model import load_checkpoint
 from prodkg.poincare import BallConfig, hierarchy_pretrain, poincare_distance, riemannian_update
 from prodkg.prg import WeightedGraph, build_relation_graph, normalize_adjacency
 from prodkg.synth import load_ground_truth
-from prodkg.trainer import (
-    TaskSpec,
-    TrainConfig,
-    compare_schedules,
-    sample_task,
-    task_correlation,
-)
+from prodkg.trainer import PRIMARY_METRIC, TASK_NAMES, TaskSpec, sample_task, task_correlation
 from prodkg.verification import run_gradient_sweep
 
 
@@ -360,36 +354,61 @@ class TestCriterion9Correlation:
         hand_ok = abs(rho[("a", "b")] - 9 / np.sqrt(84)) < 1e-6
 
         data, run = str(tmp_path / "data"), str(tmp_path / "run")
-        prg = os.path.join(run, "prg")
         assert main(["gen-data", "--seed", "7", "--out", data, "--items", "150",
                      "--clusters", "25", "--words", "120", "--sessions", "800",
                      "--searches", "250", "--substitutions", "200"]) == 0
         assert main(["ingest", "--data", data, "--out", run]) == 0
-        assert main(["build-prg", "--run", run, "--out", prg, "--walks", "4",
-                     "--walk-length", "5", "--seed", "7"]) == 0
-        state = pl.load_and_split(modality_paths(os.path.join(run, "filtered")))
-        pl.load_graph_splits(state, prg)
-        pl.mask_products(state, 0.1, seed=7)
-        seq_lens = {"complement": 6, "co_view": 6, "search": 4, "describe": 8}
-        specs = pl.assemble_training_data(state, seq_lens)
-        vocab = state.dataset.vocab
+        assert main(["build-prg", "--run", run, "--out", os.path.join(run, "prg"),
+                     "--walks", "4", "--walk-length", "5", "--seed", "7"]) == 0
 
-        def fresh_params():
-            return init_params(ModelConfig(dim=8, seq_lens=seq_lens, seed=7),
-                               vocab["item"].size, vocab["word"].size,
-                               vocab["category"].size)
+        def read_tsv(path):
+            with open(path, encoding="utf-8") as handle:
+                return [line.rstrip("\n").split("\t") for line in handle][1:]
 
-        base = TrainConfig(lr=0.1, max_epochs=3, patience=3, seed=7, validation_cap=40)
-        rows = compare_schedules(base, specs, fresh_params, state.validation_examples)
+        # one train run per schedule, and one single-task run per task
+        runs = [("weighted", None), ("uniform", None)]
+        runs += [("single_task", task) for task in TASK_NAMES]
+        rows, consistent, cells = [], True, []
+        for schedule, task in runs:
+            out = os.path.join(run, f"model_{task or schedule}")
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = main(["train", "--run", run, "--out", out, "--dim", "8",
+                             "--epochs", "4", "--patience", "4", "--l-buy", "6",
+                             "--l-view", "6", "--l-search", "4", "--l-describe", "8",
+                             "--cat-epochs", "11", "--seed", "7", "--validation-cap", "40",
+                             "--schedule", schedule, *(["--single-task", task] if task else [])])
+            assert code == 0, (schedule, task)
+            # the best epoch train reports: "trained for N epochs (best B); ..."
+            best = int(stdout.getvalue().split("(best ")[1].split(")")[0])
+            log = [(int(epoch), trained, name, metric, float(value))
+                   for epoch, trained, name, metric, value
+                   in read_tsv(os.path.join(out, "metrics_log.tsv"))]
+            at_best = {name: (metric, value) for epoch, _t, name, metric, value in log
+                       if epoch == best}
+            for name in [task] if task else sorted(at_best):
+                metric, value = at_best.get(name, (PRIMARY_METRIC[name], None))
+                rows.append((schedule, name, metric, value))
+            # the written diagnostic is task_correlation of the written log
+            written = {(a, b): None if value == "absent" else float(value)
+                       for a, b, value in read_tsv(os.path.join(out, "task_correlation.tsv"))}
+            expected = task_correlation(log)
+            consistent &= written.keys() == expected.keys() and all(
+                (written[key] is None) == (expected[key] is None) and
+                (expected[key] is None or abs(written[key] - expected[key]) <= 1e-6)
+                for key in expected)
+            if task:
+                cells += [value for value in written.values() if value is not None]
         schedules = {row[0] for row in rows}
         tasks_covered = {row[1] for row in rows if row[0] == "single_task"}
         table = "\n".join("  " + "\t".join(str(c) for c in row) for row in rows)
         print(f"schedule comparison table:\n{table}")
         complete = schedules == {"weighted", "uniform", "single_task"} and \
-            tasks_covered == {s.name for s in specs}
-        report(9, hand_ok and complete,
+            tasks_covered == set(TASK_NAMES)
+        report(9, hand_ok and complete and consistent and bool(cells),
                f"hand Pearson to 1e-6: {hand_ok}; schedules covered: {sorted(schedules)}; "
-               f"{len(rows)} comparison rows")
+               f"{len(rows)} comparison rows; task_correlation.tsv matches its "
+               f"metrics_log.tsv: {consistent}; {len(cells)} single-task cells present")
 
 
 @pytest.mark.slow

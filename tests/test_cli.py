@@ -81,11 +81,33 @@ class TestGenData:
 class TestErrors:
     def test_unknown_subcommand_exit_1(self, capsys):
         assert main(["frobnicate"]) == 1
+        # the checkpoint's embeddings_*.tsv files are the export
+        assert main(["export", "--run", "run", "--out", "run/export"]) == 1
+        assert "unknown subcommand 'export'" in capsys.readouterr().err
 
     def test_pretrain_categories_is_no_subcommand(self, capsys):
         # train pre-trains the category table itself
         assert main(["pretrain-categories", "--run", "run"]) == 1
         assert "unknown subcommand 'pretrain-categories'" in capsys.readouterr().err
+
+    def test_single_task_without_training_examples_exit_2(self, tmp_path, capsys):
+        data, run = str(tmp_path / "data"), str(tmp_path / "run")
+        assert main(["gen-data", "--seed", "7", "--out", data, "--items", "120",
+                     "--clusters", "20", "--sessions", "500", "--searches", "150",
+                     "--substitutions", "0", "--words", "100"]) == 0
+        assert main(["ingest", "--data", data, "--out", run]) == 0
+        assert main(["build-prg", "--run", run, "--out", os.path.join(run, "prg"),
+                     "--seed", "7"]) == 0
+        capsys.readouterr()
+        out = tmp_path / "model"
+        # 3 category epochs would warn, so the check comes before pre-training
+        assert main(["train", "--run", run, "--out", str(out), *TINY_TRAIN,
+                     "--cat-epochs", "3", "--schedule", "single_task",
+                     "--single-task", "substitute"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: task 'substitute' has no training examples")
+        assert "warning" not in err
+        assert not out.exists()
 
     def test_unknown_key_exit_1_lists_valid_keys(self, capsys):
         assert main(["train", "--bogus", "1"]) == 1
@@ -266,7 +288,8 @@ class TestStagesReadUpstream:
         ("prg/prg_triples.tsv", ["train-baseline", "--dim", "4", "--epochs", "1"]),
         ("model/masked_items.tsv", ["evaluate", "--query-cap", "20"]),
         ("filtered/search.tsv", ["build-prg"]),
-    ], ids=["prg-triples", "masked-items", "filtered"])
+        ("vocab_word.tsv", ["build-prg"]),
+    ], ids=["prg-triples", "masked-items", "filtered", "vocab"])
     def test_non_utf8_byte_exit_2_at_its_line(self, trained_run, tmp_path, capsys, file, argv):
         run = copy_run(trained_run, tmp_path)
         path = os.path.join(run, file)
@@ -373,6 +396,57 @@ class TestStagesReadUpstream:
         item = lines[0].split("\t")[0]
         assert (f"catalog.tsv:{len(lines) + 1}: item {item!r} listed again (first at line 1)"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("damage", ["catalog-cut", "line-changed", "line-added",
+                                        "line-dropped", "missing"])
+    def test_vocab_that_disagrees_with_filtered_exit_2(self, trained_run, tmp_path, capsys,
+                                                       damage):
+        run = copy_run(trained_run, tmp_path)
+        path = os.path.join(run, "vocab_word.tsv")
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.readlines()
+        where = {"line-changed": "vocab_word.tsv:2: ingest wrote '2\\tchanged'",
+                 "line-added": f"vocab_word.tsv:{len(lines) + 1}: ingest wrote '0\\textra'",
+                 "line-dropped": f"vocab_word.tsv:{len(lines)}: ingest wrote the end of",
+                 "missing": f"missing {path!r}"}
+        if damage == "catalog-cut":
+            # filtered/ alone would reload a smaller vocabulary and rank with it
+            catalog = os.path.join(run, "filtered", "catalog.tsv")
+            with open(catalog, encoding="utf-8") as handle:
+                kept = handle.readlines()[:3]
+            with open(catalog, "w", encoding="utf-8") as handle:
+                handle.writelines(kept)
+        elif damage == "missing":
+            os.remove(path)
+        else:
+            if damage == "line-changed":
+                lines[1] = "2\tchanged\n"
+            elif damage == "line-added":
+                lines.append("0\textra\n")
+            else:
+                lines.pop()
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.writelines(lines)
+        capsys.readouterr()
+        assert evaluate(run) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "Traceback" not in err
+        if damage == "catalog-cut":
+            assert "vocab_word.tsv:" in err and "re-run 'prodkg ingest'" in err
+        else:
+            assert where[damage] in err
+        assert not os.path.exists(os.path.join(run, "eval"))
+
+    def test_weighted_run_correlation_table_is_all_absent(self, trained_run):
+        # weighted epochs are tagged mixed, so no cell is attributed to one task
+        with open(os.path.join(trained_run, "model", "metrics_log.tsv"),
+                  encoding="utf-8") as handle:
+            tasks = sorted({line.split("\t")[2] for line in list(handle)[1:]})
+        with open(os.path.join(trained_run, "model", "task_correlation.tsv"),
+                  encoding="utf-8") as handle:
+            rows = handle.read().splitlines()
+        assert rows == ["trained_task\ttask\tpearson"] + [
+            f"{a}\t{b}\tabsent" for a in tasks for b in tasks if a != b]
 
     def test_rank_unknown_head_exit_2(self, trained_run, capsys):
         assert main(["rank", "--run", trained_run, "--head", "no-such-item"]) == 2
@@ -510,9 +584,6 @@ class TestPipelineCommands:
         capsys.readouterr()
         report = (tmp_path / "run" / "eval" / "report.tsv").read_text()
         assert report.startswith("model\ttask\tmetric\tvalue")
-
-        assert main(["export", "--run", run, "--out", os.path.join(run, "export")]) == 0
-        assert (tmp_path / "run" / "export" / "embeddings_word.tsv").exists()
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_train_baseline(self, trained_run, tmp_path, variant):

@@ -452,10 +452,10 @@ def tiny_specs(seed, n_items=14, n_words=10, n_each=24):
     word = lambda: int(rng.integers(1, n_words))
     return [
         TaskSpec("substitute", subs),
-        TaskSpec("complement", sequences(item, 1, 6), 5),
-        TaskSpec("co_view", sequences(item, 1, 6), 5),
-        TaskSpec("search", sequences(word, 1, 5), 4),
-        TaskSpec("describe", sequences(word, 2, 8), 7),
+        TaskSpec("complement", sequences(item, 1, 6)),
+        TaskSpec("co_view", sequences(item, 1, 6)),
+        TaskSpec("search", sequences(word, 1, 5)),
+        TaskSpec("describe", sequences(word, 2, 8)),
         TaskSpec("isa", [(item(), (int(rng.integers(1, 6)), int(rng.integers(1, 6))))
                          for _ in range(n_each)]),
     ]

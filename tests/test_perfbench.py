@@ -1,18 +1,21 @@
 """Smoke test of the benchmark's own code under perfbench/: the checkers'
-self-tests, a tiny train and evaluate traced in-process by its tracer, and
-one epoch of default training on the benchmark's catalog judged by its
-planted-truth check."""
+self-tests, a tiny train and evaluate traced in-process by its tracer, one
+epoch of default training on the benchmark's catalog judged by its
+planted-truth check, and a short traced run.py per workload."""
 
 import importlib.util
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
 from prodkg.cli import main
 
-PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
 
 
 def load(name):
@@ -98,3 +101,22 @@ def test_one_default_epoch_beats_the_random_bar(tmp_path):
     hits = checks.truth_hits(checks.checkpoint_scorer(checks.load_checkpoint_tables(model)),
                              truth, vocab, len(vocab) + 1)
     assert checks.check_truth_hits(hits) == [], hits
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("workload", ["pipeline-default", "prg-baseline"])
+def test_run_py_ends_in_a_correct_json_line(tmp_path, workload):
+    """One untraced and one traced round of the workload, as the benchmark is
+    run; working files land under ``tmp_path``, which links the source tree."""
+    os.symlink(os.path.join(ROOT, "src"), tmp_path / "src")
+    done = subprocess.run(
+        [sys.executable, os.path.join(PERFBENCH, "run.py"), "--workload", workload,
+         "--seed", "1", "--seconds", "1", "--trace", "1"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr[-2000:]
+    result = json.loads(done.stdout.splitlines()[-1], parse_constant=reject_constant)
+    assert result["correct"] is True and result["failed"] == 0, result

@@ -43,10 +43,9 @@ def tiny_specs(rng, n_items=12, n_words=8, n_each=30, seq_len=5):
                         for _ in range(n_each)]
     return [
         TaskSpec("substitute", subs),
-        TaskSpec("complement", seqs(item), seq_len),
-        TaskSpec("co_view", seqs(item), seq_len),
-        TaskSpec("search", [(tuple(word() for _ in range(3)), item()) for _ in range(n_each)],
-                 seq_len),
+        TaskSpec("complement", seqs(item)),
+        TaskSpec("co_view", seqs(item)),
+        TaskSpec("search", [(tuple(word() for _ in range(3)), item()) for _ in range(n_each)]),
         TaskSpec("isa", [(item(), (int(rng.integers(1, 6)),)) for _ in range(n_each)]),
     ]
 
@@ -185,6 +184,13 @@ class TestTrainLoop:
         for task, block in trained.attn.items():
             np.testing.assert_array_equal(block.positions, before.attn[task].positions)
 
+    def test_single_task_without_examples_rejected(self):
+        specs = [spec for spec in tiny_specs(np.random.default_rng(7))
+                 if spec.name != "substitute"]
+        config = TrainConfig(max_epochs=1, schedule="single_task", single_task="substitute")
+        with pytest.raises(ValueError, match="'substitute' has no training examples"):
+            train(config, specs, tiny_params())
+
     def test_loss_decreases_on_frozen_example_after_its_update(self):
         """Line-search sanity at lr = 1e-4 on one substitution example."""
         rng = np.random.default_rng(10)
@@ -322,7 +328,7 @@ class TestBestEpochSelection:
         rng = np.random.default_rng(6)
         specs = tiny_specs(rng) + [TaskSpec(
             "describe", [(tuple(int(w) for w in rng.integers(1, 8, size=3)),
-                          int(rng.integers(1, 12))) for _ in range(30)], 5)]
+                          int(rng.integers(1, 12))) for _ in range(30)])]
         validation = {"substitute": [(1, 2), (3, 4), (5, 6)],
                       "search": [((1, 2, 3), 4), ((5, 6), 7)], "describe": []}
         config = TrainConfig(max_epochs=4, patience=2, seed=2, validation_cap=10)
