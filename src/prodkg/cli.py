@@ -22,7 +22,7 @@ from .baselines import VARIANTS, KgConfig
 from .data import DataError
 from .embeddings import NumericalError
 from .evaluation import PKG_SCORING, evaluate_all, pkg_candidate_scores
-from .model import ModelConfig, init_params, load_checkpoint, save_checkpoint
+from .model import DEFAULT_SEQ_LENS, ModelConfig, init_params, load_checkpoint, save_checkpoint
 from .prg import export_prg
 from .synth import SynthConfig, generate
 from .trainer import TrainConfig, task_correlation, train
@@ -75,22 +75,23 @@ KEYS: dict[str, dict] = {
         "patience": (TrainConfig.patience, int, "early-stop patience in epochs"),
         "schedule": (TrainConfig.schedule, str, "weighted | uniform | single_task"),
         "single_task": ("", str, "task for schedule=single_task"),
-        "l_buy": (20, int, "max sequence length, purchase task"),
-        "l_view": (50, int, "max sequence length, view task"),
-        "l_search": (10, int, "max sequence length, search task"),
-        "l_describe": (200, int, "max sequence length, describe task"),
+        "l_buy": (DEFAULT_SEQ_LENS["complement"], int, "max sequence length, purchase task"),
+        "l_view": (DEFAULT_SEQ_LENS["co_view"], int, "max sequence length, view task"),
+        "l_search": (DEFAULT_SEQ_LENS["search"], int, "max sequence length, search task"),
+        "l_describe": (DEFAULT_SEQ_LENS["describe"], int,
+                       "max sequence length, describe task"),
         "cat_epochs": (50, int, "category pre-training epochs"),
         "validation_cap": (TrainConfig.validation_cap, int, "validation queries per task"),
     },
     "train-baseline": {
         "run": ("", str, "run directory produced by ingest"),
-        "variant": ("transE", str, "one of " + " ".join(VARIANTS)),
+        "variant": (KgConfig.variant, str, "one of " + " ".join(VARIANTS)),
         "dim": (100, int, "embedding dimension"),
-        "lr": (0.01, float, "learning rate"),
-        "margin": (1.0, float, "margin for translational variants"),
-        "norm": ("l2", str, "l1 | l2 for translational variants"),
+        "lr": (KgConfig.lr, float, "learning rate"),
+        "margin": (KgConfig.margin, float, "margin for translational variants"),
+        "norm": (KgConfig.norm, str, "l1 | l2 for translational variants"),
         "epochs": (50, int, "maximum epochs"),
-        "negatives": (3, int, "corrupted triples per positive"),
+        "negatives": (KgConfig.negatives, int, "corrupted triples per positive"),
     },
     "evaluate": {
         "run": ("", str, "run directory with trained artifacts"),
@@ -386,16 +387,13 @@ def cmd_train(config: dict) -> int:
         handle.write("epoch\tloss\n")
         for epoch, loss in enumerate(cat_losses, 1):
             handle.write(f"{epoch}\t{loss:.9g}\n")
-    # The diagnostic is computed from the log as written, so that metrics_log.tsv
-    # reproduces it: isa's small loss changes move it by ~1e-5 at full precision.
-    logged = [(*row[:4], float(f"{row[4]:.9g}")) for row in result.log]
     with open(os.path.join(out, "metrics_log.tsv"), "w", encoding="utf-8") as handle:
         handle.write("epoch\ttrained_task\ttask\tmetric\tvalue\n")
-        for epoch, trained, task, metric, value in logged:
+        for epoch, trained, task, metric, value in result.log:
             handle.write(f"{epoch}\t{trained}\t{task}\t{metric}\t{value:.9g}\n")
     with open(os.path.join(out, "task_correlation.tsv"), "w", encoding="utf-8") as handle:
         handle.write("trained_task\ttask\tpearson\n")
-        for (trained, task), value in sorted(task_correlation(logged).items()):
+        for (trained, task), value in sorted(task_correlation(result.log).items()):
             rendered = "absent" if value is None else f"{value:.9g}"
             handle.write(f"{trained}\t{task}\t{rendered}\n")
     with open(os.path.join(out, "masked_items.tsv"), "w", encoding="utf-8") as handle:

@@ -139,8 +139,9 @@ def assemble_training_data(state: PipelineData, seq_lens: dict,
 
     Sessions and substitution pairs that contain a held-out graph edge are
     dropped from training; masked products contribute no category labels.
-    Every ``isa_holdout_every``-th remaining catalog entry becomes an
-    isa validation example instead of a training one.
+    Every ``isa_holdout_every``-th remaining catalog entry is held out of
+    isa training; each of its labels becomes one (product, label) isa
+    validation example.
     """
     eval_edges = {relation: set() for relation in GRAPH_RELATIONS}
     for relation, split in state.graph_splits.items():
@@ -173,7 +174,7 @@ def assemble_training_data(state: PipelineData, seq_lens: dict,
         "co_view": session_validation(state.splits["view_sessions"], seq_lens["co_view"]),
         "search": [(r.query_words[-seq_lens["search"]:], r.clicked_item)
                    for r in state.splits["searches"].validation],
-        "isa": [(e.item, tuple(e.category_path)) for e in isa_val_entries],
+        "isa": [(e.item, label) for e in isa_val_entries for label in e.category_path],
     }
     specs = build_task_specs(train_records, seq_lens)
     for spec in specs:

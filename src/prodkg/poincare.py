@@ -4,9 +4,9 @@ Categories are embedded in the open unit ball, trained on child->parent
 edges with a sampled softmax over negative candidates ranked by ball
 distance.  Updates rescale the Euclidean gradient by the inverse metric
 factor ((1-|x|^2)^2 / 4) and project back inside the ball.  After
-pre-training the category table is frozen; products are then tied to their
-category labels through a plain inner-product classification loss whose
-gradient flows only to the product side.
+pre-training the category table is frozen: the isa task of
+:mod:`prodkg.trainer` ties products to it with a gradient that flows only
+to the product side.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import check_forest
-from .embeddings import PAD_ID, EmbeddingTable, NumericalError, log_sigmoid, sigmoid
+from .embeddings import EmbeddingTable, NumericalError
 
 # Guards the arcosh derivative near coincident points.
 _GAMMA_FLOOR = 1e-12
@@ -196,36 +196,3 @@ def hierarchy_pretrain(
         losses.append(total / max(len(edge_list), 1))
     table.validate(config.eps_ball)
     return losses
-
-
-def isa_loss(
-    item_vec: np.ndarray,
-    labels: list[int] | np.ndarray,
-    category_table: EmbeddingTable,
-    negatives: list[np.ndarray],
-) -> tuple[float, np.ndarray]:
-    """Product-to-category classification loss; gradient w.r.t. the product only.
-
-    One logistic negative-sampling term per label, scored by the plain inner
-    product with the (frozen) category rows.  ``negatives[i]`` holds the
-    negative category ids for ``labels[i]``.  Every label and negative row is
-    gathered at once and scored by one matrix-vector product.
-    """
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.size == 0:
-        raise ValueError("empty label set")
-    if len(negatives) != labels.size:
-        raise ValueError("need one negative set per label")
-    if (labels == PAD_ID).any():
-        raise ValueError("PAD id among labels")
-    groups = [np.asarray(negs, dtype=np.int64) for negs in negatives]
-    negs = np.concatenate(groups)
-    if (negs == np.repeat(labels, [group.size for group in groups])).any():
-        raise ValueError("label present among its negatives")
-    z = category_table.values[np.concatenate((labels, negs))]
-    # a label's logit enters the loss as +score, a negative's as -score
-    margins = z @ np.asarray(item_vec, dtype=float)
-    margins[labels.size:] *= -1.0
-    coeffs = sigmoid(-margins)
-    coeffs[:labels.size] *= -1.0
-    return -float(log_sigmoid(margins).sum()), coeffs @ z

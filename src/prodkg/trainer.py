@@ -3,12 +3,13 @@
 One training step samples a task, draws a minibatch from that task's
 dataset, and applies the summed gradient of its examples (the sum step
 rule: each row steps by the sum of its per-example gradients at the
-learning rate, as a batch of one would).  A sequence task's minibatch is one
-padded attention pass.  An epoch is ceil(total / batch) steps.  Task
-sampling is proportional to dataset size by default; the uniform and
-single-task schedules are the comparison runs.  Validation metrics are
-logged per epoch, tagged with the task that epoch trained, drive early
-stopping, and feed the task-correlation diagnostic.
+learning rate, as a batch of one would).  Every task's minibatch is one
+loss call on a block: a sequence task's is one padded attention pass.  An
+epoch is ceil(total / batch) steps.  Task sampling is proportional to
+dataset size by default; the uniform and single-task schedules are the
+comparison runs.  Every task is validated by hit@10, logged per epoch,
+tagged with the task that epoch trained; the metrics drive early stopping
+and feed the task-correlation diagnostic.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from .embeddings import (
 from .attention import TASK_WIRING, pad_block, sequence_loss_grad
 from .evaluation import rank_tail
 from .model import PkgParams
-from .poincare import isa_loss
+from .ranking import rank_candidates
 
 TASK_NAMES = ("substitute", "complement", "co_view", "search", "describe", "isa")
 SEQUENCE_TASKS = tuple(sorted(TASK_WIRING))
@@ -74,8 +75,8 @@ class TrainConfig:
         if self.single_task is not None and self.single_task not in TASK_NAMES:
             raise ValueError(f"unknown task {self.single_task!r}; "
                              f"choose from {' '.join(TASK_NAMES)}")
-        if self.schedule == "single_task" and not self.single_task:
-            raise ValueError("single_task schedule needs the task name")
+        if (self.schedule == "single_task") != (self.single_task is not None):
+            raise ValueError("a task name goes with the single_task schedule, and only with it")
 
 
 def build_task_specs(dataset_records: dict, seq_lens: dict) -> list[TaskSpec]:
@@ -125,41 +126,45 @@ def build_task_specs(dataset_records: dict, seq_lens: dict) -> list[TaskSpec]:
 
 
 def substitution_loss(
-    pair: tuple[int, int],
+    pairs,
     tables: dict,
     negatives_forward: np.ndarray,
     negatives_backward: np.ndarray,
 ) -> tuple[float, Grads]:
-    """Symmetric pair loss: each direction scores one item against the other.
+    """Symmetric pair loss of one (a, b) pair with (k,) negatives per
+    direction, or the sum over a (B, 2) block with (B, k) per direction.
 
-    Both directions share the product input table; scoring is the plain
-    inner product, so swapping the pair with mirrored negatives yields the
-    identical value.  Each direction emits its scored rows, then the query
-    item's row.
+    Both directions score the product input table by the plain inner
+    product, so swapping a pair with mirrored negatives yields the identical
+    value.  A pair emits its forward scored rows, a, backward ones, then b.
     """
-    a, b = pair
-    if a == b:
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    if (pairs[:, 0] == pairs[:, 1]).any():
         raise ValueError("substitution pair with identical items")
     table = tables["item_in"]
-    total = 0.0
-    rows, grads = [], []
-    for query_id, target, negs in ((a, b, negatives_forward), (b, a, negatives_backward)):
-        loss, grad_query, side_rows, side_grads = sampled_softmax_loss_grad(
-            table.values[query_id], table, target, negs)
-        total += loss
-        rows += [side_rows, [query_id]]
-        grads += [side_grads, grad_query[None, :]]
-    return total, Grads({table.name: np.concatenate(rows)},
-                        {table.name: np.concatenate(grads)}, {})
+    queries = pairs.ravel()
+    negatives = np.stack((negatives_forward, negatives_backward), axis=-2)
+    loss, grad_query, rows, grads = sampled_softmax_loss_grad(
+        table.values[queries], table, pairs[:, ::-1].ravel(),
+        negatives.reshape(queries.size, -1))
+    return loss, Grads({table.name: np.concatenate((rows, queries[:, None]), axis=1).ravel()},
+                       {table.name: np.concatenate((grads, grad_query[:, None]), axis=1)
+                        .reshape(-1, table.dim)}, {})
 
 
-def isa_example_loss(example, params: PkgParams,
-                     negatives_per_label: list[np.ndarray]) -> tuple[float, Grads]:
-    item, labels = example
+def isa_example_loss(examples, params: PkgParams,
+                     negatives: np.ndarray) -> tuple[float, Grads]:
+    """Product-to-category loss of (product, labels) examples: one (product,
+    label) row per label, each with its row of ``negatives``, scored by the
+    inner product with the frozen category table; only products get grads."""
+    if not all(labels for _item, labels in examples):
+        raise ValueError("empty label set")
+    items = np.array([item for item, labels in examples for _ in labels], dtype=np.int64)
+    labels = np.array([label for _item, labels in examples for label in labels], dtype=np.int64)
     table = params.tables["item_in"]
-    loss, grad_item = isa_loss(table.values[item], list(labels),
-                               params.tables["category"], negatives_per_label)
-    return loss, Grads({table.name: np.array([item])}, {table.name: grad_item[None, :]}, {})
+    loss, grad_items, _rows, _grads = sampled_softmax_loss_grad(
+        table.values[items], params.tables["category"], labels, negatives)
+    return loss, Grads({table.name: items}, {table.name: grad_items}, {})
 
 
 def task_cdf(specs: list[TaskSpec], schedule: str = "weighted") -> np.ndarray:
@@ -194,15 +199,9 @@ class TrainResult:
     epochs_run: int
 
 
-PRIMARY_METRIC = {"substitute": "hit@10", "complement": "hit@10", "co_view": "hit@10",
-                  "search": "hit@10", "describe": "hit@10", "isa": "neg_loss"}
-
-
 def selection_metric(metrics: dict) -> float:
-    """Mean of the per-task hit@10 values; isa's negative loss, on another
-    scale, counts only when isa is the sole task."""
-    hits = [value for task, value in metrics.items() if PRIMARY_METRIC[task] == "hit@10"]
-    return float(np.mean(hits or list(metrics.values())))
+    """The mean of the validated tasks' hit@10 values."""
+    return float(np.mean(list(metrics.values())))
 
 
 class _Samplers:
@@ -236,12 +235,11 @@ def _sequence_examples(spec: TaskSpec) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 def _batch_loss(task: str, examples, batch_idx: np.ndarray, params: PkgParams,
                 samplers: _Samplers, k: int) -> tuple[float, Grads]:
-    """Summed loss and gradients of one minibatch of ``task``'s examples.
+    """Summed loss and gradients of one minibatch of ``task``'s examples
+    (a sequence task's from :func:`_sequence_examples`) in one loss call.
 
-    A sequence task's examples (``examples`` from :func:`_sequence_examples`)
-    go through one padded attention pass; substitute and isa examples are
-    scored one by one and their gradient rows concatenated.  Negatives are
-    drawn example by example, in batch order.
+    Negatives are drawn in batch order: k per target, per direction of a
+    pair (forward first) and per label of a product.
     """
     if task in SEQUENCE_TASKS:
         block, lengths, targets = examples
@@ -250,49 +248,36 @@ def _batch_loss(task: str, examples, batch_idx: np.ndarray, params: PkgParams,
                               for target in targets.tolist()])
         return sequence_loss_grad(block[batch_idx, :lengths[batch_idx].max()], targets,
                                   negatives, params.tables, params.attn[task], task)
-    parts = []
-    for idx in batch_idx.tolist():
-        example = examples[idx]
-        if task == "substitute":
-            negs_f = samplers.item.sample(k, exclude=set(example))
-            negs_b = samplers.item.sample(k, exclude=set(example))
-            parts.append(substitution_loss(example, params.tables, negs_f, negs_b))
-        else:
-            labels = example[1]
-            negs = [samplers.category.sample(k, exclude=set(labels)) for _ in labels]
-            parts.append(isa_example_loss(example, params, negs))
-    if len(parts) == 1:
-        return parts[0]
-    names = parts[0][1].rows
-    return (sum(loss for loss, _ in parts),
-            Grads({name: np.concatenate([grads.rows[name] for _, grads in parts])
-                   for name in names},
-                  {name: np.concatenate([grads.row_grads[name] for _, grads in parts])
-                   for name in names}, {}))
+    batch = [examples[idx] for idx in batch_idx.tolist()]
+    if task == "substitute":
+        negatives = np.stack([samplers.item.sample(k, exclude=set(pair))
+                              for pair in batch for _direction in range(2)])
+        return substitution_loss(batch, params.tables, negatives[0::2], negatives[1::2])
+    negatives = np.stack([samplers.category.sample(k, exclude=set(labels))
+                          for _item, labels in batch for _label in labels])
+    return isa_example_loss(batch, params, negatives)
 
 
-def validation_metric(task: str, examples, params: PkgParams, samplers: _Samplers,
-                      k_negatives: int, cap: int, rank_k: int = 10) -> float | None:
-    """Primary validation metric: HIT@10 for ranking tasks, -loss for isa;
-    None for a task without validation examples.
+def validation_metric(task: str, examples, params: PkgParams, cap: int) -> float | None:
+    """HIT@10 of the first ``cap`` validation examples of ``task`` (None
+    without any); nothing is sampled, so validating leaves training alone.
 
-    Sequence tasks rank the next entity by their own training objective
-    (attention context against the task's scoring table); the substitute
-    task ranks one side of the pair against the other.  Both rank through
-    :func:`prodkg.evaluation.rank_tail`.
+    Sequence tasks and substitute rank their gold item by their training
+    score through :func:`prodkg.evaluation.rank_tail`; an isa (product,
+    label) pair ranks its label among all categories by item_in . category.
     """
     picked = examples[:cap]
     if not picked:
         return None
+    heads = [head for head, _gold in picked]
+    gold = [gold for _head, gold in picked]
     if task == "isa":
-        total = 0.0
-        for item, labels in picked:
-            negs = [samplers.category.sample(k_negatives, exclude=set(labels)) for _ in labels]
-            total += isa_example_loss((item, labels), params, negs)[0]
-        return -total / len(picked)
-    ranks = rank_tail(params, task, [head for head, _gold in picked],
-                      [gold for _head, gold in picked])
-    return int(np.count_nonzero(ranks <= rank_k)) / len(picked)
+        categories = params.tables["category"].values[1:]
+        ranks = rank_candidates(params.tables["item_in"].values[heads] @ categories.T,
+                                np.arange(1, len(categories) + 1), gold)
+    else:
+        ranks = rank_tail(params, task, heads, gold)
+    return int(np.count_nonzero(ranks <= 10)) / len(picked)
 
 
 def train(
@@ -352,14 +337,12 @@ def train(
         metrics = {}
         improved_any = False
         for spec in active:
-            metric_name = PRIMARY_METRIC[spec.name]
-            value = validation_metric(spec.name, validation.get(spec.name, []),
-                                      params, samplers, config.negatives,
+            value = validation_metric(spec.name, validation.get(spec.name, []), params,
                                       config.validation_cap)
             if value is None:
                 continue
             metrics[spec.name] = value
-            log.append((epoch, epoch_task or "mixed", spec.name, metric_name, value))
+            log.append((epoch, epoch_task or "mixed", spec.name, "hit@10", value))
             if value > previous_best.get(spec.name, -np.inf) + IMPROVE_EPS:
                 previous_best[spec.name] = value
                 improved_any = True

@@ -18,7 +18,9 @@ from .baselines import (TRANSLATIONAL, VARIANTS, KgConfig, KgModel, entity_rows,
                         kg_sides, margin_loss)
 from .embeddings import EmbeddingTable, sampled_softmax_loss_grad, softmax_full_loss_grad
 from .gradcheck import GradCheckReport, grad_check
-from .poincare import hierarchy_loss_grad, isa_loss
+from .model import PkgParams
+from .poincare import hierarchy_loss_grad
+from .trainer import isa_example_loss, substitution_loss
 
 
 def _dense(shape_source: np.ndarray, rows: np.ndarray, grads: np.ndarray) -> np.ndarray:
@@ -56,16 +58,16 @@ def _check_softmax_full(rng: np.random.Generator, eps: float) -> GradCheckReport
 
 
 def _check_substitution(rng: np.random.Generator, eps: float) -> GradCheckReport:
-    from .trainer import substitution_loss
-
     d = 5
     table = EmbeddingTable("item_in", rng.normal(0, 0.5, size=(9, d)), "euclidean")
-    negs_f = np.array([3, 6])
-    negs_b = np.array([5, 7])
+    # two pairs that share item 4
+    pairs = np.array([[1, 4], [4, 2]])
+    negs_f = np.array([[3, 6], [5, 7]])
+    negs_b = np.array([[5, 7], [3, 8]])
 
     def loss_fn(p):
         tables = {"item_in": EmbeddingTable("item_in", p["item_in"], "euclidean")}
-        loss, grads = substitution_loss((1, 4), tables, negs_f, negs_b)
+        loss, grads = substitution_loss(pairs, tables, negs_f, negs_b)
         return loss, {"item_in": _dense(p["item_in"], grads.rows["item_in"],
                                         grads.row_grads["item_in"])}
 
@@ -123,15 +125,19 @@ def _check_hierarchy(rng: np.random.Generator, eps: float) -> GradCheckReport:
 def _check_isa(rng: np.random.Generator, eps: float) -> GradCheckReport:
     d = 5
     categories = EmbeddingTable("category", rng.uniform(-0.4, 0.4, size=(7, d)), "poincare")
-    item_vec = rng.normal(0, 0.5, size=d)
-    labels = [2, 5]
-    negatives = [np.array([3, 6]), np.array([1, 4])]
+    items = rng.normal(0, 0.5, size=(5, d))
+    # one product with two labels, one with one
+    examples = [(1, (2, 5)), (3, (4,))]
+    negatives = np.array([[3, 6], [1, 4], [2, 6]])
 
     def loss_fn(p):
-        loss, grad = isa_loss(p["item"], labels, categories, negatives)
-        return loss, {"item": grad}
+        params = PkgParams({"item_in": EmbeddingTable("item_in", p["item_in"]),
+                            "category": categories}, {}, d)
+        loss, grads = isa_example_loss(examples, params, negatives)
+        return loss, {"item_in": _dense(p["item_in"], grads.rows["item_in"],
+                                        grads.row_grads["item_in"])}
 
-    return grad_check(loss_fn, {"item": item_vec}, eps=eps)
+    return grad_check(loss_fn, {"item_in": items}, eps=eps)
 
 
 def _scaled_model(variant: str, norm: str, seed: int, scale: float = 0.15) -> KgModel:

@@ -3,10 +3,10 @@ pre-training as they were before their fast paths.
 
 The live attention step runs a padded block of sequences through one pass,
 both feed-forward branches stacked, and scores all sampled rows in one
-vectorised pass; the live isa loss scores a product's labels and negatives
-as one gather; the live task and negative draws search their cumulative
-tables in batches; the live ball pre-training steps one dependency level of
-edges at a time.  The code below
+vectorised pass; the live isa loss scores a batch's (product, label) rows
+in one sampled-softmax call; the live task and negative draws search their
+cumulative tables in batches; the live ball pre-training steps one
+dependency level of edges at a time.  The code below
 is the sequential version each replaced, computing as it did (renamed, and
 without its input checks) so the tests can hold the live code to it.
 """

@@ -206,7 +206,9 @@ class TestErrors:
         (["rank", "--relation", "nope", "--head", "i00001"],
          "valid relations: substitute, complement, co_view"),
         (["train", "--schedule", "single_task", "--single-task", "nope"],
-         "unknown task 'nope'")])
+         "unknown task 'nope'"),
+        (["train", "--schedule", "weighted", "--single-task", "search"],
+         "single_task schedule")])
     def test_bad_name_exit_1_before_loading(self, argv, message, tmp_path, capsys):
         out = tmp_path / "out"
         assert main([*argv, "--run", str(tmp_path / "missing"), "--out", str(out)]) == 1

@@ -4,7 +4,8 @@ held to the sequential code they replaced (``step_oracles``).
 - The stacked attention pass and the vectorised scoring sum in another
   order, so they agree with the two-branch, row-by-row step to 1e-12 and
   emit the same row ids in the same order.
-- The one-gather isa loss agrees with its per-label loop to 1e-12.
+- The isa loss, one sampled-softmax call over a batch's (product, label)
+  rows, agrees with the per-label loop to 1e-12.
 - The batched task and negative draws return the ids of one draw per try
   and leave the generator where it left it.
 - Dependency-level pre-training is bit-identical to the per-edge loop.
@@ -33,9 +34,10 @@ from prodkg.embeddings import (
     write_table_tsv,
 )
 from prodkg.model import ModelConfig, init_params
-from prodkg.poincare import BallConfig, dependency_levels, hierarchy_pretrain, isa_loss
+from prodkg.model import PkgParams
+from prodkg.poincare import BallConfig, dependency_levels, hierarchy_pretrain
 from prodkg.synth import SynthConfig, generate
-from prodkg.trainer import TaskSpec, sample_task, task_cdf
+from prodkg.trainer import TaskSpec, isa_example_loss, sample_task, task_cdf
 
 TOL = 1e-12
 SEQ_LENS = {"complement": 5, "co_view": 5, "search": 4, "describe": 7}
@@ -120,30 +122,43 @@ class TestFusedStep:
 
 
 class TestIsaLoss:
+    @staticmethod
+    def params_of(categories, item):
+        return PkgParams({"item_in": EmbeddingTable("item_in", np.stack((0 * item, item))),
+                          "category": categories}, {}, item.size)
+
     @pytest.mark.parametrize("labels, negatives", [
         ([2], [[3, 4, 5]]),
         ([2, 5], [[1, 4], [3, 3]]),                 # a negative drawn twice
-        ([1, 3, 4, 6], [[2], [5, 5, 2], [1], [2, 3, 4, 5, 7, 8, 9, 1, 2]]),
+        ([1, 3, 4, 6], [[2, 5, 7], [5, 5, 2], [2, 8, 9], [3, 1, 2]]),
     ])
     def test_matches_the_per_label_loop(self, labels, negatives):
         rng = np.random.default_rng(len(labels))
         table = EmbeddingTable("category", rng.uniform(-0.4, 0.4, size=(10, 6)), "poincare")
         item = rng.normal(0, 0.5, size=6)
-        negatives = [np.array(negs) for negs in negatives]
-        loss, grad = isa_loss(item, labels, table, negatives)
-        old_loss, old_grad = oracle.isa_loss(item, labels, table, negatives)
+        loss, grads = isa_example_loss([(1, tuple(labels))], self.params_of(table, item),
+                                       np.array(negatives))
+        old_loss, old_grad = oracle.isa_loss(item, labels, table,
+                                             [np.array(negs) for negs in negatives])
         assert loss == pytest.approx(old_loss, rel=0, abs=TOL)
-        np.testing.assert_allclose(grad, old_grad, rtol=0, atol=TOL)
+        np.testing.assert_array_equal(grads.rows["item_in"], [1] * len(labels))
+        np.testing.assert_allclose(grads.row_grads["item_in"].sum(axis=0), old_grad,
+                                   rtol=0, atol=TOL)
 
     @pytest.mark.parametrize("labels, negatives, message", [
         ([0, 2], [[3], [4]], "PAD id among labels"),
-        ([2, 5], [[3], [4, 5]], "label present among its negatives"),
+        ([2, 5], [[3], [5]], "label present among its negatives"),
         ([2, 5], [[3]], "one negative set per label"),
     ])
     def test_input_errors_kept(self, labels, negatives, message):
+        """Each input error is caught by the sampled-softmax check that covers it."""
+        raised = {"PAD id among labels": "invalid target id",
+                  "label present among its negatives": "target id present among negatives",
+                  "one negative set per label": "one row of negatives per query"}[message]
         table = EmbeddingTable("category", np.zeros((8, 3)), "poincare")
-        with pytest.raises(ValueError, match=message):
-            isa_loss(np.zeros(3), labels, table, [np.array(n) for n in negatives])
+        with pytest.raises(ValueError, match=raised):
+            isa_example_loss([(1, tuple(labels))], self.params_of(table, np.zeros(3)),
+                             np.array(negatives))
 
 
 # --- draws ---------------------------------------------------------------------------

@@ -5,9 +5,10 @@ they were before the row-id arrays replaced them (the attention forward pass
 and the task draw they used come from ``step_oracles``).  One update through
 the frozen code and one through the live code must leave bit-identical
 tables, except where the live step sums in another order: the vectorised
-sampled-softmax scoring, the stacked attention pass, and a batch of several
-examples (one padded attention pass; both sides step by the sum of the
-examples' gradients) agree to 1e-12.
+sampled-softmax scoring, the stacked attention pass, the isa loss (one row
+per label, summed by the update), and a batch of several examples (one
+loss call on the block; both sides step by the sum of the examples'
+gradients) agree to 1e-12.
 """
 
 import math
@@ -32,7 +33,6 @@ from prodkg.embeddings import (
     softmax_logprob_full,
 )
 from prodkg.model import ModelConfig, init_params
-from prodkg.poincare import isa_loss
 from prodkg.trainer import (
     TaskSpec,
     TrainConfig,
@@ -156,11 +156,26 @@ def frozen_substitution_loss(pair, tables, negatives_forward, negatives_backward
 def frozen_isa_example_loss(example, params, negatives_per_label):
     item, labels = example
     table = params.tables["item_in"]
-    loss, grad_item = isa_loss(table.values[item], list(labels),
-                               params.tables["category"], negatives_per_label)
+    loss, grad_item = oracle.isa_loss(table.values[item], list(labels),
+                                      params.tables["category"], negatives_per_label)
     grads = FrozenGradStore()
     grads.add_row(table.name, item, grad_item)
     return loss, grads
+
+
+def per_pair_substitution_loss(pair, tables, negatives_forward, negatives_backward):
+    """The row-array substitution loss before the block step: one live
+    sampled-softmax call per direction, rows concatenated pair by pair."""
+    a, b = pair
+    table = tables["item_in"]
+    total, rows, grads = 0.0, [], []
+    for query_id, target, negs in ((a, b, negatives_forward), (b, a, negatives_backward)):
+        loss, grad_query, side_rows, side_grads = sampled_softmax_loss_grad(
+            table.values[query_id], table, target, negs)
+        total += loss
+        rows += [side_rows, [query_id]]
+        grads += [side_grads, grad_query[None, :]]
+    return total, np.concatenate(rows), np.concatenate(grads)
 
 
 def _frozen_ffn_backward(d_out, e, pre, hidden, params, grads, prefix):
@@ -342,8 +357,8 @@ class TestOneUpdatePerLoss:
     @pytest.mark.parametrize("negs_f, negs_b", [
         ([3, 6], [5, 7]),              # disjoint
         ([3, 6, 3], [6, 7, 8]),        # a repeat forward, a shared id
-        ([4, 4, 4], [4, 8]),           # a forward repeat also drawn backward
-        ([5, 7], [6, 6, 3]),           # a backward repeat not drawn forward
+        ([4, 4, 4], [4, 8, 6]),        # a forward repeat also drawn backward
+        ([5, 7, 8], [6, 6, 3]),        # a backward repeat not drawn forward
     ])
     def test_substitution(self, negs_f, negs_b):
         rng = np.random.default_rng(len(negs_f) * 10 + len(negs_b))
@@ -366,7 +381,7 @@ class TestOneUpdatePerLoss:
             rng = np.random.default_rng(seed)
             tables = tables_of(rng, ["item_in"])
             frozen = copies(tables)
-            negs_f, negs_b = np.array([3, 6]), np.array([3, 3, 7])
+            negs_f, negs_b = np.array([3, 6, 8]), np.array([3, 3, 7])
             _, grads = substitution_loss((1, 2), tables, negs_f, negs_b)
             _, store = frozen_substitution_loss((1, 2), frozen, negs_f, negs_b)
             sgd_update(tables, grads, 0.1)
@@ -379,13 +394,13 @@ class TestOneUpdatePerLoss:
         params = tiny_params(seed=4)
         frozen = params.copy()
         example = (3, (2, 5))
-        negatives = [np.array([1, 4]), np.array([3, 3])]
-        loss, grads = isa_example_loss(example, params, negatives)
-        old_loss, store = frozen_isa_example_loss(example, frozen, negatives)
-        assert loss == old_loss
+        negatives = np.array([[1, 4], [3, 3]])
+        loss, grads = isa_example_loss([example], params, negatives)
+        old_loss, store = frozen_isa_example_loss(example, frozen, list(negatives))
+        assert loss == pytest.approx(old_loss, rel=0, abs=TOL)
         sgd_update(params.tables, grads, 0.1)
         frozen_sgd_update(frozen.tables, store, 0.1)
-        assert_tables_equal(params.tables, frozen.tables)
+        assert_tables_close(params.tables, frozen.tables)
 
     @pytest.mark.parametrize("task", sorted(TASK_WIRING))
     @pytest.mark.parametrize("ids, negatives", [
@@ -429,6 +444,106 @@ class TestOneUpdatePerLoss:
             assert list(poured.rows[name]) == list(per_table)
             for row, grad in per_table.items():
                 np.testing.assert_array_equal(poured.rows[name][row], grad)
+
+
+# --- block steps against the per-example steps they replaced -------------------------
+
+def random_pairs(rng, count, n_items):
+    pairs = []
+    while len(pairs) < count:
+        a, b = (int(x) for x in rng.integers(1, n_items, size=2))
+        if a != b:
+            pairs.append((a, b))
+    return pairs
+
+
+def drawn_without(rng, excluded, k, n):
+    return [int(x) for x in rng.permutation(np.arange(1, n)) if x not in excluded][:k]
+
+
+class TestBlockSteps:
+    def test_substitution_block_is_the_per_pair_path_bit_for_bit(self):
+        """200 batches of 8 pairs at d = 100: the same rows, the same gradient
+        rows and, after the update sums them, the same tables."""
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            tables = {"item_in": EmbeddingTable("item_in", rng.normal(0, 0.1, size=(40, 100)))}
+            pairs = random_pairs(rng, 8, 12)     # few items, so pairs share some
+            negs_f, negs_b = (np.array([drawn_without(rng, pair, 3, 40) for pair in pairs])
+                              for _direction in range(2))
+            loss, grads = substitution_loss(pairs, tables, negs_f, negs_b)
+            parts = [per_pair_substitution_loss(pair, tables, f, b)
+                     for pair, f, b in zip(pairs, negs_f, negs_b)]
+            assert loss == pytest.approx(sum(part[0] for part in parts), rel=1e-12)
+            rows = np.concatenate([part[1] for part in parts])
+            row_grads = np.concatenate([part[2] for part in parts])
+            np.testing.assert_array_equal(grads.rows["item_in"], rows)
+            np.testing.assert_array_equal(grads.row_grads["item_in"], row_grads)
+            frozen = copies(tables)
+            sgd_update(tables, grads, 0.1)
+            sgd_update(frozen, Grads({"item_in": rows}, {"item_in": row_grads}, {}), 0.1)
+            assert_tables_equal(tables, frozen)
+
+    def test_isa_block_agrees_with_the_per_example_loss(self):
+        """200 batches of 8 products with one to three labels at d = 100."""
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            params = tiny_params(seed, dim=100)
+            params.tables["category"].values[1:] = rng.uniform(-0.3, 0.3, size=(5, 100))
+            examples = [(int(rng.integers(1, 14)),
+                         tuple(int(c) for c in rng.choice(np.arange(1, 6), replace=False,
+                                                          size=int(rng.integers(1, 4)))))
+                        for _ in range(8)]
+            negatives = np.array([[int(c) for c in rng.integers(1, 6, size=40)
+                                   if c != label][:3]
+                                  for _item, labels in examples for label in labels])
+            frozen = params.copy()
+            loss, grads = isa_example_loss(examples, params, negatives)
+            store, total, start = FrozenGradStore(), 0.0, 0
+            for example in examples:
+                stop = start + len(example[1])
+                example_loss, example_store = frozen_isa_example_loss(
+                    example, frozen, list(negatives[start:stop]))
+                total += example_loss
+                store.merge(example_store)
+                start = stop
+            assert loss == pytest.approx(total, rel=0, abs=TOL)
+            sgd_update(params.tables, grads, 0.1)
+            frozen_sgd_update(frozen.tables, store, 0.1)
+            assert_tables_close(params.tables, frozen.tables)
+
+    @pytest.mark.parametrize("task", ["substitute", "isa"])
+    def test_block_draws_are_the_per_example_draws(self, task, monkeypatch):
+        """The block step draws the negative ids of the per-example step, in
+        its order, and leaves both samplers where it left them."""
+        import prodkg.trainer as trainer_module
+        specs = tiny_specs(seed=8)
+        spec = next(s for s in specs if s.name == task)
+        params = tiny_params(seed=3)
+        live, frozen = _Samplers(params, specs, 5), _Samplers(params, specs, 5)
+        seen = []
+        loss_fn = "substitution_loss" if task == "substitute" else "isa_example_loss"
+        real = getattr(trainer_module, loss_fn)
+
+        def spy(batch, where, *negatives):
+            seen.append(negatives)
+            return real(batch, where, *negatives)
+        monkeypatch.setattr(trainer_module, loss_fn, spy)
+        batch_idx = np.array([3, 0, 3, 17, 9, 22, 5, 11])
+        trainer_module._batch_loss(task, spec.examples, batch_idx, params, live, 4)
+        if task == "substitute":
+            expected = [oracle.sample_negatives(frozen.item, 4, exclude=spec.examples[idx])
+                        for idx in batch_idx for _direction in range(2)]
+            np.testing.assert_array_equal(seen[0][0], expected[0::2])
+            np.testing.assert_array_equal(seen[0][1], expected[1::2])
+        else:
+            expected = [oracle.sample_negatives(frozen.category, 4,
+                                                exclude=spec.examples[idx][1])
+                        for idx in batch_idx for _label in spec.examples[idx][1]]
+            np.testing.assert_array_equal(seen[0][0], expected)
+        for name in ("item", "category"):
+            assert getattr(live, name).rng.bit_generator.state == \
+                getattr(frozen, name).rng.bit_generator.state
 
 
 # --- whole training runs ------------------------------------------------------------

@@ -14,12 +14,13 @@ from prodkg.poincare import (
     check_forest,
     hierarchy_loss_grad,
     hierarchy_pretrain,
-    isa_loss,
     poincare_distance,
     poincare_distance_grad,
     riemannian_update,
 )
+from prodkg.model import PkgParams
 from prodkg.synth import SynthConfig, generate
+from prodkg.trainer import isa_example_loss
 
 # --- frozen per-edge reference ------------------------------------------------
 # The per-point distance gradient, the per-point update and the per-edge
@@ -415,42 +416,53 @@ class TestPretrainParity:
             hierarchy_pretrain(edges, table, BallConfig(), epochs=1, negatives=1)
 
 
+def isa_params(categories: EmbeddingTable, items: np.ndarray) -> PkgParams:
+    """The two tables the isa loss reads: products and frozen categories."""
+    return PkgParams({"item_in": EmbeddingTable("item_in", items), "category": categories},
+                     {}, categories.dim)
+
+
 class TestIsaLoss:
     def test_zero_item_vector_value(self):
         """Zero logits: |labels| * (1 + k) * log 2."""
         table = new_table("category", 8, 4, np.random.default_rng(1), geometry="poincare")
-        loss, grad = isa_loss(np.zeros(4), [2, 5], table,
-                              [np.array([3, 4, 6]), np.array([1, 3, 7])])
+        loss, grads = isa_example_loss([(1, (2, 5))], isa_params(table, np.zeros((3, 4))),
+                                       np.array([[3, 4, 6], [1, 3, 7]]))
         assert loss == pytest.approx(2 * 4 * np.log(2), abs=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(6)
         table = EmbeddingTable("category", rng.uniform(-0.4, 0.4, size=(7, 5)), "poincare")
-        item = rng.normal(0, 0.5, size=5)
-        labels = [2, 5]
-        negatives = [np.array([3, 6]), np.array([1, 4])]
+        items = rng.normal(0, 0.5, size=(3, 5))
+        negatives = np.array([[3, 6], [1, 4]])
 
         def loss_fn(p):
-            loss, grad = isa_loss(p["item"], labels, table, negatives)
-            return loss, {"item": grad}
+            loss, grads = isa_example_loss([(1, (2, 5))], isa_params(table, p["item_in"]),
+                                           negatives)
+            dense = np.zeros_like(p["item_in"])
+            np.add.at(dense, grads.rows["item_in"], grads.row_grads["item_in"])
+            return loss, {"item_in": dense}
 
-        report = grad_check(loss_fn, {"item": item}, eps=1e-6)
+        report = grad_check(loss_fn, {"item_in": items}, eps=1e-6)
         assert report.max_rel_error < 1e-4
 
     def test_no_gradient_flows_to_categories(self):
-        """The loss only returns an item-side gradient; perturbing C afterwards
-        cannot retroactively change it (freezing contract at the API level)."""
+        """The loss only returns product-side gradient rows; perturbing C
+        afterwards cannot retroactively change them (freezing contract at
+        the API level)."""
         rng = np.random.default_rng(7)
         table = EmbeddingTable("category", rng.uniform(-0.3, 0.3, size=(6, 3)), "poincare")
-        item = rng.normal(size=3)
-        loss, grad = isa_loss(item, [1], table, [np.array([2, 3])])
-        assert grad.shape == item.shape
+        params = isa_params(table, rng.normal(size=(3, 3)))
+        loss, grads = isa_example_loss([(2, (1,))], params, np.array([[2, 3]]))
+        assert list(grads.rows) == ["item_in"]
+        assert grads.row_grads["item_in"].shape == (1, 3)
         frozen = table.values.copy()
-        loss2, _ = isa_loss(item, [1], table, [np.array([2, 3])])
+        loss2, _ = isa_example_loss([(2, (1,))], params, np.array([[2, 3]]))
         assert loss2 == loss
         np.testing.assert_array_equal(table.values, frozen)
 
     def test_empty_labels_rejected(self):
         table = new_table("category", 4, 2, np.random.default_rng(0), geometry="poincare")
         with pytest.raises(ValueError, match="empty label"):
-            isa_loss(np.zeros(2), [], table, [])
+            isa_example_loss([(1, ())], isa_params(table, np.zeros((2, 2))),
+                             np.empty((0, 1), dtype=np.int64))

@@ -69,6 +69,26 @@ class TestSubstitutionLoss:
         backward, _ = substitution_loss((2, 1), tables, negs_b, negs_a)
         assert forward == pytest.approx(backward, abs=1e-12)
 
+    def test_block_is_the_sum_of_its_pairs(self):
+        """A (B, 2) block's loss is its pairs' sum, and its rows are theirs in
+        pair order: forward scored rows, a, backward scored rows, b."""
+        rng = np.random.default_rng(2)
+        tables = {"item_in": EmbeddingTable("item_in", rng.normal(size=(9, 4)))}
+        pairs = [(1, 2), (2, 5), (7, 1)]
+        negs_f, negs_b = np.array([[3, 4], [6, 6], [5, 8]]), np.array([[5, 6], [8, 1], [2, 3]])
+        loss, grads = substitution_loss(pairs, tables, negs_f, negs_b)
+        singles = [substitution_loss(pair, tables, f, b)
+                   for pair, f, b in zip(pairs, negs_f, negs_b)]
+        assert loss == pytest.approx(sum(single for single, _ in singles), abs=1e-12)
+        np.testing.assert_array_equal(
+            grads.rows["item_in"],
+            [2, 3, 4, 1, 1, 5, 6, 2, 5, 6, 6, 2, 2, 8, 1, 5, 1, 5, 8, 7, 7, 2, 3, 1])
+        np.testing.assert_array_equal(
+            grads.row_grads["item_in"],
+            np.concatenate([single.row_grads["item_in"] for _, single in singles]))
+        with pytest.raises(ValueError, match="identical"):
+            substitution_loss([(1, 2), (3, 3)], tables, negs_f[:2], negs_b[:2])
+
 
 def relation_loss(example, task, params, negatives):
     context, target = example
@@ -191,6 +211,32 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="'substitute' has no training examples"):
             train(config, specs, tiny_params())
 
+    def test_single_task_name_under_another_schedule_rejected(self):
+        for schedule in ("weighted", "uniform"):
+            with pytest.raises(ValueError, match="single_task schedule"):
+                TrainConfig(schedule=schedule, single_task="search")
+
+    def test_validation_leaves_training_alone(self):
+        """Validating every epoch draws nothing: a run's logged epoch-2
+        metrics are the metrics of a run without validation after 2 epochs,
+        and both runs leave the same trained tables (``train`` steps the
+        params it is given in place)."""
+        rng = np.random.default_rng(4)
+        specs = tiny_specs(rng)
+        validation = {"substitute": [(1, 2), (3, 4), (5, 6)],
+                      "complement": [((1, 2), 3), ((4,), 5)],
+                      "search": [((1, 2, 3), 4)],
+                      "isa": [(1, 2), (1, 4), (7, 3), (9, 5)]}
+        config = TrainConfig(max_epochs=2, patience=5, seed=13, validation_cap=10)
+        stepped = tiny_params(seed=5)
+        validated = train(config, specs, stepped, validation)
+        plain = train(config, specs, tiny_params(seed=5), validation=None)
+        logged = {task: value for epoch, _t, task, _m, value in validated.log if epoch == 2}
+        assert logged.keys() == validation.keys()
+        assert logged == {task: validation_metric(task, examples, plain.params, 10)
+                          for task, examples in validation.items()}
+        assert params_equal(stepped, plain.params)
+
     def test_loss_decreases_on_frozen_example_after_its_update(self):
         """Line-search sanity at lr = 1e-4 on one substitution example."""
         rng = np.random.default_rng(10)
@@ -287,44 +333,58 @@ class TestTaskCorrelation:
 
 
 class TestBestEpochSelection:
-    """The best epoch is chosen by the hit@10 tasks; isa's negative loss
-    (around -11, on another scale) must not swing it."""
+    """The best epoch is chosen by the mean hit@10 of the validated tasks,
+    isa's included."""
 
-    def test_selection_metric_ignores_isa_beside_hit_tasks(self):
+    def test_selection_metric_is_the_plain_mean(self):
         from prodkg.trainer import selection_metric
-        assert selection_metric({"substitute": 0.5, "complement": 0.3, "isa": -11.0}) == 0.4
-        assert selection_metric({"isa": -3.0}) == -3.0
+        assert selection_metric({"substitute": 0.5, "complement": 0.3, "isa": 0.1}) == \
+            pytest.approx(0.3, abs=1e-15)
+        assert selection_metric({"isa": 0.25}) == 0.25
 
     @staticmethod
     def scripted(script):
         """validation_metric stand-in returning script[task] one epoch at a time."""
         calls = {}
 
-        def fake(task, examples, params, samplers, k_negatives, cap, rank_k=10):
+        def fake(task, examples, params, cap):
             calls[task] = calls.get(task, 0) + 1
             return script[task][calls[task] - 1]
         return fake
 
-    def test_isa_loss_does_not_pick_the_epoch(self, monkeypatch):
+    def test_isa_hit_rate_enters_the_selection_mean(self, monkeypatch):
         import prodkg.trainer as trainer_module
-        # a plain mean over tasks would pick epoch 2: (0.4 - 5) / 2 > (0.5 - 20) / 2
+        # substitute alone would pick epoch 1; with isa the mean peaks at epoch 2
         monkeypatch.setattr(trainer_module, "validation_metric", self.scripted(
-            {"substitute": [0.5, 0.4, 0.4], "isa": [-20.0, -5.0, -4.0]}))
+            {"substitute": [0.5, 0.4, 0.2], "isa": [0.1, 0.3, 0.35]}))
         rng = np.random.default_rng(3)
         specs = [s for s in tiny_specs(rng) if s.name in ("substitute", "isa")]
         config = TrainConfig(max_epochs=3, patience=1, seed=2)
         result = train(config, specs, tiny_params(), validation={})
-        assert result.best_epoch == 1
-        # isa stays in the log and in the patience count: its improvements
-        # alone keep the run going to the last epoch
+        assert result.best_epoch == 2
+        # isa's improvements alone keep the run going to the last epoch
         assert result.epochs_run == 3
-        assert [(e, task, value) for e, _t, task, _m, value in result.log if task == "isa"] \
-            == [(1, "isa", -20.0), (2, "isa", -5.0), (3, "isa", -4.0)]
+        assert [(e, task, metric, value) for e, _t, task, metric, value in result.log
+                if task == "isa"] \
+            == [(1, "isa", "hit@10", 0.1), (2, "isa", "hit@10", 0.3), (3, "isa", "hit@10", 0.35)]
+
+    def test_isa_ranks_each_label_among_all_categories(self):
+        """An isa pair's label ranks among all 14 categories by
+        item_in . category, ties towards the smaller id."""
+        params = tiny_params(n_cats=15)
+        params.tables["category"].values[1:] = 0.0
+        params.tables["category"].values[1:, 0] = np.arange(1, 15) / 20   # scores rise with id
+        params.tables["category"].values[13, 0] = 14 / 20                 # 13 ties 14, ahead of it
+        params.tables["item_in"].values[1] = [1.0, 0.0, 0.0, 0.0]
+        # ranks: 13 -> 1, 14 -> 2, 5 -> 10, 4 -> 11
+        pairs = [(1, 13), (1, 14), (1, 5), (1, 4)]
+        assert validation_metric("isa", pairs, params, 10) == 0.75
+        assert validation_metric("isa", pairs[3:] + pairs, params, 2) == 0.5
 
     def test_task_without_validation_examples_is_not_validated(self):
         """describe has training examples but no validation ones: it gets no
         log row, no place in the selection mean and none in patience."""
-        assert validation_metric("describe", [], tiny_params(), None, 3, 10) is None
+        assert validation_metric("describe", [], tiny_params(), 10) is None
         rng = np.random.default_rng(6)
         specs = tiny_specs(rng) + [TaskSpec(
             "describe", [(tuple(int(w) for w in rng.integers(1, 8, size=3)),
@@ -353,7 +413,7 @@ class TestBestEpochSelection:
     def test_isa_alone_still_selects(self, monkeypatch):
         import prodkg.trainer as trainer_module
         monkeypatch.setattr(trainer_module, "validation_metric",
-                            self.scripted({"isa": [-9.0, -4.0, -6.0]}))
+                            self.scripted({"isa": [0.1, 0.4, 0.2]}))
         rng = np.random.default_rng(3)
         specs = [s for s in tiny_specs(rng) if s.name == "isa"]
         result = train(TrainConfig(max_epochs=3, seed=2), specs, tiny_params(),
