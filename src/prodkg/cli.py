@@ -12,132 +12,121 @@ import hashlib
 import json
 import os
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
 from . import data as dm
 from . import pipeline as pl
+from .attention import TASK_WIRING
 from .baselines import VARIANTS, KgConfig
 from .data import DataError
 from .embeddings import NumericalError
 from .evaluation import PKG_SCORING, evaluate_all, pkg_candidate_scores
-from .model import DEFAULT_SEQ_LENS, ModelConfig, init_params, load_checkpoint, save_checkpoint
+from .model import DEFAULT_SEQ_LENS, TABLE_NAMESPACES, ModelConfig, init_params
+from .model import load_checkpoint, save_checkpoint
 from .prg import export_prg
 from .synth import SynthConfig, generate
-from .trainer import TrainConfig, task_correlation, train
+from .trainer import TASK_NAMES, TrainConfig, task_correlation, train
 
 
 class UsageError(ValueError):
     """Bad invocation: unknown subcommand, key, or malformed flag."""
 
 
-SUBCOMMANDS = ("gen-data", "ingest", "build-prg", "train", "train-baseline", "evaluate",
-               "rank", "grad-check")
+class Bounded(NamedTuple):
+    """A parser of ``parse`` numbers that must be ``relation`` (">=" or ">") ``low``."""
 
-# key -> (default, parser, help)
+    parse: type
+    relation: str
+    low: int
+
+    def __call__(self, text: str):
+        value = self.parse(text)
+        if not (value > self.low if self.relation == ">" else value >= self.low):
+            raise UsageError(f"must be {self.relation} {self.low}, got {value}")
+        return value
+
+
+COUNT, AT_LEAST_1, POSITIVE = Bounded(int, ">=", 0), Bounded(int, ">=", 1), Bounded(float, ">", 0)
+
+# key -> (default, parser, help).  gen-data's noise and train-baseline's margin
+# parse as plain numbers: SynthConfig checks noise in [0, 1), and KgConfig
+# checks the margin of the variants that use one.
 COMMON_KEYS = {
-    "seed": (7, int, "master RNG seed recorded in every artifact"),
+    "seed": (7, COUNT, "master RNG seed recorded in every artifact"),
     "out": ("run", str, "output directory"),
 }
 
 KEYS: dict[str, dict] = {
     "gen-data": {
-        "items": (2000, int, "number of synthetic products"),
-        "words": (500, int, "vocabulary size for description/query words"),
-        "clusters": (200, int, "substitute clusters"),
-        "sessions": (20000, int, "total sessions (half buy, half view)"),
-        "searches": (5000, int, "search-and-click records"),
-        "substitutions": (2000, int, "substitution acceptance records"),
+        "items": (2000, AT_LEAST_1, "number of synthetic products"),
+        "words": (500, AT_LEAST_1, "vocabulary size for description/query words"),
+        "clusters": (200, AT_LEAST_1, "substitute clusters"),
+        "sessions": (20000, COUNT, "total sessions (half buy, half view)"),
+        "searches": (5000, COUNT, "search-and-click records"),
+        "substitutions": (2000, COUNT, "substitution acceptance records"),
         "noise": (0.1, float, "token noise rate in [0,1)"),
     },
     "ingest": {
         "data": ("", str, "directory holding the raw modality files"),
-        "item_min": (10, int, "minimum total item appearances"),
-        "word_min": (3, int, "minimum total word appearances"),
+        "item_min": (10, COUNT, "minimum total item appearances"),
+        "word_min": (3, COUNT, "minimum total word appearances"),
     },
     "build-prg": {
         "run": ("", str, "run directory produced by ingest"),
-        "k": (20, int, "neighbours kept per product"),
-        "walks": (10, int, "walks per node"),
-        "walk_length": (10, int, "steps per walk"),
-        "p": (1.0, float, "walk return parameter"),
-        "q": (1.0, float, "walk in-out parameter"),
+        "k": (20, AT_LEAST_1, "neighbours kept per product"),
+        "walks": (10, AT_LEAST_1, "walks per node"),
+        "walk_length": (10, COUNT, "steps per walk"),
+        "p": (1.0, POSITIVE, "walk return parameter"),
+        "q": (1.0, POSITIVE, "walk in-out parameter"),
     },
     "train": {
         "run": ("", str, "run directory produced by ingest"),
-        "dim": (100, int, "embedding dimension"),
-        "lr": (TrainConfig.lr, float, "learning rate (paper grid: 0.001 0.005 0.01 0.1)"),
-        "batch": (TrainConfig.batch_size, int,
+        "dim": (100, AT_LEAST_1, "embedding dimension"),
+        "lr": (TrainConfig.lr, POSITIVE, "learning rate (paper grid: 0.001 0.005 0.01 0.1)"),
+        "batch": (TrainConfig.batch_size, AT_LEAST_1,
                   "examples of one task per step (sum rule: the step adds their gradients)"),
-        "negatives": (TrainConfig.negatives, int, "negative samples per positive"),
-        "epochs": (TrainConfig.max_epochs, int, "maximum training epochs"),
-        "patience": (TrainConfig.patience, int, "early-stop patience in epochs"),
-        "schedule": (TrainConfig.schedule, str, "weighted | uniform | single_task"),
-        "single_task": ("", str, "task for schedule=single_task"),
-        "l_buy": (DEFAULT_SEQ_LENS["complement"], int, "max sequence length, purchase task"),
-        "l_view": (DEFAULT_SEQ_LENS["co_view"], int, "max sequence length, view task"),
-        "l_search": (DEFAULT_SEQ_LENS["search"], int, "max sequence length, search task"),
-        "l_describe": (DEFAULT_SEQ_LENS["describe"], int,
+        "negatives": (TrainConfig.negatives, AT_LEAST_1, "negative samples per positive"),
+        "epochs": (TrainConfig.max_epochs, AT_LEAST_1, "maximum training epochs"),
+        "patience": (TrainConfig.patience, AT_LEAST_1, "early-stop patience in epochs"),
+        "schedule": (TrainConfig.schedule, str,
+                     "weighted | uniform | a task name (that task trains alone)"),
+        "l_buy": (DEFAULT_SEQ_LENS["complement"], AT_LEAST_1, "max sequence length, purchase task"),
+        "l_view": (DEFAULT_SEQ_LENS["co_view"], AT_LEAST_1, "max sequence length, view task"),
+        "l_search": (DEFAULT_SEQ_LENS["search"], AT_LEAST_1, "max sequence length, search task"),
+        "l_describe": (DEFAULT_SEQ_LENS["describe"], AT_LEAST_1,
                        "max sequence length, describe task"),
-        "cat_epochs": (50, int, "category pre-training epochs"),
-        "validation_cap": (TrainConfig.validation_cap, int, "validation queries per task"),
+        "cat_epochs": (50, AT_LEAST_1, "category pre-training epochs"),
+        "validation_cap": (TrainConfig.validation_cap, AT_LEAST_1, "validation queries per task"),
     },
     "train-baseline": {
         "run": ("", str, "run directory produced by ingest"),
         "variant": (KgConfig.variant, str, "one of " + " ".join(VARIANTS)),
-        "dim": (100, int, "embedding dimension"),
-        "lr": (KgConfig.lr, float, "learning rate"),
+        "dim": (100, AT_LEAST_1, "embedding dimension"),
+        "lr": (KgConfig.lr, POSITIVE, "learning rate"),
         "margin": (KgConfig.margin, float, "margin for translational variants"),
         "norm": (KgConfig.norm, str, "l1 | l2 for translational variants"),
-        "epochs": (50, int, "maximum epochs"),
-        "negatives": (KgConfig.negatives, int, "corrupted triples per positive"),
+        "epochs": (50, AT_LEAST_1, "maximum epochs"),
+        "negatives": (KgConfig.negatives, AT_LEAST_1, "corrupted triples per positive"),
     },
     "evaluate": {
         "run": ("", str, "run directory with trained artifacts"),
-        "k": (10, int, "ranking cutoff"),
-        "query_cap": (0, int, "cap evaluation queries per task (0 = all)"),
+        "k": (10, AT_LEAST_1, "ranking cutoff"),
+        "query_cap": (0, COUNT, "cap evaluation queries per task (0 = all)"),
     },
     "rank": {
         "run": ("", str, "run directory with a trained model"),
         "relation": ("substitute", str, "relation to rank for"),
-        "head": ("", str, "head entity key (or space-separated keys)"),
-        "k": (10, int, "number of candidates to print"),
+        "head": ("", str, "head entity key, or space-separated keys (a sequence head)"),
+        "k": (10, AT_LEAST_1, "number of candidates to print"),
     },
     "grad-check": {
-        "eps": (1e-4, float, "finite-difference step"),
-        "tol": (1e-4, float, "pass threshold on relative error"),
-        "points": (3, int, "random parameter points per loss"),
+        "eps": (1e-4, POSITIVE, "finite-difference step"),
+        "tol": (1e-4, POSITIVE, "pass threshold on relative error"),
+        "points": (3, AT_LEAST_1, "random parameter points per loss"),
     },
-}
-
-
-# subcommand -> key -> (lower bound, whether the bound itself is allowed);
-# resolve_config rejects a value outside its range before the stage starts.
-# gen-data's noise and train-baseline's margin have no entry: SynthConfig
-# checks noise in [0, 1), and KgConfig checks the margin of the variants
-# that use one.  COMMON_RANGES bounds the keys every subcommand has.
-_AT_LEAST_1 = (1, True)
-_AT_LEAST_0 = (0, True)
-_ABOVE_0 = (0, False)
-COMMON_RANGES = {"seed": _AT_LEAST_0}
-RANGES: dict[str, dict] = {
-    "gen-data": {"items": _AT_LEAST_1, "words": _AT_LEAST_1, "clusters": _AT_LEAST_1,
-                 "sessions": _AT_LEAST_0, "searches": _AT_LEAST_0,
-                 "substitutions": _AT_LEAST_0},
-    "ingest": {"item_min": _AT_LEAST_0, "word_min": _AT_LEAST_0},
-    "build-prg": {"k": _AT_LEAST_1, "walks": _AT_LEAST_1, "walk_length": _AT_LEAST_0,
-                  "p": _ABOVE_0, "q": _ABOVE_0},
-    "train": {"dim": _AT_LEAST_1, "lr": _ABOVE_0, "batch": _AT_LEAST_1,
-              "negatives": _AT_LEAST_1, "epochs": _AT_LEAST_1, "patience": _AT_LEAST_1,
-              "l_buy": _AT_LEAST_1, "l_view": _AT_LEAST_1, "l_search": _AT_LEAST_1,
-              "l_describe": _AT_LEAST_1, "cat_epochs": _AT_LEAST_1,
-              "validation_cap": _AT_LEAST_1},
-    "train-baseline": {"dim": _AT_LEAST_1, "lr": _ABOVE_0, "negatives": _AT_LEAST_1,
-                       "epochs": _AT_LEAST_1},
-    "evaluate": {"k": _AT_LEAST_1, "query_cap": _AT_LEAST_0},
-    "rank": {"k": _AT_LEAST_1},
-    "grad-check": {"eps": _ABOVE_0, "tol": _ABOVE_0, "points": _AT_LEAST_1},
 }
 
 
@@ -179,6 +168,7 @@ def resolve_config(subcommand: str, argv: list[str]) -> dict:
         else:
             raise UsageError(f"unexpected argument {token!r}")
 
+    # every value given is parsed and range-checked, also one a later flag overrides
     file_values = parse_config_file(config_path) if config_path else {}
     for source in (file_values, raw):
         for key, value in source.items():
@@ -188,13 +178,10 @@ def resolve_config(subcommand: str, argv: list[str]) -> dict:
             _default, parser, _help = spec[key]
             try:
                 values[key] = parser(value)
+            except UsageError as err:  # a Bounded parser's value out of range
+                raise UsageError(f"{key} {err}") from None
             except ValueError:
                 raise UsageError(f"bad value for {key!r}: {value!r}") from None
-    for key, (bound, inclusive) in {**COMMON_RANGES, **RANGES.get(subcommand, {})}.items():
-        value = values[key]
-        if not (value >= bound if inclusive else value > bound):
-            relation = ">=" if inclusive else ">"
-            raise UsageError(f"{key} must be {relation} {bound}, got {value}")
     return values
 
 
@@ -202,14 +189,15 @@ def help_text(subcommand: str | None = None) -> str:
     if subcommand is None:
         lines = ["usage: prodkg <subcommand> [--config file] [--key value ...]", "",
                  "subcommands:"]
-        lines += [f"  {name}" for name in SUBCOMMANDS]
+        lines += [f"  {name}" for name in KEYS]
         lines.append("\nrun 'prodkg <subcommand> --help' for the key reference")
         return "\n".join(lines)
     spec = {**COMMON_KEYS, **KEYS[subcommand]}
     lines = [f"usage: prodkg {subcommand} [--config file] [--key value ...]", "", "keys:"]
     for key in sorted(spec):
-        default, _parser, help_line = spec[key]
-        lines.append(f"  --{key:<16} {help_line} (default: {default})")
+        default, parser, help_line = spec[key]
+        bound = f", {parser.relation} {parser.low}" if isinstance(parser, Bounded) else ""
+        lines.append(f"  --{key:<16} {help_line} (default: {default}{bound})")
     return "\n".join(lines)
 
 
@@ -361,19 +349,18 @@ def cmd_build_prg(config: dict) -> int:
 
 def cmd_train(config: dict) -> int:
     train_config = _stage_config(
-        TrainConfig, lr=config["lr"], batch_size=config["batch"],
-        negatives=config["negatives"], patience=config["patience"],
-        max_epochs=config["epochs"], seed=config["seed"], schedule=config["schedule"],
-        single_task=config["single_task"] or None, validation_cap=config["validation_cap"])
+        TrainConfig, lr=config["lr"], batch_size=config["batch"], negatives=config["negatives"],
+        patience=config["patience"], max_epochs=config["epochs"], seed=config["seed"],
+        schedule=config["schedule"], validation_cap=config["validation_cap"])
     state = _run_dir_state(config["run"])
     vocab = state.dataset.vocab
     seq_lens = _seq_lens(config)
     prg_hash = pl.load_graph_splits(state, os.path.join(config["run"], "prg"))
     pl.mask_products(state, 0.1, seed=config["seed"])
     specs = pl.assemble_training_data(state, seq_lens)
-    if train_config.schedule == "single_task" and \
-            train_config.single_task not in {spec.name for spec in specs}:
-        raise DataError(f"task {train_config.single_task!r} has no training examples in "
+    if train_config.schedule in TASK_NAMES and \
+            train_config.schedule not in {spec.name for spec in specs}:
+        raise DataError(f"task {train_config.schedule!r} has no training examples in "
                         f"{os.path.join(config['run'], 'filtered')!r}")
     model_config = ModelConfig(dim=config["dim"], seq_lens=seq_lens, seed=config["seed"])
     params = init_params(model_config, vocab[dm.ITEM].size, vocab[dm.WORD].size,
@@ -472,15 +459,18 @@ def cmd_rank(config: dict) -> int:
     head_keys = config["head"].split()
     if not head_keys:
         raise UsageError("rank needs --head <entity key(s)>")
+    # several keys, or a relation without an entity head, make an attention context
+    head_table, block, _scoring = PKG_SCORING[relation]
+    sequence = head_table is None or len(head_keys) > 1
+    if sequence and block is None:
+        raise UsageError(f"relation {relation!r} takes one --head key, got {len(head_keys)}")
     _checkpoint, params, keys = _load_model(config["run"])
-    namespace, table = {"search": (dm.WORD, "word"), "describe": (dm.WORD, "word"),
-                        "isa": (dm.CATEGORY, "category")}.get(relation, (dm.ITEM, "item_in"))
+    namespace, table = (TASK_WIRING[block][:2] if sequence
+                        else (TABLE_NAMESPACES[head_table], head_table))
     vocab = dm.Vocabulary(namespace, {key: i for i, key in enumerate(keys[table])},
                           tuple(keys[table]))
     head = [vocab.id(k) for k in head_keys]
-    if relation not in ("search", "describe", "recommend"):
-        head = head[0]
-    scores = pkg_candidate_scores(params, relation, [head])[0]
+    scores = pkg_candidate_scores(params, relation, [head if sequence else head[0]])[0]
     items = np.arange(1, scores.size + 1)
     top = np.lexsort((items, -scores))[:config["k"]]
     print("rank\titem\tscore")
@@ -524,7 +514,7 @@ def main(argv: list[str] | None = None) -> int:
         print(help_text())
         return 0
     subcommand = argv[0]
-    if subcommand not in SUBCOMMANDS:
+    if subcommand not in KEYS:
         print(help_text())
         print(f"\nunknown subcommand {subcommand!r}", file=sys.stderr)
         return 1

@@ -1,6 +1,6 @@
 """Raw-data ingestion, vocabularies, frequency filtering and chronological splits.
 
-Five line-oriented UTF-8 text modalities are supported:
+Six line-oriented UTF-8 text modalities are supported (:data:`FIELDS`):
 
   catalog.tsv         item_key <TAB> description words <TAB> category path leaf->root (/-separated)
   buy_sessions.tsv    timestamp <TAB> space-separated item keys
@@ -30,15 +30,18 @@ NAMESPACES = (ITEM, WORD, CATEGORY)
 
 PAD_KEY = "<pad>"
 
-# modality -> file name, the same under a raw data directory and a run's filtered/
-MODALITY_FILES = {
-    "catalog": "catalog.tsv",
-    "buy_sessions": "buy_sessions.tsv",
-    "view_sessions": "view_sessions.tsv",
-    "substitutions": "substitutions.tsv",
-    "search": "search.tsv",
-    "category_edges": "category_edges.tsv",
+# modality -> joiner of each TAB-separated field of its lines, as ingestion reads
+# and write_modality writes them: None for a key or timestamp, " " or "/" for a
+# key sequence.  The file is <modality>.tsv, in raw data and in a run's filtered/.
+FIELDS = {
+    "catalog": (None, " ", "/"),
+    "buy_sessions": (None, " "),
+    "view_sessions": (None, " "),
+    "substitutions": (None, None, None),
+    "search": (None, " ", None),
+    "category_edges": (None, None),
 }
+MODALITY_FILES = {name: f"{name}.tsv" for name in FIELDS}
 
 
 def modality_paths(directory: str) -> dict:
@@ -234,10 +237,9 @@ def _vocabulary(namespace: str, counts: Counter, minimum: int, uncounted=()) -> 
 def ingest_dataset(paths: dict, item_min: int = 0, word_min: int = 0) -> Dataset:
     """Parse, frequency-filter and id-resolve the modality files into a :class:`Dataset`.
 
-    ``paths`` maps modality names (``catalog``, ``buy_sessions``,
-    ``view_sessions``, ``substitutions``, ``search``, ``category_edges``) to
-    file paths; absent modalities may be omitted or set to None.  Each file
-    is read once, each line checked into a record over raw string keys.
+    ``paths`` maps the modalities of :data:`FIELDS` to file paths; absent ones
+    may be omitted or set to None.  Each file is read once, each line checked,
+    with its field count from :data:`FIELDS`, into a record over raw string keys.
 
     Items count every occurrence in buy/view sessions, substitution pairs
     (both sides) and search clicks; words every occurrence in catalog
@@ -249,7 +251,7 @@ def ingest_dataset(paths: dict, item_min: int = 0, word_min: int = 0) -> Dataset
     filtered; their vocabulary comes from the edge file alone, so a catalog
     path label missing there is an error, as are edges that are not a forest.
     """
-    present = {name: path for name, path in paths.items() if path and name in MODALITY_FILES}
+    present = {name: path for name, path in paths.items() if path and name in FIELDS}
     for name, path in present.items():
         if not os.path.exists(path):
             raise DataError(f"missing input file for {name}: {path}")
@@ -274,11 +276,11 @@ def ingest_dataset(paths: dict, item_min: int = 0, word_min: int = 0) -> Dataset
             raise reserved(namespace)
         return tuple(map(keys.setdefault, tokens, tokens))
 
-    def records(name, expected, build):
+    def records(name, build):
         """``build(line_number, *fields)`` per line of ``name``; errors get file:line."""
         if name not in present:
             return []
-        path, out = present[name], []
+        path, out, expected = present[name], [], len(FIELDS[name])
         for number, line in _read_lines(path):
             fields = _fields(path, number, line, expected)
             try:  # at_line's prefix, without a closure per line
@@ -287,7 +289,7 @@ def ingest_dataset(paths: dict, item_min: int = 0, word_min: int = 0) -> Dataset
                 raise DataError(f"{path}:{number}: {err}") from None
         return out
 
-    edges = records("category_edges", 2, lambda number, child, parent: (
+    edges = records("category_edges", lambda number, child, parent: (
         number, key(child, CATEGORY), key(parent, CATEGORY)))
     check_forest([(child, parent) for _, child, parent in edges],
                  [f"{present['category_edges']}:{number}" for number, _, _ in edges])
@@ -309,12 +311,12 @@ def ingest_dataset(paths: dict, item_min: int = 0, word_min: int = 0) -> Dataset
     def session(kind):
         return lambda _, ts, items: SessionSequence(kind, split(items, ITEM), _timestamp(ts))
 
-    catalog = records("catalog", 3, catalog_entry)
-    buys = records("buy_sessions", 2, session("buy"))
-    views = records("view_sessions", 2, session("view"))
-    pairs = records("substitutions", 3, lambda _, ts, a, b: SubstitutionPair(
+    catalog = records("catalog", catalog_entry)
+    buys = records("buy_sessions", session("buy"))
+    views = records("view_sessions", session("view"))
+    pairs = records("substitutions", lambda _, ts, a, b: SubstitutionPair(
         key(a, ITEM), key(b, ITEM), _timestamp(ts)))
-    searches = records("search", 3, lambda _, ts, words, clicked: SearchRecord(
+    searches = records("search", lambda _, ts, words, clicked: SearchRecord(
         split(words, WORD), key(clicked, ITEM), _timestamp(ts)))
 
     item_counts = Counter(chain.from_iterable(s.items for s in buys + views))
@@ -390,50 +392,33 @@ def chronological_split(records, fractions=(0.8, 0.1, 0.1)) -> DatasetSplit:
 
 # --- Export (inverse of ingestion, same formats) ---
 
-def export_sessions(path, sessions, vocab: Vocabulary) -> None:
+def write_modality(path, modality: str, rows) -> None:
+    """Write ``rows`` as ``modality``'s lines: per field of :data:`FIELDS`, a
+    row holds a key sequence where the field has a joiner, else a key or int."""
+    # column by column: one map per field instead of a loop over each row's fields
+    columns = [map(str if joiner is None else joiner.join, column)
+               for joiner, column in zip(FIELDS[modality], zip(*rows))]
     with open(path, "w", encoding="utf-8") as handle:
-        for s in sessions:
-            items = " ".join(vocab.key(i) for i in s.items)
-            handle.write(f"{s.timestamp}\t{items}\n")
-
-
-def export_substitutions(path, pairs, vocab: Vocabulary) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for p in pairs:
-            handle.write(f"{p.timestamp}\t{vocab.key(p.accepted_for)}\t{vocab.key(p.substitute)}\n")
-
-
-def export_searches(path, records, item_vocab: Vocabulary, word_vocab: Vocabulary) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for r in records:
-            words = " ".join(word_vocab.key(w) for w in r.query_words)
-            handle.write(f"{r.timestamp}\t{words}\t{item_vocab.key(r.clicked_item)}\n")
-
-
-def export_catalog(path, entries, item_vocab: Vocabulary, word_vocab: Vocabulary,
-                   category_vocab: Vocabulary) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for e in entries:
-            words = " ".join(word_vocab.key(w) for w in e.description)
-            cats = "/".join(category_vocab.key(c) for c in e.category_path)
-            handle.write(f"{item_vocab.key(e.item)}\t{words}\t{cats}\n")
-
-
-def export_category_edges(path, edges, vocab: Vocabulary) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for child, parent in edges:
-            handle.write(f"{vocab.key(child)}\t{vocab.key(parent)}\n")
+        handle.writelines(["\t".join(fields) + "\n" for fields in zip(*columns)])
 
 
 def export_dataset(dataset: Dataset, directory: str) -> dict:
     """Write every modality back to ``directory``; returns the path map."""
     os.makedirs(directory, exist_ok=True)
     paths = modality_paths(directory)
-    export_catalog(paths["catalog"], dataset.catalog, dataset.vocab[ITEM],
-                   dataset.vocab[WORD], dataset.vocab[CATEGORY])
-    export_sessions(paths["buy_sessions"], dataset.buy_sessions, dataset.vocab[ITEM])
-    export_sessions(paths["view_sessions"], dataset.view_sessions, dataset.vocab[ITEM])
-    export_substitutions(paths["substitutions"], dataset.substitutions, dataset.vocab[ITEM])
-    export_searches(paths["search"], dataset.searches, dataset.vocab[ITEM], dataset.vocab[WORD])
-    export_category_edges(paths["category_edges"], dataset.category_edges, dataset.vocab[CATEGORY])
+    item, word, category = (dataset.vocab[name].id_to_key for name in NAMESPACES)
+    for modality, rows in (
+        ("catalog", ((item[e.item], [word[w] for w in e.description],
+                      [category[c] for c in e.category_path]) for e in dataset.catalog)),
+        ("buy_sessions", ((s.timestamp, [item[i] for i in s.items])
+                          for s in dataset.buy_sessions)),
+        ("view_sessions", ((s.timestamp, [item[i] for i in s.items])
+                           for s in dataset.view_sessions)),
+        ("substitutions", ((p.timestamp, item[p.accepted_for], item[p.substitute])
+                           for p in dataset.substitutions)),
+        ("search", ((r.timestamp, [word[w] for w in r.query_words], item[r.clicked_item])
+                    for r in dataset.searches)),
+        ("category_edges", ((category[a], category[b]) for a, b in dataset.category_edges)),
+    ):
+        write_modality(paths[modality], modality, rows)
     return paths

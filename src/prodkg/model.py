@@ -18,7 +18,9 @@ from .attention import TASK_WIRING, AttentionParams
 from .data import CATEGORY, ITEM, WORD, DataError
 from .embeddings import POINCARE, new_table, read_table_tsv, write_table_tsv
 
-TABLE_NAMES = ("item_in", "item_out_buy", "item_out_view", "word", "category")
+# embedding table -> the vocabulary namespace its rows are keyed by
+TABLE_NAMESPACES = {"item_in": ITEM, "item_out_buy": ITEM, "item_out_view": ITEM,
+                    "word": WORD, "category": CATEGORY}
 
 DEFAULT_SEQ_LENS = {"complement": 20, "co_view": 50, "search": 10, "describe": 200}
 
@@ -72,10 +74,8 @@ def init_params(config: ModelConfig, n_items: int, n_words: int, n_categories: i
 def save_checkpoint(directory: str, params: PkgParams, vocab: dict) -> None:
     """Write embedding TSVs per table plus the attention parameters and a config echo."""
     os.makedirs(directory, exist_ok=True)
-    table_ns = {"item_in": ITEM, "item_out_buy": ITEM, "item_out_view": ITEM,
-                "word": WORD, "category": CATEGORY}
     for name, table in params.tables.items():
-        keys = list(vocab[table_ns[name]].id_to_key)
+        keys = list(vocab[TABLE_NAMESPACES[name]].id_to_key)
         write_table_tsv(os.path.join(directory, f"embeddings_{name}.tsv"), table, keys)
     arrays = {}
     for task, block in params.attn.items():
@@ -137,7 +137,7 @@ def load_checkpoint(directory: str) -> tuple[PkgParams, dict]:
                         f"({type(err).__name__}: {err})") from None
     tables = {}
     keys_by_table = {}
-    for name in TABLE_NAMES:
+    for name in TABLE_NAMESPACES:
         path = os.path.join(directory, f"embeddings_{name}.tsv")
         table, keys = read_table_tsv(path, name)
         if [table.rows, table.dim, table.geometry] != shapes.get(name):

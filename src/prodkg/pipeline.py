@@ -164,16 +164,16 @@ def assemble_training_data(state: PipelineData, seq_lens: dict,
         "catalog": catalog_train,
     }
 
-    def session_validation(split, max_len):
-        return [(s.items[:-1][-max_len:], s.items[-1]) for s in split.validation]
+    # a sequence context is cut to its task's length where it is ranked
+    def session_validation(split):
+        return [(s.items[:-1], s.items[-1]) for s in split.validation]
 
     state.validation_examples = {
         "substitute": [(p.accepted_for, p.substitute)
                        for p in state.splits["substitutions"].validation],
-        "complement": session_validation(state.splits["buy_sessions"], seq_lens["complement"]),
-        "co_view": session_validation(state.splits["view_sessions"], seq_lens["co_view"]),
-        "search": [(r.query_words[-seq_lens["search"]:], r.clicked_item)
-                   for r in state.splits["searches"].validation],
+        "complement": session_validation(state.splits["buy_sessions"]),
+        "co_view": session_validation(state.splits["view_sessions"]),
+        "search": [(r.query_words, r.clicked_item) for r in state.splits["searches"].validation],
         "isa": [(e.item, label) for e in isa_val_entries for label in e.category_path],
     }
     specs = build_task_specs(train_records, seq_lens)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import modality_paths
+from .data import modality_paths, write_modality
 
 GROUND_TRUTH_RELATIONS = ("substitute", "complement", "co_view")
 
@@ -211,24 +211,10 @@ def generate(config: SynthConfig, out_dir: str) -> tuple[dict, GroundTruth]:
         catalog_lines.append((key, description, full_path(leaf_of_cluster[cluster])))
 
     paths = modality_paths(out_dir)
-    with open(paths["buy_sessions"], "w", encoding="utf-8") as handle:
-        for ts, tokens in buy_lines:
-            handle.write(f"{ts}\t{' '.join(tokens)}\n")
-    with open(paths["view_sessions"], "w", encoding="utf-8") as handle:
-        for ts, tokens in view_lines:
-            handle.write(f"{ts}\t{' '.join(tokens)}\n")
-    with open(paths["substitutions"], "w", encoding="utf-8") as handle:
-        for ts, a, b in sub_lines:
-            handle.write(f"{ts}\t{a}\t{b}\n")
-    with open(paths["search"], "w", encoding="utf-8") as handle:
-        for ts, query, clicked in search_lines:
-            handle.write(f"{ts}\t{' '.join(query)}\t{clicked}\n")
-    with open(paths["catalog"], "w", encoding="utf-8") as handle:
-        for key, description, path in catalog_lines:
-            handle.write(f"{key}\t{' '.join(description)}\t{'/'.join(path)}\n")
-    with open(paths["category_edges"], "w", encoding="utf-8") as handle:
-        for child, parent in cat_edges:
-            handle.write(f"{child}\t{parent}\n")
+    for modality, rows in (("buy_sessions", buy_lines), ("view_sessions", view_lines),
+                           ("substitutions", sub_lines), ("search", search_lines),
+                           ("catalog", catalog_lines), ("category_edges", cat_edges)):
+        write_modality(paths[modality], modality, rows)
 
     relations: dict[str, dict[str, set]] = {r: {} for r in GROUND_TRUTH_RELATIONS}
     for key in items:

@@ -6,10 +6,11 @@ rule: each row steps by the sum of its per-example gradients at the
 learning rate, as a batch of one would).  Every task's minibatch is one
 loss call on a block: a sequence task's is one padded attention pass.  An
 epoch is ceil(total / batch) steps.  Task sampling is proportional to
-dataset size by default; the uniform and single-task schedules are the
-comparison runs.  Every task is validated by hit@10, logged per epoch,
-tagged with the task that epoch trained; the metrics drive early stopping
-and feed the task-correlation diagnostic.
+dataset size by default; the uniform schedule, and a schedule naming one
+task, which then trains alone, are the comparison runs.  Every task is
+validated by hit@10, logged per epoch, tagged with the task that epoch
+trained; the metrics drive early stopping and feed the task-correlation
+diagnostic.
 """
 from __future__ import annotations
 
@@ -63,20 +64,15 @@ class TrainConfig:
     patience: int = 5
     max_epochs: int = 10
     seed: int = 7
-    schedule: str = "weighted"          # weighted | uniform | single_task
-    single_task: str | None = None
+    schedule: str = "weighted"          # weighted | uniform | a task name, trained alone
     validation_cap: int = 400
 
     def __post_init__(self):
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
-        if self.schedule not in ("weighted", "uniform", "single_task"):
-            raise ValueError(f"unknown schedule {self.schedule!r}")
-        if self.single_task is not None and self.single_task not in TASK_NAMES:
-            raise ValueError(f"unknown task {self.single_task!r}; "
-                             f"choose from {' '.join(TASK_NAMES)}")
-        if (self.schedule == "single_task") != (self.single_task is not None):
-            raise ValueError("a task name goes with the single_task schedule, and only with it")
+        if self.schedule not in ("weighted", "uniform", *TASK_NAMES):
+            raise ValueError(f"unknown schedule {self.schedule!r}; choose weighted, uniform "
+                             f"or a task: {' '.join(TASK_NAMES)}")
 
 
 def build_task_specs(dataset_records: dict, seq_lens: dict) -> list[TaskSpec]:
@@ -300,8 +296,10 @@ def train(
     if not active:
         raise ValueError("no active tasks")
     by_name = {s.name: s for s in active}
-    if config.schedule == "single_task" and config.single_task not in by_name:
-        raise ValueError(f"task {config.single_task!r} has no training examples")
+    # a single-task run tags each epoch with its task; mixed epochs are "mixed"
+    epoch_task = config.schedule if config.schedule in TASK_NAMES else None
+    if epoch_task and epoch_task not in by_name:
+        raise ValueError(f"task {epoch_task!r} has no training examples")
     rng = np.random.default_rng(config.seed)
     samplers = _Samplers(params, active, config.seed)
     dense = params.dense_dict()
@@ -318,8 +316,6 @@ def train(
     previous_best: dict[str, float] = {}
     stale = 0
 
-    # a single-task run tags each epoch with its task; mixed epochs are "mixed"
-    epoch_task = config.single_task if config.schedule == "single_task" else None
     for epoch in range(1, config.max_epochs + 1):
         for _step in range(steps_per_epoch):
             task = epoch_task or sample_task(active, rng, config.schedule, cdf)

@@ -160,9 +160,9 @@ def task_probabilities(specs, schedule="weighted"):
     return sizes / sizes.sum()
 
 
-def sample_task(specs, rng, schedule="weighted", single_task=None, probs=None):
-    if schedule == "single_task":
-        return single_task
+def sample_task(specs, rng, schedule="weighted", probs=None):
+    if schedule not in ("weighted", "uniform"):  # a task name: that task trains alone
+        return schedule
     if probs is None:
         probs = task_probabilities(specs, schedule)
     return specs[int(rng.choice(len(specs), p=probs))].name

@@ -365,7 +365,7 @@ class TestCriterion9Correlation:
             with open(path, encoding="utf-8") as handle:
                 return [line.rstrip("\n").split("\t") for line in handle][1:]
 
-        # one train run per schedule, and one single-task run per task
+        # one train run per schedule, and one single-task run (--schedule <task>) per task
         runs = [("weighted", None), ("uniform", None)]
         runs += [("single_task", task) for task in TASK_NAMES]
         rows, consistent, cells = [], True, []
@@ -377,7 +377,7 @@ class TestCriterion9Correlation:
                              "--epochs", "4", "--patience", "4", "--l-buy", "6",
                              "--l-view", "6", "--l-search", "4", "--l-describe", "8",
                              "--cat-epochs", "11", "--seed", "7", "--validation-cap", "40",
-                             "--schedule", schedule, *(["--single-task", task] if task else [])])
+                             "--schedule", task or schedule])
             assert code == 0, (schedule, task)
             # the best epoch train reports: "trained for N epochs (best B); ..."
             best = int(stdout.getvalue().split("(best ")[1].split(")")[0])

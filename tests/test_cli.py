@@ -11,11 +11,10 @@ from ingest_oracle import oracle_dataset
 
 from prodkg import pipeline as pl
 from prodkg.baselines import VARIANTS, KgConfig, KgModel, KgSpace
-from prodkg.cli import (
-    COMMON_KEYS, COMMON_RANGES, HANDLERS, KEYS, RANGES, SUBCOMMANDS, _run_dir_state, main,
-)
-from prodkg.data import NAMESPACES, modality_paths
-from prodkg.model import ModelConfig, init_params
+from prodkg.cli import COMMON_KEYS, HANDLERS, KEYS, _run_dir_state, main
+from prodkg.data import MODALITY_FILES, NAMESPACES, modality_paths
+from prodkg.evaluation import PKG_SCORING, pkg_candidate_scores
+from prodkg.model import ModelConfig, init_params, load_checkpoint, save_checkpoint
 
 
 def run_dir(tmp_path, seed=7):
@@ -77,6 +76,17 @@ class TestGenData:
         assert not comparison.diff_files
         assert not comparison.left_only and not comparison.right_only
 
+    def test_unfiltered_ingest_writes_the_raw_files_back(self, raw_data, tmp_path):
+        """gen-data and ingest write each modality through one writer, and
+        ingest reads what it writes: without filtering, every file comes back
+        byte for byte."""
+        run = str(tmp_path / "run")
+        assert main(["ingest", "--data", raw_data, "--out", run, "--item-min", "0",
+                     "--word-min", "0"]) == 0
+        for file in MODALITY_FILES.values():
+            assert filecmp.cmp(os.path.join(raw_data, file), os.path.join(run, "filtered", file),
+                               shallow=False), file
+
 
 class TestErrors:
     def test_unknown_subcommand_exit_1(self, capsys):
@@ -102,8 +112,7 @@ class TestErrors:
         out = tmp_path / "model"
         # 3 category epochs would warn, so the check comes before pre-training
         assert main(["train", "--run", run, "--out", str(out), *TINY_TRAIN,
-                     "--cat-epochs", "3", "--schedule", "single_task",
-                     "--single-task", "substitute"]) == 2
+                     "--cat-epochs", "3", "--schedule", "substitute"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error: task 'substitute' has no training examples")
         assert "warning" not in err
@@ -170,6 +179,19 @@ class TestErrors:
         assert "--lr" in out and "default" in out
         assert main(["--help"]) == 0
 
+    def test_help_prints_each_range(self, capsys):
+        assert main(["build-prg", "--help"]) == 0
+        lines = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("  --")}
+        assert lines["--k"].endswith("(default: 20, >= 1)")
+        assert lines["--walk_length"].endswith("(default: 10, >= 0)")
+        assert lines["--p"].endswith("(default: 1.0, > 0)")
+        assert lines["--seed"].endswith("(default: 7, >= 0)")
+        assert lines["--run"].endswith("(default: )")
+        assert main(["gen-data", "--help"]) == 0
+        # SynthConfig checks the noise rate
+        assert "token noise rate in [0,1) (default: 0.1)\n" in capsys.readouterr().out
+
     def test_bad_flag_value_exit_1(self):
         assert main(["gen-data", "--items", "many"]) == 1
 
@@ -193,7 +215,7 @@ class TestErrors:
         assert err.startswith("usage error:") and f"{flag} must be" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+    @pytest.mark.parametrize("subcommand", list(KEYS))
     def test_negative_seed_exit_1_before_loading(self, subcommand, tmp_path, capsys):
         out = tmp_path / "out"
         run = ["--run", str(tmp_path / "missing")] if "run" in KEYS[subcommand] else []
@@ -205,10 +227,9 @@ class TestErrors:
     @pytest.mark.parametrize("argv, message", [
         (["rank", "--relation", "nope", "--head", "i00001"],
          "valid relations: substitute, complement, co_view"),
-        (["train", "--schedule", "single_task", "--single-task", "nope"],
-         "unknown task 'nope'"),
-        (["train", "--schedule", "weighted", "--single-task", "search"],
-         "single_task schedule")])
+        (["train", "--schedule", "nope"], "unknown schedule 'nope'"),
+        # --schedule names the task a single-task run trains
+        (["train", "--single-task", "search"], "unknown key 'single_task'")])
     def test_bad_name_exit_1_before_loading(self, argv, message, tmp_path, capsys):
         out = tmp_path / "out"
         assert main([*argv, "--run", str(tmp_path / "missing"), "--out", str(out)]) == 1
@@ -439,6 +460,31 @@ class TestStagesReadUpstream:
             assert where[damage] in err
         assert not os.path.exists(os.path.join(run, "eval"))
 
+    def test_schedule_naming_a_task_trains_it_alone(self, trained_run, tmp_path):
+        out = str(tmp_path / "model")
+        assert main(["train", "--run", trained_run, "--out", out, "--seed", "7", *TINY_TRAIN,
+                     "--epochs", "2", "--schedule", "complement"]) == 0
+        with open(os.path.join(out, "metrics_log.tsv"), encoding="utf-8") as handle:
+            rows = [line.split("\t") for line in handle.read().splitlines()[1:]]
+        assert rows and {row[1] for row in rows} == {"complement"}
+        assert {int(row[0]) for row in rows} == {1, 2}
+        # complement steps item_in, item_out_buy and its own attention block only
+        vocab = _run_dir_state(trained_run).dataset.vocab
+        initial = init_params(ModelConfig(dim=4, seed=7, seq_lens={
+            "complement": 4, "co_view": 4, "search": 3, "describe": 4}),
+            *(vocab[namespace].size for namespace in NAMESPACES))
+        save_checkpoint(str(tmp_path / "initial"), initial, vocab)
+        for name, stepped in (("item_in", True), ("item_out_buy", True),
+                              ("item_out_view", False), ("word", False)):
+            file = f"embeddings_{name}.tsv"
+            same = filecmp.cmp(os.path.join(out, file), str(tmp_path / "initial" / file),
+                               shallow=False)
+            assert same != stepped, name
+        trained, _keys = load_checkpoint(out)
+        for task, block in trained.attn.items():
+            assert np.array_equal(block.theta1, initial.attn[task].theta1) \
+                != (task == "complement"), task
+
     def test_weighted_run_correlation_table_is_all_absent(self, trained_run):
         # weighted epochs are tagged mixed, so no cell is attributed to one task
         with open(os.path.join(trained_run, "model", "metrics_log.tsv"),
@@ -453,6 +499,63 @@ class TestStagesReadUpstream:
     def test_rank_unknown_head_exit_2(self, trained_run, capsys):
         assert main(["rank", "--run", trained_run, "--head", "no-such-item"]) == 2
         assert "unknown item key 'no-such-item'" in capsys.readouterr().err
+
+
+def _listing(scores, item_keys, k=10):
+    """rank's output for one head's (N,) scores over items 1..N."""
+    items = np.arange(1, scores.size + 1)
+    top = np.lexsort((items, -scores))[:k]
+    return ["rank\titem\tscore"] + [f"{position}\t{item_keys[int(item)]}\t{score:.9g}"
+                                     for position, (item, score)
+                                     in enumerate(zip(items[top], scores[top]), 1)]
+
+
+class TestRankHeads:
+    """rank reads a relation's head from PKG_SCORING: one key of an entity
+    relation is that entity's row, and several keys, or any keys of a
+    relation without an entity head, are the context its attention block
+    reads."""
+
+    @staticmethod
+    def rank(run, relation, head, capsys):
+        capsys.readouterr()
+        assert main(["rank", "--run", run, "--relation", relation, "--head", head]) == 0
+        return capsys.readouterr().out.splitlines()
+
+    @pytest.mark.parametrize("relation, head", [
+        ("substitute", "i00001"), ("complement", "i00001"), ("co_view", "i00002"),
+        ("isa", "c2_0003"), ("search", "w0030"), ("describe", "w0031"),
+        ("recommend", "i00004")])
+    def test_one_key(self, trained_run, capsys, relation, head):
+        params, keys = load_checkpoint(os.path.join(trained_run, "model"))
+        head_table = PKG_SCORING[relation][0]
+        if head_table is None:
+            query = [keys["word" if relation in ("search", "describe") else "item_in"]
+                     .index(head)]
+        else:
+            query = keys[head_table].index(head)
+        scores = pkg_candidate_scores(params, relation, [query])[0]
+        assert self.rank(trained_run, relation, head, capsys) == _listing(scores,
+                                                                           keys["item_in"])
+
+    @pytest.mark.parametrize("relation", ["complement", "co_view"])
+    def test_several_keys_are_a_session_context(self, trained_run, capsys, relation):
+        params, keys = load_checkpoint(os.path.join(trained_run, "model"))
+        session = [keys["item_in"].index(key) for key in ("i00001", "i00002")]
+        scores = pkg_candidate_scores(params, relation, [session])[0]
+        listing = self.rank(trained_run, relation, "i00001 i00002", capsys)
+        assert listing == _listing(scores, keys["item_in"])
+        assert listing != self.rank(trained_run, relation, "i00001", capsys)
+
+    @pytest.mark.parametrize("relation", ["substitute", "isa"])
+    def test_several_keys_of_an_entity_relation_exit_1(self, trained_run, capsys, relation):
+        capsys.readouterr()
+        assert main(["rank", "--run", trained_run, "--relation", relation,
+                     "--head", "i00001 i00002"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"usage error: relation {relation!r} takes one --head "
+                                       "key, got 2")
+        assert captured.out == ""
 
 
 def _edit_line(path, number, edit):
@@ -605,30 +708,23 @@ class TestPipelineCommands:
 
 
 class TestCommandTables:
-    """The tables that define the subcommands stay in step with each other."""
+    """KEYS defines the subcommands, their keys and each key's range."""
 
     def test_subcommands_keys_and_handlers_agree(self):
-        assert len(set(SUBCOMMANDS)) == len(SUBCOMMANDS)
-        assert set(SUBCOMMANDS) == set(KEYS) == set(HANDLERS)
-
-    def test_every_range_bounds_a_numeric_key(self):
-        for subcommand, ranges in RANGES.items():
-            for key in ranges:
-                assert KEYS[subcommand][key][1] in (int, float), (subcommand, key)
-        for key in COMMON_RANGES:
-            assert COMMON_KEYS[key][1] in (int, float), key
+        assert set(KEYS) == set(HANDLERS)
 
     def test_every_numeric_key_has_a_range(self):
-        unbounded = {(subcommand, key) for subcommand, spec in KEYS.items()
+        unbounded = {(subcommand, key)
+                     for subcommand, spec in [("common", COMMON_KEYS), *KEYS.items()]
                      for key, (_default, parser, _help) in spec.items()
-                     if parser in (int, float) and key not in RANGES.get(subcommand, {})}
+                     if parser in (int, float)}
         # checked by SynthConfig and KgConfig instead
         assert unbounded == {("gen-data", "noise"), ("train-baseline", "margin")}
 
 
 class TestHelpEverywhere:
     def test_every_subcommand_help_exits_zero(self, capsys):
-        for subcommand in SUBCOMMANDS:
+        for subcommand in KEYS:
             assert main([subcommand, "--help"]) == 0
             out = capsys.readouterr().out
             assert "--seed" in out and "default" in out

@@ -261,7 +261,7 @@ def frozen_train(config, specs, params):
     probs = oracle.task_probabilities(active, config.schedule)
     for _epoch in range(config.max_epochs):
         for _step in range(steps_per_epoch):
-            task = oracle.sample_task(active, rng, config.schedule, config.single_task, probs)
+            task = oracle.sample_task(active, rng, config.schedule, probs)
             spec = by_name[task]
             batch_idx = rng.integers(0, spec.n, size=min(config.batch_size, spec.n))
             grads = FrozenGradStore()

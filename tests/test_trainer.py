@@ -192,8 +192,7 @@ class TestTrainLoop:
         specs = tiny_specs(rng)
         params = tiny_params(seed=8)
         before = params.copy()
-        config = TrainConfig(max_epochs=2, seed=3, schedule="single_task",
-                             single_task="substitute")
+        config = TrainConfig(max_epochs=2, seed=3, schedule="substitute")
         result = train(config, specs, params, validation=None)
         trained = result.params
         assert not np.array_equal(trained.tables["item_in"].values,
@@ -207,14 +206,15 @@ class TestTrainLoop:
     def test_single_task_without_examples_rejected(self):
         specs = [spec for spec in tiny_specs(np.random.default_rng(7))
                  if spec.name != "substitute"]
-        config = TrainConfig(max_epochs=1, schedule="single_task", single_task="substitute")
+        config = TrainConfig(max_epochs=1, schedule="substitute")
         with pytest.raises(ValueError, match="'substitute' has no training examples"):
             train(config, specs, tiny_params())
 
-    def test_single_task_name_under_another_schedule_rejected(self):
-        for schedule in ("weighted", "uniform"):
-            with pytest.raises(ValueError, match="single_task schedule"):
-                TrainConfig(schedule=schedule, single_task="search")
+    def test_schedule_naming_no_task_rejected(self):
+        # a single-task run's schedule is its task's name
+        for schedule in ("single_task", "nope"):
+            with pytest.raises(ValueError, match=f"unknown schedule '{schedule}'"):
+                TrainConfig(schedule=schedule)
 
     def test_validation_leaves_training_alone(self):
         """Validating every epoch draws nothing: a run's logged epoch-2
