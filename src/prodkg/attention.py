@@ -99,14 +99,6 @@ def attention_weights(
     return weights
 
 
-def scaled_dot_attention(
-    q: np.ndarray, k: np.ndarray, v: np.ndarray, key_mask: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """softmax(q kT / sqrt(d)) v and the weights, masked keys at exactly zero weight."""
-    weights = attention_weights(q, k, key_mask)
-    return weights @ v, weights
-
-
 TASK_WIRING = {
     # task -> (sequence namespace, query/value table, key table, scoring table)
     "complement": ("item", "item_in", "item_out_buy", "item_out_buy"),

@@ -336,15 +336,12 @@ def corrupt(heads: np.ndarray, tails: np.ndarray, negatives: int,
 
 
 def score_tail_block(model: KgModel, heads, relations, candidates: np.ndarray) -> np.ndarray:
-    """(Q, N) tail scores of the candidates for Q queries, each a head and its
-    relation (one relation index may serve them all).  A head is an entity
-    id, or several (a query's words) whose rows are averaged.  The
+    """(Q, N) tail scores of the candidates for Q queries, each a head entity
+    id and its relation (one relation index may serve them all).  The
     candidates' rows are gathered once, and their right side computed once
     per relation."""
-    p = model.params
     rows = entity_rows(model, candidates)
-    head_rows = tuple(np.array([p[name][np.atleast_1d(head)].mean(axis=0) for head in heads])
-                      for name in ENTITY_PARAMS[model.variant])
+    head_rows = entity_rows(model, heads)
     relations = np.broadcast_to(relations, len(heads))
     scores = np.empty((len(heads), len(candidates)))
     for relation in np.unique(relations):
@@ -359,12 +356,12 @@ def score_tail_block(model: KgModel, heads, relations, candidates: np.ndarray) -
     return scores
 
 
-def hit_at_k(model: KgModel, triples: np.ndarray, k: int = 10,
-             candidates: np.ndarray | None = None) -> float:
-    """Fraction of the (n, 3) (head, relation, tail) rows whose true tail ranks
-    in the top k (ties by id); a tail missing from the candidates is a miss."""
-    if not len(triples):
-        return 0.0
+def tail_ranks(model: KgModel, triples: np.ndarray, candidates: np.ndarray | None = None
+               ) -> np.ndarray:
+    """(n,) ranks of the true tails of the (n, 3) (head, relation, tail) rows
+    among the candidates (every entity by default), ranked in blocks of
+    :data:`prodkg.ranking.RANK_CHUNK`; a tail missing from the candidates
+    ranks past all of them."""
     cand = np.arange(model.n_entities) if candidates is None else candidates
     ranks = np.empty(len(triples), dtype=np.int64)
     for start in range(0, len(triples), RANK_CHUNK):
@@ -372,8 +369,18 @@ def hit_at_k(model: KgModel, triples: np.ndarray, k: int = 10,
         heads, relations, tails = triples[chunk].T
         ranks[chunk] = rank_candidates(score_tail_block(model, heads, relations, cand),
                                        cand, tails)
+    return ranks
+
+
+def hit_at_k(model: KgModel, triples: np.ndarray, k: int = 10,
+             candidates: np.ndarray | None = None) -> float:
+    """Fraction of the (n, 3) (head, relation, tail) rows whose true tail ranks
+    in the top k (ties by id); a tail missing from the candidates is a miss."""
+    if not len(triples):
+        return 0.0
+    n = model.n_entities if candidates is None else len(candidates)
     # a missing tail ranks past every candidate, a miss even when k exceeds them
-    return float(np.mean(ranks <= min(k, len(cand))))
+    return float(np.mean(tail_ranks(model, triples, candidates) <= min(k, n)))
 
 
 def train_kg(
@@ -451,12 +458,6 @@ class KgSpace:
 
     def item(self, item_id: int) -> int:
         return item_id - 1
-
-    def word(self, word_id: int) -> int:
-        return (self.n_items - 1) + word_id - 1
-
-    def category(self, category_id: int) -> int:
-        return (self.n_items - 1) + (self.n_words - 1) + category_id - 1
 
     def item_entities(self) -> np.ndarray:
         return np.arange(self.n_items - 1)

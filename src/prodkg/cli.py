@@ -28,7 +28,7 @@ from .model import DEFAULT_SEQ_LENS, TABLE_NAMESPACES, ModelConfig, init_params
 from .model import load_checkpoint, save_checkpoint
 from .prg import export_prg
 from .synth import SynthConfig, generate
-from .trainer import TASK_NAMES, TrainConfig, task_correlation, train
+from .trainer import TASK_NAMES, TrainConfig, selection_metric, task_correlation, train
 
 
 class UsageError(ValueError):
@@ -389,6 +389,16 @@ def cmd_train(config: dict) -> int:
     write_manifest(out, "train", config, [config["run"]], prg_config_hash=prg_hash)
     print(f"trained for {result.epochs_run} epochs (best {result.best_epoch}); "
           f"checkpoint in {out}/")
+    validated: dict = {}
+    for epoch, _trained, task, _metric, value in result.log:
+        validated.setdefault(epoch, {})[task] = value
+    if validated:
+        best, final = result.best_epoch, max(validated)
+        best_value, final_value = (selection_metric(validated[e]) for e in (best, final))
+        if final_value < 0.5 * best_value:
+            print(f"warning: mean validation hit@10 fell from {best_value:.4g} at epoch {best} "
+                  f"to {final_value:.4g} at epoch {final}; the checkpoint holds epoch {best}",
+                  file=sys.stderr)
     return 0
 
 

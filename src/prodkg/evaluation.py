@@ -1,23 +1,20 @@
-"""Tail scoring and ranking for the proposed model and the triple
-baselines, ranking metrics, the category classification probe, and the full
-evaluation protocol.
+"""Tail scoring and ranking for the proposed model, ranking metrics, the
+category classification probe, and the full evaluation protocol.
 
-Ranking contracts: candidates default to the full item vocabulary minus
-PAD, scores are whatever monotone quantity the relation defines (inner
-products; exponentiating them cannot change any metric), and the queries
-of a task are ranked in blocks by :func:`prodkg.ranking.rank_candidates`,
-which breaks ties deterministically towards the smaller entity id.
+Ranking contracts: the candidates are the full item vocabulary minus PAD,
+scores are whatever monotone quantity the relation defines (inner products;
+exponentiating them cannot change any metric), and the queries of a task
+are ranked in blocks by :func:`prodkg.ranking.rank_candidates`, which
+breaks ties deterministically towards the smaller entity id.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
 from .attention import context_for_ranking
-from .baselines import KgModel, score_tail_block
 from .model import PkgParams
 from .ranking import RANK_CHUNK, rank_candidates
 
@@ -69,31 +66,17 @@ def pkg_candidate_scores(params: PkgParams, relation: str, heads) -> np.ndarray:
     return scores
 
 
-def rank_tail(scorer, relation, heads, gold, candidates: np.ndarray | None = None) -> np.ndarray:
-    """(Q,) ranks of the gold tails of Q queries under a trained scorer.
-
-    ``scorer`` is either the proposed model's parameter bundle or a triple
-    baseline.  For a baseline ``relation`` is a relation index, each head an
-    entity id or a sequence of them (a query's words, averaged), and
-    ``candidates`` the candidate entity ids (all entities when omitted); the
-    proposed model always ranks every non-PAD item.  Queries are scored and
-    ranked in blocks of :data:`prodkg.ranking.RANK_CHUNK`.
-    """
-    if isinstance(scorer, PkgParams):
-        if candidates is not None:
-            raise ValueError("candidates apply to baseline scorers only")
-        cand = np.arange(1, scorer.tables["item_in"].rows, dtype=np.int64)
-        block_scores = partial(pkg_candidate_scores, scorer, relation)
-    elif isinstance(scorer, KgModel):
-        cand = candidates if candidates is not None else np.arange(scorer.n_entities)
-        block_scores = partial(score_tail_block, scorer, relations=relation, candidates=cand)
-    else:
-        raise TypeError(f"cannot rank with {type(scorer).__name__}")
+def rank_tail(params: PkgParams, relation: str, heads, gold) -> np.ndarray:
+    """(Q,) ranks of the gold items of Q queries among every non-PAD item,
+    scored by :func:`pkg_candidate_scores` and ranked in blocks of
+    :data:`prodkg.ranking.RANK_CHUNK`."""
+    cand = np.arange(1, params.tables["item_in"].rows, dtype=np.int64)
     gold = np.asarray(gold, dtype=np.int64)
     ranks = np.empty(len(heads), dtype=np.int64)
     for start in range(0, len(heads), RANK_CHUNK):
         chunk = slice(start, start + RANK_CHUNK)
-        ranks[chunk] = rank_candidates(block_scores(heads[chunk]), cand, gold[chunk])
+        ranks[chunk] = rank_candidates(pkg_candidate_scores(params, relation, heads[chunk]),
+                                       cand, gold[chunk])
     return ranks
 
 
@@ -290,14 +273,6 @@ class MetricsReport:
         return "\n".join(lines) + "\n"
 
 
-def _ranking_rows(report: MetricsReport, model_name: str, task: str,
-                  ranks: np.ndarray, k: int, metrics=("hit", "ndcg")) -> None:
-    values = ranking_metrics(ranks, k=k) if len(ranks) else {}
-    for metric in metrics:
-        key = f"{metric}@{k}"
-        report.add(model_name, task, key, values.get(key))
-
-
 def evaluate_all(
     params: PkgParams,
     graph_splits: dict | None = None,
@@ -307,8 +282,6 @@ def evaluate_all(
     probe_features: np.ndarray | None = None,
     probe_labels: dict | None = None,
     probe_test_rows: np.ndarray | None = None,
-    kg_models: dict | None = None,
-    kg_space=None,
     k: int = 10,
     query_cap: int | None = None,
 ) -> MetricsReport:
@@ -316,36 +289,26 @@ def evaluate_all(
     and the category/department classification probe.
 
     Knowledge completion ranks each held-out relation-graph edge's tail as
-    a single-gold query, for the proposed model and every baseline.  Search
-    queries split into encountered (exact word multiset seen in training)
-    and new.  Recommendation predicts each next impression in the pooled
-    test sessions from its prefix.  Absent inputs produce absent report
-    cells rather than errors.
+    a single-gold query.  Search queries split into encountered (exact word
+    multiset seen in training) and new.  Recommendation predicts each next
+    impression in the pooled test sessions from its prefix.  Absent inputs
+    produce absent report cells rather than errors.
     """
     report = MetricsReport()
     report.meta["k"] = k
-    kg_models = kg_models or {}
 
-    def rank_rows(relation, task, heads, golds, metrics):
-        """Rank the gold items of the queries under the proposed model and
-        every baseline; heads are item ids, or word-id sequences for search."""
-        _ranking_rows(report, "proposed", task, rank_tail(params, relation, heads, golds),
-                      k, metrics)
-        for name in sorted(kg_models):
-            entity = kg_space.word if relation == "search" else kg_space.item
-            ranks = rank_tail(kg_models[name], kg_space.relation_index(relation),
-                              [entity(np.asarray(head)) for head in heads],
-                              kg_space.item(np.asarray(golds, dtype=np.int64)),
-                              candidates=kg_space.item_entities())
-            _ranking_rows(report, name, task, ranks, k, metrics)
+    def rank_rows(relation, task, heads, golds, metrics=("hit", "ndcg")):
+        ranks = rank_tail(params, relation, heads, golds)
+        values = ranking_metrics(ranks, k=k) if len(ranks) else {}
+        for metric in metrics:
+            report.add("proposed", task, f"{metric}@{k}", values.get(f"{metric}@{k}"))
 
     # knowledge completion over held-out relation-graph edges
     if graph_splits:
         for relation in sorted(graph_splits):
             split = graph_splits[relation]
             edges = split.test if query_cap is None else split.test[:query_cap]
-            rank_rows(relation, relation, [h for h, _t in edges], [t for _h, t in edges],
-                      ("hit", "ndcg"))
+            rank_rows(relation, relation, [h for h, _t in edges], [t for _h, t in edges])
 
     # search ranking, split by whether the exact query was seen in training
     if search_test is not None:
@@ -365,8 +328,7 @@ def evaluate_all(
         sessions = recommend_sessions if query_cap is None else recommend_sessions[:query_cap]
         prefixes = [np.asarray(s[:end]) for s in sessions for end in range(1, len(s))]
         golds = [s[end] for s in sessions for end in range(1, len(s))]
-        _ranking_rows(report, "proposed", "recommend",
-                      rank_tail(params, "recommend", prefixes, golds), k)
+        rank_rows("recommend", "recommend", prefixes, golds)
 
     # classification probe on the masked products
     if probe_features is not None and probe_labels and probe_test_rows is not None:
@@ -382,13 +344,4 @@ def evaluate_all(
                                                 train_rows, probe_test_rows)
             report.add("proposed", f"isa_{level}", "micro_f1", micro)
             report.add("proposed", f"isa_{level}", "macro_f1", macro)
-            for name in sorted(kg_models):
-                model = kg_models[name]
-                features = model.params["ent"][kg_space.item_entities()]
-                if features.shape[0] != probe_features.shape[0]:
-                    continue
-                micro, macro = classification_probe(features, labels,
-                                                    train_rows, probe_test_rows)
-                report.add(name, f"isa_{level}", "micro_f1", micro)
-                report.add(name, f"isa_{level}", "macro_f1", macro)
     return report

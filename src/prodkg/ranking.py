@@ -1,8 +1,8 @@
 """The one ranking routine: the rank of each query's gold id among the
 candidates ordered by descending score, ties towards the smaller entity id.
 
-It lives apart from :mod:`prodkg.evaluation` so that the triple baselines,
-which evaluation scores, can rank through it too.
+It lives apart from :mod:`prodkg.evaluation` so that the triple baselines
+rank through it too without importing the proposed model's evaluation.
 """
 from __future__ import annotations
 

@@ -14,14 +14,6 @@ def params_equal(a, b) -> bool:
     return all(np.array_equal(mine[key], theirs[key]) for key in mine)
 
 
-def report_value(report, model, task, metric):
-    """The value of one report cell, or None when the cell is absent."""
-    for m, t, name, value in report.rows:
-        if (m, t, name) == (model, task, metric):
-            return value
-    return None
-
-
 def key_rows(cache):
     """The positionally encoded key-side rows of an attention forward cache,
     (B, L, d) for a (B, L) id block."""

@@ -14,8 +14,15 @@ import time
 import numpy as np
 import pytest
 
-from prodkg.attention import AttentionParams, aggregate_context, scaled_dot_attention
-from prodkg.baselines import KgConfig, KgModel, KgSpace, circular_correlation, kg_score_grad
+from prodkg.attention import AttentionParams, aggregate_context, attention_weights
+from prodkg.baselines import (
+    KgConfig,
+    KgModel,
+    KgSpace,
+    circular_correlation,
+    kg_score_grad,
+    tail_ranks,
+)
 from prodkg.cli import main
 from prodkg.embeddings import (
     Grads,
@@ -129,10 +136,10 @@ class TestCriterion3AttentionInvariants:
         masked_weight = 0.0
         for _ in range(20):
             m = int(rng.integers(2, 7))
-            q, k, v = (rng.normal(size=(m, 8)) for _ in range(3))
+            q, k, _v = (rng.normal(size=(m, 8)) for _ in range(3))
             mask = rng.random(m) < 0.7
             mask[int(rng.integers(m))] = True
-            _, alpha = scaled_dot_attention(q, k, v, key_mask=mask)
+            alpha = attention_weights(q, k, key_mask=mask)
             worst_sum = max(worst_sum, float(np.abs(alpha.sum(axis=1) - 1.0).max()))
             if (~mask).any():
                 masked_weight = max(masked_weight, float(np.abs(alpha[:, ~mask]).max()))
@@ -263,8 +270,10 @@ class TestCriterion5SyntheticEndToEnd:
             heads = np.array([head for head, gold in queries for _ in gold])
             golds = np.array([g for _head, gold in queries for g in gold])
             if kg:
-                ranks = rank_tail(scorer, space.relation_index(relation), space.item(heads),
-                                  space.item(golds), candidates=space.item_entities())
+                triples = np.stack([space.item(heads),
+                                    np.full(len(heads), space.relation_index(relation)),
+                                    space.item(golds)], axis=1)
+                ranks = tail_ranks(scorer, triples, space.item_entities())
             else:
                 ranks = rank_tail(params, relation, heads, golds)
             # a head's multi-gold hit is its best-ranked oracle tail's hit

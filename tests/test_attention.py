@@ -10,10 +10,10 @@ from prodkg.attention import (
     TASK_WIRING,
     aggregate_context,
     aggregate_context_backward,
+    attention_weights,
     context_for_ranking,
     ffn_forward,
     pad_block,
-    scaled_dot_attention,
     sequence_loss_grad,
 )
 from prodkg.embeddings import PAD_ID, EmbeddingTable, new_table
@@ -58,24 +58,25 @@ class TestFfn:
 class TestScaledDotAttention:
     def test_singleton_softmax(self):
         v = np.array([[2.0, -1.0]])
-        h, alpha = scaled_dot_attention(np.ones((1, 2)), np.ones((1, 2)), v)
+        alpha = attention_weights(np.ones((1, 2)), np.ones((1, 2)))
         np.testing.assert_array_equal(alpha, [[1.0]])
-        np.testing.assert_array_equal(h, v)
+        np.testing.assert_array_equal(alpha @ v, v)
 
     def test_identical_rows_average_values(self):
         q = np.tile([0.3, 0.7], (2, 1))
         k = np.tile([0.1, -0.2], (2, 1))
         v = np.array([[1.0, 0.0], [3.0, 2.0]])
-        h, alpha = scaled_dot_attention(q, k, v)
+        alpha = attention_weights(q, k)
         np.testing.assert_allclose(alpha, 0.5)
-        np.testing.assert_allclose(h, np.tile(v.mean(axis=0), (2, 1)))
+        np.testing.assert_allclose(alpha @ v, np.tile(v.mean(axis=0), (2, 1)))
 
     def test_hand_computed_weights_d1(self):
         """d=1 logits (2,0) give weights (e^2/(e^2+1), 1/(e^2+1))."""
         q = np.array([[2.0], [0.0]])
         k = np.array([[1.0], [0.0]])
         v = np.array([[1.0], [3.0]])
-        h, alpha = scaled_dot_attention(q, k, v)
+        alpha = attention_weights(q, k)
+        h = alpha @ v
         w = np.exp(2) / (np.exp(2) + 1)
         np.testing.assert_allclose(alpha[0], [w, 1 - w], atol=1e-10)
         assert alpha[0, 0] == pytest.approx(0.8808, abs=1e-4)
@@ -84,18 +85,16 @@ class TestScaledDotAttention:
 
     def test_masked_keys_get_exactly_zero(self):
         rng = np.random.default_rng(2)
-        q, k, v = rng.normal(size=(3, 4, 5))[:, :4, :]
-        q, k, v = rng.normal(size=(4, 5)), rng.normal(size=(4, 5)), rng.normal(size=(4, 5))
+        q, k = rng.normal(size=(4, 5)), rng.normal(size=(4, 5))
         mask = np.array([True, False, True, False])
-        _, alpha = scaled_dot_attention(q, k, v, key_mask=mask)
+        alpha = attention_weights(q, k, key_mask=mask)
         assert np.all(alpha[:, ~mask] == 0.0)
         np.testing.assert_allclose(alpha.sum(axis=1), 1.0, atol=1e-10)
         assert np.all(alpha >= 0.0)
 
     def test_all_keys_masked_rejected(self):
         with pytest.raises(ValueError, match="masked"):
-            scaled_dot_attention(np.ones((2, 2)), np.ones((2, 2)), np.ones((2, 2)),
-                                 key_mask=np.zeros(2, bool))
+            attention_weights(np.ones((2, 2)), np.ones((2, 2)), key_mask=np.zeros(2, bool))
 
 
 class TestAggregateContext:

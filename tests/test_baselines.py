@@ -17,6 +17,7 @@ from prodkg.baselines import (
     kg_score_grad,
     margin_loss,
     score_tail_block,
+    tail_ranks,
     train_kg,
 )
 from prodkg.embeddings import NumericalError, log_sigmoid, sigmoid
@@ -171,12 +172,10 @@ def _frozen_apply_grads(model, grads, lr):
             rel_ids.append(idx)
     return np.array(ent_ids, dtype=np.int64), np.array(rel_ids, dtype=np.int64)
 
-# --- frozen two-scorer reference ----------------------------------------------------
-# The entity-head and averaged-query tail scorers that the one head-part
-# scorer replaced, and the lexsort hit@k, kept as the oracle the new code
-# must match.  The arithmetic is verbatim; the shared norm helper is hoisted
-# out of the scorers, and the query-parts helper takes entity ids, since the
-# word-to-entity mapping now sits with its caller.
+# --- frozen per-query reference -------------------------------------------------------
+# The entity-head tail scorer that the one head-part scorer replaced, and the
+# lexsort hit@k, kept as the oracle the new code must match.  The arithmetic
+# is verbatim; the shared norm helper is hoisted out of the scorer.
 
 
 def _ref_neg_norm(diff, norm):
@@ -224,57 +223,6 @@ def _ref_score_tails(model, head, relation, candidates=None):
         t_im = p["ent_im"][candidates]
         return tails @ (h * r - h_im * r_im) + t_im @ (h * r_im + h_im * r)
     raise ValueError(f"unknown variant {variant!r}")
-
-
-def _ref_score_tails_vector(model, head_parts, relation, candidates=None):
-    p = model.params
-    if candidates is None:
-        candidates = np.arange(model.n_entities)
-    h = head_parts["ent"]
-    r = p["rel"][relation]
-    tails = p["ent"][candidates]
-    norm = model.config.norm
-    variant = model.variant
-    if variant == "transE":
-        return _ref_neg_norm((h + r)[None, :] - tails, norm)
-    if variant == "transH":
-        w = p["w"][relation]
-        h_p = h - (w @ h) * w
-        t_p = tails - np.outer(tails @ w, w)
-        return _ref_neg_norm(h_p[None, :] + r[None, :] - t_p, norm)
-    if variant == "transR":
-        m = p["proj"][relation]
-        return _ref_neg_norm((m @ h + r)[None, :] - tails @ m.T, norm)
-    if variant == "transD":
-        r_v = p["rel_p"][relation]
-        h_p = h + (head_parts["ent_p"] @ h) * r_v
-        dots = np.sum(p["ent_p"][candidates] * tails, axis=1)
-        t_p = tails + np.outer(dots, r_v)
-        return _ref_neg_norm(h_p[None, :] + r[None, :] - t_p, norm)
-    if variant == "rescal":
-        return tails @ (p["m"][relation].T @ h)
-    if variant == "distmult":
-        return tails @ (h * r)
-    if variant == "hole":
-        d = h.shape[0]
-        u = h[(np.arange(d)[:, None] - np.arange(d)[None, :]) % d] @ r
-        return tails @ u
-    if variant == "complex":
-        h_im = head_parts["ent_im"]
-        r_im = p["rel_im"][relation]
-        t_im = p["ent_im"][candidates]
-        return tails @ (h * r - h_im * r_im) + t_im @ (h * r_im + h_im * r)
-    raise ValueError(f"unknown variant {variant!r}")
-
-
-def _ref_query_head_parts(model, entities):
-    entities = np.asarray(entities, dtype=np.int64)
-    parts = {"ent": model.params["ent"][entities].mean(axis=0)}
-    if "ent_p" in model.params:
-        parts["ent_p"] = model.params["ent_p"][entities].mean(axis=0)
-    if "ent_im" in model.params:
-        parts["ent_im"] = model.params["ent_im"][entities].mean(axis=0)
-    return parts
 
 
 def _ref_hit_at_k(model, triples, k=10, candidates=None):
@@ -606,8 +554,8 @@ class TestScoreTails:
     @pytest.mark.parametrize("norm", ("l1", "l2"))
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_matches_both_reference_scorers(self, variant, norm):
-        """One block of every head under every relation, and one of averaged
-        word heads, row by row against the frozen per-query scorers."""
+        """One block of every head under every relation, row by row against
+        the frozen per-query scorer."""
         config = KgConfig(variant=variant, dim=7, norm=norm, seed=4)
         model = KgModel(config, n_entities=15, n_relations=3)
         tol = {} if variant in EXACT_TAIL_SCORES else {"rtol": 0, "atol": 1e-12}
@@ -618,12 +566,6 @@ class TestScoreTails:
             block = score_tail_block(model, heads, relations, cand)
             for row, head, relation in zip(block, heads, relations):
                 check(row, _ref_score_tails(model, head, relation, cand), **tol)
-        words = [[7], [2, 9, 9, 13], [1, 4, 8]]
-        for relation in range(3):
-            block = score_tail_block(model, words, relation, candidates)
-            for row, query in zip(block, words):
-                check(row, _ref_score_tails_vector(model, _ref_query_head_parts(model, query),
-                                                   relation, candidates), **tol)
 
     @pytest.mark.parametrize("variant", ("transE", "distmult", "complex"))
     def test_hit_at_k_matches_reference(self, variant):
@@ -636,6 +578,8 @@ class TestScoreTails:
                 assert hit_at_k(model, triples, k, cand) == \
                     _ref_hit_at_k(model, triples, k, cand)
         assert hit_at_k(model, np.array([[0, 0, 1]]), 10, candidates) == 0.0
+        assert tail_ranks(model, np.array([[0, 0, 1]]), candidates).tolist() == \
+            [len(candidates) + 1]
 
 
 def line_kg():
@@ -696,12 +640,13 @@ class TestTraining:
 
 class TestTripleEnumeration:
     def test_space_offsets_disjoint(self):
+        """Items take the first entity ids; words and categories, PAD rows
+        skipped, fill the rest of the space."""
         space = KgSpace(n_items=5, n_words=4, n_categories=3)
-        items = {space.item(i) for i in range(1, 5)}
-        words = {space.word(w) for w in range(1, 4)}
-        cats = {space.category(c) for c in range(1, 3)}
-        assert not items & words and not words & cats and not items & cats
-        assert space.n_entities == len(items) + len(words) + len(cats)
+        items = [space.item(i) for i in range(1, 5)]
+        np.testing.assert_array_equal(space.item_entities(), items)
+        np.testing.assert_array_equal(items, np.arange(4))
+        assert space.n_entities == 4 + 3 + 2
 
     def test_graph_triples_rows_in_relation_name_order(self):
         space = KgSpace(n_items=8, n_words=2, n_categories=2)

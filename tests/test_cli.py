@@ -9,12 +9,14 @@ import numpy as np
 import pytest
 from ingest_oracle import oracle_dataset
 
+from prodkg import cli
 from prodkg import pipeline as pl
 from prodkg.baselines import VARIANTS, KgConfig, KgModel, KgSpace
 from prodkg.cli import COMMON_KEYS, HANDLERS, KEYS, _run_dir_state, main
 from prodkg.data import MODALITY_FILES, NAMESPACES, modality_paths
-from prodkg.evaluation import PKG_SCORING, pkg_candidate_scores
+from prodkg.evaluation import PKG_SCORING, ROW_LABELS, pkg_candidate_scores
 from prodkg.model import ModelConfig, init_params, load_checkpoint, save_checkpoint
+from prodkg.trainer import TrainResult
 
 
 def run_dir(tmp_path, seed=7):
@@ -665,6 +667,32 @@ class TestBurnInWarning:
         assert "warning" not in capsys.readouterr().err
 
 
+class TestRunawayWarning:
+    @pytest.mark.parametrize("final, warned", [((0.1, 0.19), True), ((0.1, 0.4), False)])
+    def test_final_epoch_below_half_the_best_warns(self, trained_run, tmp_path, capsys,
+                                                   monkeypatch, final, warned):
+        """The log's epoch 1 means 0.5 and is the best; epoch 2 means 0.145
+        (below half, a runaway) or 0.25 (half, not one)."""
+        real_train = cli.train
+
+        def collapsing(config, specs, params, validation=None):
+            result = real_train(config, specs, params, validation)
+            log = [(epoch, "mixed", task, "hit@10", value)
+                   for epoch, values in ((1, (0.4, 0.6)), (2, final))
+                   for task, value in zip(("substitute", "complement"), values)]
+            return TrainResult(result.params, log, 1, 2)
+
+        monkeypatch.setattr(cli, "train", collapsing)
+        run = copy_run(trained_run, tmp_path)
+        capsys.readouterr()
+        assert main(["train", "--run", run, "--out", str(tmp_path / "model"), "--seed", "7",
+                     *TINY_TRAIN]) == 0
+        lines = [line for line in capsys.readouterr().err.splitlines() if "fell" in line]
+        expected = ["warning: mean validation hit@10 fell from 0.5 at epoch 1 to 0.145 at "
+                    "epoch 2; the checkpoint holds epoch 1"]
+        assert lines == (expected if warned else [])
+
+
 @pytest.mark.slow
 class TestPipelineCommands:
     def test_full_command_chain(self, tmp_path, capsys):
@@ -687,8 +715,11 @@ class TestPipelineCommands:
         assert main(["evaluate", "--run", run, "--out", os.path.join(run, "eval"),
                      "--query-cap", "20", "--seed", "7"]) == 0
         capsys.readouterr()
-        report = (tmp_path / "run" / "eval" / "report.tsv").read_text()
-        assert report.startswith("model\ttask\tmetric\tvalue")
+        header, *rows = (tmp_path / "run" / "eval" / "report.tsv").read_text().splitlines()
+        assert header == "model\ttask\tmetric\tvalue"
+        cells = [tuple(row.split("\t")[:3]) for row in rows]
+        # the report is the 16 labelled cells of the proposed model, each once
+        assert sorted(cells) == sorted(("proposed", *cell) for cell in ROW_LABELS)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_train_baseline(self, trained_run, tmp_path, variant):
