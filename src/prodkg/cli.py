@@ -78,7 +78,7 @@ KEYS: dict[str, dict] = {
         "run": ("", str, "run directory produced by ingest"),
         "k": (20, AT_LEAST_1, "neighbours kept per product"),
         "walks": (10, AT_LEAST_1, "walks per node"),
-        "walk_length": (10, COUNT, "steps per walk"),
+        "walk_length": (10, AT_LEAST_1, "steps per walk"),
         "p": (1.0, POSITIVE, "walk return parameter"),
         "q": (1.0, POSITIVE, "walk in-out parameter"),
     },

@@ -57,9 +57,8 @@ def load_and_split(paths: dict) -> PipelineData:
     return PipelineData(dataset=dataset, splits=splits)
 
 
-def build_graphs(state: PipelineData, k: int = 20, walks_per_node: int = 10,
-                 walk_length: int = 10, p: float = 1.0, q: float = 1.0,
-                 seed: int = 0) -> dict:
+def build_graphs(state: PipelineData, k: int, walks_per_node: int, walk_length: int,
+                 p: float, q: float, seed: int) -> dict:
     """Relation -> RelationGraph, from the training split of each activity modality."""
     n_items = state.dataset.vocab[dm.ITEM].size
     return {relation: build_relation_graph(

@@ -7,29 +7,33 @@ The resulting neighbour facts feed the triple-based baseline models.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
 
 @dataclass
 class WeightedGraph:
-    """Symmetric, zero-diagonal adjacency stored as nested dicts."""
+    """Symmetric, zero-diagonal adjacency in CSR form: node ``a``'s neighbours
+    are ``ids[indptr[a]:indptr[a + 1]]`` in ascending order, with their
+    ``weights`` beside them.  ``build_adjacency`` and ``normalize_adjacency``
+    make every graph, so the symmetry and the zero diagonal hold by
+    construction.
+
+    ``adj`` lists the nodes that have neighbours, ascending.  They are the
+    sources a walk starts from, and perfbench's tracer counts the nodes a
+    walk covers as ``len(graph.adj)``.
+    """
 
     n_nodes: int
-    adj: dict = field(default_factory=dict)  # node -> {neighbor: weight}
+    indptr: np.ndarray
+    ids: np.ndarray
+    weights: np.ndarray
 
-    def add_edge(self, a: int, b: int, weight: float = 1.0) -> None:
-        if a == b:
-            return
-        self.adj.setdefault(a, {})[b] = self.adj.get(a, {}).get(b, 0.0) + weight
-        self.adj.setdefault(b, {})[a] = self.adj.get(b, {}).get(a, 0.0) + weight
-
-    def weight(self, a: int, b: int) -> float:
-        return self.adj.get(a, {}).get(b, 0.0)
-
-    def degree(self, node: int) -> float:
-        return sum(self.adj.get(node, {}).values())
+    @property
+    def adj(self) -> np.ndarray:
+        return np.flatnonzero(np.diff(self.indptr))
 
 
 @dataclass
@@ -52,13 +56,18 @@ def build_adjacency(groups, n_nodes: int) -> WeightedGraph:
     co-occurring in a group bumps its edge weight by exactly one however
     often the items repeat inside the group.
     """
-    graph = WeightedGraph(n_nodes=n_nodes)
-    for group in groups:
-        distinct = sorted(set(group))
-        for i, a in enumerate(distinct):
-            for b in distinct[i + 1:]:
-                graph.add_edge(a, b, 1.0)
-    return graph
+    n = n_nodes
+    sizes = [len(group) for group in groups]
+    items = np.fromiter(itertools.chain.from_iterable(groups), dtype=np.int64, count=sum(sizes))
+    member = np.unique(np.repeat(np.arange(len(sizes)), sizes) * n + items)
+    group, item = member // n, member % n  # distinct members, by group then item
+    size = np.bincount(group)[group]
+    first = np.searchsorted(group, group)  # where each member's group starts
+    offset = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
+    a, b = np.repeat(item, size), item[np.repeat(first, size) + offset]
+    keys, counts = np.unique((a * n + b)[a != b], return_counts=True)
+    indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+    return WeightedGraph(n, indptr, keys % n, counts.astype(float))
 
 
 def normalize_adjacency(graph: WeightedGraph) -> WeightedGraph:
@@ -67,23 +76,19 @@ def normalize_adjacency(graph: WeightedGraph) -> WeightedGraph:
     Isolated nodes keep empty rows; no division by zero occurs because only
     existing edges are visited.
     """
-    degrees = {node: graph.degree(node) for node in graph.adj}
-    out = WeightedGraph(n_nodes=graph.n_nodes)
-    for a, nbrs in graph.adj.items():
-        for b, w in nbrs.items():
-            if a < b:
-                scaled = w / np.sqrt(degrees[a] * degrees[b])
-                out.add_edge(a, b, scaled)
-    return out
+    heads = np.repeat(np.arange(graph.n_nodes), np.diff(graph.indptr))
+    degree = np.bincount(heads, weights=graph.weights, minlength=graph.n_nodes)
+    weights = graph.weights / np.sqrt(degree[heads] * degree[graph.ids])
+    return WeightedGraph(graph.n_nodes, graph.indptr, graph.ids, weights)
 
 
 @dataclass
 class Visits:
     """Per-source visit counts of a walk, one row per (source, visited node).
 
-    ``sources`` lists every node of the adjacency in ascending order,
-    isolated ones included; the rows are sorted by (head, tail) and never
-    count a source's visits to itself.
+    ``sources`` lists the walked nodes, those with neighbours, in ascending
+    order; the rows are sorted by (head, tail) and never count a source's
+    visits to itself.
     """
 
     sources: np.ndarray
@@ -94,36 +99,6 @@ class Visits:
 
 # Walker-by-neighbour cells gathered per step: caps the sources walked at once.
 _BLOCK_CELLS = 1 << 15
-
-
-def _csr(graph: WeightedGraph):
-    """CSR copy of a checked adjacency: the nodes, row starts by node id, the
-    neighbour ids and weights, and the sorted edge keys ``head * n_nodes + tail``.
-
-    Raises ValueError naming the first node that breaks symmetry or lists
-    itself, since a walker must always find a neighbour to step to.
-    """
-    nodes = sorted(graph.adj)
-    rows = [sorted(graph.adj[node]) for node in nodes]
-    ids = np.fromiter((b for row in rows for b in row), dtype=np.int64)
-    weights = np.fromiter((graph.adj[a][b] for a, row in zip(nodes, rows) for b in row),
-                          dtype=float, count=ids.size)
-    nodes = np.array(nodes, dtype=np.int64)
-    n = graph.n_nodes
-    degree = np.zeros(n, dtype=np.int64)
-    degree[nodes] = [len(row) for row in rows]
-    heads = np.repeat(np.arange(n), degree)
-    loops = np.flatnonzero(heads == ids)
-    if loops.size:
-        raise ValueError(f"node {heads[loops[0]]} lists itself as a neighbour")
-    keys = heads * n + ids  # ascending: heads ascend, each row's ids ascend
-    unmatched = np.flatnonzero(~_member(keys, ids * n + heads))
-    if unmatched.size:
-        a, b = heads[unmatched[0]], ids[unmatched[0]]
-        raise ValueError(f"node {b} is a neighbour of node {a} but does not list it; "
-                         "the adjacency must be symmetric")
-    indptr = np.concatenate([[0], np.cumsum(degree)])
-    return nodes, indptr, ids, weights, keys
 
 
 def _member(sorted_keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -149,32 +124,30 @@ def biased_random_walk(
     so results do not depend on how sources are grouped.  Each step takes
     the first neighbour whose running weight sum exceeds draw * row total.
 
-    The adjacency must be symmetric with a zero diagonal, as ``WeightedGraph``
-    documents, so a walker always has a neighbour to step to; a node that
-    breaks this raises ValueError.  All walkers of a block of sources step
-    together over a CSR copy of the graph.
+    The adjacency is symmetric with a zero diagonal, so a walker always has
+    a neighbour to step to.  All walkers of a block of sources step together
+    over the graph's CSR arrays.
     """
-    if p <= 0 or q <= 0:
-        raise ValueError("p and q must be positive")
-    nodes, indptr, ids, weights, keys = _csr(graph)
-    n = graph.n_nodes
+    if p <= 0 or q <= 0 or walk_length < 1:
+        raise ValueError("p and q must be positive and walk_length at least 1")
+    n, indptr, ids, weights = graph.n_nodes, graph.indptr, graph.ids, graph.weights
     degree = np.diff(indptr)
+    keys = np.repeat(np.arange(n), degree) * n + ids  # ascending: heads ascend, each row's ids ascend
     biased = not (p == 1.0 and q == 1.0)
-    steps = max(walk_length, 1)  # a walk takes at least its first step
-    walked = np.flatnonzero(degree)
-    widest = max(steps, int(degree.max(initial=0)))  # a walker's visits or candidates
+    walked = graph.adj
+    widest = max(walk_length, int(degree.max(initial=0)))  # a walker's visits or candidates
     per_block = max(1, _BLOCK_CELLS // max(1, walks_per_node * widest))
     parts = []
     for begin in range(0, walked.size, per_block):
         sources = walked[begin:begin + per_block]
-        draws = np.stack([np.random.default_rng([seed, int(source)]).random(walks_per_node * steps)
-                          for source in sources.tolist()])
-        draws = draws.reshape(sources.size * walks_per_node, steps)
+        draws = np.stack([np.random.default_rng([seed, int(source)])
+                          .random(walks_per_node * walk_length) for source in sources.tolist()])
+        draws = draws.reshape(sources.size * walks_per_node, walk_length)
         cur = np.repeat(sources, walks_per_node)
         prev = cur
         rows = np.arange(cur.size)
-        visited = np.empty((cur.size, steps), dtype=np.int64)
-        for step in range(steps):
+        visited = np.empty((cur.size, walk_length), dtype=np.int64)
+        for step in range(walk_length):
             deg = degree[cur]
             cols = np.arange(deg.max(initial=0))
             padding = cols >= deg[:, None]
@@ -192,14 +165,14 @@ def biased_random_walk(
             pick = np.minimum((cum <= target[:, None]).sum(axis=1), deg - 1)
             prev, cur = cur, cand[rows, pick]
             visited[:, step] = cur
-        head = np.repeat(sources, walks_per_node * steps)
+        head = np.repeat(sources, walks_per_node * walk_length)
         tail = visited.ravel()
         keep = tail != head
         pair, count = np.unique(head[keep] * n + tail[keep], return_counts=True)
         parts.append((pair // n, pair % n, count))
     heads, tails, counts = (np.concatenate([part[i] for part in parts]) if parts
                             else np.zeros(0, dtype=np.int64) for i in range(3))
-    return Visits(sources=nodes, heads=heads, tails=tails, counts=counts)
+    return Visits(sources=walked, heads=heads, tails=tails, counts=counts)
 
 
 def topk_neighbors(visits: Visits, k: int = 20, relation: str = "related") -> RelationGraph:
@@ -222,12 +195,9 @@ def topk_neighbors(visits: Visits, k: int = 20, relation: str = "related") -> Re
     return RelationGraph(relation=relation, neighbors=ranked)
 
 
-def export_prg(graphs, path, key_of=None) -> None:
-    """Write one head<TAB>relation<TAB>tail line per neighbour fact.
-
-    ``key_of`` converts node ids to raw keys; identity when omitted.
-    """
-    key_of = key_of or (lambda node: str(node))
+def export_prg(graphs, path, key_of) -> None:
+    """Write one head<TAB>relation<TAB>tail line per neighbour fact, each node
+    id converted to its raw key by ``key_of``."""
     with open(path, "w", encoding="utf-8") as handle:
         for graph in graphs:
             for head, tail, _score in graph.facts():

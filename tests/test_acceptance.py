@@ -34,7 +34,7 @@ from prodkg.embeddings import (
 from prodkg.evaluation import rank_candidates, rank_tail, ranking_metrics
 from prodkg.model import load_checkpoint
 from prodkg.poincare import BallConfig, hierarchy_pretrain, poincare_distance, riemannian_update
-from prodkg.prg import WeightedGraph, build_relation_graph, normalize_adjacency
+from prodkg.prg import build_adjacency, build_relation_graph, normalize_adjacency
 from prodkg.synth import load_ground_truth
 from prodkg.trainer import TASK_NAMES, TaskSpec, sample_task, task_correlation
 from prodkg.verification import run_gradient_sweep
@@ -313,10 +313,9 @@ class TestCriterion6TaskSampler:
 
 class TestCriterion7Prg:
     def test_normalisation_determinism_and_default_k(self):
-        graph = WeightedGraph(n_nodes=2)
-        graph.add_edge(0, 1, 2.0)
-        normalized = normalize_adjacency(graph)
-        hand_ok = normalized.weight(0, 1) == pytest.approx(1.0, abs=1e-15)
+        # the pair co-occurs twice: weight 2, both degrees 2
+        normalized = normalize_adjacency(build_adjacency([(0, 1), (0, 1)], 2))
+        hand_ok = normalized.ids.tolist() == [1, 0] and normalized.weights.tolist() == [1.0, 1.0]
 
         sessions = [(0, 1, 2), (1, 2, 3), (2, 3, 4), (0, 4)] * 3
         first = build_relation_graph(sessions, 5, "co_buy", seed=9)

@@ -186,7 +186,7 @@ class TestErrors:
         lines = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()
                  if line.startswith("  --")}
         assert lines["--k"].endswith("(default: 20, >= 1)")
-        assert lines["--walk_length"].endswith("(default: 10, >= 0)")
+        assert lines["--walk_length"].endswith("(default: 10, >= 1)")
         assert lines["--p"].endswith("(default: 1.0, > 0)")
         assert lines["--seed"].endswith("(default: 7, >= 0)")
         assert lines["--run"].endswith("(default: )")
@@ -205,7 +205,8 @@ class TestErrors:
         ("train", "patience", "0"), ("train", "dim", "0"), ("train", "l_buy", "0"),
         ("train", "lr", "-1"), ("train", "epochs", "0"), ("evaluate", "k", "0"),
         ("evaluate", "query_cap", "-1"), ("rank", "k", "-3"), ("rank", "k", "0"),
-        ("build-prg", "walks", "0"), ("grad-check", "eps", "0")])
+        ("build-prg", "walks", "0"), ("build-prg", "walk_length", "0"),
+        ("grad-check", "eps", "0")])
     def test_out_of_range_value_exit_1_before_loading(self, subcommand, flag, value,
                                                       tmp_path, capsys):
         # the run directory does not exist: a stage that started would exit 2

@@ -31,21 +31,22 @@ def test_checker_self_tests_pass():
 
 
 def test_traced_train_reports_the_update_layer(tmp_path):
-    """Trace a tiny train and evaluate: every per-layer metric is a number
-    that JSON carries, and the ranking layers record spans in evaluate."""
+    """Trace a tiny build-prg, train and evaluate: every per-layer metric is a
+    number that JSON carries, the walk is timed per node walked, and the
+    ranking layers record spans in evaluate."""
     tracing = load("tracer")
     data, run = str(tmp_path / "data"), str(tmp_path / "run")
     assert main(["gen-data", "--seed", "7", "--out", data, "--items", "150",
                  "--clusters", "25", "--sessions", "700", "--searches", "200",
                  "--substitutions", "150", "--words", "120"]) == 0
     assert main(["ingest", "--data", data, "--out", run]) == 0
-    assert main(["build-prg", "--run", run, "--out", os.path.join(run, "prg"),
-                 "--seed", "7"]) == 0
 
     tracer = tracing.Tracer()
     codes = []
     tracer.install()
     try:
+        tracer.run_stage("build-prg", lambda: codes.append(main(
+            ["build-prg", "--run", run, "--out", os.path.join(run, "prg"), "--seed", "7"])))
         tracer.run_stage("train", lambda: codes.append(main(
             ["train", "--run", run, "--out", os.path.join(run, "model"), "--seed", "7",
              "--dim", "8", "--epochs", "1"])))
@@ -53,8 +54,11 @@ def test_traced_train_reports_the_update_layer(tmp_path):
             ["evaluate", "--run", run, "--out", os.path.join(run, "eval"), "--seed", "7"])))
     finally:
         tracer.uninstall()
-    assert codes == [0, 0]
+    assert codes == [0, 0, 0]
     metrics = tracing.layer_metrics(tracer)
+    # the walk's hook reads len(graph.adj) from the graph it is given
+    assert metrics["prg.graph_builds"][0] == 3
+    assert metrics["prg.walk_us_per_node"][0] > 0
     assert metrics["embeddings.sgd_update_calls"][0] > 0
     assert metrics["embeddings.grad_rows"][0] > 0
     assert tracer.absent == ["trainer.sequence_rank_scores"]

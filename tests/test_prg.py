@@ -21,6 +21,55 @@ from prodkg.prg import (
 )
 from prodkg.synth import SynthConfig, generate
 
+# --- frozen dict-of-dicts reference ------------------------------------------
+# Co-occurrence counting and normalisation as they were before the graph
+# became CSR arrays: one add_edge per pair into nested dicts.  They are the
+# oracle the array construction must match exactly.
+
+
+class _DictGraph:
+    """Symmetric, zero-diagonal adjacency as node -> {neighbour: weight}."""
+
+    def __init__(self, n_nodes):
+        self.n_nodes = n_nodes
+        self.adj = {}
+
+    def add_edge(self, a, b, weight=1.0):
+        if a == b:
+            return
+        self.adj.setdefault(a, {})[b] = self.adj.get(a, {}).get(b, 0.0) + weight
+        self.adj.setdefault(b, {})[a] = self.adj.get(b, {}).get(a, 0.0) + weight
+
+
+def _ref_adjacency(groups, n_nodes):
+    graph = _DictGraph(n_nodes)
+    for group in groups:
+        distinct = sorted(set(group))
+        for i, a in enumerate(distinct):
+            for b in distinct[i + 1:]:
+                graph.add_edge(a, b, 1.0)
+    return graph
+
+
+def _ref_normalize(graph):
+    degrees = {node: sum(graph.adj[node].values()) for node in graph.adj}
+    out = _DictGraph(graph.n_nodes)
+    for a, nbrs in graph.adj.items():
+        for b, w in nbrs.items():
+            if a < b:
+                out.add_edge(a, b, w / np.sqrt(degrees[a] * degrees[b]))
+    return out
+
+
+def csr_of(graph: _DictGraph) -> WeightedGraph:
+    """The CSR arrays of a dict graph, each row ascending by neighbour id."""
+    rows = [sorted(graph.adj.get(node, {}).items()) for node in range(graph.n_nodes)]
+    indptr = np.concatenate([[0], np.cumsum([len(row) for row in rows])]).astype(np.int64)
+    ids = np.array([b for row in rows for b, _ in row], dtype=np.int64)
+    weights = np.array([w for row in rows for _, w in row], dtype=float)
+    return WeightedGraph(graph.n_nodes, indptr, ids, weights)
+
+
 # --- frozen per-walker reference ---------------------------------------------
 # The walk and top-K cut as they were before the lockstep rewrite: one walker
 # at a time, one searchsorted per step, one Counter per source.  They are the
@@ -95,10 +144,10 @@ def visits_of(counts: dict) -> Visits:
     return Visits(np.array(sorted(counts), dtype=np.int64), heads, tails, tallies)
 
 
-def random_graph(rng, hub_degree=None) -> WeightedGraph:
+def random_graph(rng, hub_degree=None) -> _DictGraph:
     """Isolated nodes, leaves, and hubs of up to 60 neighbours, weighted or normalised."""
     n = int(rng.integers(2, 90)) if hub_degree is None else hub_degree + 1
-    graph = WeightedGraph(n_nodes=n)
+    graph = _DictGraph(n)
     for _ in range(int(rng.integers(0, 3 * n))):
         a, b = rng.integers(0, n, size=2)
         graph.add_edge(int(a), int(b), float(rng.uniform(0.05, 3.0)))
@@ -109,59 +158,78 @@ def random_graph(rng, hub_degree=None) -> WeightedGraph:
             graph.add_edge(hub, int(b), float(rng.integers(1, 4)))
     for node in rng.choice(n, size=int(rng.integers(0, 3)), replace=False):
         graph.adj.setdefault(int(node), {})
-    return normalize_adjacency(graph) if rng.random() < 0.5 else graph
+    return _ref_normalize(graph) if rng.random() < 0.5 else graph
 
 
-def to_dense(graph):
+def random_groups(rng):
+    """Sessions with repeated members, one-item groups and pairs (sometimes
+    none), and the node count they draw from."""
+    n = int(rng.integers(1, 40))
+    groups = [tuple(rng.integers(0, n, size=int(rng.integers(1, 8))).tolist())
+              for _ in range(int(rng.integers(0, 60)))]
+    return groups, n
+
+
+def to_dense(graph: WeightedGraph):
     dense = np.zeros((graph.n_nodes, graph.n_nodes))
-    for a, neighbors in graph.adj.items():
-        for b, w in neighbors.items():
-            dense[a, b] = w
+    dense[np.repeat(np.arange(graph.n_nodes), np.diff(graph.indptr)), graph.ids] = graph.weights
     return dense
+
+
+def assert_same_arrays(graph: WeightedGraph, expected: WeightedGraph):
+    assert graph.n_nodes == expected.n_nodes
+    for name in ("indptr", "ids", "weights"):
+        got, want = getattr(graph, name), getattr(expected, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
 
 
 class TestBuildAdjacency:
     def test_single_session_all_pairs(self):
-        g = build_adjacency([(1, 2, 3)], n_nodes=4)
-        assert g.weight(1, 2) == 1 and g.weight(1, 3) == 1 and g.weight(2, 3) == 1
+        dense = to_dense(build_adjacency([(1, 2, 3)], n_nodes=4))
+        assert dense[1, 2] == 1 and dense[1, 3] == 1 and dense[2, 3] == 1
 
     def test_duplicates_in_session_count_once(self):
-        g = build_adjacency([(1, 1, 2)], n_nodes=3)
-        assert g.weight(1, 2) == 1
+        assert to_dense(build_adjacency([(1, 1, 2)], n_nodes=3))[1, 2] == 1
 
     def test_two_sessions_accumulate(self):
-        g = build_adjacency([(1, 2), (2, 1, 3)], n_nodes=4)
-        assert g.weight(1, 2) == 2
+        assert to_dense(build_adjacency([(1, 2), (2, 1, 3)], n_nodes=4))[1, 2] == 2
 
     def test_symmetric_zero_diagonal(self):
         g = build_adjacency([(1, 2, 3), (2, 3)], n_nodes=4)
-        for a, neighbors in g.adj.items():
-            for b, w in neighbors.items():
-                assert g.weight(b, a) == w
-        assert g.weight(2, 2) == 0
+        dense = to_dense(g)
+        np.testing.assert_array_equal(dense, dense.T)
+        assert not dense.diagonal().any()
+        assert g.adj.tolist() == [1, 2, 3]
+        for a in range(g.n_nodes):  # each row ascending, no neighbour listed twice
+            assert np.all(np.diff(g.ids[g.indptr[a]:g.indptr[a + 1]]) > 0)
+
+    def test_matches_dict_reference(self):
+        """Raw counts and normalised weights equal the dict construction's bits."""
+        rng = np.random.default_rng(21)
+        cases = [random_groups(rng) for _ in range(150)]
+        cases += [([], 5), ([(3,), (3, 3)], 4), ([(0, 1)] * 3, 2), ([(2, 0), (0, 2, 2)], 3)]
+        for groups, n in cases:
+            raw = build_adjacency(groups, n)
+            assert_same_arrays(raw, csr_of(_ref_adjacency(groups, n)))
+            assert_same_arrays(normalize_adjacency(raw),
+                               csr_of(_ref_normalize(_ref_adjacency(groups, n))))
 
 
 class TestNormalize:
     def test_two_node_hand_value(self):
-        g = WeightedGraph(n_nodes=2)
-        g.add_edge(0, 1, 2.0)
-        normalized = normalize_adjacency(g)
-        assert normalized.weight(0, 1) == pytest.approx(1.0)
+        normalized = normalize_adjacency(build_adjacency([(0, 1), (0, 1)], 2))
+        assert normalized.weights.tolist() == [1.0, 1.0]
 
     def test_isolated_node_no_error(self):
         g = build_adjacency([(1, 2)], n_nodes=5)
         normalized = normalize_adjacency(g)
-        assert normalized.weight(3, 1) == 0.0
+        assert to_dense(normalized)[3, 1] == 0.0
 
     def test_symmetry_preserved(self):
         rng = np.random.default_rng(0)
-        g = WeightedGraph(n_nodes=8)
-        for _ in range(12):
-            a, b = rng.integers(0, 8, size=2)
-            if a != b:
-                g.add_edge(int(a), int(b), float(rng.integers(1, 5)))
-        normalized = normalize_adjacency(g)
-        dense = to_dense(normalized)
+        sessions = [tuple(rng.integers(0, 8, size=int(rng.integers(2, 5))).tolist())
+                    for _ in range(12)]
+        dense = to_dense(normalize_adjacency(build_adjacency(sessions, 8)))
         np.testing.assert_allclose(dense, dense.T)
 
     def test_spectral_radius_at_most_one(self):
@@ -214,22 +282,8 @@ class TestWalks:
         g = normalize_adjacency(build_adjacency([(0, 1)], 2))
         with pytest.raises(ValueError):
             biased_random_walk(g, 1, 1, p=0.0)
-
-    def test_asymmetric_adjacency_names_node(self):
-        g = WeightedGraph(n_nodes=4, adj={0: {1: 1.0, 2: 1.0}, 1: {0: 1.0}, 2: {3: 1.0},
-                                          3: {2: 1.0}})
-        with pytest.raises(ValueError, match="node 2 is a neighbour of node 0"):
-            biased_random_walk(g, 2, 3, seed=1)
-
-    def test_neighbour_missing_from_adjacency_names_node(self):
-        g = WeightedGraph(n_nodes=3, adj={0: {1: 1.0, 2: 1.0}, 1: {0: 1.0}})
-        with pytest.raises(ValueError, match="node 2 "):
-            biased_random_walk(g, 2, 3, seed=1)
-
-    def test_self_loop_names_node(self):
-        g = WeightedGraph(n_nodes=2, adj={0: {0: 1.0, 1: 1.0}, 1: {0: 1.0}})
-        with pytest.raises(ValueError, match="node 0 lists itself"):
-            biased_random_walk(g, 2, 3, seed=1)
+        with pytest.raises(ValueError, match="walk_length at least 1"):
+            biased_random_walk(g, 1, 0)
 
 
 class TestWalkParity:
@@ -239,9 +293,11 @@ class TestWalkParity:
         (p, q) for p in (0.25, 0.5, 2.0, 4.0) for q in (0.25, 0.5, 2.0, 4.0)]
 
     @staticmethod
-    def assert_matches_reference(graph, walks, length, p, q, seed, k):
-        visits = biased_random_walk(graph, walks, length, p, q, seed)
-        reference = _ref_walk(graph, walks, length, p, q, seed)
+    def assert_matches_reference(graph: _DictGraph, walks, length, p, q, seed, k):
+        visits = biased_random_walk(csr_of(graph), walks, length, p, q, seed)
+        # the reference also lists each isolated node, with no visits
+        reference = {s: c for s, c in _ref_walk(graph, walks, length, p, q, seed).items()
+                     if graph.adj[s]}
         assert counts_by_source(visits) == {s: dict(c) for s, c in reference.items()}
         assert topk_neighbors(visits, k).neighbors == _ref_topk(reference, k)
 
@@ -277,8 +333,7 @@ class TestWalkParity:
         for relation, groups in sources.items():
             graph = build_relation_graph(groups, n, relation, k=10, walks_per_node=4,
                                          walk_length=6, p=p, q=q, seed=3)
-            reference = _ref_walk(normalize_adjacency(build_adjacency(groups, n)),
-                                  4, 6, p, q, seed=3)
+            reference = _ref_walk(_ref_normalize(_ref_adjacency(groups, n)), 4, 6, p, q, seed=3)
             assert graph.neighbors == _ref_topk(reference, k=10)
             assert sum(len(v) for v in graph.neighbors.values()) > n
 
@@ -315,7 +370,7 @@ class TestTopK:
 class TestExport:
     def test_empty_graph_empty_file(self, tmp_path):
         path = tmp_path / "prg.tsv"
-        export_prg([RelationGraph("co_buy", {})], path)
+        export_prg([RelationGraph("co_buy", {})], path, key_of=str)
         assert path.read_text() == ""
 
     def test_two_neighbor_facts(self, tmp_path):
@@ -328,6 +383,6 @@ class TestExport:
         sessions = [(0, 1, 2), (1, 2, 3), (0, 3)] * 2
         graph = build_relation_graph(sessions, 4, "co_buy", k=2, seed=9)
         p1, p2 = tmp_path / "a.tsv", tmp_path / "b.tsv"
-        export_prg([graph], p1)
-        export_prg([build_relation_graph(sessions, 4, "co_buy", k=2, seed=9)], p2)
+        export_prg([graph], p1, key_of=str)
+        export_prg([build_relation_graph(sessions, 4, "co_buy", k=2, seed=9)], p2, key_of=str)
         assert p1.read_bytes() == p2.read_bytes()
