@@ -131,16 +131,21 @@ KEYS: dict[str, dict] = {
 
 
 def parse_config_file(path: str) -> dict:
+    """The key=value pairs of a config file; a file that cannot be read, or is
+    not UTF-8, is a usage error that names it."""
+    try:
+        lines = list(dm._read_lines(path))
+    except (OSError, DataError) as err:
+        raise UsageError(f"cannot read config file: {err}") from None
     values = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for number, raw in enumerate(handle, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{number}: expected key=value")
-            key, value = line.split("=", 1)
-            values[key.strip()] = value.strip()
+    for number, raw in lines:
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{number}: expected key=value")
+        key, value = line.split("=", 1)
+        values[key.strip()] = value.strip()
     return values
 
 
@@ -356,10 +361,9 @@ def cmd_train(config: dict) -> int:
     vocab = state.dataset.vocab
     seq_lens = _seq_lens(config)
     prg_hash = pl.load_graph_splits(state, os.path.join(config["run"], "prg"))
-    pl.mask_products(state, 0.1, seed=config["seed"])
-    specs = pl.assemble_training_data(state, seq_lens)
-    if train_config.schedule in TASK_NAMES and \
-            train_config.schedule not in {spec.name for spec in specs}:
+    pl.mask_products(state, seed=config["seed"])
+    tasks, validation = pl.assemble_training_data(state, seq_lens)
+    if train_config.schedule in TASK_NAMES and train_config.schedule not in tasks:
         raise DataError(f"task {train_config.schedule!r} has no training examples in "
                         f"{os.path.join(config['run'], 'filtered')!r}")
     model_config = ModelConfig(dim=config["dim"], seq_lens=seq_lens, seed=config["seed"])
@@ -367,7 +371,7 @@ def cmd_train(config: dict) -> int:
                          vocab[dm.CATEGORY].size)
     cat_losses = pl.pretrain_categories(state, params, epochs=config["cat_epochs"],
                                         seed=config["seed"])
-    result = train(train_config, specs, params, state.validation_examples)
+    result = train(train_config, tasks, params, validation)
     out = config["out"]
     save_checkpoint(out, result.params, vocab)
     with open(os.path.join(out, "category_pretrain_loss.tsv"), "w", encoding="utf-8") as handle:

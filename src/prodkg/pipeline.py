@@ -22,9 +22,12 @@ from .evaluation import drop_leaky_examples, remove_leaky_pairs, split_relation_
 from .model import PkgParams
 from .poincare import BallConfig, hierarchy_pretrain
 from .prg import build_relation_graph
-from .trainer import TaskSpec, build_task_specs
 
 GRAPH_RELATIONS = ("complement", "co_view", "substitute")
+# the share of labelled products masked for the probe, and every how many
+# remaining catalog entries one is held out of isa training for validation
+MASKED_FRACTION = 0.1
+ISA_HOLDOUT_EVERY = 10
 
 
 @dataclass
@@ -35,7 +38,6 @@ class PipelineData:
     splits: dict                 # modality -> DatasetSplit
     graph_splits: dict = field(default_factory=dict)    # relation -> GraphSplit
     masked_items: np.ndarray = field(default_factory=lambda: np.array([], dtype=np.int64))
-    validation_examples: dict = field(default_factory=dict)
 
 
 def load_and_split(paths: dict) -> PipelineData:
@@ -112,78 +114,87 @@ def load_graph_splits(state: PipelineData, prg_dir: str) -> str:
 
 def read_manifest(path: str) -> dict:
     """A stage's ``manifest.json``; a missing or malformed file, or one without
-    ``seed`` or ``config_hash``, is a DataError that names it."""
+    a non-negative integer ``seed`` and a string ``config_hash``, is a
+    DataError that names it."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             manifest = json.load(handle)
     except (OSError, ValueError) as err:  # missing or unreadable, bad JSON or UTF-8
         raise dm.DataError(f"{path}: cannot read manifest ({err})") from None
-    if not isinstance(manifest, dict) or not {"seed", "config_hash"} <= manifest.keys():
-        raise dm.DataError(f"{path}: manifest needs a 'seed' and a 'config_hash'")
+    # type(...) is int: a JSON true is a bool, which isinstance(..., int) accepts
+    if not (isinstance(manifest, dict) and {"seed", "config_hash"} <= manifest.keys()
+            and type(manifest["seed"]) is int and manifest["seed"] >= 0
+            and isinstance(manifest["config_hash"], str)):
+        raise dm.DataError(f"{path}: manifest needs a non-negative integer 'seed' "
+                           "and a string 'config_hash'")
     return manifest
 
 
-def mask_products(state: PipelineData, fraction: float = 0.1, seed: int = 0) -> None:
+def mask_products(state: PipelineData, seed: int) -> None:
     """Pick the probe's masked products (their category info is hidden in training)."""
     items_with_labels = sorted({e.item for e in state.dataset.catalog if e.category_path})
     rng = np.random.default_rng(seed)
-    n_masked = int(fraction * len(items_with_labels))
+    n_masked = int(MASKED_FRACTION * len(items_with_labels))
     picked = rng.choice(len(items_with_labels), size=n_masked, replace=False)
     state.masked_items = np.sort(np.array([items_with_labels[i] for i in picked], dtype=np.int64))
 
 
-def assemble_training_data(state: PipelineData, seq_lens: dict,
-                           isa_holdout_every: int = 10) -> list[TaskSpec]:
-    """Training records minus leaks, plus per-task validation examples.
+def session_examples(sessions, max_len: int) -> list:
+    """One (context, target) example per non-initial position of each session,
+    the context cut to the most recent ``max_len`` items."""
+    return [(s.items[max(0, position - max_len):position], s.items[position])
+            for s in sessions for position in range(1, len(s.items))]
 
-    Sessions and substitution pairs that contain a held-out graph edge are
-    dropped from training; masked products contribute no category labels.
-    Every ``isa_holdout_every``-th remaining catalog entry is held out of
-    isa training; each of its labels becomes one (product, label) isa
-    validation example.
+
+def assemble_training_data(state: PipelineData, seq_lens: dict) -> tuple[dict, dict]:
+    """Each task's training and validation examples, as two task -> examples
+    dicts in ``TASK_NAMES`` order; a task without training examples is left
+    out of the first.
+
+    Training examples that contain a held-out graph edge are dropped;
+    masked products contribute no category labels.  Every
+    ``ISA_HOLDOUT_EVERY``-th remaining catalog entry is held out of isa
+    training; each of its labels becomes one (product, label) isa
+    validation example.  A sequence validation context is cut to its
+    task's length where it is ranked.
     """
     eval_edges = {relation: set() for relation in GRAPH_RELATIONS}
     for relation, split in state.graph_splits.items():
         eval_edges[relation].update(split.validation, split.test)
 
-    subs_train = remove_leaky_pairs(state.splits["substitutions"].train,
-                                    eval_edges["substitute"])
-
     masked = set(int(i) for i in state.masked_items)
     catalog_for_isa = [e for e in state.dataset.catalog if e.item not in masked]
-    isa_val_entries = catalog_for_isa[isa_holdout_every - 1::isa_holdout_every]
+    isa_val_entries = catalog_for_isa[ISA_HOLDOUT_EVERY - 1::ISA_HOLDOUT_EVERY]
     isa_val_set = {e.item for e in isa_val_entries}
     catalog_train = [e for e in catalog_for_isa if e.item not in isa_val_set]
 
-    train_records = {
-        "buy_sessions": list(state.splits["buy_sessions"].train),
-        "view_sessions": list(state.splits["view_sessions"].train),
-        "substitutions": subs_train,
-        "searches": list(state.splits["searches"].train),
-        "catalog": catalog_train,
-    }
-
-    # a sequence context is cut to its task's length where it is ranked
-    def session_validation(split):
-        return [(s.items[:-1], s.items[-1]) for s in split.validation]
-
-    state.validation_examples = {
+    buy, view, subs, searches = (state.splits[modality] for modality in (
+        "buy_sessions", "view_sessions", "substitutions", "searches"))
+    tasks = {
         "substitute": [(p.accepted_for, p.substitute)
-                       for p in state.splits["substitutions"].validation],
-        "complement": session_validation(state.splits["buy_sessions"]),
-        "co_view": session_validation(state.splits["view_sessions"]),
-        "search": [(r.query_words, r.clicked_item) for r in state.splits["searches"].validation],
+                       for p in remove_leaky_pairs(subs.train, eval_edges["substitute"])],
+        "complement": drop_leaky_examples(session_examples(buy.train, seq_lens["complement"]),
+                                          eval_edges["complement"]),
+        "co_view": drop_leaky_examples(session_examples(view.train, seq_lens["co_view"]),
+                                       eval_edges["co_view"]),
+        "search": [(tuple(r.query_words[-seq_lens["search"]:]), r.clicked_item)
+                   for r in searches.train],
+        "describe": [(tuple(e.description[-seq_lens["describe"]:]), e.item)
+                     for e in catalog_train if e.description],
+        "isa": [(e.item, tuple(e.category_path)) for e in catalog_train if e.category_path],
+    }
+    validation = {
+        "substitute": [(p.accepted_for, p.substitute) for p in subs.validation],
+        "complement": [(s.items[:-1], s.items[-1]) for s in buy.validation],
+        "co_view": [(s.items[:-1], s.items[-1]) for s in view.validation],
+        "search": [(r.query_words, r.clicked_item) for r in searches.validation],
         "isa": [(e.item, label) for e in isa_val_entries for label in e.category_path],
     }
-    specs = build_task_specs(train_records, seq_lens)
-    for spec in specs:
-        if spec.name in ("complement", "co_view"):
-            spec.examples = drop_leaky_examples(spec.examples, eval_edges[spec.name])
-    return [spec for spec in specs if spec.n > 0]
+    return {task: examples for task, examples in tasks.items() if examples}, validation
 
 
-def pretrain_categories(state: PipelineData, params: PkgParams, epochs: int = 50,
-                        seed: int = 0) -> list[float]:
+def pretrain_categories(state: PipelineData, params: PkgParams, epochs: int,
+                        seed: int) -> list[float]:
     """Ball-geometry pre-training of the category table (frozen afterwards);
     returns the mean loss of each epoch."""
     config = BallConfig()

@@ -39,22 +39,6 @@ IMPROVE_EPS = 1e-4
 
 
 @dataclass
-class TaskSpec:
-    """One relation-learning task: dataset handle plus loss wiring."""
-
-    name: str
-    examples: list
-
-    def __post_init__(self):
-        if self.name not in TASK_NAMES:
-            raise ValueError(f"unknown task {self.name!r}")
-
-    @property
-    def n(self) -> int:
-        return len(self.examples)
-
-
-@dataclass
 class TrainConfig:
     lr: float = 0.1
     # Examples per step, summed (not averaged): a mean would shrink each
@@ -73,52 +57,6 @@ class TrainConfig:
         if self.schedule not in ("weighted", "uniform", *TASK_NAMES):
             raise ValueError(f"unknown schedule {self.schedule!r}; choose weighted, uniform "
                              f"or a task: {' '.join(TASK_NAMES)}")
-
-
-def build_task_specs(dataset_records: dict, seq_lens: dict) -> list[TaskSpec]:
-    """Expand raw train records into per-task example lists.
-
-    ``dataset_records`` carries the training-split collections under the
-    keys buy_sessions / view_sessions / substitutions / searches / catalog.
-    Sessions contribute one (context, target) example per non-initial
-    position, with the context truncated to the most recent ``l`` items.
-    """
-    specs = []
-    subs = [(p.accepted_for, p.substitute) for p in dataset_records.get("substitutions", [])]
-    if subs:
-        specs.append(TaskSpec("substitute", subs))
-
-    def session_examples(sessions, max_len):
-        examples = []
-        for session in sessions:
-            items = session.items
-            for position in range(1, len(items)):
-                context = items[max(0, position - max_len):position]
-                examples.append((tuple(context), items[position]))
-        return examples
-
-    buy = session_examples(dataset_records.get("buy_sessions", []), seq_lens["complement"])
-    if buy:
-        specs.append(TaskSpec("complement", buy))
-    view = session_examples(dataset_records.get("view_sessions", []), seq_lens["co_view"])
-    if view:
-        specs.append(TaskSpec("co_view", view))
-
-    searches = [(tuple(r.query_words[-seq_lens["search"]:]), r.clicked_item)
-                for r in dataset_records.get("searches", [])]
-    if searches:
-        specs.append(TaskSpec("search", searches))
-
-    describes = [(tuple(e.description[-seq_lens["describe"]:]), e.item)
-                 for e in dataset_records.get("catalog", []) if e.description]
-    if describes:
-        specs.append(TaskSpec("describe", describes))
-
-    isa = [(e.item, tuple(e.category_path)) for e in dataset_records.get("catalog", [])
-           if e.category_path]
-    if isa:
-        specs.append(TaskSpec("isa", isa))
-    return specs
 
 
 def substitution_loss(
@@ -163,28 +101,30 @@ def isa_example_loss(examples, params: PkgParams,
     return loss, Grads({table.name: items}, {table.name: grad_items}, {})
 
 
-def task_cdf(specs: list[TaskSpec], schedule: str = "weighted") -> np.ndarray:
-    """Cumulative per-step draw probabilities of the tasks (uniform, or else
-    size-proportional), normalised as ``rng.choice(p=...)`` normalises them."""
-    sizes = np.array([1.0 if schedule == "uniform" else s.n for s in specs], dtype=float)
+def task_cdf(tasks: dict, schedule: str = "weighted") -> np.ndarray:
+    """Cumulative per-step draw probabilities of the tasks of ``tasks`` (task
+    -> examples), in its order (uniform, or else size-proportional),
+    normalised as ``rng.choice(p=...)`` normalises them."""
+    sizes = np.array([1.0 if schedule == "uniform" else len(examples)
+                      for examples in tasks.values()], dtype=float)
     cdf = (sizes / sizes.sum()).cumsum()
     cdf /= cdf[-1]
     return cdf
 
 
-def sample_task(specs: list[TaskSpec], rng: np.random.Generator,
+def sample_task(tasks: dict, rng: np.random.Generator,
                 schedule: str = "weighted", cdf: np.ndarray | None = None) -> str:
-    """Draw the next task: size-proportional or uniform.
+    """Draw the name of the next task: size-proportional or uniform.
 
     One ``rng.random()`` searched in ``cdf`` (from :func:`task_cdf`, which
     saves recomputing it on every draw) picks the task ``rng.choice(p=...)``
     would pick from the same double.
     """
-    if not specs:
+    if not tasks:
         raise ValueError("no active tasks")
     if cdf is None:
-        cdf = task_cdf(specs, schedule)
-    return specs[int(cdf.searchsorted(rng.random(), side="right"))].name
+        cdf = task_cdf(tasks, schedule)
+    return list(tasks)[int(cdf.searchsorted(rng.random(), side="right"))]
 
 
 @dataclass
@@ -203,15 +143,15 @@ def selection_metric(metrics: dict) -> float:
 class _Samplers:
     """Per-namespace negative samplers with deterministic derived seeds."""
 
-    def __init__(self, params: PkgParams, specs: list[TaskSpec], seed: int):
+    def __init__(self, params: PkgParams, tasks: dict, seed: int):
         item_counts = np.zeros(params.tables["item_in"].rows)
-        for spec in specs:
-            if spec.name == "substitute":
-                for a, b in spec.examples:
+        for task, examples in tasks.items():
+            if task == "substitute":
+                for a, b in examples:
                     item_counts[a] += 1
                     item_counts[b] += 1
-            elif spec.name in SEQUENCE_TASKS:
-                for _context, target in spec.examples:
+            elif task in SEQUENCE_TASKS:
+                for _context, target in examples:
                     item_counts[target] += 1
         if item_counts.sum() == 0:
             item_counts[1:] = 1.0
@@ -222,10 +162,10 @@ class _Samplers:
         self.category = NegativeSampler(category_counts, exponent=1.0, seed=seed + 13)
 
 
-def _sequence_examples(spec: TaskSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _sequence_examples(examples: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A sequence task's contexts as one padded block, with their lengths and targets."""
-    block = pad_block([context for context, _target in spec.examples])
-    targets = np.array([target for _context, target in spec.examples], dtype=np.int64)
+    block = pad_block([context for context, _target in examples])
+    targets = np.array([target for _context, target in examples], dtype=np.int64)
     return block, (block != PAD_ID).sum(axis=1), targets
 
 
@@ -278,13 +218,14 @@ def validation_metric(task: str, examples, params: PkgParams, cap: int) -> float
 
 def train(
     config: TrainConfig,
-    specs: list[TaskSpec],
+    tasks: dict,
     params: PkgParams,
     validation: dict | None = None,
 ) -> TrainResult:
     """Run the sampling-then-training loop until metrics stop improving.
 
-    ``validation`` maps task names to held-out example lists.  Every epoch
+    ``tasks`` and ``validation`` map task names to training and held-out
+    example lists; tasks are drawn in the order of ``tasks``.  Every epoch
     logs the metric of each task that has validation examples; when no such
     task improves by more than ``IMPROVE_EPS`` for ``patience`` consecutive
     epochs the loop stops and the snapshot of the best epoch (highest
@@ -292,21 +233,20 @@ def train(
     The category table never receives gradients here: it is pre-trained
     and frozen before this loop runs.
     """
-    active = [s for s in specs if s.n > 0]
+    active = {task: examples for task, examples in tasks.items() if examples}
     if not active:
         raise ValueError("no active tasks")
-    by_name = {s.name: s for s in active}
     # a single-task run tags each epoch with its task; mixed epochs are "mixed"
     epoch_task = config.schedule if config.schedule in TASK_NAMES else None
-    if epoch_task and epoch_task not in by_name:
+    if epoch_task and epoch_task not in active:
         raise ValueError(f"task {epoch_task!r} has no training examples")
     rng = np.random.default_rng(config.seed)
     samplers = _Samplers(params, active, config.seed)
     dense = params.dense_dict()
-    total = sum(s.n for s in active)
+    total = sum(len(examples) for examples in active.values())
     steps_per_epoch = max(1, math.ceil(total / config.batch_size))
-    examples = {s.name: _sequence_examples(s) if s.name in SEQUENCE_TASKS else s.examples
-                for s in active}
+    blocks = {task: _sequence_examples(examples) if task in SEQUENCE_TASKS else examples
+              for task, examples in active.items()}
     cdf = task_cdf(active, config.schedule)
 
     log: list[tuple] = []
@@ -319,9 +259,9 @@ def train(
     for epoch in range(1, config.max_epochs + 1):
         for _step in range(steps_per_epoch):
             task = epoch_task or sample_task(active, rng, config.schedule, cdf)
-            spec = by_name[task]
-            batch_idx = rng.integers(0, spec.n, size=min(config.batch_size, spec.n))
-            loss, grads = _batch_loss(task, examples[task], batch_idx, params, samplers,
+            n = len(active[task])
+            batch_idx = rng.integers(0, n, size=min(config.batch_size, n))
+            loss, grads = _batch_loss(task, blocks[task], batch_idx, params, samplers,
                                       config.negatives)
             if not np.isfinite(loss):
                 raise NumericalError(
@@ -332,15 +272,15 @@ def train(
             continue
         metrics = {}
         improved_any = False
-        for spec in active:
-            value = validation_metric(spec.name, validation.get(spec.name, []), params,
+        for task in active:
+            value = validation_metric(task, validation.get(task, []), params,
                                       config.validation_cap)
             if value is None:
                 continue
-            metrics[spec.name] = value
-            log.append((epoch, epoch_task or "mixed", spec.name, "hit@10", value))
-            if value > previous_best.get(spec.name, -np.inf) + IMPROVE_EPS:
-                previous_best[spec.name] = value
+            metrics[task] = value
+            log.append((epoch, epoch_task or "mixed", task, "hit@10", value))
+            if value > previous_best.get(task, -np.inf) + IMPROVE_EPS:
+                previous_best[task] = value
                 improved_any = True
         if not metrics:
             continue

@@ -155,17 +155,18 @@ def isa_loss(item_vec, labels, category_table, negatives):
 
 # --- draws: rng.choice per task, one double per negative try ----------------------
 
-def task_probabilities(specs, schedule="weighted"):
-    sizes = np.array([1.0 if schedule == "uniform" else s.n for s in specs], dtype=float)
+def task_probabilities(tasks, schedule="weighted"):
+    sizes = np.array([1.0 if schedule == "uniform" else len(examples)
+                      for examples in tasks.values()], dtype=float)
     return sizes / sizes.sum()
 
 
-def sample_task(specs, rng, schedule="weighted", probs=None):
+def sample_task(tasks, rng, schedule="weighted", probs=None):
     if schedule not in ("weighted", "uniform"):  # a task name: that task trains alone
         return schedule
     if probs is None:
-        probs = task_probabilities(specs, schedule)
-    return specs[int(rng.choice(len(specs), p=probs))].name
+        probs = task_probabilities(tasks, schedule)
+    return list(tasks)[int(rng.choice(len(tasks), p=probs))]
 
 
 def sample_negatives(sampler, k, exclude=()):

@@ -36,7 +36,7 @@ from prodkg.model import load_checkpoint
 from prodkg.poincare import BallConfig, hierarchy_pretrain, poincare_distance, riemannian_update
 from prodkg.prg import build_adjacency, build_relation_graph, normalize_adjacency
 from prodkg.synth import load_ground_truth
-from prodkg.trainer import TASK_NAMES, TaskSpec, sample_task, task_correlation
+from prodkg.trainer import TASK_NAMES, sample_task, task_correlation
 from prodkg.verification import run_gradient_sweep
 
 
@@ -298,12 +298,12 @@ class TestCriterion5SyntheticEndToEnd:
 class TestCriterion6TaskSampler:
     def test_empirical_frequencies(self):
         sizes = {"substitute": 5, "complement": 3, "search": 2}
-        specs = [TaskSpec(name, [(1, 2)] * size) for name, size in sizes.items()]
+        tasks = {name: [(1, 2)] * size for name, size in sizes.items()}
         rng = np.random.default_rng(7)
         draws = 100_000
         counts = {name: 0 for name in sizes}
         for _ in range(draws):
-            counts[sample_task(specs, rng)] += 1
+            counts[sample_task(tasks, rng)] += 1
         total = sum(sizes.values())
         worst = max(abs(counts[name] / draws - size / total)
                     for name, size in sizes.items())

@@ -240,6 +240,20 @@ class TestErrors:
         assert err.startswith("usage error:") and message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("config", ["missing", "directory", "non-utf8"])
+    def test_unreadable_config_file_exit_1_names_it(self, config, tmp_path, capsys):
+        path = tmp_path / "evaluate.cfg"
+        if config == "directory":
+            path.mkdir()
+        elif config == "non-utf8":
+            path.write_bytes(b"k=10\nquery_cap=\xff\n")
+        assert main(["evaluate", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and str(path) in err
+        assert "Traceback" not in err
+        if config == "non-utf8":
+            assert f"{path}:2: byte 0xff is not UTF-8" in err
+
     def test_bad_gen_data_config_exit_1_before_writing(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["gen-data", "--noise", "1", "--out", str(out)]) == 1
@@ -329,7 +343,14 @@ class TestStagesReadUpstream:
         assert (f"{os.path.basename(file)}:{len(lines)}: byte 0xfe is not UTF-8"
                 in capsys.readouterr().err)
 
-    @pytest.mark.parametrize("damage", ["truncated", "no-seed", "missing"])
+    # a hand-edited field: a seed that is no non-negative int (a JSON true is
+    # a bool, and null would seed the held-out split from OS entropy), or a
+    # config hash that is no string
+    BAD_FIELDS = {"seed-string": {"seed": "7"}, "seed-negative": {"seed": -1},
+                  "seed-float": {"seed": 1.5}, "seed-null": {"seed": None},
+                  "seed-true": {"seed": True}, "hash-number": {"config_hash": 5}}
+
+    @pytest.mark.parametrize("damage", ["truncated", "no-seed", "missing", *BAD_FIELDS])
     @pytest.mark.parametrize("manifest, argv", [
         ("prg", ["train-baseline", "--dim", "4", "--epochs", "1"]),
         ("model", ["evaluate", "--query-cap", "20"]),
@@ -341,14 +362,18 @@ class TestStagesReadUpstream:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
         os.remove(path)
+        fields = json.loads(text)
+        if damage == "no-seed":
+            del fields["seed"]
+        fields.update(self.BAD_FIELDS.get(damage, {}))
         if damage != "missing":
             with open(path, "w", encoding="utf-8") as handle:
                 handle.write(text[:len(text) // 2] if damage == "truncated" else
-                             json.dumps({k: v for k, v in json.loads(text).items()
-                                         if k != "seed"}))
+                             json.dumps(fields))
         capsys.readouterr()
         assert main([*argv, "--run", run, "--out", str(tmp_path / "out")]) == 2
-        assert os.path.join(manifest, "manifest.json") in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert os.path.join(manifest, "manifest.json") in err and "Traceback" not in err
         assert not os.path.exists(tmp_path / "out")
 
     def test_evaluate_seed_does_not_change_the_report(self, trained_run, tmp_path):
@@ -676,8 +701,8 @@ class TestRunawayWarning:
         (below half, a runaway) or 0.25 (half, not one)."""
         real_train = cli.train
 
-        def collapsing(config, specs, params, validation=None):
-            result = real_train(config, specs, params, validation)
+        def collapsing(config, tasks, params, validation=None):
+            result = real_train(config, tasks, params, validation)
             log = [(epoch, "mixed", task, "hit@10", value)
                    for epoch, values in ((1, (0.4, 0.6)), (2, final))
                    for task, value in zip(("substitute", "complement"), values)]

@@ -37,7 +37,7 @@ from prodkg.model import ModelConfig, init_params
 from prodkg.model import PkgParams
 from prodkg.poincare import BallConfig, dependency_levels, hierarchy_pretrain
 from prodkg.synth import SynthConfig, generate
-from prodkg.trainer import TaskSpec, isa_example_loss, sample_task, task_cdf
+from prodkg.trainer import isa_example_loss, sample_task, task_cdf
 
 TOL = 1e-12
 SEQ_LENS = {"complement": 5, "co_view": 5, "search": 4, "describe": 7}
@@ -163,23 +163,23 @@ class TestIsaLoss:
 
 # --- draws ---------------------------------------------------------------------------
 
-def specs_of(sizes):
+def tasks_of(sizes):
     names = ("substitute", "complement", "co_view", "search", "describe", "isa")
-    return [TaskSpec(name, [None] * size) for name, size in zip(names, sizes)]
+    return {name: [None] * size for name, size in zip(names, sizes)}
 
 
 class TestTaskDraws:
     @pytest.mark.parametrize("schedule", ["weighted", "uniform"])
     @pytest.mark.parametrize("sizes", [(3,), (1, 1), (9892, 3, 70, 1, 400, 4001), (5, 17, 2)])
     def test_same_tasks_and_generator_state(self, schedule, sizes):
-        specs = specs_of(sizes)
+        tasks = tasks_of(sizes)
         live_rng, old_rng = np.random.default_rng(4), np.random.default_rng(4)
-        cdf = task_cdf(specs, schedule)
-        probs = oracle.task_probabilities(specs, schedule)
-        live = [sample_task(specs, live_rng, schedule, cdf=cdf) for _ in range(3000)]
-        old = [oracle.sample_task(specs, old_rng, schedule, probs=probs) for _ in range(3000)]
+        cdf = task_cdf(tasks, schedule)
+        probs = oracle.task_probabilities(tasks, schedule)
+        live = [sample_task(tasks, live_rng, schedule, cdf=cdf) for _ in range(3000)]
+        old = [oracle.sample_task(tasks, old_rng, schedule, probs=probs) for _ in range(3000)]
         assert live == old
-        assert sample_task(specs, live_rng, schedule) == oracle.sample_task(specs, old_rng,
+        assert sample_task(tasks, live_rng, schedule) == oracle.sample_task(tasks, old_rng,
                                                                              schedule)
         assert live_rng.random() == old_rng.random()
 

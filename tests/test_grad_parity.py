@@ -34,7 +34,6 @@ from prodkg.embeddings import (
 )
 from prodkg.model import ModelConfig, init_params
 from prodkg.trainer import (
-    TaskSpec,
     TrainConfig,
     _Samplers,
     isa_example_loss,
@@ -250,24 +249,23 @@ def frozen_example_loss(task, example, params, samplers, k):
                                      params.tables, params.attn[task], task)
 
 
-def frozen_train(config, specs, params):
+def frozen_train(config, tasks, params):
     """The training loop without validation, stepping through the frozen store."""
-    active = [s for s in specs if s.n > 0]
+    active = {task: examples for task, examples in tasks.items() if examples}
     rng = np.random.default_rng(config.seed)
     samplers = _Samplers(params, active, config.seed)
     dense = params.dense_dict()
-    steps_per_epoch = max(1, math.ceil(sum(s.n for s in active) / config.batch_size))
-    by_name = {s.name: s for s in active}
+    steps_per_epoch = max(1, math.ceil(sum(map(len, active.values())) / config.batch_size))
     probs = oracle.task_probabilities(active, config.schedule)
     for _epoch in range(config.max_epochs):
         for _step in range(steps_per_epoch):
             task = oracle.sample_task(active, rng, config.schedule, probs)
-            spec = by_name[task]
-            batch_idx = rng.integers(0, spec.n, size=min(config.batch_size, spec.n))
+            examples = active[task]
+            batch_idx = rng.integers(0, len(examples), size=min(config.batch_size, len(examples)))
             grads = FrozenGradStore()
             for idx in batch_idx:
                 _loss, example_grads = frozen_example_loss(
-                    task, spec.examples[int(idx)], params, samplers, config.negatives)
+                    task, examples[int(idx)], params, samplers, config.negatives)
                 grads.merge(example_grads)
             frozen_sgd_update(params.tables, grads, config.lr, dense)
     return params
@@ -517,10 +515,10 @@ class TestBlockSteps:
         """The block step draws the negative ids of the per-example step, in
         its order, and leaves both samplers where it left them."""
         import prodkg.trainer as trainer_module
-        specs = tiny_specs(seed=8)
-        spec = next(s for s in specs if s.name == task)
+        tasks = tiny_tasks(seed=8)
+        examples = tasks[task]
         params = tiny_params(seed=3)
-        live, frozen = _Samplers(params, specs, 5), _Samplers(params, specs, 5)
+        live, frozen = _Samplers(params, tasks, 5), _Samplers(params, tasks, 5)
         seen = []
         loss_fn = "substitution_loss" if task == "substitute" else "isa_example_loss"
         real = getattr(trainer_module, loss_fn)
@@ -530,16 +528,16 @@ class TestBlockSteps:
             return real(batch, where, *negatives)
         monkeypatch.setattr(trainer_module, loss_fn, spy)
         batch_idx = np.array([3, 0, 3, 17, 9, 22, 5, 11])
-        trainer_module._batch_loss(task, spec.examples, batch_idx, params, live, 4)
+        trainer_module._batch_loss(task, examples, batch_idx, params, live, 4)
         if task == "substitute":
-            expected = [oracle.sample_negatives(frozen.item, 4, exclude=spec.examples[idx])
+            expected = [oracle.sample_negatives(frozen.item, 4, exclude=examples[idx])
                         for idx in batch_idx for _direction in range(2)]
             np.testing.assert_array_equal(seen[0][0], expected[0::2])
             np.testing.assert_array_equal(seen[0][1], expected[1::2])
         else:
             expected = [oracle.sample_negatives(frozen.category, 4,
-                                                exclude=spec.examples[idx][1])
-                        for idx in batch_idx for _label in spec.examples[idx][1]]
+                                                exclude=examples[idx][1])
+                        for idx in batch_idx for _label in examples[idx][1]]
             np.testing.assert_array_equal(seen[0][0], expected)
         for name in ("item", "category"):
             assert getattr(live, name).rng.bit_generator.state == \
@@ -548,7 +546,7 @@ class TestBlockSteps:
 
 # --- whole training runs ------------------------------------------------------------
 
-def tiny_specs(seed, n_items=14, n_words=10, n_each=24):
+def tiny_tasks(seed, n_items=14, n_words=10, n_each=24):
     rng = np.random.default_rng(seed)
 
     def item():
@@ -565,30 +563,30 @@ def tiny_specs(seed, n_items=14, n_words=10, n_each=24):
                 for _ in range(n_each)]
 
     word = lambda: int(rng.integers(1, n_words))
-    return [
-        TaskSpec("substitute", subs),
-        TaskSpec("complement", sequences(item, 1, 6)),
-        TaskSpec("co_view", sequences(item, 1, 6)),
-        TaskSpec("search", sequences(word, 1, 5)),
-        TaskSpec("describe", sequences(word, 2, 8)),
-        TaskSpec("isa", [(item(), (int(rng.integers(1, 6)), int(rng.integers(1, 6))))
-                         for _ in range(n_each)]),
-    ]
+    return {
+        "substitute": subs,
+        "complement": sequences(item, 1, 6),
+        "co_view": sequences(item, 1, 6),
+        "search": sequences(word, 1, 5),
+        "describe": sequences(word, 2, 8),
+        "isa": [(item(), (int(rng.integers(1, 6)), int(rng.integers(1, 6))))
+                for _ in range(n_each)],
+    }
 
 
 class TestTrainingRuns:
     def test_per_example_run_agrees_to_1e12(self):
-        specs = tiny_specs(seed=5)
+        tasks = tiny_tasks(seed=5)
         config = TrainConfig(max_epochs=2, seed=3, lr=0.1, batch_size=1)
-        live = train(config, specs, tiny_params(seed=9), validation=None).params
-        frozen = frozen_train(config, specs, tiny_params(seed=9))
+        live = train(config, tasks, tiny_params(seed=9), validation=None).params
+        frozen = frozen_train(config, tasks, tiny_params(seed=9))
         assert_params_close(live, frozen)
         assert not params_equal(live, tiny_params(seed=9))
 
     def test_batch_of_four_agrees_to_1e12(self):
-        specs = tiny_specs(seed=6)
+        tasks = tiny_tasks(seed=6)
         config = TrainConfig(max_epochs=1, seed=4, lr=0.1, batch_size=4)
-        live = train(config, specs, tiny_params(seed=10), validation=None).params
-        frozen = frozen_train(config, specs, tiny_params(seed=10))
+        live = train(config, tasks, tiny_params(seed=10), validation=None).params
+        frozen = frozen_train(config, tasks, tiny_params(seed=10))
         assert_params_close(live, frozen)
         assert not params_equal(live, tiny_params(seed=10))

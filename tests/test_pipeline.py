@@ -9,10 +9,10 @@ import pytest
 from prodkg import pipeline as pl
 from prodkg.baselines import KgConfig
 from prodkg.cli import main
-from prodkg.data import modality_paths
+from prodkg.data import SessionSequence, modality_paths
 from prodkg.evaluation import GraphSplit
 from prodkg.model import ModelConfig, init_params
-from prodkg.trainer import TrainConfig, train
+from prodkg.trainer import TASK_NAMES, TrainConfig, train
 
 SEQ_LENS = {"complement": 6, "co_view": 6, "search": 4, "describe": 8}
 
@@ -37,7 +37,7 @@ def state(run):
     build-prg's triples, and the masked products."""
     state = pl.load_and_split(modality_paths(os.path.join(run, "filtered")))
     pl.load_graph_splits(state, os.path.join(run, "prg"))
-    pl.mask_products(state, 0.1, seed=7)
+    pl.mask_products(state, seed=7)
     return state
 
 
@@ -55,28 +55,35 @@ class TestAssembly:
         assert max(per_head.values()) <= 20
 
     def test_masked_items_have_no_isa_examples(self, state):
-        specs = pl.assemble_training_data(state, SEQ_LENS)
+        tasks, _validation = pl.assemble_training_data(state, SEQ_LENS)
         masked = set(int(i) for i in state.masked_items)
-        isa = [s for s in specs if s.name == "isa"]
-        if isa:
-            assert all(item not in masked for item, _labels in isa[0].examples)
+        assert all(item not in masked for item, _labels in tasks.get("isa", []))
 
-    def test_leaky_examples_removed(self, state):
-        specs = pl.assemble_training_data(state, SEQ_LENS)
-        held_out = set()
-        for split in (state.graph_splits["complement"].validation,
-                      state.graph_splits["complement"].test):
-            for h, t in split:
-                held_out.add((h, t))
-                held_out.add((t, h))
-        complement = next(s for s in specs if s.name == "complement")
-        for context, target in complement.examples:
-            assert not any((c, target) in held_out for c in context)
+    def test_tasks_in_task_names_order(self, state):
+        """The task CDF follows the dict's order, so a reorder would change
+        every draw of every run."""
+        tasks, validation = pl.assemble_training_data(state, SEQ_LENS)
+        assert list(tasks) == list(TASK_NAMES)
+        assert list(validation) == [task for task in TASK_NAMES if task != "describe"]
+
+    @pytest.mark.parametrize("relation", ["complement", "co_view", "substitute"])
+    def test_leaky_examples_removed(self, state, relation):
+        tasks, _validation = pl.assemble_training_data(state, SEQ_LENS)
+        split = state.graph_splits[relation]
+        edges = {*split.validation, *split.test}
+        held_out = edges | {(t, h) for h, t in edges}
+        assert tasks[relation]
+        if relation == "substitute":  # training pairs hold held-out edges both ways round
+            pairs = {(p.accepted_for, p.substitute) for p in state.splits["substitutions"].train}
+            assert pairs & edges and pairs & (held_out - edges)
+        # a substitute pair is one (head, tail) edge, dropped in either orientation
+        for head, tail in tasks[relation]:
+            heads = (head,) if relation == "substitute" else head
+            assert not any((h, tail) in held_out for h in heads)
 
     def test_validation_examples_present(self, state):
-        pl.assemble_training_data(state, SEQ_LENS)
-        val = state.validation_examples
-        assert val["substitute"] and val["complement"] and val["isa"]
+        _tasks, validation = pl.assemble_training_data(state, SEQ_LENS)
+        assert validation["substitute"] and validation["complement"] and validation["isa"]
 
     def test_probe_inputs_aligned(self, state):
         params = init_params(ModelConfig(dim=8, seq_lens=SEQ_LENS, seed=1),
@@ -87,6 +94,17 @@ class TestAssembly:
         assert features.shape[0] == len(labels["category"]) == len(labels["department"])
         assert test_rows.size > 0
         assert features.shape[1] == 8
+
+
+class TestSessionExamples:
+    def test_session_expansion_counts(self):
+        examples = pl.session_examples([SessionSequence("buy", (1, 2, 3, 4), 0)], 2)
+        assert examples == [((1,), 2), ((1, 2), 3), ((2, 3), 4)]
+
+    def test_context_truncated_to_max_len(self):
+        examples = pl.session_examples([SessionSequence("buy", (1, 2, 3, 4, 5), 0)], 2)
+        assert max(len(context) for context, _target in examples) == 2
+        assert examples[-1] == ((3, 4), 5)
 
 
 class TestBaselineValidation:
@@ -122,14 +140,14 @@ class TestBaselineValidation:
 @pytest.mark.slow
 class TestEndToEnd:
     def test_short_training_improves_substitute_ranking(self, state):
-        specs = pl.assemble_training_data(state, SEQ_LENS)
+        tasks, validation = pl.assemble_training_data(state, SEQ_LENS)
         vocab = state.dataset.vocab
         params = init_params(ModelConfig(dim=12, seq_lens=SEQ_LENS, seed=7),
                              vocab["item"].size, vocab["word"].size,
                              vocab["category"].size)
         pl.pretrain_categories(state, params, epochs=5, seed=7)
         config = TrainConfig(lr=0.1, max_epochs=6, patience=6, seed=7, validation_cap=60)
-        result = train(config, specs, params, state.validation_examples)
+        result = train(config, tasks, params, validation)
         final = [v for (_e, _t, task, _m, v) in result.log if task == "substitute"]
         random_level = 10 / (vocab["item"].size - 1)
         assert final[-1] > random_level

@@ -9,9 +9,7 @@ from prodkg.attention import sequence_loss_grad
 from prodkg.embeddings import EmbeddingTable, NumericalError
 from prodkg.model import ModelConfig, init_params
 from prodkg.trainer import (
-    TaskSpec,
     TrainConfig,
-    build_task_specs,
     sample_task,
     substitution_loss,
     task_correlation,
@@ -27,7 +25,7 @@ def tiny_params(dim=4, n_items=12, n_words=8, n_cats=6, seed=3, seq_len=5):
     return init_params(config, n_items, n_words, n_cats)
 
 
-def tiny_specs(rng, n_items=12, n_words=8, n_each=30, seq_len=5):
+def tiny_tasks(rng, n_items=12, n_words=8, n_each=30, seq_len=5):
     def item():
         return int(rng.integers(1, n_items))
 
@@ -41,13 +39,13 @@ def tiny_specs(rng, n_items=12, n_words=8, n_each=30, seq_len=5):
             subs.append((a, b))
     seqs = lambda tok: [(tuple(tok() for _ in range(int(rng.integers(2, seq_len)))), tok())
                         for _ in range(n_each)]
-    return [
-        TaskSpec("substitute", subs),
-        TaskSpec("complement", seqs(item)),
-        TaskSpec("co_view", seqs(item)),
-        TaskSpec("search", [(tuple(word() for _ in range(3)), item()) for _ in range(n_each)]),
-        TaskSpec("isa", [(item(), (int(rng.integers(1, 6)),)) for _ in range(n_each)]),
-    ]
+    return {
+        "substitute": subs,
+        "complement": seqs(item),
+        "co_view": seqs(item),
+        "search": [(tuple(word() for _ in range(3)), item()) for _ in range(n_each)],
+        "isa": [(item(), (int(rng.integers(1, 6)),)) for _ in range(n_each)],
+    }
 
 
 class TestSubstitutionLoss:
@@ -125,39 +123,39 @@ class TestRelationLoss:
 
 class TestSampleTask:
     def test_single_task_always_selected(self):
-        specs = [TaskSpec("substitute", [(1, 2)])]
+        tasks = {"substitute": [(1, 2)]}
         rng = np.random.default_rng(0)
-        assert all(sample_task(specs, rng) == "substitute" for _ in range(20))
+        assert all(sample_task(tasks, rng) == "substitute" for _ in range(20))
 
     def test_proportional_frequencies(self):
-        specs = [TaskSpec("substitute", [(1, 2)] * 3), TaskSpec("isa", [(1, (2,))] * 1)]
+        tasks = {"substitute": [(1, 2)] * 3, "isa": [(1, (2,))] * 1}
         rng = np.random.default_rng(5)
-        draws = [sample_task(specs, rng) for _ in range(100_000)]
+        draws = [sample_task(tasks, rng) for _ in range(100_000)]
         freq = np.mean([d == "substitute" for d in draws])
         assert abs(freq - 0.75) < 0.01
 
     def test_uniform_schedule(self):
-        specs = [TaskSpec("substitute", [(1, 2)] * 9), TaskSpec("isa", [(1, (2,))] * 1)]
+        tasks = {"substitute": [(1, 2)] * 9, "isa": [(1, (2,))] * 1}
         rng = np.random.default_rng(6)
-        draws = [sample_task(specs, rng, schedule="uniform") for _ in range(50_000)]
+        draws = [sample_task(tasks, rng, schedule="uniform") for _ in range(50_000)]
         freq = np.mean([d == "substitute" for d in draws])
         assert abs(freq - 0.5) < 0.01
 
     def test_seeded_reproducibility(self):
-        specs = [TaskSpec("substitute", [(1, 2)] * 2), TaskSpec("isa", [(1, (2,))] * 3)]
-        a = [sample_task(specs, np.random.default_rng(9)) for _ in range(1)]
-        b = [sample_task(specs, np.random.default_rng(9)) for _ in range(1)]
+        tasks = {"substitute": [(1, 2)] * 2, "isa": [(1, (2,))] * 3}
+        a = [sample_task(tasks, np.random.default_rng(9)) for _ in range(1)]
+        b = [sample_task(tasks, np.random.default_rng(9)) for _ in range(1)]
         assert a == b
 
     def test_chi_square_within_bound(self):
         """Empirical counts match n_i / sum(n) proportions at the 0.999 level."""
         sizes = {"substitute": 5, "complement": 3, "search": 2}
-        specs = [TaskSpec(name, [(1, 2)] * size) for name, size in sizes.items()]
+        tasks = {name: [(1, 2)] * size for name, size in sizes.items()}
         rng = np.random.default_rng(11)
         n_draws = 100_000
         counts = {name: 0 for name in sizes}
         for _ in range(n_draws):
-            counts[sample_task(specs, rng)] += 1
+            counts[sample_task(tasks, rng)] += 1
         total_size = sum(sizes.values())
         chi2 = sum((counts[name] - n_draws * size / total_size) ** 2
                    / (n_draws * size / total_size) for name, size in sizes.items())
@@ -168,19 +166,19 @@ class TestTrainLoop:
     def test_zero_epochs_returns_initial_params(self):
         rng = np.random.default_rng(2)
         params = tiny_params()
-        specs = tiny_specs(rng)
+        tasks = tiny_tasks(rng)
         config = TrainConfig(max_epochs=0, seed=1)
-        result = train(config, specs, params.copy(), validation={})
+        result = train(config, tasks, params.copy(), validation={})
         assert result.log == []
         assert params_equal(result.params, params)
 
     def test_bitwise_determinism(self):
         rng = np.random.default_rng(4)
-        specs = tiny_specs(rng)
+        tasks = tiny_tasks(rng)
         outputs = []
         for _ in range(2):
             config = TrainConfig(max_epochs=2, seed=13, validation_cap=10)
-            result = train(config, specs, tiny_params(seed=5),
+            result = train(config, tasks, tiny_params(seed=5),
                            validation={"substitute": [(1, 2), (3, 4)]})
             outputs.append(result)
         assert params_equal(outputs[0].params, outputs[1].params)
@@ -189,11 +187,11 @@ class TestTrainLoop:
     def test_single_task_isolation(self):
         """Training only the substitute task leaves every other table bitwise intact."""
         rng = np.random.default_rng(7)
-        specs = tiny_specs(rng)
+        tasks = tiny_tasks(rng)
         params = tiny_params(seed=8)
         before = params.copy()
         config = TrainConfig(max_epochs=2, seed=3, schedule="substitute")
-        result = train(config, specs, params, validation=None)
+        result = train(config, tasks, params, validation=None)
         trained = result.params
         assert not np.array_equal(trained.tables["item_in"].values,
                                   before.tables["item_in"].values)
@@ -204,11 +202,11 @@ class TestTrainLoop:
             np.testing.assert_array_equal(block.positions, before.attn[task].positions)
 
     def test_single_task_without_examples_rejected(self):
-        specs = [spec for spec in tiny_specs(np.random.default_rng(7))
-                 if spec.name != "substitute"]
+        tasks = tiny_tasks(np.random.default_rng(7))
+        del tasks["substitute"]
         config = TrainConfig(max_epochs=1, schedule="substitute")
         with pytest.raises(ValueError, match="'substitute' has no training examples"):
-            train(config, specs, tiny_params())
+            train(config, tasks, tiny_params())
 
     def test_schedule_naming_no_task_rejected(self):
         # a single-task run's schedule is its task's name
@@ -222,15 +220,15 @@ class TestTrainLoop:
         and both runs leave the same trained tables (``train`` steps the
         params it is given in place)."""
         rng = np.random.default_rng(4)
-        specs = tiny_specs(rng)
+        tasks = tiny_tasks(rng)
         validation = {"substitute": [(1, 2), (3, 4), (5, 6)],
                       "complement": [((1, 2), 3), ((4,), 5)],
                       "search": [((1, 2, 3), 4)],
                       "isa": [(1, 2), (1, 4), (7, 3), (9, 5)]}
         config = TrainConfig(max_epochs=2, patience=5, seed=13, validation_cap=10)
         stepped = tiny_params(seed=5)
-        validated = train(config, specs, stepped, validation)
-        plain = train(config, specs, tiny_params(seed=5), validation=None)
+        validated = train(config, tasks, stepped, validation)
+        plain = train(config, tasks, tiny_params(seed=5), validation=None)
         logged = {task: value for epoch, _t, task, _m, value in validated.log if epoch == 2}
         assert logged.keys() == validation.keys()
         assert logged == {task: validation_metric(task, examples, plain.params, 10)
@@ -251,41 +249,21 @@ class TestTrainLoop:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts_with_diagnostic(self):
         rng = np.random.default_rng(12)
-        specs = tiny_specs(rng)
+        tasks = tiny_tasks(rng)
         params = tiny_params(seed=2)
         params.tables["item_in"].values[1:] = 1e200
         config = TrainConfig(max_epochs=1, seed=0)
         with pytest.raises(NumericalError, match="diverged|non-finite"):
-            train(config, specs, params, validation=None)
+            train(config, tasks, params, validation=None)
 
     def test_pad_row_never_touched(self):
         rng = np.random.default_rng(14)
-        specs = tiny_specs(rng)
+        tasks = tiny_tasks(rng)
         params = tiny_params(seed=9)
         pads = {name: table.values[0].copy() for name, table in params.tables.items()}
-        result = train(TrainConfig(max_epochs=2, seed=4), specs, params, validation=None)
+        result = train(TrainConfig(max_epochs=2, seed=4), tasks, params, validation=None)
         for name, row in pads.items():
             np.testing.assert_array_equal(result.params.tables[name].values[0], row)
-
-
-class TestBuildTaskSpecs:
-    def test_session_expansion_counts(self):
-        from prodkg.data import SessionSequence
-        records = {"buy_sessions": [SessionSequence("buy", (1, 2, 3, 4), 0)]}
-        specs = build_task_specs(records, {"complement": 2, "co_view": 2,
-                                           "search": 2, "describe": 2})
-        spec = specs[0]
-        assert spec.name == "complement"
-        assert spec.examples == [((1,), 2), ((1, 2), 3), ((2, 3), 4)]
-
-    def test_context_truncated_to_max_len(self):
-        from prodkg.data import SessionSequence
-        records = {"buy_sessions": [SessionSequence("buy", (1, 2, 3, 4, 5), 0)]}
-        specs = build_task_specs(records, {"complement": 2, "co_view": 2,
-                                           "search": 2, "describe": 2})
-        contexts = [c for c, _t in specs[0].examples]
-        assert max(len(c) for c in contexts) == 2
-        assert specs[0].examples[-1] == ((3, 4), 5)
 
 
 class TestTaskCorrelation:
@@ -358,9 +336,10 @@ class TestBestEpochSelection:
         monkeypatch.setattr(trainer_module, "validation_metric", self.scripted(
             {"substitute": [0.5, 0.4, 0.2], "isa": [0.1, 0.3, 0.35]}))
         rng = np.random.default_rng(3)
-        specs = [s for s in tiny_specs(rng) if s.name in ("substitute", "isa")]
+        tasks = {task: examples for task, examples in tiny_tasks(rng).items()
+                 if task in ("substitute", "isa")}
         config = TrainConfig(max_epochs=3, patience=1, seed=2)
-        result = train(config, specs, tiny_params(), validation={})
+        result = train(config, tasks, tiny_params(), validation={})
         assert result.best_epoch == 2
         # isa's improvements alone keep the run going to the last epoch
         assert result.epochs_run == 3
@@ -386,13 +365,13 @@ class TestBestEpochSelection:
         log row, no place in the selection mean and none in patience."""
         assert validation_metric("describe", [], tiny_params(), 10) is None
         rng = np.random.default_rng(6)
-        specs = tiny_specs(rng) + [TaskSpec(
-            "describe", [(tuple(int(w) for w in rng.integers(1, 8, size=3)),
-                          int(rng.integers(1, 12))) for _ in range(30)])]
+        tasks = {**tiny_tasks(rng), "describe": [
+            (tuple(int(w) for w in rng.integers(1, 8, size=3)), int(rng.integers(1, 12)))
+            for _ in range(30)]}
         validation = {"substitute": [(1, 2), (3, 4), (5, 6)],
                       "search": [((1, 2, 3), 4), ((5, 6), 7)], "describe": []}
         config = TrainConfig(max_epochs=4, patience=2, seed=2, validation_cap=10)
-        result = train(config, specs, tiny_params(), validation)
+        result = train(config, tasks, tiny_params(), validation)
         by_epoch = {}
         for epoch, _trained, task, metric, value in result.log:
             assert metric == "hit@10"
@@ -405,7 +384,7 @@ class TestBestEpochSelection:
         rng = np.random.default_rng(7)
         params = tiny_params()
         config = TrainConfig(max_epochs=2, patience=1, seed=2)
-        result = train(config, tiny_specs(rng), params.copy(), validation={"describe": []})
+        result = train(config, tiny_tasks(rng), params.copy(), validation={"describe": []})
         assert result.log == []
         assert (result.best_epoch, result.epochs_run) == (2, 2)
         assert not params_equal(result.params, params)
@@ -415,7 +394,7 @@ class TestBestEpochSelection:
         monkeypatch.setattr(trainer_module, "validation_metric",
                             self.scripted({"isa": [0.1, 0.4, 0.2]}))
         rng = np.random.default_rng(3)
-        specs = [s for s in tiny_specs(rng) if s.name == "isa"]
-        result = train(TrainConfig(max_epochs=3, seed=2), specs, tiny_params(),
+        tasks = {"isa": tiny_tasks(rng)["isa"]}
+        result = train(TrainConfig(max_epochs=3, seed=2), tasks, tiny_params(),
                        validation={})
         assert result.best_epoch == 2
