@@ -63,12 +63,6 @@ class AttentionParams:
             b2=np.zeros(dim),
         )
 
-    def copy(self) -> "AttentionParams":
-        return AttentionParams(
-            self.positions.copy(), self.theta1.copy(), self.b1.copy(),
-            self.theta2.copy(), self.b2.copy(),
-        )
-
     def as_dict(self, prefix: str) -> dict[str, np.ndarray]:
         return {
             f"{prefix}.positions": self.positions,

@@ -13,6 +13,7 @@ covered by finite-difference tests.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Callable
 
@@ -81,15 +82,6 @@ class KgModel:
             self.params["rel_im"] = rng.uniform(-bound, bound, size=(n_relations, d))
         if self.variant in ("transE", "transH"):
             self._clip_entities(np.arange(n_entities))
-
-    def copy(self) -> "KgModel":
-        clone = KgModel.__new__(KgModel)
-        clone.config = self.config
-        clone.variant = self.variant
-        clone.n_entities = self.n_entities
-        clone.n_relations = self.n_relations
-        clone.params = {k: v.copy() for k, v in self.params.items()}
-        return clone
 
     def _clip_entities(self, ids) -> None:
         ent = self.params["ent"]
@@ -403,7 +395,7 @@ def train_kg(
     config = model.config
     rng = np.random.default_rng(config.seed + 1)
     pool = np.arange(model.n_entities) if candidates is None else np.unique(candidates)
-    best = model.copy()
+    best = model
     best_metric = -np.inf
     stale = 0
     for _epoch in range(config.epochs):
@@ -417,15 +409,13 @@ def train_kg(
                 model.enforce_constraints(ent_ids, rel_ids)
         if validation is not None:
             metric = hit_at_k(model, validation, 10, candidates)
-            if metric > best_metric + 1e-9:
+            stale = 0 if metric > best_metric else stale + 1
+            if stale == 0:
                 best_metric = metric
-                best = model.copy()
-                stale = 0
-            else:
-                stale += 1
-                if stale >= config.patience:
-                    return best
-    return best if validation is not None else model
+                best = copy.deepcopy(model)
+            elif stale >= config.patience:
+                break
+    return best
 
 
 # --- the shared entity space over the multi-modal dataset ---

@@ -28,7 +28,7 @@ from .model import DEFAULT_SEQ_LENS, TABLE_NAMESPACES, ModelConfig, init_params
 from .model import load_checkpoint, save_checkpoint
 from .prg import export_prg
 from .synth import SynthConfig, generate
-from .trainer import TASK_NAMES, TrainConfig, selection_metric, task_correlation, train
+from .trainer import TrainConfig, selection_metric, task_correlation, train
 
 
 class UsageError(ValueError):
@@ -234,19 +234,14 @@ def write_manifest(out_dir: str, subcommand: str, config: dict, inputs: list[str
         handle.write("\n")
 
 
-def _write_vocab(path: str, vocab) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for idx in vocab.real_ids():
-            handle.write(f"{idx}\t{vocab.key(idx)}\n")
+def _vocab_lines(vocab) -> list:
+    """The lines of a ``vocab_*.tsv``: each real id with its key."""
+    return [f"{idx}\t{vocab.key(idx)}" for idx in vocab.real_ids()]
 
 
-def _check_vocab(path: str, vocab) -> None:
-    """``vocab``, reloaded from ``filtered/``, must be ingest's ``vocab_*.tsv``
-    line for line."""
-    if not os.path.isfile(path):
-        raise DataError(f"missing {path!r}; run 'prodkg ingest' first")
-    written = list(dm._read_lines(path))
-    expected = [f"{idx}\t{vocab.key(idx)}" for idx in vocab.real_ids()]
+def _check_lines(path: str, written: list, expected: list, stage: str) -> None:
+    """The (line number, text) pairs ``written`` to ``path`` by ``stage`` must be
+    ``expected``, as reloaded from ``filtered/``, line for line."""
     end = (written[-1][0] + 1 if written else 1, None)
 
     def show(text):
@@ -256,8 +251,8 @@ def _check_vocab(path: str, vocab) -> None:
         number, line = written[index] if index < len(written) else end
         want = expected[index] if index < len(expected) else None
         if line != want:
-            raise DataError(f"{path}:{number}: ingest wrote {show(line)}, but filtered/ "
-                            f"gives {show(want)}; re-run 'prodkg ingest'")
+            raise DataError(f"{path}:{number}: {stage} wrote {show(line)}, but filtered/ "
+                            f"gives {show(want)}; re-run 'prodkg {stage}'")
 
 
 def _run_dir_state(run: str) -> pl.PipelineData:
@@ -270,7 +265,11 @@ def _run_dir_state(run: str) -> pl.PipelineData:
         raise DataError(f"missing filtered records under {run!r}; run 'prodkg ingest' first")
     state = pl.load_and_split(dm.modality_paths(filtered_dir))
     for namespace in dm.NAMESPACES:
-        _check_vocab(os.path.join(run, f"vocab_{namespace}.tsv"), state.dataset.vocab[namespace])
+        path = os.path.join(run, f"vocab_{namespace}.tsv")
+        if not os.path.isfile(path):
+            raise DataError(f"missing {path!r}; run 'prodkg ingest' first")
+        expected = _vocab_lines(state.dataset.vocab[namespace])
+        _check_lines(path, list(dm._read_lines(path)), expected, "ingest")
     return state
 
 
@@ -324,7 +323,8 @@ def cmd_ingest(config: dict) -> int:
                             "filtering cannot form nonempty train, validation and test parts")
     dm.export_dataset(dataset, os.path.join(out, "filtered"))
     for namespace in dm.NAMESPACES:
-        _write_vocab(os.path.join(out, f"vocab_{namespace}.tsv"), dataset.vocab[namespace])
+        with open(os.path.join(out, f"vocab_{namespace}.tsv"), "w", encoding="utf-8") as handle:
+            handle.writelines(line + "\n" for line in _vocab_lines(dataset.vocab[namespace]))
     write_manifest(out, "ingest", config, sorted(paths.values()))
     print(f"ingested {data_dir} -> {out}/ "
           f"({dataset.vocab[dm.ITEM].size - 1} items, {dataset.vocab[dm.WORD].size - 1} words)")
@@ -363,8 +363,9 @@ def cmd_train(config: dict) -> int:
     prg_hash = pl.load_graph_splits(state, os.path.join(config["run"], "prg"))
     pl.mask_products(state, seed=config["seed"])
     tasks, validation = pl.assemble_training_data(state, seq_lens)
-    if train_config.schedule in TASK_NAMES and train_config.schedule not in tasks:
-        raise DataError(f"task {train_config.schedule!r} has no training examples in "
+    trained_task = train_config.trained_task
+    if trained_task and trained_task not in tasks:
+        raise DataError(f"task {trained_task!r} has no training examples in "
                         f"{os.path.join(config['run'], 'filtered')!r}")
     model_config = ModelConfig(dim=config["dim"], seq_lens=seq_lens, seed=config["seed"])
     params = init_params(model_config, vocab[dm.ITEM].size, vocab[dm.WORD].size,
@@ -378,13 +379,15 @@ def cmd_train(config: dict) -> int:
         handle.write("epoch\tloss\n")
         for epoch, loss in enumerate(cat_losses, 1):
             handle.write(f"{epoch}\t{loss:.9g}\n")
+    history, tag = result.history, trained_task or "mixed"
     with open(os.path.join(out, "metrics_log.tsv"), "w", encoding="utf-8") as handle:
         handle.write("epoch\ttrained_task\ttask\tmetric\tvalue\n")
-        for epoch, trained, task, metric, value in result.log:
-            handle.write(f"{epoch}\t{trained}\t{task}\t{metric}\t{value:.9g}\n")
+        for epoch, metrics in history.items():
+            for task, value in metrics.items():
+                handle.write(f"{epoch}\t{tag}\t{task}\thit@10\t{value:.9g}\n")
     with open(os.path.join(out, "task_correlation.tsv"), "w", encoding="utf-8") as handle:
         handle.write("trained_task\ttask\tpearson\n")
-        for (trained, task), value in sorted(task_correlation(result.log).items()):
+        for (trained, task), value in sorted(task_correlation(history, trained_task).items()):
             rendered = "absent" if value is None else f"{value:.9g}"
             handle.write(f"{trained}\t{task}\t{rendered}\n")
     with open(os.path.join(out, "masked_items.tsv"), "w", encoding="utf-8") as handle:
@@ -393,12 +396,9 @@ def cmd_train(config: dict) -> int:
     write_manifest(out, "train", config, [config["run"]], prg_config_hash=prg_hash)
     print(f"trained for {result.epochs_run} epochs (best {result.best_epoch}); "
           f"checkpoint in {out}/")
-    validated: dict = {}
-    for epoch, _trained, task, _metric, value in result.log:
-        validated.setdefault(epoch, {})[task] = value
-    if validated:
-        best, final = result.best_epoch, max(validated)
-        best_value, final_value = (selection_metric(validated[e]) for e in (best, final))
+    if history:
+        best, final = result.best_epoch, max(history)
+        best_value, final_value = (selection_metric(history[e]) for e in (best, final))
         if final_value < 0.5 * best_value:
             print(f"warning: mean validation hit@10 fell from {best_value:.4g} at epoch {best} "
                   f"to {final_value:.4g} at epoch {final}; the checkpoint holds epoch {best}",
@@ -433,8 +433,13 @@ def _read_masked_items(path: str, vocab) -> np.ndarray:
 
 def cmd_evaluate(config: dict) -> int:
     run = config["run"]
-    checkpoint, params, _keys = _load_model(run)
+    checkpoint, params, keys = _load_model(run)
     state = _run_dir_state(run)
+    for table, namespace in TABLE_NAMESPACES.items():
+        # row i of a table is line i + 2; the header line stands where PAD would be
+        _check_lines(os.path.join(checkpoint, f"embeddings_{table}.tsv"),
+                     list(enumerate(keys[table], 2)),
+                     list(state.dataset.vocab[namespace].id_to_key), "train")
     prg_dir = os.path.join(run, "prg")
     prg_hash = pl.load_graph_splits(state, prg_dir)
     model_manifest = pl.read_manifest(os.path.join(checkpoint, "manifest.json"))

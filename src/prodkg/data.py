@@ -228,10 +228,9 @@ def check_forest(edges, where=None) -> dict:
     return parent
 
 
-def _vocabulary(namespace: str, counts: Counter, minimum: int, uncounted=()) -> Vocabulary:
-    """The keys counted at least ``minimum`` times; ``uncounted`` keys count 0."""
-    keys = set(counts).union(uncounted)
-    return Vocabulary.from_keys(namespace, [key for key in keys if counts[key] >= minimum])
+def _vocabulary(namespace: str, counts: Counter, minimum: int, keys) -> Vocabulary:
+    """The ``keys`` counted at least ``minimum`` times; an uncounted key counts 0."""
+    return Vocabulary.from_keys(namespace, [key for key in set(keys) if counts[key] >= minimum])
 
 
 def ingest_dataset(paths: dict, item_min: int = 0, word_min: int = 0) -> Dataset:
@@ -247,7 +246,8 @@ def ingest_dataset(paths: dict, item_min: int = 0, word_min: int = 0) -> Dataset
     times and words fewer than ``word_min`` are dropped everywhere:
     sequences shrink, and one left shorter than two is discarded, as are
     substitutions losing either side, searches losing their click or whole
-    query, and catalog entries of dropped items.  Categories are never
+    query, and catalog entries of dropped items; a word that no surviving
+    record holds is dropped too.  Categories are never
     filtered; their vocabulary comes from the edge file alone, so a catalog
     path label missing there is an error, as are edges that are not a forest.
     """
@@ -324,9 +324,14 @@ def ingest_dataset(paths: dict, item_min: int = 0, word_min: int = 0) -> Dataset
     item_counts.update(r.clicked_item for r in searches)
     word_counts = Counter(chain.from_iterable(r.query_words for r in searches))
     word_counts.update(chain.from_iterable(e.description for e in catalog))
+    items = _vocabulary(ITEM, item_counts, item_min, chain(item_counts, catalog_lines))
+    # a counted word stays only where a record that survives the item filter holds it
+    held = chain.from_iterable(chain(
+        (r.query_words for r in searches if r.clicked_item in items.key_to_id),
+        (e.description for e in catalog if e.item in items.key_to_id)))
     vocab = {
-        ITEM: _vocabulary(ITEM, item_counts, item_min, catalog_lines),
-        WORD: _vocabulary(WORD, word_counts, word_min),
+        ITEM: items,
+        WORD: _vocabulary(WORD, word_counts, word_min, held),
         CATEGORY: Vocabulary.from_keys(CATEGORY, categories),
     }
 

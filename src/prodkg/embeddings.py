@@ -26,6 +26,8 @@ PAD_ID = 0
 
 # Bounded retries before the sampler falls back to exact rejection.
 _MAX_RESAMPLE_TRIES = 32
+# Unigram smoothing: negatives are drawn proportionally to count ** this.
+SAMPLER_EXPONENT = 0.75
 
 
 class NumericalError(RuntimeError):
@@ -51,9 +53,6 @@ class EmbeddingTable:
     @property
     def dim(self) -> int:
         return self.values.shape[1]
-
-    def copy(self) -> "EmbeddingTable":
-        return EmbeddingTable(self.name, self.values.copy(), self.geometry)
 
     def validate(self, eps_ball: float = 1e-5) -> None:
         if not np.all(np.isfinite(self.values)):
@@ -103,21 +102,20 @@ class Grads(NamedTuple):
 class NegativeSampler:
     """Smoothed-unigram sampler over one entity namespace.
 
-    Sampling probabilities are proportional to ``count ** exponent``
-    (0.75 by default).  PAD and explicitly excluded ids are never returned:
-    collisions are resampled a bounded number of times, after which the
-    sampler falls back to exact rejection over the remaining mass.
+    Sampling probabilities are proportional to ``count ** SAMPLER_EXPONENT``.
+    PAD and explicitly excluded ids are never returned: collisions are
+    resampled a bounded number of times, after which the sampler falls back
+    to exact rejection over the remaining mass.
     """
 
-    def __init__(self, counts: np.ndarray, exponent: float = 0.75, seed: int = 0):
+    def __init__(self, counts: np.ndarray, seed: int = 0):
         counts = np.asarray(counts, dtype=float)
         if counts.ndim != 1 or counts.shape[0] < 2:
             raise ValueError("counts must be a 1-d array covering the namespace incl. PAD")
-        weights = np.where(counts > 0, counts, 0.0) ** exponent
+        weights = np.where(counts > 0, counts, 0.0) ** SAMPLER_EXPONENT
         weights[PAD_ID] = 0.0
         if weights.sum() <= 0:
             raise ValueError("sampler needs at least one entity with positive count")
-        self.exponent = exponent
         self.weights = weights
         self.cumulative = np.cumsum(weights)
         self.total = float(self.cumulative[-1])

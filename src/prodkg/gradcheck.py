@@ -7,7 +7,7 @@ quotient against the analytic value, and report the worst relative error.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -25,7 +25,6 @@ class GradCheckReport:
     worst_param: str
     worst_index: tuple
     n_coords_checked: int
-    per_param: dict[str, float] = field(default_factory=dict)
 
     def passed(self, tol: float) -> bool:
         return self.max_rel_error < tol
@@ -65,7 +64,6 @@ def grad_check(
     worst_param = ""
     worst_index: tuple = ()
     n_checked = 0
-    per_param: dict[str, float] = {}
 
     for name in sorted(work):
         array = work[name]
@@ -82,7 +80,6 @@ def grad_check(
         else:
             coords = rng.choice(flat_size, size=max_coords_per_param, replace=False)
 
-        param_worst = 0.0
         for flat in coords:
             original = array.flat[flat]
             array.flat[flat] = original + eps
@@ -95,17 +92,14 @@ def grad_check(
             a = grad.flat[flat]
             rel = abs(a - numeric) / max(abs(a), abs(numeric), _DENOM_FLOOR)
             n_checked += 1
-            param_worst = max(param_worst, rel)
             if rel > max_rel:
                 max_rel = rel
                 worst_param = name
                 worst_index = np.unravel_index(flat, array.shape)
-        per_param[name] = param_worst
 
     return GradCheckReport(
         max_rel_error=max_rel,
         worst_param=worst_param,
         worst_index=tuple(int(i) for i in worst_index),
         n_coords_checked=n_checked,
-        per_param=per_param,
     )

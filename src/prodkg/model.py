@@ -38,13 +38,6 @@ class PkgParams:
     attn: dict          # task -> AttentionParams
     dim: int
 
-    def copy(self) -> "PkgParams":
-        return PkgParams(
-            tables={name: table.copy() for name, table in self.tables.items()},
-            attn={task: params.copy() for task, params in self.attn.items()},
-            dim=self.dim,
-        )
-
     def dense_dict(self) -> dict:
         """Flat name -> array view over all attention parameters (shared memory)."""
         out: dict[str, np.ndarray] = {}

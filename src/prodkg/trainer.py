@@ -8,12 +8,13 @@ loss call on a block: a sequence task's is one padded attention pass.  An
 epoch is ceil(total / batch) steps.  Task sampling is proportional to
 dataset size by default; the uniform schedule, and a schedule naming one
 task, which then trains alone, are the comparison runs.  Every task is
-validated by hit@10, logged per epoch, tagged with the task that epoch
-trained; the metrics drive early stopping and feed the task-correlation
+validated by hit@10 after each epoch, into one ``{epoch: {task: hit@10}}``
+history; it drives early stopping and feeds the task-correlation
 diagnostic.
 """
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -57,6 +58,11 @@ class TrainConfig:
         if self.schedule not in ("weighted", "uniform", *TASK_NAMES):
             raise ValueError(f"unknown schedule {self.schedule!r}; choose weighted, uniform "
                              f"or a task: {' '.join(TASK_NAMES)}")
+
+    @property
+    def trained_task(self) -> str | None:
+        """The task a single-task schedule trains alone; None for a mixed run."""
+        return self.schedule if self.schedule in TASK_NAMES else None
 
 
 def substitution_loss(
@@ -130,7 +136,7 @@ def sample_task(tasks: dict, rng: np.random.Generator,
 @dataclass
 class TrainResult:
     params: PkgParams
-    log: list                      # (epoch, trained_task, task, metric, value)
+    history: dict                  # validated epoch -> {task: hit@10}, tasks in training order
     best_epoch: int
     epochs_run: int
 
@@ -159,7 +165,7 @@ class _Samplers:
         category_counts = np.ones(params.tables["category"].rows)
         category_counts[0] = 0
         # uniform draw over categories
-        self.category = NegativeSampler(category_counts, exponent=1.0, seed=seed + 13)
+        self.category = NegativeSampler(category_counts, seed=seed + 13)
 
 
 def _sequence_examples(examples: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -225,21 +231,20 @@ def train(
     """Run the sampling-then-training loop until metrics stop improving.
 
     ``tasks`` and ``validation`` map task names to training and held-out
-    example lists; tasks are drawn in the order of ``tasks``.  Every epoch
-    logs the metric of each task that has validation examples; when no such
-    task improves by more than ``IMPROVE_EPS`` for ``patience`` consecutive
-    epochs the loop stops and the snapshot of the best epoch (highest
-    :func:`selection_metric`) is returned.
+    example lists; tasks are drawn in the order of ``tasks``.  Each epoch's
+    history entry holds the metric of every task with validation examples;
+    when none improves by more than ``IMPROVE_EPS`` for ``patience``
+    consecutive epochs the loop stops and returns the snapshot of the best
+    epoch (highest :func:`selection_metric`).
     The category table never receives gradients here: it is pre-trained
     and frozen before this loop runs.
     """
     active = {task: examples for task, examples in tasks.items() if examples}
     if not active:
         raise ValueError("no active tasks")
-    # a single-task run tags each epoch with its task; mixed epochs are "mixed"
-    epoch_task = config.schedule if config.schedule in TASK_NAMES else None
-    if epoch_task and epoch_task not in active:
-        raise ValueError(f"task {epoch_task!r} has no training examples")
+    trained_task = config.trained_task
+    if trained_task and trained_task not in active:
+        raise ValueError(f"task {trained_task!r} has no training examples")
     rng = np.random.default_rng(config.seed)
     samplers = _Samplers(params, active, config.seed)
     dense = params.dense_dict()
@@ -249,16 +254,16 @@ def train(
               for task, examples in active.items()}
     cdf = task_cdf(active, config.schedule)
 
-    log: list[tuple] = []
-    best_params = params.copy()
+    history: dict[int, dict[str, float]] = {}
+    best_params = params
     best_epoch = 0
     best_mean = -np.inf
-    previous_best: dict[str, float] = {}
+    previous_best: dict[str, float] = {}   # the stopping rule's per-task bests
     stale = 0
 
     for epoch in range(1, config.max_epochs + 1):
         for _step in range(steps_per_epoch):
-            task = epoch_task or sample_task(active, rng, config.schedule, cdf)
+            task = trained_task or sample_task(active, rng, config.schedule, cdf)
             n = len(active[task])
             batch_idx = rng.integers(0, n, size=min(config.batch_size, n))
             loss, grads = _batch_loss(task, blocks[task], batch_idx, params, samplers,
@@ -271,71 +276,51 @@ def train(
         if validation is None:
             continue
         metrics = {}
-        improved_any = False
         for task in active:
             value = validation_metric(task, validation.get(task, []), params,
                                       config.validation_cap)
-            if value is None:
-                continue
-            metrics[task] = value
-            log.append((epoch, epoch_task or "mixed", task, "hit@10", value))
-            if value > previous_best.get(task, -np.inf) + IMPROVE_EPS:
-                previous_best[task] = value
-                improved_any = True
+            if value is not None:
+                metrics[task] = value
         if not metrics:
             continue
+        history[epoch] = metrics
         mean_metric = selection_metric(metrics)
         if mean_metric > best_mean:
             best_mean = mean_metric
-            best_params = params.copy()
+            best_params = copy.deepcopy(params)
             best_epoch = epoch
-        stale = 0 if improved_any else stale + 1
+        improved = {task: value for task, value in metrics.items()
+                    if value > previous_best.get(task, -np.inf) + IMPROVE_EPS}
+        previous_best.update(improved)
+        stale = 0 if improved else stale + 1
         if stale >= config.patience:
-            return TrainResult(best_params, log, best_epoch, epoch)
+            return TrainResult(best_params, history, best_epoch, epoch)
 
-    if best_epoch == 0:   # no epoch was validated
-        return TrainResult(params, log, config.max_epochs, config.max_epochs)
-    return TrainResult(best_params, log, best_epoch, config.max_epochs)
+    # without a validated epoch the final parameters are the result
+    return TrainResult(best_params, history, best_epoch or config.max_epochs, config.max_epochs)
 
 
-def task_correlation(log: list) -> dict:
+def task_correlation(history: dict, trained_task: str | None) -> dict:
     """Pairwise correlation of per-epoch validation-metric changes.
 
-    For tasks A != B, the statistic correlates the change in A's metric
-    with the change in B's metric over epochs attributed to training A.
-    Cells with fewer than three attributable epochs or zero variance are
-    absent (None).  Rows whose trained-task tag is not a single task
-    (e.g. mixed-schedule epochs) are ignored.
+    ``history`` is :attr:`TrainResult.history`, whose epochs all validate
+    the same tasks.  For tasks A != B, cell (A, B) correlates the changes of
+    A's metric between consecutive validated epochs with those of B's, when
+    the run trained A alone (``trained_task``).  A cell is absent (None)
+    with fewer than three changes, zero variance, or in a mixed run
+    (``trained_task`` None).
     """
-    series: dict[str, dict[int, float]] = {}
-    trained_at: dict[int, str] = {}
-    for epoch, trained_task, task, _metric, value in log:
-        series.setdefault(task, {})[epoch] = value
-        trained_at[epoch] = trained_task
-    tasks = sorted(series)
-    epochs = sorted(trained_at)
-    deltas: dict[str, dict[int, float]] = {t: {} for t in tasks}
-    for task in tasks:
-        values = series[task]
-        for prev_epoch, epoch in zip(epochs, epochs[1:]):
-            if prev_epoch in values and epoch in values:
-                deltas[task][epoch] = values[epoch] - values[prev_epoch]
-
+    epochs = sorted(history)
+    tasks = sorted(history[epochs[0]]) if epochs else []
+    deltas = {task: np.diff([history[epoch][task] for epoch in epochs]) for task in tasks}
     out: dict[tuple, float | None] = {}
     for a in tasks:
-        attributed = [e for e in epochs[1:] if trained_at.get(e) == a]
         for b in tasks:
             if a == b:
                 continue
-            xs = [deltas[a][e] for e in attributed if e in deltas[a] and e in deltas[b]]
-            ys = [deltas[b][e] for e in attributed if e in deltas[a] and e in deltas[b]]
-            if len(xs) < 3:
+            xs, ys = deltas[a], deltas[b]
+            if a != trained_task or len(xs) < 3 or np.std(xs) == 0 or np.std(ys) == 0:
                 out[(a, b)] = None
-                continue
-            xs, ys = np.array(xs), np.array(ys)
-            if np.std(xs) == 0 or np.std(ys) == 0:
-                out[(a, b)] = None
-                continue
-            out[(a, b)] = float(np.corrcoef(xs, ys)[0, 1])
+            else:
+                out[(a, b)] = float(np.corrcoef(xs, ys)[0, 1])
     return out
-

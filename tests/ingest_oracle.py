@@ -180,15 +180,24 @@ def filter_infrequent(dataset: Dataset, item_min: int = 10, word_min: int = 3) -
     Sequences are shortened in place; any sequence shrinking below length
     two is discarded, as are substitutions losing either side, searches
     losing their click or whole query, and catalog entries of dropped
-    items.  Categories are never filtered.
+    items.  A frequent word is kept only where a search with a kept click
+    or the catalog entry of a kept item holds it.  Categories are never
+    filtered.
     """
     item_counts, word_counts = entity_counts(dataset)
     old_items = dataset.vocab[ITEM]
     old_words = dataset.vocab[WORD]
-    kept_item_keys = [old_items.key(i) for i in old_items.real_ids()
-                      if item_counts.get(i, 0) >= item_min]
+    kept_items = {i for i in old_items.real_ids() if item_counts.get(i, 0) >= item_min}
+    held_words = set()
+    for record in dataset.searches:
+        if record.clicked_item in kept_items:
+            held_words.update(record.query_words)
+    for entry in dataset.catalog:
+        if entry.item in kept_items:
+            held_words.update(entry.description)
+    kept_item_keys = [old_items.key(i) for i in sorted(kept_items)]
     kept_word_keys = [old_words.key(w) for w in old_words.real_ids()
-                      if word_counts.get(w, 0) >= word_min]
+                      if word_counts.get(w, 0) >= word_min and w in held_words]
 
     new_vocab = {
         ITEM: Vocabulary.from_keys(ITEM, kept_item_keys),

@@ -350,15 +350,26 @@ class TestCriterion8Metrics:
                f"exp-invariant: {invariant}")
 
 
+def read_history(path, tag):
+    """train's ``{epoch: {task: hit@10}}`` history, rebuilt from the
+    metrics_log.tsv it wrote; every row must carry the run's trained-task
+    ``tag`` and the hit@10 metric."""
+    history = {}
+    with open(path, encoding="utf-8") as handle:
+        for line in list(handle)[1:]:
+            epoch, trained, task, metric, value = line.rstrip("\n").split("\t")
+            assert (trained, metric) == (tag, "hit@10"), line
+            history.setdefault(int(epoch), {})[task] = float(value)
+    return history
+
+
 @pytest.mark.slow
 class TestCriterion9Correlation:
     def test_hand_pearson_and_schedule_comparison(self, tmp_path):
         series = {"a": [0.0, 1.0, 3.0, 6.0], "b": [0.0, 1.0, 3.0, 7.0]}
-        log = []
-        for epoch in range(1, 5):
-            for task, values in series.items():
-                log.append((epoch, "a", task, "hit@10", values[epoch - 1]))
-        rho = task_correlation(log)
+        history = {epoch: {task: values[epoch - 1] for task, values in series.items()}
+                   for epoch in range(1, 5)}
+        rho = task_correlation(history, "a")
         hand_ok = abs(rho[("a", "b")] - 9 / np.sqrt(84)) < 1e-6
 
         data, run = str(tmp_path / "data"), str(tmp_path / "run")
@@ -389,18 +400,14 @@ class TestCriterion9Correlation:
             assert code == 0, (schedule, task)
             # the best epoch train reports: "trained for N epochs (best B); ..."
             best = int(stdout.getvalue().split("(best ")[1].split(")")[0])
-            log = [(int(epoch), trained, name, metric, float(value))
-                   for epoch, trained, name, metric, value
-                   in read_tsv(os.path.join(out, "metrics_log.tsv"))]
-            at_best = {name: (metric, value) for epoch, _t, name, metric, value in log
-                       if epoch == best}
+            history = read_history(os.path.join(out, "metrics_log.tsv"), task or "mixed")
+            at_best = history.get(best, {})
             for name in [task] if task else sorted(at_best):
-                metric, value = at_best.get(name, ("hit@10", None))
-                rows.append((schedule, name, metric, value))
+                rows.append((schedule, name, "hit@10", at_best.get(name)))
             # the written diagnostic is task_correlation of the written log
             written = {(a, b): None if value == "absent" else float(value)
                        for a, b, value in read_tsv(os.path.join(out, "task_correlation.tsv"))}
-            expected = task_correlation(log)
+            expected = task_correlation(history, task)
             consistent &= written.keys() == expected.keys() and all(
                 (written[key] is None) == (expected[key] is None) and
                 (expected[key] is None or abs(written[key] - expected[key]) <= 1e-6)

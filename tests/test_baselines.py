@@ -1,5 +1,7 @@
 """Triple-baseline scorers, losses, constraints and training."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -431,7 +433,7 @@ class TestBatchParity:
     def test_batch_of_one_matches_per_triple_step(self, variant, norm):
         config = KgConfig(variant=variant, dim=5, norm=norm, lr=0.05, seed=11)
         live = KgModel(config, n_entities=9, n_relations=3)
-        frozen = live.copy()
+        frozen = copy.deepcopy(live)
         rng = np.random.default_rng(12)
         steps_taken = 0
         for _step in range(25):

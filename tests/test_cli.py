@@ -488,6 +488,47 @@ class TestStagesReadUpstream:
             assert where[damage] in err
         assert not os.path.exists(os.path.join(run, "eval"))
 
+    @pytest.mark.parametrize("item_min", [30, 35])
+    def test_ingest_dropping_items_feeds_build_prg(self, tmp_path, item_min):
+        """Words held only by the searches and catalog entries of dropped
+        items leave the word vocabulary with them, so it is what filtered/
+        reloads to."""
+        data, run = str(tmp_path / "data"), str(tmp_path / "run")
+        assert main(["gen-data", "--seed", "7", "--out", data, "--items", "150",
+                     "--clusters", "25", "--words", "120", "--sessions", "800",
+                     "--searches", "250", "--substitutions", "200"]) == 0
+        assert main(["ingest", "--data", data, "--out", run, "--item-min", str(item_min)]) == 0
+        assert main(["build-prg", "--run", run, "--out", os.path.join(run, "prg"),
+                     "--walks", "2", "--walk-length", "3"]) == 0
+
+    def test_evaluate_checkpoint_of_another_ingest_exit_2(self, trained_run, tmp_path, capsys):
+        """A re-ingest that drops items, then build-prg at the same config
+        (same hash): the checkpoint's rows are keyed by the old vocabulary."""
+        run = copy_run(trained_run, tmp_path)
+        data = os.path.join(os.path.dirname(trained_run), "data")
+        assert main(["ingest", "--data", data, "--out", run, "--item-min", "20"]) == 0
+        assert main(["build-prg", "--run", run, "--out", os.path.join(run, "prg"),
+                     "--seed", "7"]) == 0
+
+        def keys(path, skip):
+            with open(path, encoding="utf-8") as handle:
+                return [line.split("\t")[skip].rstrip("\n") for line in handle]
+
+        kept = keys(os.path.join(run, "vocab_item.tsv"), 1)
+        # masked items that survive: without the key check evaluate would report
+        masked = os.path.join(run, "model", "masked_items.tsv")
+        with open(masked, "w", encoding="utf-8") as handle:
+            handle.writelines(f"{key}\n" for key in kept[:3])
+        trained = keys(os.path.join(run, "model", "embeddings_item_in.tsv"), 0)[2:]
+        first = next(i for i, (a, b) in enumerate(zip(trained, kept)) if a != b)
+        capsys.readouterr()
+        assert evaluate(run) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert (f"embeddings_item_in.tsv:{first + 3}: train wrote {trained[first]!r}, but "
+                f"filtered/ gives {kept[first]!r}; re-run 'prodkg train'") in err
+        assert not os.path.exists(os.path.join(run, "eval"))
+
     def test_schedule_naming_a_task_trains_it_alone(self, trained_run, tmp_path):
         out = str(tmp_path / "model")
         assert main(["train", "--run", trained_run, "--out", out, "--seed", "7", *TINY_TRAIN,
@@ -697,16 +738,15 @@ class TestRunawayWarning:
     @pytest.mark.parametrize("final, warned", [((0.1, 0.19), True), ((0.1, 0.4), False)])
     def test_final_epoch_below_half_the_best_warns(self, trained_run, tmp_path, capsys,
                                                    monkeypatch, final, warned):
-        """The log's epoch 1 means 0.5 and is the best; epoch 2 means 0.145
-        (below half, a runaway) or 0.25 (half, not one)."""
+        """The history's epoch 1 means 0.5 and is the best; epoch 2 means
+        0.145 (below half, a runaway) or 0.25 (half, not one)."""
         real_train = cli.train
 
         def collapsing(config, tasks, params, validation=None):
             result = real_train(config, tasks, params, validation)
-            log = [(epoch, "mixed", task, "hit@10", value)
-                   for epoch, values in ((1, (0.4, 0.6)), (2, final))
-                   for task, value in zip(("substitute", "complement"), values)]
-            return TrainResult(result.params, log, 1, 2)
+            history = {epoch: dict(zip(("substitute", "complement"), values))
+                       for epoch, values in ((1, (0.4, 0.6)), (2, final))}
+            return TrainResult(result.params, history, 1, 2)
 
         monkeypatch.setattr(cli, "train", collapsing)
         run = copy_run(trained_run, tmp_path)

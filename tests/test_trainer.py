@@ -1,6 +1,8 @@
 """Multi-task losses, the task sampler, the training loop and the
 task-correlation diagnostic."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -168,8 +170,8 @@ class TestTrainLoop:
         params = tiny_params()
         tasks = tiny_tasks(rng)
         config = TrainConfig(max_epochs=0, seed=1)
-        result = train(config, tasks, params.copy(), validation={})
-        assert result.log == []
+        result = train(config, tasks, copy.deepcopy(params), validation={})
+        assert result.history == {}
         assert params_equal(result.params, params)
 
     def test_bitwise_determinism(self):
@@ -182,14 +184,14 @@ class TestTrainLoop:
                            validation={"substitute": [(1, 2), (3, 4)]})
             outputs.append(result)
         assert params_equal(outputs[0].params, outputs[1].params)
-        assert outputs[0].log == outputs[1].log
+        assert outputs[0].history == outputs[1].history
 
     def test_single_task_isolation(self):
         """Training only the substitute task leaves every other table bitwise intact."""
         rng = np.random.default_rng(7)
         tasks = tiny_tasks(rng)
         params = tiny_params(seed=8)
-        before = params.copy()
+        before = copy.deepcopy(params)
         config = TrainConfig(max_epochs=2, seed=3, schedule="substitute")
         result = train(config, tasks, params, validation=None)
         trained = result.params
@@ -215,7 +217,7 @@ class TestTrainLoop:
                 TrainConfig(schedule=schedule)
 
     def test_validation_leaves_training_alone(self):
-        """Validating every epoch draws nothing: a run's logged epoch-2
+        """Validating every epoch draws nothing: a run's recorded epoch-2
         metrics are the metrics of a run without validation after 2 epochs,
         and both runs leave the same trained tables (``train`` steps the
         params it is given in place)."""
@@ -229,7 +231,7 @@ class TestTrainLoop:
         stepped = tiny_params(seed=5)
         validated = train(config, tasks, stepped, validation)
         plain = train(config, tasks, tiny_params(seed=5), validation=None)
-        logged = {task: value for epoch, _t, task, _m, value in validated.log if epoch == 2}
+        logged = validated.history[2]
         assert logged.keys() == validation.keys()
         assert logged == {task: validation_metric(task, examples, plain.params, 10)
                           for task, examples in validation.items()}
@@ -268,46 +270,45 @@ class TestTrainLoop:
 
 class TestTaskCorrelation:
     @staticmethod
-    def log_from(series, trained):
-        """series: task -> list of metric values per epoch; trained: per epoch."""
-        log = []
-        for epoch, trained_task in enumerate(trained, start=1):
-            for task, values in series.items():
-                log.append((epoch, trained_task, task, "hit@10", values[epoch - 1]))
-        return log
+    def history_from(series):
+        """series: task -> list of metric values per epoch, from epoch 1."""
+        epochs = len(next(iter(series.values())))
+        return {epoch: {task: values[epoch - 1] for task, values in series.items()}
+                for epoch in range(1, epochs + 1)}
 
     def test_identical_delta_sequences_give_one(self):
         series = {"a": [0.0, 1.0, 3.0, 6.0, 10.0], "b": [0.0, 1.0, 3.0, 6.0, 10.0]}
-        rho = task_correlation(self.log_from(series, ["a"] * 5))
+        rho = task_correlation(self.history_from(series), "a")
         assert rho[("a", "b")] == pytest.approx(1.0)
+        assert rho[("b", "a")] is None  # b was not the trained task
 
     def test_negated_sequence_gives_minus_one(self):
         series = {"a": [0.0, 1.0, 3.0, 6.0, 10.0], "b": [0.0, -1.0, -3.0, -6.0, -10.0]}
-        rho = task_correlation(self.log_from(series, ["a"] * 5))
+        rho = task_correlation(self.history_from(series), "a")
         assert rho[("a", "b")] == pytest.approx(-1.0)
 
     def test_hand_computed_pearson(self):
         """Deltas (1,2,3) vs (1,2,4) correlate at 9/sqrt(84)."""
         series = {"a": [0.0, 1.0, 3.0, 6.0], "b": [0.0, 1.0, 3.0, 7.0]}
-        rho = task_correlation(self.log_from(series, ["a"] * 4))
+        rho = task_correlation(self.history_from(series), "a")
         assert rho[("a", "b")] == pytest.approx(9 / np.sqrt(84), abs=1e-6)
         assert rho[("a", "b")] == pytest.approx(0.9820, abs=1e-4)
 
     def test_too_few_samples_absent(self):
+        # three epochs of a single-task run give two changes
         series = {"a": [0.0, 1.0, 2.0], "b": [0.0, 2.0, 1.0]}
-        rho = task_correlation(self.log_from(series, ["a", "a", "b"]))
-        assert rho[("a", "b")] is None  # only 2 epochs attributed to a
-        assert rho[("b", "a")] is None  # only 1 to b
+        rho = task_correlation(self.history_from(series), "a")
+        assert rho == {("a", "b"): None, ("b", "a"): None}
 
     def test_zero_variance_absent(self):
         series = {"a": [0.0, 1.0, 2.0, 3.0, 4.0], "b": [0.5] * 5}
-        rho = task_correlation(self.log_from(series, ["a"] * 5))
+        rho = task_correlation(self.history_from(series), "a")
         assert rho[("a", "b")] is None
 
     def test_mixed_epochs_ignored(self):
         series = {"a": [0.0, 1.0, 3.0, 6.0, 10.0], "b": [0.0, 1.0, 3.0, 6.0, 10.0]}
-        rho = task_correlation(self.log_from(series, ["mixed"] * 5))
-        assert rho[("a", "b")] is None
+        rho = task_correlation(self.history_from(series), None)
+        assert rho == {("a", "b"): None, ("b", "a"): None}
 
 
 class TestBestEpochSelection:
@@ -343,9 +344,8 @@ class TestBestEpochSelection:
         assert result.best_epoch == 2
         # isa's improvements alone keep the run going to the last epoch
         assert result.epochs_run == 3
-        assert [(e, task, metric, value) for e, _t, task, metric, value in result.log
-                if task == "isa"] \
-            == [(1, "isa", "hit@10", 0.1), (2, "isa", "hit@10", 0.3), (3, "isa", "hit@10", 0.35)]
+        assert {epoch: metrics["isa"] for epoch, metrics in result.history.items()} \
+            == {1: 0.1, 2: 0.3, 3: 0.35}
 
     def test_isa_ranks_each_label_among_all_categories(self):
         """An isa pair's label ranks among all 14 categories by
@@ -362,7 +362,7 @@ class TestBestEpochSelection:
 
     def test_task_without_validation_examples_is_not_validated(self):
         """describe has training examples but no validation ones: it gets no
-        log row, no place in the selection mean and none in patience."""
+        history entry, no place in the selection mean and none in patience."""
         assert validation_metric("describe", [], tiny_params(), 10) is None
         rng = np.random.default_rng(6)
         tasks = {**tiny_tasks(rng), "describe": [
@@ -372,10 +372,7 @@ class TestBestEpochSelection:
                       "search": [((1, 2, 3), 4), ((5, 6), 7)], "describe": []}
         config = TrainConfig(max_epochs=4, patience=2, seed=2, validation_cap=10)
         result = train(config, tasks, tiny_params(), validation)
-        by_epoch = {}
-        for epoch, _trained, task, metric, value in result.log:
-            assert metric == "hit@10"
-            by_epoch.setdefault(epoch, {})[task] = value
+        by_epoch = result.history
         assert all(set(tasks) == {"substitute", "search"} for tasks in by_epoch.values())
         means = {epoch: np.mean(list(tasks.values())) for epoch, tasks in by_epoch.items()}
         assert result.best_epoch == max(means, key=lambda epoch: (means[epoch], -epoch))
@@ -384,10 +381,23 @@ class TestBestEpochSelection:
         rng = np.random.default_rng(7)
         params = tiny_params()
         config = TrainConfig(max_epochs=2, patience=1, seed=2)
-        result = train(config, tiny_tasks(rng), params.copy(), validation={"describe": []})
-        assert result.log == []
+        result = train(config, tiny_tasks(rng), copy.deepcopy(params), validation={"describe": []})
+        assert result.history == {}
         assert (result.best_epoch, result.epochs_run) == (2, 2)
         assert not params_equal(result.params, params)
+
+    def test_history_keys_are_the_validated_epochs_in_training_order(self):
+        """history maps each validated epoch, up to the stop, to its metrics in
+        the order of ``tasks`` (metrics_log.tsv's row order), not of
+        ``validation``; a validated task that does not train has no entry."""
+        tasks = tiny_tasks(np.random.default_rng(3))
+        validation = {"describe": [((1, 2), 3)], "isa": [(1, 2), (7, 3)],
+                      "search": [((1, 2, 3), 4)], "substitute": [(1, 2), (3, 4)]}
+        config = TrainConfig(max_epochs=6, patience=1, seed=2, validation_cap=10)
+        result = train(config, tasks, tiny_params(), validation)
+        assert list(result.history) == list(range(1, result.epochs_run + 1))
+        assert all(list(metrics) == ["substitute", "search", "isa"]
+                   for metrics in result.history.values())
 
     def test_isa_alone_still_selects(self, monkeypatch):
         import prodkg.trainer as trainer_module
