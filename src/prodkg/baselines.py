@@ -25,19 +25,20 @@ from .ranking import RANK_CHUNK, rank_candidates
 TRANSLATIONAL = ("transE", "transH", "transR", "transD")
 SEMANTIC = ("rescal", "distmult", "hole", "complex")
 VARIANTS = TRANSLATIONAL + SEMANTIC
+# positives per minibatch; validated epochs without a new best HIT@10 before stopping
+BATCH_SIZE = 32
+PATIENCE = 5
 
 
 @dataclass
 class KgConfig:
     variant: str = "transE"
-    dim: int = 50
+    dim: int = 100
     norm: str = "l2"            # l1 | l2, translational variants only
     margin: float = 1.0
     lr: float = 0.01
     negatives: int = 3
-    epochs: int = 100
-    patience: int = 5
-    batch_size: int = 32
+    epochs: int = 50
     seed: int = 7
 
     def __post_init__(self):
@@ -47,8 +48,6 @@ class KgConfig:
             raise ValueError("norm must be 'l1' or 'l2'")
         if self.variant in TRANSLATIONAL and not self.margin > 0:
             raise ValueError("margin must be positive for translational variants")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
 
 
 class KgModel:
@@ -385,11 +384,11 @@ def train_kg(
 
     ``triples`` and ``validation`` are (n, 3) int64 (head, relation, tail)
     rows.  Each epoch shuffles the triples and walks them in blocks of
-    ``config.batch_size``: one :func:`corrupt` call draws ``config.negatives``
+    ``BATCH_SIZE``: one :func:`corrupt` call draws ``config.negatives``
     corruptions per positive from ``candidates`` (every entity by default),
     every row takes the sum of its per-triple gradients at ``config.lr``, and
     the constraint projections run once on the touched rows.  With a
-    validation set, stops once HIT@10 fails to improve for ``patience``
+    validation set, stops once HIT@10 fails to improve for ``PATIENCE``
     epochs and returns the best snapshot; otherwise runs all epochs.
     """
     config = model.config
@@ -400,8 +399,8 @@ def train_kg(
     stale = 0
     for _epoch in range(config.epochs):
         order = rng.permutation(len(triples))
-        for start in range(0, len(order), config.batch_size):
-            heads, relations, tails = triples[order[start:start + config.batch_size]].T
+        for start in range(0, len(order), BATCH_SIZE):
+            heads, relations, tails = triples[order[start:start + BATCH_SIZE]].T
             heads, tails = corrupt(heads, tails, config.negatives, rng, pool)
             _loss, grads = margin_loss(model, heads, relations, tails)
             if grads.rows:
@@ -413,7 +412,7 @@ def train_kg(
             if stale == 0:
                 best_metric = metric
                 best = copy.deepcopy(model)
-            elif stale >= config.patience:
+            elif stale >= PATIENCE:
                 break
     return best
 

@@ -61,13 +61,13 @@ COMMON_KEYS = {
 
 KEYS: dict[str, dict] = {
     "gen-data": {
-        "items": (2000, AT_LEAST_1, "number of synthetic products"),
-        "words": (500, AT_LEAST_1, "vocabulary size for description/query words"),
-        "clusters": (200, AT_LEAST_1, "substitute clusters"),
-        "sessions": (20000, COUNT, "total sessions (half buy, half view)"),
-        "searches": (5000, COUNT, "search-and-click records"),
-        "substitutions": (2000, COUNT, "substitution acceptance records"),
-        "noise": (0.1, float, "token noise rate in [0,1)"),
+        "items": (SynthConfig.n_items, AT_LEAST_1, "number of synthetic products"),
+        "words": (SynthConfig.n_words, AT_LEAST_1, "vocabulary size for description/query words"),
+        "clusters": (SynthConfig.n_clusters, AT_LEAST_1, "substitute clusters"),
+        "sessions": (SynthConfig.n_sessions, COUNT, "total sessions (half buy, half view)"),
+        "searches": (SynthConfig.n_searches, COUNT, "search-and-click records"),
+        "substitutions": (SynthConfig.n_substitutions, COUNT, "substitution acceptance records"),
+        "noise": (SynthConfig.noise_rate, float, "token noise rate in [0,1)"),
     },
     "ingest": {
         "data": ("", str, "directory holding the raw modality files"),
@@ -84,7 +84,7 @@ KEYS: dict[str, dict] = {
     },
     "train": {
         "run": ("", str, "run directory produced by ingest"),
-        "dim": (100, AT_LEAST_1, "embedding dimension"),
+        "dim": (ModelConfig.dim, AT_LEAST_1, "embedding dimension"),
         "lr": (TrainConfig.lr, POSITIVE, "learning rate (paper grid: 0.001 0.005 0.01 0.1)"),
         "batch": (TrainConfig.batch_size, AT_LEAST_1,
                   "examples of one task per step (sum rule: the step adds their gradients)"),
@@ -104,11 +104,11 @@ KEYS: dict[str, dict] = {
     "train-baseline": {
         "run": ("", str, "run directory produced by ingest"),
         "variant": (KgConfig.variant, str, "one of " + " ".join(VARIANTS)),
-        "dim": (100, AT_LEAST_1, "embedding dimension"),
+        "dim": (KgConfig.dim, AT_LEAST_1, "embedding dimension"),
         "lr": (KgConfig.lr, POSITIVE, "learning rate"),
         "margin": (KgConfig.margin, float, "margin for translational variants"),
         "norm": (KgConfig.norm, str, "l1 | l2 for translational variants"),
-        "epochs": (50, AT_LEAST_1, "maximum epochs"),
+        "epochs": (KgConfig.epochs, AT_LEAST_1, "maximum epochs"),
         "negatives": (KgConfig.negatives, AT_LEAST_1, "corrupted triples per positive"),
     },
     "evaluate": {

@@ -11,7 +11,7 @@ Six line-oriented UTF-8 text modalities are supported (:data:`FIELDS`):
 
 Ingestion reads each file once: every line becomes a checked record over
 raw string keys, keys are counted and filtered by frequency, and the
-surviving records are resolved to ids against vocabularies of the kept keys.
+surviving records are resolved to ids against vocabularies of the keys they hold.
 Entity ids are dense integers per namespace with id 0 reserved for PAD;
 real ids follow the lexicographic order of the raw string keys, so
 rebuilding a vocabulary from the same keys is reproducible.
@@ -29,6 +29,8 @@ CATEGORY = "category"
 NAMESPACES = (ITEM, WORD, CATEGORY)
 
 PAD_KEY = "<pad>"
+# train / validation / test shares of every chronological and graph-edge split
+SPLIT_FRACTIONS = (0.8, 0.1, 0.1)
 
 # modality -> joiner of each TAB-separated field of its lines, as ingestion reads
 # and write_modality writes them: None for a key or timestamp, " " or "/" for a
@@ -228,11 +230,6 @@ def check_forest(edges, where=None) -> dict:
     return parent
 
 
-def _vocabulary(namespace: str, counts: Counter, minimum: int, keys) -> Vocabulary:
-    """The ``keys`` counted at least ``minimum`` times; an uncounted key counts 0."""
-    return Vocabulary.from_keys(namespace, [key for key in set(keys) if counts[key] >= minimum])
-
-
 def ingest_dataset(paths: dict, item_min: int = 0, word_min: int = 0) -> Dataset:
     """Parse, frequency-filter and id-resolve the modality files into a :class:`Dataset`.
 
@@ -246,10 +243,10 @@ def ingest_dataset(paths: dict, item_min: int = 0, word_min: int = 0) -> Dataset
     times and words fewer than ``word_min`` are dropped everywhere:
     sequences shrink, and one left shorter than two is discarded, as are
     substitutions losing either side, searches losing their click or whole
-    query, and catalog entries of dropped items; a word that no surviving
-    record holds is dropped too.  Categories are never
-    filtered; their vocabulary comes from the edge file alone, so a catalog
-    path label missing there is an error, as are edges that are not a forest.
+    query, and catalog entries of dropped items; each vocabulary is the keys
+    the surviving records hold.  Categories are never filtered; their
+    vocabulary comes from the edge file alone, so a catalog path label
+    missing there is an error, as are edges that are not a forest.
     """
     present = {name: path for name, path in paths.items() if path and name in FIELDS}
     for name, path in present.items():
@@ -324,68 +321,65 @@ def ingest_dataset(paths: dict, item_min: int = 0, word_min: int = 0) -> Dataset
     item_counts.update(r.clicked_item for r in searches)
     word_counts = Counter(chain.from_iterable(r.query_words for r in searches))
     word_counts.update(chain.from_iterable(e.description for e in catalog))
-    items = _vocabulary(ITEM, item_counts, item_min, chain(item_counts, catalog_lines))
-    # a counted word stays only where a record that survives the item filter holds it
-    held = chain.from_iterable(chain(
-        (r.query_words for r in searches if r.clicked_item in items.key_to_id),
-        (e.description for e in catalog if e.item in items.key_to_id)))
+    # an uncounted catalog item counts 0
+    item_ok = {item for item in chain(item_counts, catalog_lines) if item_counts[item] >= item_min}
+    word_ok = {word for word, count in word_counts.items() if count >= word_min}
+
+    # Filter the raw-key records first, then build each vocabulary from the keys
+    # the survivors hold: the vocabulary every stage reloads from filtered/.
+    item_in, word_in = item_ok.__contains__, word_ok.__contains__
+    buys, views = ([(s.timestamp, items) for s in raw
+                    if len(items := tuple(filter(item_in, s.items))) >= 2] for raw in (buys, views))
+    pairs = [(p.timestamp, p.accepted_for, p.substitute) for p in pairs
+             if p.accepted_for in item_ok and p.substitute in item_ok]
+    searches = [(r.timestamp, words, r.clicked_item) for r in searches
+                if r.clicked_item in item_ok and (words := tuple(filter(word_in, r.query_words)))]
+    catalog = [(e.item, tuple(filter(word_in, e.description)), e.category_path)
+               for e in catalog if e.item in item_ok]
     vocab = {
-        ITEM: items,
-        WORD: _vocabulary(WORD, word_counts, word_min, held),
+        ITEM: Vocabulary.from_keys(ITEM, chain(
+            chain.from_iterable(items for _, items in buys + views),
+            chain.from_iterable((a, b) for _, a, b in pairs),
+            (item for _, _, item in searches), (item for item, _, _ in catalog))),
+        WORD: Vocabulary.from_keys(WORD, chain.from_iterable(chain(
+            (words for _, words, _ in searches), (words for _, words, _ in catalog)))),
         CATEGORY: Vocabulary.from_keys(CATEGORY, categories),
     }
 
-    item_id = vocab[ITEM].key_to_id.get
-    word_id = vocab[WORD].key_to_id.get
-    category_id = vocab[CATEGORY].key_to_id
-
-    def kept(keys, id_of):
-        # real ids are at least 1, so filter(None, ...) drops just the missing keys
-        return tuple(filter(None, map(id_of, keys)))
-
-    dataset = Dataset(vocab=vocab, category_edges=[
-        (category_id[child], category_id[parent]) for _, child, parent in edges])
-    for raw, target in ((buys, dataset.buy_sessions), (views, dataset.view_sessions)):
-        for s in raw:
-            items = kept(s.items, item_id)
-            if len(items) >= 2:
-                target.append(SessionSequence(s.kind, items, s.timestamp))
-    for p in pairs:
-        a, b = item_id(p.accepted_for), item_id(p.substitute)
-        if a is not None and b is not None:
-            dataset.substitutions.append(SubstitutionPair(a, b, p.timestamp))
-    for r in searches:
-        clicked, words = item_id(r.clicked_item), kept(r.query_words, word_id)
-        if clicked is not None and words:
-            dataset.searches.append(SearchRecord(words, clicked, r.timestamp))
-    for e in catalog:
-        item = item_id(e.item)
-        if item is not None:
-            dataset.catalog.append(CatalogEntry(
-                item, kept(e.description, word_id),
-                tuple(category_id[label] for label in e.category_path)))
-    return dataset
+    item_id = vocab[ITEM].key_to_id.__getitem__
+    word_id = vocab[WORD].key_to_id.__getitem__
+    category_id = vocab[CATEGORY].key_to_id.__getitem__
+    return Dataset(
+        vocab=vocab,
+        category_edges=[(category_id(child), category_id(parent)) for _, child, parent in edges],
+        buy_sessions=[SessionSequence("buy", tuple(map(item_id, items)), ts) for ts, items in buys],
+        view_sessions=[SessionSequence("view", tuple(map(item_id, items)), ts)
+                       for ts, items in views],
+        substitutions=[SubstitutionPair(item_id(a), item_id(b), ts) for ts, a, b in pairs],
+        searches=[SearchRecord(tuple(map(word_id, words)), item_id(item), ts)
+                  for ts, words, item in searches],
+        catalog=[CatalogEntry(item_id(item), tuple(map(word_id, words)),
+                              tuple(map(category_id, labels))) for item, words, labels in catalog],
+    )
 
 
-def splittable(n: int, fractions=(0.8, 0.1, 0.1)) -> bool:
+def splittable(n: int) -> bool:
     """Whether a chronological split of n records leaves validation and test nonempty."""
-    return int(fractions[1] * n) > 0 and int(fractions[2] * n) > 0
+    return int(SPLIT_FRACTIONS[1] * n) > 0 and int(SPLIT_FRACTIONS[2] * n) > 0
 
 
-def chronological_split(records, fractions=(0.8, 0.1, 0.1)) -> DatasetSplit:
-    """Stable timestamp-ordered split; validation/test take floor(f*n) each.
+def chronological_split(records) -> DatasetSplit:
+    """Stable timestamp-ordered split; validation/test take floor(f*n) each at SPLIT_FRACTIONS.
 
     Ties keep input order.  The remainder goes to train.  A split that would
     leave validation or test empty is an error.
     """
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise DataError("split fractions must sum to 1")
     records = list(records)
     n = len(records)
-    if not splittable(n, fractions):
+    if not splittable(n):
         raise DataError(f"cannot form three nonempty parts from {n} records")
-    n_val = int(fractions[1] * n)
-    n_test = int(fractions[2] * n)
+    n_val = int(SPLIT_FRACTIONS[1] * n)
+    n_test = int(SPLIT_FRACTIONS[2] * n)
     ordered = sorted(records, key=lambda r: r.timestamp)
     n_train = n - n_val - n_test
     return DatasetSplit(

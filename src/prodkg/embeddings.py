@@ -28,6 +28,8 @@ PAD_ID = 0
 _MAX_RESAMPLE_TRIES = 32
 # Unigram smoothing: negatives are drawn proportionally to count ** this.
 SAMPLER_EXPONENT = 0.75
+# A ball-geometry row's norm stays at most 1 - EPS_BALL.
+EPS_BALL = 1e-5
 
 
 class NumericalError(RuntimeError):
@@ -54,12 +56,12 @@ class EmbeddingTable:
     def dim(self) -> int:
         return self.values.shape[1]
 
-    def validate(self, eps_ball: float = 1e-5) -> None:
+    def validate(self) -> None:
         if not np.all(np.isfinite(self.values)):
             raise NumericalError(f"table {self.name!r} contains non-finite values")
         if self.geometry == POINCARE:
             norms = np.linalg.norm(self.values, axis=1)
-            if np.any(norms > 1.0 - eps_ball + 1e-12):
+            if np.any(norms > 1.0 - EPS_BALL + 1e-12):
                 raise NumericalError(f"table {self.name!r} has rows outside the unit ball")
 
 

@@ -15,8 +15,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attention import context_for_ranking
+from .data import SPLIT_FRACTIONS
 from .model import PkgParams
 from .ranking import RANK_CHUNK, rank_candidates
+
+# The classification probe's L2 penalty, learning rate and full-batch steps.
+PROBE_L2, PROBE_LR, PROBE_STEPS = 1e-4, 0.5, 300
 
 # relation -> (head table, attention block, scoring tables).  An entity head
 # (an item, or a category for isa) is its own row of the head table; a
@@ -106,9 +110,6 @@ def classification_probe(
     labels: np.ndarray,
     train_idx: np.ndarray,
     test_idx: np.ndarray,
-    l2: float = 1e-4,
-    lr: float = 0.5,
-    iterations: int = 300,
 ) -> tuple[float, float]:
     """Multinomial logistic regression probe; returns (micro-F1, macro-F1).
 
@@ -127,13 +128,13 @@ def classification_probe(
     x1 = np.hstack([x_train, np.ones((x_train.shape[0], 1))])
     onehot = np.zeros((x_train.shape[0], n_classes))
     onehot[np.arange(x_train.shape[0]), y_train] = 1.0
-    for _ in range(iterations):
+    for _ in range(PROBE_STEPS):
         logits = x1 @ weights
         logits -= logits.max(axis=1, keepdims=True)
         probs = np.exp(logits)
         probs /= probs.sum(axis=1, keepdims=True)
-        grad = x1.T @ (probs - onehot) / x1.shape[0] + l2 * weights
-        weights -= lr * grad
+        grad = x1.T @ (probs - onehot) / x1.shape[0] + PROBE_L2 * weights
+        weights -= PROBE_LR * grad
 
     x_test = np.hstack([features[test_idx], np.ones((len(test_idx), 1))])
     predictions = np.argmax(x_test @ weights, axis=1)
@@ -165,27 +166,25 @@ def classification_probe(
 
 @dataclass
 class GraphSplit:
-    relation: str
     train: list
     validation: list
     test: list
 
 
-def split_relation_graph(edges: list, fractions=(0.8, 0.1, 0.1), seed: int = 0,
-                         relation: str = "related") -> GraphSplit:
+def split_relation_graph(edges: list, seed: int) -> GraphSplit:
     """Random edge split; eval edges touching train-isolated nodes move back.
 
-    Validation/test get floor(fraction * n) edges each.  Afterwards, while
-    some node appears only in evaluation edges, the smallest such offending
-    edge returns to train (deterministic repair order).
+    Validation/test get floor(f * n) edges each, f from ``SPLIT_FRACTIONS``.
+    Afterwards, while some node appears only in evaluation edges, the
+    smallest such offending edge returns to train (deterministic repair order).
     """
     edges = list(edges)
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(edges))
     shuffled = [edges[i] for i in order]
     n = len(edges)
-    n_val = int(fractions[1] * n)
-    n_test = int(fractions[2] * n)
+    n_val = int(SPLIT_FRACTIONS[1] * n)
+    n_test = int(SPLIT_FRACTIONS[2] * n)
     n_train = n - n_val - n_test
     train = shuffled[:n_train]
     validation = shuffled[n_train:n_train + n_val]
@@ -202,7 +201,7 @@ def split_relation_graph(edges: list, fractions=(0.8, 0.1, 0.1), seed: int = 0,
         else:
             test.remove(move)
         train.append(move)
-    return GraphSplit(relation=relation, train=train, validation=validation, test=test)
+    return GraphSplit(train=train, validation=validation, test=test)
 
 
 def drop_leaky_examples(examples: list, eval_edges: set) -> list:

@@ -20,7 +20,7 @@ from . import data as dm
 from .baselines import KgConfig, KgModel, KgSpace, graph_triples, train_kg
 from .evaluation import drop_leaky_examples, remove_leaky_pairs, split_relation_graph
 from .model import PkgParams
-from .poincare import BallConfig, hierarchy_pretrain
+from .poincare import BURN_IN_EPOCHS, hierarchy_pretrain
 from .prg import build_relation_graph
 
 GRAPH_RELATIONS = ("complement", "co_view", "substitute")
@@ -84,8 +84,7 @@ def split_graphs(state: PipelineData, edges: dict, seed: int) -> None:
     """80/10/10 edge splits, with the training-connectivity repair, of ``edges``
     (relation -> (head, tail) list)."""
     for relation, pairs in edges.items():
-        state.graph_splits[relation] = split_relation_graph(
-            pairs, seed=seed, relation=relation)
+        state.graph_splits[relation] = split_relation_graph(pairs, seed=seed)
 
 
 def load_graph_splits(state: PipelineData, prg_dir: str) -> str:
@@ -197,12 +196,10 @@ def pretrain_categories(state: PipelineData, params: PkgParams, epochs: int,
                         seed: int) -> list[float]:
     """Ball-geometry pre-training of the category table (frozen afterwards);
     returns the mean loss of each epoch."""
-    config = BallConfig()
-    if epochs <= config.burn_in_epochs:
+    if epochs <= BURN_IN_EPOCHS:
         print(f"warning: category pre-training runs {epochs} epochs, none past the "
-              f"{config.burn_in_epochs}-epoch burn-in at a tenth of the rate", file=sys.stderr)
-    return hierarchy_pretrain(state.dataset.category_edges,
-                              params.tables["category"], config,
+              f"{BURN_IN_EPOCHS}-epoch burn-in at a tenth of the rate", file=sys.stderr)
+    return hierarchy_pretrain(state.dataset.category_edges, params.tables["category"],
                               epochs=epochs, negatives=10, seed=seed)
 
 

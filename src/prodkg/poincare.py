@@ -10,28 +10,16 @@ to the product side.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .data import check_forest
-from .embeddings import EmbeddingTable, NumericalError
+from .embeddings import EPS_BALL, EmbeddingTable, NumericalError
 
 # Guards the arcosh derivative near coincident points.
 _GAMMA_FLOOR = 1e-12
-
-
-@dataclass
-class BallConfig:
-    """Knobs for ball-geometry training."""
-
-    eps_ball: float = 1e-5
-    burn_in_epochs: int = 10
-    lr: float = 0.1
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.eps_ball < 1.0:
-            raise ValueError("eps_ball must lie in (0, 1)")
+# Pre-training's rate, and the burn-in epochs first run at a tenth of it (Nickel & Kiela).
+BALL_LR = 0.1
+BURN_IN_EPOCHS = 10
 
 
 def _sq_norms(x: np.ndarray) -> np.ndarray:
@@ -74,8 +62,7 @@ def poincare_distance_grad(x: np.ndarray, y: np.ndarray) -> tuple:
     return np.arccosh(gamma)[..., 0], grad_x, grad_y
 
 
-def riemannian_update(row: np.ndarray, euclidean_grad: np.ndarray, lr: float,
-                      config: BallConfig) -> np.ndarray:
+def riemannian_update(row: np.ndarray, euclidean_grad: np.ndarray, lr: float) -> np.ndarray:
     """One metric-rescaled gradient step with hard projection into the ball, per row."""
     euclidean_grad = np.asarray(euclidean_grad, dtype=float)
     if not np.isfinite(euclidean_grad).all():
@@ -84,7 +71,7 @@ def riemannian_update(row: np.ndarray, euclidean_grad: np.ndarray, lr: float,
     _check_inside(sq, "row")
     factor = (1.0 - sq) ** 2 / 4.0
     updated = row - lr * factor * euclidean_grad
-    limit = 1.0 - config.eps_ball
+    limit = 1.0 - EPS_BALL
     # limit / max(norm, limit) is exactly 1.0 for rows already inside the margin
     return updated * (limit / np.maximum(np.sqrt(_sq_norms(updated)), limit))
 
@@ -142,16 +129,16 @@ def dependency_levels(step_rows: list[np.ndarray], n_rows: int) -> np.ndarray:
 def hierarchy_pretrain(
     edges: list[tuple[int, int]],
     table: EmbeddingTable,
-    config: BallConfig,
-    epochs: int = 50,
-    negatives: int = 10,
-    seed: int = 0,
+    *,
+    epochs: int,
+    negatives: int,
+    seed: int,
 ) -> list[float]:
     """Train the category table on child->parent edges; returns per-epoch losses.
 
     Negatives are drawn uniformly over categories that are neither the edge
     endpoints nor siblings (other children of the same parent).  The first
-    ``burn_in_epochs`` run at a tenth of the learning rate.  The table is
+    ``BURN_IN_EPOCHS`` run at a tenth of ``BALL_LR``.  The table is
     updated in place and is meant to be frozen afterwards.
 
     This is per-edge SGD in a shuffled order: each edge steps its rows
@@ -174,7 +161,7 @@ def hierarchy_pretrain(
     rng = np.random.default_rng(seed)
     losses: list[float] = []
     for epoch in range(epochs):
-        lr = config.lr / 10.0 if epoch < config.burn_in_epochs else config.lr
+        lr = BALL_LR / 10.0 if epoch < BURN_IN_EPOCHS else BALL_LR
         steps = []                      # each edge's rows: child, negatives, parent
         for idx in rng.permutation(len(edge_list)):
             child, par, pool = edge_list[idx]
@@ -189,10 +176,10 @@ def hierarchy_pretrain(
             picked = batches[key]
             rows = np.array([steps[step] for step in picked])
             step_losses[picked], _, grads = hierarchy_loss_grad(rows[:, -1], rows[:, :-1], 0, table)
-            table.values[rows] = riemannian_update(table.values[rows], grads, lr, config)
+            table.values[rows] = riemannian_update(table.values[rows], grads, lr)
         total = 0.0
         for loss in step_losses.tolist():   # summed in the edges' order
             total += loss
         losses.append(total / max(len(edge_list), 1))
-    table.validate(config.eps_ball)
+    table.validate()
     return losses

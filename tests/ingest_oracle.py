@@ -180,24 +180,33 @@ def filter_infrequent(dataset: Dataset, item_min: int = 10, word_min: int = 3) -
     Sequences are shortened in place; any sequence shrinking below length
     two is discarded, as are substitutions losing either side, searches
     losing their click or whole query, and catalog entries of dropped
-    items.  A frequent word is kept only where a search with a kept click
-    or the catalog entry of a kept item holds it.  Categories are never
-    filtered.
+    items.  A frequent item or word is kept only where a record that
+    survives the filter holds it.  Categories are never filtered.
     """
     item_counts, word_counts = entity_counts(dataset)
     old_items = dataset.vocab[ITEM]
     old_words = dataset.vocab[WORD]
-    kept_items = {i for i in old_items.real_ids() if item_counts.get(i, 0) >= item_min}
-    held_words = set()
+    frequent_items = {i for i in old_items.real_ids() if item_counts.get(i, 0) >= item_min}
+    frequent_words = {w for w in old_words.real_ids() if word_counts.get(w, 0) >= word_min}
+    held_items, held_words = set(), set()
+    for session in dataset.buy_sessions + dataset.view_sessions:
+        kept = [i for i in session.items if i in frequent_items]
+        if len(kept) >= 2:
+            held_items.update(kept)
+    for pair in dataset.substitutions:
+        if pair.accepted_for in frequent_items and pair.substitute in frequent_items:
+            held_items.update((pair.accepted_for, pair.substitute))
     for record in dataset.searches:
-        if record.clicked_item in kept_items:
-            held_words.update(record.query_words)
+        words = [w for w in record.query_words if w in frequent_words]
+        if record.clicked_item in frequent_items and words:
+            held_items.add(record.clicked_item)
+            held_words.update(words)
     for entry in dataset.catalog:
-        if entry.item in kept_items:
-            held_words.update(entry.description)
-    kept_item_keys = [old_items.key(i) for i in sorted(kept_items)]
-    kept_word_keys = [old_words.key(w) for w in old_words.real_ids()
-                      if word_counts.get(w, 0) >= word_min and w in held_words]
+        if entry.item in frequent_items:
+            held_items.add(entry.item)
+            held_words.update(w for w in entry.description if w in frequent_words)
+    kept_item_keys = [old_items.key(i) for i in sorted(held_items)]
+    kept_word_keys = [old_words.key(w) for w in sorted(held_words)]
 
     new_vocab = {
         ITEM: Vocabulary.from_keys(ITEM, kept_item_keys),

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from prodkg import poincare
 from prodkg.attention import TASK_WIRING
 from prodkg.embeddings import NumericalError, log_sigmoid, sigmoid
 from prodkg.poincare import check_forest, poincare_distance_grad, riemannian_update
@@ -214,7 +215,7 @@ def hierarchy_loss_grad(parent, candidates, true_index, table):
     return loss, rows, grads
 
 
-def hierarchy_pretrain(edges, table, config, epochs=50, negatives=10, seed=0):
+def hierarchy_pretrain(edges, table, epochs=50, negatives=10, seed=0):
     check_forest(edges)
     banned_of = {}
     for child, par in edges:
@@ -226,7 +227,7 @@ def hierarchy_pretrain(edges, table, config, epochs=50, negatives=10, seed=0):
     rng = np.random.default_rng(seed)
     losses = []
     for epoch in range(epochs):
-        lr = config.lr / 10.0 if epoch < config.burn_in_epochs else config.lr
+        lr = poincare.BALL_LR / 10.0 if epoch < poincare.BURN_IN_EPOCHS else poincare.BALL_LR
         order = rng.permutation(len(edge_list))
         total = 0.0
         for idx in order:
@@ -237,7 +238,7 @@ def hierarchy_pretrain(edges, table, config, epochs=50, negatives=10, seed=0):
             candidates = np.concatenate(([child], negs))
             loss, rows, grads = hierarchy_loss_grad(par, candidates, 0, table)
             total += loss
-            table.values[rows] = riemannian_update(table.values[rows], grads, lr, config)
+            table.values[rows] = riemannian_update(table.values[rows], grads, lr)
         losses.append(total / max(len(edge_list), 1))
-    table.validate(config.eps_ball)
+    table.validate()
     return losses

@@ -25,6 +25,7 @@ from prodkg.baselines import (
 )
 from prodkg.cli import main
 from prodkg.embeddings import (
+    EPS_BALL,
     Grads,
     new_table,
     sampled_softmax_loss_grad,
@@ -33,7 +34,7 @@ from prodkg.embeddings import (
 )
 from prodkg.evaluation import rank_candidates, rank_tail, ranking_metrics
 from prodkg.model import load_checkpoint
-from prodkg.poincare import BallConfig, hierarchy_pretrain, poincare_distance, riemannian_update
+from prodkg.poincare import hierarchy_pretrain, poincare_distance, riemannian_update
 from prodkg.prg import build_adjacency, build_relation_graph, normalize_adjacency
 from prodkg.synth import load_ground_truth
 from prodkg.trainer import TASK_NAMES, sample_task, task_correlation
@@ -158,13 +159,12 @@ class TestCriterion3AttentionInvariants:
 class TestCriterion4Poincare:
     def test_geometry_suite(self):
         rng = np.random.default_rng(6)
-        config = BallConfig()
 
         containment_ok = True
         row = np.zeros(4)
         for _ in range(300):
-            row = riemannian_update(row, rng.normal(scale=3.0, size=4), 0.05, config)
-            containment_ok &= np.linalg.norm(row) <= 1.0 - config.eps_ball + 1e-12
+            row = riemannian_update(row, rng.normal(scale=3.0, size=4), 0.05)
+            containment_ok &= np.linalg.norm(row) <= 1.0 - EPS_BALL + 1e-12
 
         x = rng.uniform(-0.5, 0.5, size=4)
         y = rng.uniform(-0.5, 0.5, size=4)
@@ -189,7 +189,7 @@ class TestCriterion4Poincare:
         table = new_table("category", n_nodes + 1, 8, np.random.default_rng(7),
                           geometry="poincare")
         start = time.time()
-        hierarchy_pretrain(edges, table, config, epochs=40, negatives=8, seed=7)
+        hierarchy_pretrain(edges, table, epochs=40, negatives=8, seed=7)
         pretrain_time = time.time() - start
 
         parent_of = dict(edges)

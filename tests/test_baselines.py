@@ -332,11 +332,9 @@ class TestScores:
         with pytest.raises(ValueError, match="unknown variant"):
             KgConfig(variant="bogus")
 
-    def test_nan_margin_and_empty_batch_rejected(self):
+    def test_nan_margin_rejected(self):
         with pytest.raises(ValueError, match="margin"):
             KgConfig(variant="transE", margin=float("nan"))
-        with pytest.raises(ValueError, match="batch_size"):
-            KgConfig(batch_size=0)
 
 
 class TestHole:

@@ -7,6 +7,7 @@ import shutil
 
 import numpy as np
 import pytest
+from helpers import ORPHAN_ITEM_CASES, write_raw
 from ingest_oracle import oracle_dataset
 
 from prodkg import cli
@@ -500,6 +501,67 @@ class TestStagesReadUpstream:
         assert main(["ingest", "--data", data, "--out", run, "--item-min", str(item_min)]) == 0
         assert main(["build-prg", "--run", run, "--out", os.path.join(run, "prg"),
                      "--walks", "2", "--walk-length", "3"]) == 0
+
+    @pytest.mark.parametrize("case", ORPHAN_ITEM_CASES)
+    def test_item_that_loses_every_record_leaves_the_vocabulary(self, tmp_path, case):
+        """An item that reaches --item-min but whose every record is dropped
+        (a search that loses its only word, sessions that shrink below two
+        items) is not listed, so build-prg reads what ingest wrote."""
+        texts, item_min, word_min = ORPHAN_ITEM_CASES[case]
+        data, run = str(tmp_path / "data"), str(tmp_path / "run")
+        write_raw(data, texts)
+        assert main(["ingest", "--data", data, "--out", run, "--item-min", str(item_min),
+                     "--word-min", str(word_min)]) == 0
+        assert main(["build-prg", "--run", run, "--out", os.path.join(run, "prg")]) == 0
+        with open(os.path.join(run, "vocab_item.tsv"), encoding="utf-8") as handle:
+            assert handle.read() == "1\ta\n2\tb\n"
+
+    def test_ingest_writes_the_vocabularies_filtered_reloads_to(self, tmp_path, capsys):
+        """A seeded sweep of tiny raw datasets at random thresholds: ingest
+        either exits 2 on a modality too small to split, or writes each
+        vocab_*.tsv as every later stage reloads it from filtered/."""
+        rng = np.random.default_rng(0)
+        items, words = [f"i{n}" for n in range(10)], [f"w{n}" for n in range(20)]
+
+        def picks(pool, low, high):
+            # a key's weight falls as 1 / rank^2, so most keys are rare
+            weights = 1.0 / np.arange(1, len(pool) + 1) ** 2
+            return " ".join(rng.choice(pool, size=rng.integers(low, high + 1), replace=False,
+                                       p=weights / weights.sum()))
+
+        def lines(make):
+            # no records, or enough that the split can survive some filtering
+            n = 0 if rng.random() < 0.6 else int(rng.integers(10, 20))
+            return "".join(f"{ts}\t{make()}\n" for ts in range(n))
+
+        outcomes = {"too small": 0, "written": 0}
+        for case in range(200):
+            texts = {
+                "catalog": "".join(f"{item}\t{picks(words, 0, 2)}\tc\n"
+                                   for item in picks(items, 0, 4).split()),
+                "category_edges": "c\troot\n",
+                "buy_sessions": lines(lambda: picks(items, 2, 2)),
+                "view_sessions": lines(lambda: picks(items, 2, 2)),
+                "substitutions": lines(lambda: picks(items, 2, 2).replace(" ", "\t")),
+                "search": lines(lambda: f"{picks(words, 1, 1)}\t{picks(items, 1, 1)}"),
+            }
+            data, run = str(tmp_path / f"data{case}"), str(tmp_path / f"run{case}")
+            write_raw(data, texts)
+            code = main(["ingest", "--data", data, "--out", run,
+                         "--item-min", str(rng.integers(1, 5)),
+                         "--word-min", str(rng.integers(1, 5))])
+            err = capsys.readouterr().err
+            if code == 2 and "cannot form nonempty train, validation and test parts" in err:
+                outcomes["too small"] += 1
+                continue
+            assert code == 0, (case, err)
+            vocab = pl.load_and_split(modality_paths(os.path.join(run, "filtered"))).dataset.vocab
+            for namespace in NAMESPACES:
+                with open(os.path.join(run, f"vocab_{namespace}.tsv"), encoding="utf-8") as handle:
+                    assert handle.read().splitlines() == cli._vocab_lines(vocab[namespace]), \
+                        (case, namespace)
+            outcomes["written"] += 1
+        assert outcomes["too small"] and outcomes["written"], outcomes
 
     def test_evaluate_checkpoint_of_another_ingest_exit_2(self, trained_run, tmp_path, capsys):
         """A re-ingest that drops items, then build-prg at the same config

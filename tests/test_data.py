@@ -3,6 +3,7 @@
 import re
 
 import pytest
+from helpers import ORPHAN_ITEM_CASES, write_raw
 from ingest_oracle import oracle_dataset
 
 from prodkg import data as dm
@@ -238,10 +239,16 @@ def synth_paths(tmp_path_factory):
 class TestOnePassParity:
     """The one-pass loader against the frozen two-pass read and filtering rebuild."""
 
-    @pytest.mark.parametrize("item_min, word_min", [(0, 0), (10, 3), (20, 30)])
-    def test_equals_two_pass_oracle(self, synth_paths, item_min, word_min):
-        live = dm.ingest_dataset(synth_paths, item_min=item_min, word_min=word_min)
-        frozen = oracle_dataset(synth_paths, item_min=item_min, word_min=word_min)
+    @pytest.mark.parametrize("source, item_min, word_min", [
+        *(pytest.param("synth", item_min, word_min, id=f"{item_min}-{word_min}")
+          for item_min, word_min in ((0, 0), (10, 3), (20, 30))),
+        *(pytest.param(name, item_min, word_min, id=name)
+          for name, (_texts, item_min, word_min) in ORPHAN_ITEM_CASES.items())])
+    def test_equals_two_pass_oracle(self, request, tmp_path, source, item_min, word_min):
+        paths = (request.getfixturevalue("synth_paths") if source == "synth"
+                 else write_raw(str(tmp_path), ORPHAN_ITEM_CASES[source][0]))
+        live = dm.ingest_dataset(paths, item_min=item_min, word_min=word_min)
+        frozen = oracle_dataset(paths, item_min=item_min, word_min=word_min)
         assert live.vocab == frozen.vocab
         for name in ("buy_sessions", "view_sessions", "substitutions", "searches", "catalog",
                      "category_edges"):
@@ -298,7 +305,3 @@ class TestChronologicalSplit:
         assert stamps == sorted(stamps)
         assert max(r.timestamp for r in split.train) <= min(r.timestamp for r in split.validation)
         assert max(r.timestamp for r in split.validation) <= min(r.timestamp for r in split.test)
-
-    def test_fractions_must_sum_to_one(self):
-        with pytest.raises(dm.DataError, match="sum to 1"):
-            dm.chronological_split([_Stamp(0)], fractions=(0.5, 0.2, 0.2))

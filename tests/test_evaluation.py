@@ -365,8 +365,7 @@ class TestEvaluateAllWithBaseline:
 
         params = init_params(ModelConfig(dim=4, seed=3, seq_lens={
             "complement": 4, "co_view": 4, "search": 4, "describe": 4}), 10, 8, 4)
-        splits = {"complement": GraphSplit(
-            "complement", train=[(1, 2)], validation=[], test=[(2, 3), (4, 5)])}
+        splits = {"complement": GraphSplit(train=[(1, 2)], validation=[], test=[(2, 3), (4, 5)])}
         a = evaluate_all(params, graph_splits=splits)
         b = evaluate_all(params, graph_splits=splits)
         assert a.rows == b.rows

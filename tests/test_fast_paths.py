@@ -20,6 +20,7 @@ import pytest
 
 import step_oracles as oracle
 from helpers import key_rows
+from prodkg import poincare
 from prodkg.attention import TASK_WIRING, aggregate_context, sequence_loss_grad
 from prodkg.data import CATEGORY, ingest_dataset
 from prodkg.embeddings import (
@@ -35,7 +36,7 @@ from prodkg.embeddings import (
 )
 from prodkg.model import ModelConfig, init_params
 from prodkg.model import PkgParams
-from prodkg.poincare import BallConfig, dependency_levels, hierarchy_pretrain
+from prodkg.poincare import dependency_levels, hierarchy_pretrain
 from prodkg.synth import SynthConfig, generate
 from prodkg.trainer import isa_example_loss, sample_task, task_cdf
 
@@ -254,15 +255,14 @@ def synth_forest():
 class TestLevelSchedule:
     @pytest.mark.parametrize("forest, negatives", [
         (star, 3), (chain, 4), (star_beside_a_pair, 6), (synth_forest, 10)])
-    def test_bit_identical_to_the_per_edge_loop(self, forest, negatives):
+    def test_bit_identical_to_the_per_edge_loop(self, forest, negatives, monkeypatch):
         edges, rows = forest()
-        config = BallConfig(burn_in_epochs=2)
+        monkeypatch.setattr(poincare, "BURN_IN_EPOCHS", 2)
         start = new_table("category", rows, 8, np.random.default_rng(2), geometry="poincare")
         levelled = EmbeddingTable("category", start.values.copy(), "poincare")
         per_edge = EmbeddingTable("category", start.values.copy(), "poincare")
-        losses = hierarchy_pretrain(edges, levelled, config, epochs=6, negatives=negatives,
-                                    seed=4)
-        old_losses = oracle.hierarchy_pretrain(edges, per_edge, config, epochs=6,
+        losses = hierarchy_pretrain(edges, levelled, epochs=6, negatives=negatives, seed=4)
+        old_losses = oracle.hierarchy_pretrain(edges, per_edge, epochs=6,
                                                negatives=negatives, seed=4)
         np.testing.assert_array_equal(losses, old_losses)
         np.testing.assert_array_equal(levelled.values, per_edge.values)

@@ -112,7 +112,7 @@ class TestBaselineValidation:
         # the first 300 validation edges are all complement ones
         validation = {"complement": [(1 + i % 90, 2 + i % 90) for i in range(400)],
                       "co_view": [(3, 4), (5, 6)], "substitute": [(7, 8), (9, 10), (11, 12)]}
-        splits = {relation: GraphSplit(relation, [(1, 2)], edges, [])
+        splits = {relation: GraphSplit([(1, 2)], edges, [])
                   for relation, edges in validation.items()}
         crafted = pl.PipelineData(dataset=state.dataset, splits=state.splits,
                                   graph_splits=splits)

@@ -6,11 +6,11 @@ import tempfile
 import numpy as np
 import pytest
 
+from prodkg import poincare
 from prodkg.data import CATEGORY, ingest_dataset
-from prodkg.embeddings import EmbeddingTable, NumericalError, new_table
+from prodkg.embeddings import EPS_BALL, EmbeddingTable, NumericalError, new_table
 from prodkg.gradcheck import grad_check
 from prodkg.poincare import (
-    BallConfig,
     check_forest,
     hierarchy_loss_grad,
     hierarchy_pretrain,
@@ -54,7 +54,7 @@ def _ref_distance_grad(x, y):
     return dist, grad_x, grad_y
 
 
-def _ref_update(row, euclidean_grad, lr, config):
+def _ref_update(row, euclidean_grad, lr):
     if not np.all(np.isfinite(euclidean_grad)):
         raise NumericalError("non-finite gradient in ball update")
     sq = float(row @ row)
@@ -63,7 +63,7 @@ def _ref_update(row, euclidean_grad, lr, config):
     factor = (1.0 - sq) ** 2 / 4.0
     updated = row - lr * factor * np.asarray(euclidean_grad, dtype=float)
     norm = float(np.linalg.norm(updated))
-    limit = 1.0 - config.eps_ball
+    limit = 1.0 - EPS_BALL
     if norm >= limit:
         updated = updated * (limit / norm)
     return updated
@@ -92,7 +92,7 @@ def _ref_loss_grad(parent, candidates, true_index, table):
     return loss, grads
 
 
-def _ref_pretrain(edges, table, config, epochs=50, negatives=10, seed=0):
+def _ref_pretrain(edges, table, epochs=50, negatives=10, seed=0):
     check_forest(edges)
     children_of = {}
     for child, par in edges:
@@ -102,7 +102,7 @@ def _ref_pretrain(edges, table, config, epochs=50, negatives=10, seed=0):
     edge_list = list(edges)
     losses = []
     for epoch in range(epochs):
-        lr = config.lr / 10.0 if epoch < config.burn_in_epochs else config.lr
+        lr = poincare.BALL_LR / 10.0 if epoch < poincare.BURN_IN_EPOCHS else poincare.BALL_LR
         order = rng.permutation(len(edge_list))
         total = 0.0
         for idx in order:
@@ -116,9 +116,9 @@ def _ref_pretrain(edges, table, config, epochs=50, negatives=10, seed=0):
             loss, grads = _ref_loss_grad(par, candidates, 0, table)
             total += loss
             for row, grad in grads.items():
-                table.values[row] = _ref_update(table.values[row], grad, lr, config)
+                table.values[row] = _ref_update(table.values[row], grad, lr)
         losses.append(total / max(len(edge_list), 1))
-    table.validate(config.eps_ball)
+    table.validate()
     return losses
 
 
@@ -172,41 +172,39 @@ class TestRiemannianUpdate:
         """At the origin the inverse-metric factor is exactly 1/4."""
         row = np.zeros(3)
         grad = np.array([1.0, 0.0, 0.0])
-        updated = riemannian_update(row, grad, lr=1.0, config=BallConfig())
+        updated = riemannian_update(row, grad, lr=1.0)
         np.testing.assert_allclose(updated, [-0.25, 0.0, 0.0], atol=1e-15)
 
     def test_zero_gradient_no_change(self):
         row = np.array([0.2, -0.1])
-        updated = riemannian_update(row, np.zeros(2), lr=0.5, config=BallConfig())
+        updated = riemannian_update(row, np.zeros(2), lr=0.5)
         np.testing.assert_array_equal(updated, row)
 
     def test_projection_to_boundary_margin(self):
-        config = BallConfig(eps_ball=1e-5)
         row = np.array([0.5, 0.0])
-        updated = riemannian_update(row, np.array([-1e6, 0.0]), lr=1.0, config=config)
+        updated = riemannian_update(row, np.array([-1e6, 0.0]), lr=1.0)
         assert np.linalg.norm(updated) == pytest.approx(1.0 - 1e-5, abs=1e-12)
 
     def test_direction_matches_euclidean_gradient(self):
         rng = np.random.default_rng(3)
         row = rng.uniform(-0.3, 0.3, size=4)
         grad = rng.normal(size=4)
-        updated = riemannian_update(row, grad, lr=0.01, config=BallConfig())
+        updated = riemannian_update(row, grad, lr=0.01)
         step = updated - row
         cosine = step @ grad / (np.linalg.norm(step) * np.linalg.norm(grad))
         assert cosine == pytest.approx(-1.0, abs=1e-12)
 
     def test_containment_under_repeated_updates(self):
-        config = BallConfig()
         rng = np.random.default_rng(4)
         row = np.zeros(3)
         for _ in range(500):
-            row = riemannian_update(row, rng.normal(scale=5.0, size=3), lr=0.1, config=config)
-            assert np.linalg.norm(row) <= 1.0 - config.eps_ball + 1e-12
+            row = riemannian_update(row, rng.normal(scale=5.0, size=3), lr=0.1)
+            assert np.linalg.norm(row) <= 1.0 - EPS_BALL + 1e-12
 
     def test_non_finite_gradient_rejected(self):
         from prodkg.embeddings import NumericalError
         with pytest.raises(NumericalError):
-            riemannian_update(np.zeros(2), np.array([np.nan, 0.0]), 0.1, BallConfig())
+            riemannian_update(np.zeros(2), np.array([np.nan, 0.0]), 0.1)
 
 
 class TestForest:
@@ -281,12 +279,12 @@ def balanced_tree_edges(branching=(3, 3)):
 
 
 class TestHierarchyPretrain:
-    def test_child_closer_than_unrelated_after_training(self):
+    def test_child_closer_than_unrelated_after_training(self, monkeypatch):
         """Two separate parent/child pairs must end up nearer within-pair."""
         table = new_table("category", 6, 5, np.random.default_rng(7), geometry="poincare")
         edges = [(2, 1), (4, 3)]
-        hierarchy_pretrain(edges, table, BallConfig(burn_in_epochs=2), epochs=200,
-                           negatives=2, seed=7)
+        monkeypatch.setattr(poincare, "BURN_IN_EPOCHS", 2)
+        hierarchy_pretrain(edges, table, epochs=200, negatives=2, seed=7)
         within = poincare_distance(table.values[2], table.values[1])
         across = min(poincare_distance(table.values[2], table.values[3]),
                      poincare_distance(table.values[2], table.values[4]))
@@ -295,17 +293,16 @@ class TestHierarchyPretrain:
     def test_rows_stay_inside_ball(self):
         table = new_table("category", 14, 4, np.random.default_rng(8), geometry="poincare")
         edges, _ = balanced_tree_edges((3, 3))
-        config = BallConfig()
-        hierarchy_pretrain(edges, table, config, epochs=30, negatives=4, seed=1)
+        hierarchy_pretrain(edges, table, epochs=30, negatives=4, seed=1)
         norms = np.linalg.norm(table.values[1:], axis=1)
-        assert np.all(norms <= 1.0 - config.eps_ball + 1e-12)
+        assert np.all(norms <= 1.0 - EPS_BALL + 1e-12)
 
     def test_leaves_pushed_outward(self):
         """After pre-training a balanced tree, leaves sit at larger norms than the root."""
         edges, level_of = balanced_tree_edges((3, 3))
         table = new_table("category", len(level_of) + 1, 5,
                           np.random.default_rng(9), geometry="poincare")
-        hierarchy_pretrain(edges, table, BallConfig(), epochs=60, negatives=5, seed=3)
+        hierarchy_pretrain(edges, table, epochs=60, negatives=5, seed=3)
         norms = np.linalg.norm(table.values, axis=1)
         leaf_norms = [norms[i] for i, lvl in level_of.items() if lvl == 2]
         root_norms = [norms[i] for i, lvl in level_of.items() if lvl == 0]
@@ -314,7 +311,7 @@ class TestHierarchyPretrain:
     def test_euclidean_table_rejected(self):
         table = new_table("category", 4, 3, np.random.default_rng(0))
         with pytest.raises(ValueError, match="ball-geometry"):
-            hierarchy_pretrain([(1, 2)], table, BallConfig())
+            hierarchy_pretrain([(1, 2)], table, epochs=50, negatives=10, seed=0)
 
 
 class TestBatchedGeometry:
@@ -339,33 +336,32 @@ class TestBatchedGeometry:
 
     def test_update_rows_match_scalar(self):
         """Includes rows pushed past the margin, so projection runs on some rows only."""
-        config = BallConfig()
         rng = np.random.default_rng(13)
         rows = rng.uniform(-0.5, 0.5, size=(6, 4))
         grads = rng.normal(size=(6, 4))
         grads[[1, 4]] *= 1e6
-        updated = riemannian_update(rows, grads, 0.1, config)
+        updated = riemannian_update(rows, grads, 0.1)
         for j in range(6):
-            np.testing.assert_allclose(updated[j], _ref_update(rows[j], grads[j], 0.1, config),
+            np.testing.assert_allclose(updated[j], _ref_update(rows[j], grads[j], 0.1),
                                        rtol=PARITY_TOL, atol=PARITY_TOL)
-            np.testing.assert_allclose(riemannian_update(rows[j], grads[j], 0.1, config),
+            np.testing.assert_allclose(riemannian_update(rows[j], grads[j], 0.1),
                                        updated[j], rtol=PARITY_TOL, atol=PARITY_TOL)
         norms = np.linalg.norm(updated, axis=1)
-        assert norms[1] == pytest.approx(1.0 - config.eps_ball, abs=1e-12)
-        assert np.all(norms <= 1.0 - config.eps_ball + 1e-12)
+        assert norms[1] == pytest.approx(1.0 - EPS_BALL, abs=1e-12)
+        assert np.all(norms <= 1.0 - EPS_BALL + 1e-12)
 
     def test_outside_ball_row_in_stack_rejected(self):
         stack = np.array([[0.1, 0.2], [0.6, 0.8], [0.0, 0.3]])
         with pytest.raises(ValueError, match="x lies on or outside"):
             poincare_distance_grad(stack, np.zeros(2))
         with pytest.raises(ValueError, match="outside"):
-            riemannian_update(stack, np.zeros((3, 2)), 0.1, BallConfig())
+            riemannian_update(stack, np.zeros((3, 2)), 0.1)
 
     def test_nan_gradient_in_stack_rejected(self):
         grads = np.zeros((3, 2))
         grads[2, 0] = np.nan
         with pytest.raises(NumericalError):
-            riemannian_update(np.zeros((3, 2)), grads, 0.1, BallConfig())
+            riemannian_update(np.zeros((3, 2)), grads, 0.1)
 
 
 def synth_forest():
@@ -384,14 +380,15 @@ class TestPretrainParity:
 
     @staticmethod
     def assert_matches_reference(edges, rows, dim, epochs, negatives, seed):
-        config = BallConfig(burn_in_epochs=epochs // 3)
         start = new_table("category", rows, dim, np.random.default_rng(seed), geometry="poincare")
         batched = EmbeddingTable("category", start.values.copy(), "poincare")
         reference = EmbeddingTable("category", start.values.copy(), "poincare")
-        losses = hierarchy_pretrain(edges, batched, config, epochs=epochs,
-                                    negatives=negatives, seed=seed)
-        ref_losses = _ref_pretrain(edges, reference, config, epochs=epochs,
-                                   negatives=negatives, seed=seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(poincare, "BURN_IN_EPOCHS", epochs // 3)
+            losses = hierarchy_pretrain(edges, batched, epochs=epochs, negatives=negatives,
+                                        seed=seed)
+            ref_losses = _ref_pretrain(edges, reference, epochs=epochs, negatives=negatives,
+                                       seed=seed)
         assert len(losses) == len(ref_losses) == epochs
         np.testing.assert_allclose(losses, ref_losses, rtol=0, atol=PARITY_TOL)
         np.testing.assert_allclose(batched.values, reference.values, rtol=0, atol=PARITY_TOL)
@@ -413,7 +410,7 @@ class TestPretrainParity:
                           geometry="poincare")
         table.values[1] = [0.6, 0.8]
         with pytest.raises(ValueError, match="outside"):
-            hierarchy_pretrain(edges, table, BallConfig(), epochs=1, negatives=1)
+            hierarchy_pretrain(edges, table, epochs=1, negatives=1, seed=0)
 
 
 def isa_params(categories: EmbeddingTable, items: np.ndarray) -> PkgParams:
